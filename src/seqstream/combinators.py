@@ -1,9 +1,10 @@
 """Layers built from layers: Serial, Parallel, Residual, Repeat,
 Bidirectional, and Blockwise.
 
-Every property of a combinator is derived from its children on access;
-nothing is stored at construction, so metadata can never drift from the
-composition.
+A combinator's streaming metadata is derived from its children on first
+access and cached: layers are immutable once built, and the renames after
+construction (deduplication, Repeat, the pipeline builder) change only
+``name``, which no cached value depends on.
 
 Serial latency accounting: output latencies fold forward (an upstream delay
 of d input steps becomes d * ratio output steps plus the child's own), input
@@ -21,12 +22,12 @@ positions, and the combinator reports the maximum latencies.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
 from .errors import NotSteppableError, SpecMismatchError
-from .layer import SequenceLayer
+from .layer import UNIT_RATIO, SequenceLayer
 from .receptive_field import (
     reverse_rf_map,
     rf_at,
@@ -98,36 +99,58 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
     return Sequence(values, mask)
 
 
-class Serial(SequenceLayer):
-    """Applies children one after another; an empty Serial is the identity."""
-
-    def __init__(self, layers, name=None):
-        super().__init__(name)
-        self._children = _unique_names(list(layers))
+class _Composite(SequenceLayer):
+    """Serial and Parallel: both step methods share one ``_step_children`` loop."""
 
     @property
     def children(self):
         return self._children
 
     @property
+    def is_stochastic(self):
+        return any(c.is_stochastic for c in self._children)
+
+    def step(self, x, state, *, training, constants=None):
+        y, state, _ = self._step_children(
+            x, state, training=training, constants=constants, with_emits=False
+        )
+        return y, state
+
+    def step_with_emits(self, x, state, *, training, constants=None):
+        return self._step_children(
+            x, state, training=training, constants=constants, with_emits=True
+        )
+
+
+class Serial(_Composite):
+    """Applies children one after another; an empty Serial is the identity."""
+
+    def __init__(self, layers, name=None):
+        super().__init__(name)
+        self._children = _unique_names(list(layers))
+
+    @cached_property
     def output_ratio(self):
-        ratio = Fraction(1)
+        ratio = UNIT_RATIO
         for child in self._children:
             ratio *= child.output_ratio
         return ratio
 
-    @property
+    @cached_property
     def block_size(self):
-        block = Fraction(1)
-        ratio = Fraction(1)
+        block, ratio = 1, UNIT_RATIO
         for child in self._children:
             arriving = block * ratio
-            assert arriving.denominator == 1
-            block = Fraction(math.lcm(int(arriving), child.block_size)) / ratio
+            if arriving.denominator != 1:
+                raise ValueError(
+                    f"{self.name}: {child.name!r} would receive {arriving} steps per block; "
+                    "a block_size upstream is not a multiple of its ratio denominator"
+                )
+            block = block * math.lcm(int(arriving), child.block_size) // int(arriving)
             ratio *= child.output_ratio
-        assert block.denominator == 1
-        return int(block)
+        return block
 
+    @cached_property
     def _forward_output_latency(self):
         """(output_latency, misalignment reason or None)."""
         latency = 0
@@ -142,31 +165,27 @@ class Serial(SequenceLayer):
             latency = int(converted) + child.output_latency
         return latency, None
 
-    @property
+    @cached_property
     def output_latency(self):
-        return self._forward_output_latency()[0]
+        return self._forward_output_latency[0]
 
-    @property
+    @cached_property
     def input_latency(self):
         latency = 0
         for child in reversed(self._children):
             latency = child.input_latency + math.ceil(latency / child.output_ratio)
         return latency
 
-    @property
+    @cached_property
     def receptive_field_per_step(self):
         maps = [c.receptive_field_per_step for c in self._children]
         return serial_rf_map(maps, [c.output_ratio for c in self._children])
 
-    @property
+    @cached_property
     def supports_step(self):
         if not all(c.supports_step for c in self._children):
             return False
-        return self._forward_output_latency()[1] is None
-
-    @property
-    def is_stochastic(self):
-        return any(c.is_stochastic for c in self._children)
+        return self._forward_output_latency[1] is None
 
     def output_time(self, input_time):
         time = input_time
@@ -193,10 +212,10 @@ class Serial(SequenceLayer):
         return x, tuple(emits)
 
     def _require_steppable(self):
-        if not all(c.supports_step for c in self._children):
-            bad = [c.name for c in self._children if not c.supports_step]
+        bad = [c.name for c in self._children if not c.supports_step]
+        if bad:
             raise NotSteppableError(f"{self.name}: children {bad} cannot be stepped")
-        reason = self._forward_output_latency()[1]
+        reason = self._forward_output_latency[1]
         if reason is not None:
             raise NotSteppableError(f"{self.name}: {reason}")
 
@@ -211,28 +230,22 @@ class Serial(SequenceLayer):
             spec = child.get_output_spec(spec, constants)
         return tuple(states)
 
-    def step(self, x, state, *, training, constants=None):
+    def _step_children(self, x, state, *, training, constants, with_emits):
         self._check_block(x)
-        new_states = []
+        new_states, emits = [], []
         for child, child_state in zip(self._children, state):
-            x, child_state = child.step(x, child_state, training=training, constants=constants)
+            if with_emits:
+                x, child_state, e = child.step_with_emits(
+                    x, child_state, training=training, constants=constants
+                )
+                emits.append(e)
+            else:
+                x, child_state = child.step(x, child_state, training=training, constants=constants)
             new_states.append(child_state)
-        return x, tuple(new_states)
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        new_states = []
-        emits = []
-        for child, child_state in zip(self._children, state):
-            x, child_state, e = child.step_with_emits(
-                x, child_state, training=training, constants=constants
-            )
-            new_states.append(child_state)
-            emits.append(e)
         return x, tuple(new_states), tuple(emits)
 
 
-class Parallel(SequenceLayer):
+class Parallel(_Composite):
     """Feeds the same input to every child and combines their outputs."""
 
     def __init__(self, layers, combine="stack", name=None):
@@ -251,38 +264,30 @@ class Parallel(SequenceLayer):
         self.combine = combine
         self._children = _unique_names(children)
 
-    @property
-    def children(self):
-        return self._children
-
-    @property
+    @cached_property
     def output_ratio(self):
         return self._children[0].output_ratio
 
-    @property
+    @cached_property
     def block_size(self):
         return math.lcm(*(c.block_size for c in self._children))
 
-    @property
+    @cached_property
     def output_latency(self):
         return max(c.output_latency for c in self._children)
 
-    @property
+    @cached_property
     def input_latency(self):
         return max(c.input_latency for c in self._children)
 
-    @property
+    @cached_property
     def receptive_field_per_step(self):
         maps = [c.receptive_field_per_step for c in self._children]
         return union_rf_maps(maps, [c.output_ratio for c in self._children])
 
-    @property
+    @cached_property
     def supports_step(self):
         return all(c.supports_step for c in self._children)
-
-    @property
-    def is_stochastic(self):
-        return any(c.is_stochastic for c in self._children)
 
     def output_time(self, input_time):
         times = {c.output_time(input_time) for c in self._children}
@@ -332,7 +337,6 @@ class Parallel(SequenceLayer):
     def _step_children(self, x, state, *, training, constants, with_emits):
         self._check_block(x)
         child_states, fifos = state
-        out_len = int(x.time * self.output_ratio)
         outputs, new_states, new_fifos, emits = [], [], [], []
         for child, child_state, fifo in zip(self._children, child_states, fifos):
             if with_emits:
@@ -342,23 +346,15 @@ class Parallel(SequenceLayer):
                 emits.append(e)
             else:
                 y, child_state = child.step(x, child_state, training=training, constants=constants)
-            merged = Sequence.concatenate_sequences([fifo, y.mask_invalid()])
-            outputs.append(merged[:, :out_len])
-            new_fifos.append(merged[:, out_len:])
+            y = y.mask_invalid()
+            if fifo.time:
+                merged = Sequence.concatenate_sequences([fifo, y])
+                y, fifo = merged[:, : y.time], merged[:, y.time :]
+            outputs.append(y)
+            new_fifos.append(fifo)
             new_states.append(child_state)
         combined = _combine_outputs(outputs, self.combine)
         return combined, (tuple(new_states), tuple(new_fifos)), tuple(emits)
-
-    def step(self, x, state, *, training, constants=None):
-        y, state, _ = self._step_children(
-            x, state, training=training, constants=constants, with_emits=False
-        )
-        return y, state
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        return self._step_children(
-            x, state, training=training, constants=constants, with_emits=True
-        )
 
 
 class Residual(Parallel):
@@ -447,7 +443,7 @@ class Bidirectional(SequenceLayer):
             self.forward.receptive_field_per_step,
             reverse_rf_map(self.backward.receptive_field_per_step),
         ]
-        return union_rf_maps(maps, [Fraction(1), Fraction(1)])
+        return union_rf_maps(maps, [UNIT_RATIO, UNIT_RATIO])
 
     def get_output_spec(self, input_spec, constants=None):
         specs = [

@@ -27,3 +27,7 @@ class PipelineError(ValueError):
 
 class SpecParseError(PipelineError):
     """Raised for malformed spec text; includes line/column where available."""
+
+
+class FormatError(ValueError):
+    """Raised for a malformed or truncated SLT1/SLS1 file or parameter archive."""

@@ -41,6 +41,7 @@ Emits = Any
 
 EMPTY_STATE: State = ()
 EMPTY_EMITS: Emits = ()
+UNIT_RATIO = Fraction(1)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -106,7 +107,7 @@ class SequenceLayer(abc.ABC):
 
     @property
     def output_ratio(self) -> Fraction:
-        return Fraction(1)
+        return UNIT_RATIO
 
     @property
     def block_size(self) -> int:

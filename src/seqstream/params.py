@@ -13,6 +13,7 @@ from typing import BinaryIO, Mapping
 import numpy as np
 
 from . import tensor
+from .errors import FormatError
 
 
 def uniform_init(rng: np.random.Generator, shape) -> np.ndarray:
@@ -75,7 +76,7 @@ def read_archive(fp: BinaryIO) -> dict[str, np.ndarray]:
         if not header:
             return out
         if len(header) != 2:
-            raise ValueError("truncated archive record header")
+            raise FormatError("truncated archive record header")
         (n,) = struct.unpack("<H", header)
         name = fp.read(n).decode("utf-8")
         out[name] = tensor.read_tensor(fp)

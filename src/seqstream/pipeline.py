@@ -816,6 +816,9 @@ def load_manifest(path) -> RunManifest:
     constants = data.get("constants") or {}
     if not isinstance(constants, dict):
         raise PipelineError(f"{path}: 'constants' must map keys to SLS1 paths")
+    block = data.get("block")
+    if block is not None and (type(block) is not int or block <= 0):
+        raise PipelineError(f"{path}: 'block' must be a positive integer, got {block!r}")
     return RunManifest(
         input=str(data["input"]),
         training=data["training"],
@@ -823,7 +826,7 @@ def load_manifest(path) -> RunManifest:
         params=data.get("params"),
         seed=int(data.get("seed", 0)),
         constants={str(k): str(v) for k, v in constants.items()},
-        block=data.get("block"),
+        block=block,
     )
 
 

@@ -25,7 +25,7 @@ from typing import BinaryIO, Callable, Iterable
 import numpy as np
 
 from . import tensor
-from .errors import ShapeMismatchError, SpecMismatchError
+from .errors import FormatError, ShapeMismatchError, SpecMismatchError
 
 _MAGIC = b"SLS1"
 
@@ -175,6 +175,8 @@ class Sequence:
         start = max(0, start + time if start < 0 else start)
         stop = min(time, stop + time if stop < 0 else stop)
         stop = max(stop, start)
+        if start == 0 and stop == time:
+            return self
         values = tensor.slice_axis(self.values, 1, start, stop)
         mask = tensor.slice_axis(self.mask, 1, start, stop)
         return Sequence(values, mask, masked=self.masked)
@@ -205,17 +207,25 @@ class Sequence:
 
     @staticmethod
     def concatenate_sequences(seqs: Iterable["Sequence"]) -> "Sequence":
-        """Concatenates along time. Batch and channel specs must agree."""
+        """Concatenates along time. Batch and channel specs must agree.
+
+        Empty parts add nothing: with one non-empty part, that part is returned.
+        """
         seqs = list(seqs)
         if not seqs:
             raise ValueError("cannot concatenate zero sequences")
         first = seqs[0]
         for s in seqs[1:]:
-            if s.batch_size != first.batch_size or s.channel_spec != first.channel_spec:
+            if (s.batch_size, s.channel_shape, s.dtype) != (
+                first.batch_size, first.channel_shape, first.dtype
+            ):
                 raise SpecMismatchError(
                     f"cannot concatenate {s.batch_size}x{s.channel_spec} "
                     f"with {first.batch_size}x{first.channel_spec}"
                 )
+        nonempty = [s for s in seqs if s.time]
+        if len(nonempty) == 1:
+            return nonempty[0]
         values = tensor.concat([s.values for s in seqs], axis=1)
         mask = tensor.concat([s.mask for s in seqs], axis=1)
         return Sequence(values, mask, masked=all(s.masked for s in seqs))
@@ -244,9 +254,11 @@ def write_sequence(fp: BinaryIO, s: Sequence) -> None:
 def read_sequence(fp: BinaryIO) -> Sequence:
     magic = fp.read(4)
     if magic != _MAGIC:
-        raise ValueError(f"bad SLS1 magic {magic!r}")
+        raise FormatError(f"bad SLS1 magic {magic!r}")
     values = tensor.read_tensor(fp)
     mask = tensor.read_tensor(fp)
+    if mask.dtype != tensor.BOOL:
+        raise FormatError(f"SLS1 mask must be bool, got {mask.dtype}")
     return Sequence(values, mask)
 
 

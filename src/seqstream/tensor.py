@@ -14,12 +14,14 @@ extents, then the raw row-major payload (bool stored as u8 0/1).
 
 from __future__ import annotations
 
+import math
 import struct
+import sys
 from typing import BinaryIO, Iterable, Sequence as Tup
 
 import numpy as np
 
-from .errors import ShapeMismatchError
+from .errors import FormatError, ShapeMismatchError
 
 FLOAT32 = np.dtype(np.float32)
 INT32 = np.dtype(np.int32)
@@ -323,22 +325,43 @@ def write_tensor(fp: BinaryIO, x: np.ndarray) -> None:
     fp.write(payload.tobytes())
 
 
+#: largest read issued at once; a header claiming more than the stream holds
+#: then fails at the end of the stream instead of allocating what it claims
+_READ_CHUNK = 1 << 24
+
+
+def _read_exact(fp: BinaryIO, nbytes: int, what: str) -> bytes:
+    chunks = []
+    remaining = nbytes
+    while remaining:
+        chunk = fp.read(min(remaining, _READ_CHUNK))
+        if not chunk:
+            raise FormatError(
+                f"truncated SLT1 {what}: expected {nbytes} bytes, got {nbytes - remaining}"
+            )
+        chunks.append(chunk)
+        remaining -= len(chunk)
+    return b"".join(chunks)
+
+
 def read_tensor(fp: BinaryIO) -> np.ndarray:
     magic = fp.read(4)
     if magic != _MAGIC:
-        raise ValueError(f"bad SLT1 magic {magic!r}")
-    code, rank = struct.unpack("<BB", fp.read(2))
+        raise FormatError(f"bad SLT1 magic {magic!r}")
+    code, rank = _read_exact(fp, 2, "header")
     if code not in _CODE_DTYPES:
-        raise ValueError(f"bad SLT1 dtype code {code}")
+        raise FormatError(f"bad SLT1 dtype code {code}")
     dtype = _CODE_DTYPES[code]
-    shape = tuple(struct.unpack("<Q", fp.read(8))[0] for _ in range(rank))
-    count = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    raw_dtype = np.uint8 if dtype == BOOL else dtype
-    nbytes = count * np.dtype(raw_dtype).itemsize
-    buf = fp.read(nbytes)
-    if len(buf) != nbytes:
-        raise ValueError("truncated SLT1 payload")
-    arr = np.frombuffer(buf, dtype=raw_dtype).reshape(shape)
+    shape = struct.unpack(f"<{rank}Q", _read_exact(fp, 8 * rank, "extents"))
+    raw_dtype = np.dtype(np.uint8 if dtype == BOOL else dtype)
+    nbytes = math.prod(shape) * raw_dtype.itemsize
+    if nbytes > sys.maxsize:
+        raise FormatError(f"SLT1 shape {shape} declares {nbytes} bytes, more than can be held")
+    buf = _read_exact(fp, nbytes, "payload")
+    try:
+        arr = np.frombuffer(buf, dtype=raw_dtype).reshape(shape)
+    except ValueError as exc:
+        raise FormatError(f"bad SLT1 shape {shape}: {exc}") from exc
     if dtype == BOOL:
         arr = arr.astype(np.bool_)
     return freeze(np.array(arr))

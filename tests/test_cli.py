@@ -1,0 +1,100 @@
+"""CLI error handling: malformed inputs and manifests exit 2 with one error line."""
+
+import io
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from seqstream import cli
+from seqstream.sequence import Sequence, read_sequence, save_sequence, write_sequence
+
+SPEC = """\
+pipeline:
+  type: serial
+  name: tiny
+  children:
+    - {type: dense, units: 2}
+input_spec: f32[3]
+"""
+
+
+def slt1_header(code, extents):
+    return b"SLT1" + struct.pack("<BB", code, len(extents)) + struct.pack(f"<{len(extents)}Q", *extents)
+
+
+@pytest.fixture
+def workdir(tmp_path):
+    (tmp_path / "spec.yaml").write_text(SPEC)
+    save_sequence(tmp_path / "x.sls", Sequence.from_values(np.ones((1, 4, 3), np.float32)))
+    return tmp_path
+
+
+def run_cli(workdir, command, input_name="x.sls", extra_manifest=""):
+    manifest = workdir / "manifest.yaml"
+    manifest.write_text(
+        f"input: {workdir / input_name}\ntraining: false\n"
+        f"output: {workdir / 'y.sls'}\n{extra_manifest}"
+    )
+    return cli.main([command, "--spec", str(workdir / "spec.yaml"), "--manifest", str(manifest)])
+
+
+def assert_usage_error(capsys, code):
+    err = capsys.readouterr().err
+    assert code == cli.USAGE_ERROR, err
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_valid_input_succeeds(workdir, command):
+    assert run_cli(workdir, command) == 0
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+@pytest.mark.parametrize(
+    "payload",
+    [
+        b"SLS1SLT1\x00",  # header cut inside the dtype/rank bytes
+        b"SLS1" + slt1_header(0, [2, 4])[:-3],  # cut inside the extents
+        b"SLS1" + slt1_header(0, [1, 4, 3]) + bytes(10),  # cut inside the payload
+        b"SLS1" + slt1_header(0, [2**31, 2**31]),  # byte count beyond any buffer
+        b"SLS1" + slt1_header(0, [2**40, 2**40]),  # extent product wraps in int64
+        b"SLS1" + slt1_header(0, [0, 2**63]),  # zero bytes, unrepresentable shape
+    ],
+)
+def test_malformed_input_exits_2(workdir, capsys, command, payload):
+    (workdir / "bad.sls").write_bytes(payload)
+    assert_usage_error(capsys, run_cli(workdir, command, input_name="bad.sls"))
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+@pytest.mark.parametrize("block", ['"abc"', "0", "-6", "2.5", "true"])
+def test_bad_manifest_block_exits_2(workdir, capsys, command, block):
+    code = run_cli(workdir, command, extra_manifest=f"block: {block}\n")
+    assert_usage_error(capsys, code)
+
+
+def test_bad_manifest_block_names_the_field(workdir, capsys):
+    run_cli(workdir, "stream", extra_manifest='block: "abc"\n')
+    assert "'block'" in capsys.readouterr().err
+
+
+@settings(max_examples=20, deadline=None)
+@given(
+    batch=st.integers(1, 2),
+    time=st.integers(0, 3),
+    channels=st.lists(st.integers(1, 3), max_size=2),
+    seed=st.integers(0, 99),
+)
+def test_every_prefix_truncation_raises_value_error(batch, time, channels, seed):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(batch, time, *channels)).astype(np.float32)
+    lengths = rng.integers(0, time + 1, size=batch)
+    buf = io.BytesIO()
+    write_sequence(buf, Sequence.from_lengths(values, lengths))
+    blob = buf.getvalue()
+    for cut in range(len(blob)):
+        with pytest.raises(ValueError):
+            read_sequence(io.BytesIO(blob[:cut]))

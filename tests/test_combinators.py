@@ -326,7 +326,67 @@ class TestBlockwise:
             sl.Blockwise(bid, 2)
 
 
+def _counted(name):
+    def get(self):
+        self.evaluations += 1
+        return getattr(sl.SequenceLayer, name).fget(self)
+
+    return property(get)
+
+
+class MetadataCounter(sl.SequenceLayer):
+    """Pass-through child whose metadata properties count their evaluations.
+
+    Its own step() reads no metadata, so every evaluation comes from outside.
+    """
+
+    output_ratio = _counted("output_ratio")
+    block_size = _counted("block_size")
+    input_latency = _counted("input_latency")
+    output_latency = _counted("output_latency")
+    receptive_field_per_step = _counted("receptive_field_per_step")
+    supports_step = _counted("supports_step")
+
+    def __init__(self, name=None):
+        super().__init__(name)
+        self.evaluations = 0
+
+    def layer(self, x, *, training, constants=None):
+        return x
+
+    def step(self, x, state, *, training, constants=None):
+        return x, state
+
+
 class TestDerivedProperties:
+    @pytest.mark.parametrize(
+        "wrap",
+        [
+            lambda c: sl.Serial([c, sl.Identity()]),
+            lambda c: sl.Parallel([c, sl.Identity()], combine="add"),
+            lambda c: sl.Serial([sl.Residual(sl.Serial([c]))]),
+        ],
+        ids=["serial", "parallel", "nested"],
+    )
+    def test_metadata_evaluations_do_not_grow_with_steps(self, wrap):
+        evaluations = []
+        for blocks in (4, 32):
+            child = MetadataCounter()
+            model = wrap(child)
+            y = step_by_step(model, random_sequence(0, 1, blocks, 3), training=False)
+            assert y.time == blocks
+            evaluations.append(child.evaluations)
+        assert evaluations[0] == evaluations[1], evaluations
+
+    def test_misfit_child_block_raises_value_error(self):
+        class HalfRatioBlockOne(MetadataCounter):
+            output_ratio = Fraction(1, 2)
+            block_size = 1
+
+        model = sl.Serial([HalfRatioBlockOne(), sl.Identity()])
+        with pytest.raises(ValueError, match="identity"):
+            model.block_size
+
     def test_properties_recompute_identically(self):
         model = fig6_serial(seed=24)
         first = model.properties

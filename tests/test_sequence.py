@@ -116,6 +116,13 @@ def test_pad_time_zero_is_identity():
     assert s.pad_time(0, 0, valid=False) is s
 
 
+def test_full_range_slice_is_identity():
+    s = seq_2x3()
+    assert s.slice_time(0, 3) is s
+    assert s[:, :] is s
+    assert s[:, 0:2] is not s
+
+
 def test_pad_time_valid_clears_masked_flag():
     s = Sequence.from_values(np.ones((1, 2), np.float32))
     assert not s.pad_time(0, 1, valid=True).masked
@@ -135,6 +142,7 @@ def test_concat_with_empty_time_is_identity():
     empty = s[:, 0:0]
     out = Sequence.concatenate_sequences([empty, s])
     np.testing.assert_array_equal(out.values, s.values)
+    assert out is s
 
 
 def test_concat_spec_mismatch():
@@ -142,6 +150,10 @@ def test_concat_spec_mismatch():
     b = Sequence.from_values(np.zeros((2, 3, 5), np.float32))
     with pytest.raises(SpecMismatchError):
         Sequence.concatenate_sequences([a, b])
+    with pytest.raises(SpecMismatchError):  # an empty part is still checked
+        Sequence.concatenate_sequences([a, b[:, 0:0]])
+    with pytest.raises(SpecMismatchError):
+        Sequence.concatenate_sequences([a, a[:1, 0:0]])
 
 
 @settings(max_examples=20)
