@@ -6,15 +6,24 @@ Each output step attends over the valid inputs inside a configurable window:
 F invalid placeholder steps while queries wait for their lookahead context,
 so output latency and input latency both equal F.
 
+``layer()`` and ``step()`` share one kernel, ``_attend``: queries at absolute
+positions attend over keys/values at absolute positions, admitted by the
+horizon window and the key validity mask, with batched (BLAS) matmuls.
+
 Step-wise state:
 
-* a key/value cache over past steps - a ring of extent ``max_past_horizon``
-  for bounded horizons, or a growing buffer when the past is unbounded (the
-  one sanctioned exception to fixed-shape state);
-* a per-row count of valid cached entries. Invalid input steps are never
-  written, so feeding invalid blocks leaves cache and counts untouched;
-* when F > 0, a FIFO of the last F projected queries/keys/values awaiting
-  emission.
+* ``keys``/``values``/``key_mask``: the projected keys and values of the most
+  recent input positions, one slot per position. An invalid step takes its
+  slot with zero keys/values and a false mask bit, so it is masked out of
+  attention exactly as in ``layer()``. A bounded past P keeps the last P + F
+  positions at a fixed shape; an unbounded past keeps every position seen so
+  far (the one sanctioned exception to fixed-shape state);
+* ``position``: the number of input steps consumed so far;
+* ``pending_q``/``pending_mask``: the F most recent projected queries, which
+  still wait for their lookahead keys.
+
+``step()`` handles a whole block per call and never writes into arrays that
+the caller's state references.
 """
 
 from __future__ import annotations
@@ -22,6 +31,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import params as params_lib
+from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer
 from .sequence import ChannelSpec, Sequence
@@ -60,6 +70,20 @@ class DotProductSelfAttention(SequenceLayer):
         self._params = params_lib.materialize(
             {"q_proj": proj, "k_proj": proj, "v_proj": proj}, params, rng, self.name
         )
+        # One [D, 3*H*U] matrix for all three projections; the logit scale
+        # 1/sqrt(U) is folded into the query columns.
+        flat = (self.d_model, self.num_heads * self.units_per_head)
+        scale = np.float32(1.0 / np.sqrt(self.units_per_head))
+        self._qkv_proj = tensor.freeze(
+            np.concatenate(
+                [
+                    self._params["q_proj"].reshape(flat) * scale,
+                    self._params["k_proj"].reshape(flat),
+                    self._params["v_proj"].reshape(flat),
+                ],
+                axis=1,
+            )
+        )
 
     @property
     def parameters(self):
@@ -93,175 +117,85 @@ class DotProductSelfAttention(SequenceLayer):
             )
         return ChannelSpec((self.num_heads, self.units_per_head), np.float32)
 
-    def _project(self, values):
-        q = np.einsum("btd,dhu->bthu", values, self._params["q_proj"], optimize=False)
-        k = np.einsum("btd,dhu->bthu", values, self._params["k_proj"], optimize=False)
-        v = np.einsum("btd,dhu->bthu", values, self._params["v_proj"], optimize=False)
-        return q.astype(np.float32), k.astype(np.float32), v.astype(np.float32)
-
-    def _logit_scale(self):
-        return np.float32(1.0 / np.sqrt(self.units_per_head))
-
-    @staticmethod
-    def _softmax_context(logits, values):
-        """Masked softmax over the last logits axis, then value mixing.
-
-        logits [B, H, T, S] with -inf at excluded positions; values
-        [B, S, H, U]. Rows with no admissible position produce zeros.
-        """
-        peak = np.max(logits, axis=-1, keepdims=True)
-        peak = np.where(np.isfinite(peak), peak, np.float32(0))
-        weights = np.exp(logits - peak)
-        denom = np.sum(weights, axis=-1, keepdims=True)
-        probs = weights / np.maximum(denom, np.float32(1e-30))
-        context = np.einsum("bhts,bshu->bthu", probs, values, optimize=False)
-        return context.astype(np.float32), probs
-
-    def layer(self, x, *, training, constants=None):
+    def _project(self, x):
+        """Scaled queries, keys and values of x's masked values, each [B, T, H, U]."""
         self._check_channel_rank(x, 1)
         if x.channel_shape[0] != self.d_model:
             raise SpecMismatchError(
                 f"{self.name}: expected d_model {self.d_model}, got {x.channel_shape[0]}"
             )
-        xm = x.mask_invalid()
-        q, k, v = self._project(np.asarray(xm.values, dtype=np.float32))
-        time = x.time
-        logits = (
-            np.einsum("bthu,bshu->bhts", q, k, optimize=False).astype(np.float32)
-            * self._logit_scale()
-        )
-        t_idx = np.arange(time)[:, None]
-        s_idx = np.arange(time)[None, :]
-        allowed = s_idx <= t_idx + self.max_future_horizon
+        values = np.asarray(x.mask_invalid().values, dtype=np.float32)
+        batch, time = values.shape[:2]
+        qkv = values.reshape(batch * time, self.d_model) @ self._qkv_proj
+        qkv = qkv.reshape(batch, time, 3, self.num_heads, self.units_per_head)
+        return qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
+
+    def _attend(self, q, q_pos, q_mask, k, v, k_pos, k_mask):
+        """Masked softmax attention, shared by layer() and step().
+
+        q [B, Tq, H, U] at absolute positions q_pos [Tq] with validity q_mask
+        [B, Tq]; k, v [B, S, H, U] at positions k_pos [S] with validity
+        k_mask [B, S]. Query t admits key s when s is valid and
+        t - past <= s <= t + future. Invalid queries produce zeros.
+        """
+        offset = k_pos[None, :] - q_pos[:, None]
+        window = offset <= self.max_future_horizon
         if not self.unbounded_past:
-            allowed &= s_idx >= t_idx - self.max_past_horizon
-        admissible = allowed[None, None, :, :] & np.asarray(x.mask)[:, None, None, :]
+            window &= offset >= -self.max_past_horizon
+        admissible = window[None, None] & k_mask[:, None, None, :]
+        logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)  # [B, H, Tq, S]
         logits = np.where(admissible, logits, _NEG_INF)
-        context, _ = self._softmax_context(logits, v)
-        return Sequence(context, x.mask).mask_invalid()
+        peak = np.max(logits, axis=-1, keepdims=True)
+        peak = np.where(np.isfinite(peak), peak, np.float32(0))
+        weights = np.exp(np.subtract(logits, peak, out=logits), out=logits)
+        denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
+        context = (weights @ v.transpose(0, 2, 1, 3)) / denom  # [B, H, Tq, U]
+        context = np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
+        return tensor.freeze(context)
+
+    def layer(self, x, *, training, constants=None):
+        q, k, v = self._project(x)
+        positions = np.arange(x.time)
+        context = self._attend(q, positions, x.mask, k, v, positions, x.mask)
+        return Sequence(context, x.mask, masked=True)
 
     # -- streaming ---------------------------------------------------------
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         h, u, f = self.num_heads, self.units_per_head, self.max_future_horizon
-        cache_len = 0 if self.unbounded_past else self.max_past_horizon
-        kv_shape = (batch_size, cache_len, h, u)
-        pending_shape = (batch_size, f, h, u)
+        cache_len = 0 if self.unbounded_past else self.max_past_horizon + f
         return {
-            "k_cache": np.zeros(kv_shape, np.float32),
-            "v_cache": np.zeros(kv_shape, np.float32),
-            "counts": np.zeros(batch_size, np.int64),
+            "keys": np.zeros((batch_size, cache_len, h, u), np.float32),
+            "values": np.zeros((batch_size, cache_len, h, u), np.float32),
+            "key_mask": np.zeros((batch_size, cache_len), bool),
             "position": 0,
-            "pending_q": np.zeros(pending_shape, np.float32),
-            "pending_k": np.zeros(pending_shape, np.float32),
-            "pending_v": np.zeros(pending_shape, np.float32),
+            "pending_q": np.zeros((batch_size, f, h, u), np.float32),
             "pending_mask": np.zeros((batch_size, f), bool),
         }
 
-    def _window_positions(self, query_pos: int) -> np.ndarray:
-        if self.unbounded_past:
-            return np.arange(0, max(query_pos, 0))
-        return np.arange(query_pos - self.max_past_horizon, query_pos)
-
     def step(self, x, state, *, training, constants=None):
         self._check_block(x)
-        self._check_channel_rank(x, 1)
-        xm = x.mask_invalid()
-        q_new, k_new, v_new = self._project(np.asarray(xm.values, dtype=np.float32))
-        mask_new = np.asarray(x.mask)
-        batch = x.batch_size
-        f = self.max_future_horizon
-        scale = self._logit_scale()
-
-        k_cache = state["k_cache"]
-        v_cache = state["v_cache"]
-        counts = state["counts"].copy()
-        position = state["position"]
-        pend_q, pend_k, pend_v = state["pending_q"], state["pending_k"], state["pending_v"]
-        pend_m = state["pending_mask"]
-
-        if self.unbounded_past:
-            k_cache = np.array(k_cache)
-            v_cache = np.array(v_cache)
-        else:
-            k_cache = k_cache.copy()
-            v_cache = v_cache.copy()
-
-        outputs = []
-        out_masks = []
-        for i in range(x.time):
-            # stage the newest entry; the oldest pending becomes the query
-            pend_q = np.concatenate([pend_q, q_new[:, i : i + 1]], axis=1)
-            pend_k = np.concatenate([pend_k, k_new[:, i : i + 1]], axis=1)
-            pend_v = np.concatenate([pend_v, v_new[:, i : i + 1]], axis=1)
-            pend_m = np.concatenate([pend_m, mask_new[:, i : i + 1]], axis=1)
-            query_pos = position - f
-            q_i = pend_q[:, 0]
-            q_mask = pend_m[:, 0]
-
-            window = self._window_positions(query_pos)
-            if self.unbounded_past:
-                present = window < k_cache.shape[1]
-                window = window[present]
-                slots = window
-            else:
-                slots = window % max(self.max_past_horizon, 1)
-            if window.size:
-                k_past = k_cache[:, slots]
-                v_past = v_cache[:, slots]
-                past_valid = (window[None, :] >= 0) & (window[None, :] < counts[:, None])
-            else:
-                k_past = np.zeros((batch, 0) + q_i.shape[1:], np.float32)
-                v_past = np.zeros((batch, 0) + q_i.shape[1:], np.float32)
-                past_valid = np.zeros((batch, 0), bool)
-
-            keys = np.concatenate([k_past, pend_k], axis=1)
-            vals = np.concatenate([v_past, pend_v], axis=1)
-            valid = np.concatenate([past_valid, pend_m], axis=1)
-
-            logits = (
-                np.einsum("bhu,bshu->bhs", q_i, keys, optimize=False).astype(np.float32)
-                * scale
-            )
-            logits = np.where(valid[:, None, :], logits, _NEG_INF)
-            context, _ = self._softmax_context(logits[:, :, None, :], vals)
-            out = np.where(q_mask[:, None, None], context[:, 0], np.float32(0))
-            outputs.append(out[:, None])
-            out_masks.append(q_mask[:, None])
-
-            # retire the emitted entry into the past cache (valid rows only)
-            retire_k, retire_v, retire_m = pend_k[:, 0], pend_v[:, 0], pend_m[:, 0]
-            if query_pos >= 0:
-                if self.unbounded_past:
-                    if retire_m.any():
-                        k_cache = np.concatenate([k_cache, retire_k[:, None]], axis=1)
-                        v_cache = np.concatenate([v_cache, retire_v[:, None]], axis=1)
-                        k_cache[:, -1] = np.where(retire_m[:, None, None], retire_k, 0)
-                        v_cache[:, -1] = np.where(retire_m[:, None, None], retire_v, 0)
-                elif self.max_past_horizon > 0:
-                    slot = query_pos % self.max_past_horizon
-                    k_cache[:, slot] = np.where(retire_m[:, None, None], retire_k, k_cache[:, slot])
-                    v_cache[:, slot] = np.where(retire_m[:, None, None], retire_v, v_cache[:, slot])
-                counts = counts + retire_m.astype(np.int64)
-            pend_q, pend_k, pend_v, pend_m = (
-                pend_q[:, 1:],
-                pend_k[:, 1:],
-                pend_v[:, 1:],
-                pend_m[:, 1:],
-            )
-            position += 1
-
+        q, k, v = self._project(x)
+        mask, time = x.mask, x.time
+        end = state["position"] + time
+        keys = np.concatenate([state["keys"], k], axis=1)
+        values = np.concatenate([state["values"], v], axis=1)
+        key_mask = np.concatenate([state["key_mask"], mask], axis=1)
+        queries = np.concatenate([state["pending_q"], q], axis=1)
+        query_mask = np.concatenate([state["pending_mask"], mask], axis=1)
+        # the oldest `time` queries have all their lookahead keys now
+        q_pos = np.arange(end - queries.shape[1], end - self.max_future_horizon)
+        k_pos = np.arange(end - keys.shape[1], end)
+        out_mask = query_mask[:, :time]
+        context = self._attend(queries[:, :time], q_pos, out_mask, keys, values, k_pos, key_mask)
+        if not self.unbounded_past:
+            keys, values, key_mask = keys[:, time:], values[:, time:], key_mask[:, time:]
         new_state = {
-            "k_cache": k_cache,
-            "v_cache": v_cache,
-            "counts": counts,
-            "position": position,
-            "pending_q": pend_q,
-            "pending_k": pend_k,
-            "pending_v": pend_v,
-            "pending_mask": pend_m,
+            "keys": keys,
+            "values": values,
+            "key_mask": key_mask,
+            "position": end,
+            "pending_q": queries[:, time:],
+            "pending_mask": query_mask[:, time:],
         }
-        out = Sequence(
-            np.concatenate(outputs, axis=1), np.concatenate(out_masks, axis=1), masked=True
-        )
-        return out, new_state
+        return Sequence(context, out_mask, masked=True), new_state

@@ -125,7 +125,9 @@ def cmd_run(args) -> int:
 
 
 def _stream_block(args, manifest, layer) -> int:
-    block = args.block or manifest.block or layer.block_size
+    block = args.block if args.block is not None else manifest.block
+    if block is None:
+        block = layer.block_size
     if block <= 0 or block % layer.block_size:
         raise BlockSizeError(
             f"stream block {block} is not a positive multiple of the pipeline's "

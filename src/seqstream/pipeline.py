@@ -819,12 +819,15 @@ def load_manifest(path) -> RunManifest:
     block = data.get("block")
     if block is not None and (type(block) is not int or block <= 0):
         raise PipelineError(f"{path}: 'block' must be a positive integer, got {block!r}")
+    seed = data.get("seed", 0)
+    if type(seed) is not int:
+        raise PipelineError(f"{path}: 'seed' must be an integer, got {seed!r}")
     return RunManifest(
         input=str(data["input"]),
         training=data["training"],
         output=data.get("output"),
         params=data.get("params"),
-        seed=int(data.get("seed", 0)),
+        seed=seed,
         constants={str(k): str(v) for k, v in constants.items()},
         block=block,
     )

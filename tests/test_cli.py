@@ -31,13 +31,15 @@ def workdir(tmp_path):
     return tmp_path
 
 
-def run_cli(workdir, command, input_name="x.sls", extra_manifest=""):
+def run_cli(workdir, command, input_name="x.sls", extra_manifest="", extra_args=()):
     manifest = workdir / "manifest.yaml"
     manifest.write_text(
         f"input: {workdir / input_name}\ntraining: false\n"
         f"output: {workdir / 'y.sls'}\n{extra_manifest}"
     )
-    return cli.main([command, "--spec", str(workdir / "spec.yaml"), "--manifest", str(manifest)])
+    return cli.main(
+        [command, "--spec", str(workdir / "spec.yaml"), "--manifest", str(manifest), *extra_args]
+    )
 
 
 def assert_usage_error(capsys, code):
@@ -45,6 +47,7 @@ def assert_usage_error(capsys, code):
     assert code == cli.USAGE_ERROR, err
     lines = err.splitlines()
     assert len(lines) == 1 and lines[0].startswith("error: "), err
+    return err
 
 
 @pytest.mark.parametrize("command", ["run", "stream"])
@@ -79,6 +82,19 @@ def test_bad_manifest_block_exits_2(workdir, capsys, command, block):
 def test_bad_manifest_block_names_the_field(workdir, capsys):
     run_cli(workdir, "stream", extra_manifest='block: "abc"\n')
     assert "'block'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["stream", "diff"])
+def test_block_flag_zero_exits_2(workdir, capsys, command):
+    code = run_cli(workdir, command, extra_args=["--block", "0"])
+    assert "block_size" in assert_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+@pytest.mark.parametrize("seed", ["1.9", '"abc"', "true"])
+def test_bad_manifest_seed_exits_2(workdir, capsys, command, seed):
+    code = run_cli(workdir, command, extra_manifest=f"seed: {seed}\n")
+    assert "'seed'" in assert_usage_error(capsys, code)
 
 
 @settings(max_examples=20, deadline=None)

@@ -106,14 +106,36 @@ class TestStateAndSpecs:
         with pytest.raises(TypeError):
             model.get_initial_state(1, x.channel_spec, True)
 
-    def test_layers_never_mutate_caller_state(self, rng):
-        model = sl.LSTM(3, 4, rng=rng)
-        x = random_sequence(7, 2, 4, 3)
+    @pytest.mark.parametrize(
+        "make",
+        [
+            pytest.param(lambda rng: sl.LSTM(3, 4, rng=rng), id="lstm"),
+            pytest.param(
+                lambda rng: sl.DotProductSelfAttention(3, 2, 2, max_past_horizon=3, rng=rng),
+                id="attention_bounded",
+            ),
+            pytest.param(
+                lambda rng: sl.DotProductSelfAttention(3, 2, 2, max_past_horizon=-1, rng=rng),
+                id="attention_unbounded",
+            ),
+            pytest.param(
+                lambda rng: sl.DotProductSelfAttention(
+                    3, 2, 2, max_past_horizon=2, max_future_horizon=2, rng=rng
+                ),
+                id="attention_future",
+            ),
+        ],
+    )
+    def test_layers_never_mutate_caller_state(self, rng, make):
+        model = make(rng)
+        x = random_sequence(7, 2, 4, 3, lengths=[4, 3])
         state = model.get_initial_state(2, x.channel_spec, training=False)
-        snapshot = {k: np.array(v) for k, v in state.items()}
-        model.step(x, state, training=False)
-        for key, value in snapshot.items():
-            np.testing.assert_array_equal(state[key], value)
+        for _ in range(2):  # the second step starts from a state the first one built
+            snapshot = {k: np.array(v) for k, v in state.items()}
+            _, next_state = model.step(x, state, training=False)
+            for key, value in snapshot.items():
+                np.testing.assert_array_equal(state[key], value)
+            state = next_state
 
 
 class TestLayerProperties:
