@@ -64,6 +64,34 @@ def explicit_padding(mode: str, kernel_size: int, dilation: int) -> tuple[int, i
     raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
 
 
+def overlap_add(frames: np.ndarray, hop: int, carry: np.ndarray):
+    """Sums frames placed ``hop`` apart onto one time axis.
+
+    ``frames`` is ``[B, T, K, ...]``; tap ``j`` of frame ``t`` lands on
+    position ``t * hop + j``, counted from the first position of ``carry``.
+    ``carry`` is ``[B, (ceil(K / hop) - 1) * hop, ...]``: the partial sums
+    that earlier frames left on the positions after theirs (zeros before
+    the first frame). Returns the ``T * hop`` positions no later frame can
+    reach, and the carry for the next call.
+
+    Every position adds its contributions oldest frame first, starting from
+    its carry, so one call over T frames (``layer()``) and any split of them
+    into calls that thread the carry (``step()``) give bit-identical sums.
+    The loop runs over the ``ceil(K / hop)`` tap groups, never over T.
+    """
+    batch, time, kernel = frames.shape[:3]
+    rest = frames.shape[3:]
+    groups = -(-kernel // hop)
+    full = np.zeros((batch, time + groups - 1, hop) + rest, dtype=frames.dtype)
+    flat = full.reshape((batch, (time + groups - 1) * hop) + rest)
+    flat[:, : carry.shape[1]] = carry
+    # tap group g of frame t covers slot t + g: descending g is ascending t
+    for g in reversed(range(groups)):
+        width = min(hop, kernel - g * hop)
+        full[:, g : g + time, :width] += frames[:, :, g * hop : g * hop + width]
+    return flat[:, : time * hop], flat[:, time * hop :]
+
+
 class _WindowedLayer(SequenceLayer):
     """Shared layer/step plumbing for fixed-window time reductions."""
 
@@ -215,32 +243,23 @@ class _Pooling1D(_WindowedLayer):
         self.window = int(window)
 
 
-class MaxPooling1D(_Pooling1D):
+class _ExtremumPooling1D(_Pooling1D):
+    """Max or min over each window's valid members; 0 where none is valid."""
+
+    def _reduce_windows(self, wv, wm):
+        wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
+        info = np.finfo(wv.dtype) if wv.dtype.kind == "f" else np.iinfo(wv.dtype)
+        reducer, fill = (np.max, info.min) if self.kind == "max" else (np.min, info.max)
+        out = reducer(np.where(wm, wv, fill), axis=2)
+        return np.where(wm.any(axis=2), out, np.zeros((), dtype=wv.dtype))
+
+
+class MaxPooling1D(_ExtremumPooling1D):
     kind = "max"
 
-    def _reduce_windows(self, wv, wm):
-        wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
-        lowest = (
-            np.finfo(wv.dtype).min if wv.dtype.kind == "f" else np.iinfo(wv.dtype).min
-        )
-        masked = np.where(wm, wv, lowest)
-        out = masked.max(axis=2)
-        any_valid = wm.any(axis=2)
-        return np.where(any_valid, out, np.zeros((), dtype=wv.dtype))
 
-
-class MinPooling1D(_Pooling1D):
+class MinPooling1D(_ExtremumPooling1D):
     kind = "min"
-
-    def _reduce_windows(self, wv, wm):
-        wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
-        highest = (
-            np.finfo(wv.dtype).max if wv.dtype.kind == "f" else np.iinfo(wv.dtype).max
-        )
-        masked = np.where(wm, wv, highest)
-        out = masked.min(axis=2)
-        any_valid = wm.any(axis=2)
-        return np.where(any_valid, out, np.zeros((), dtype=wv.dtype))
 
 
 class AveragePooling1D(_Pooling1D):
@@ -259,8 +278,14 @@ class Conv1DTranspose(SequenceLayer):
     """Stride-factor upsampling via transposed convolution.
 
     Each input step scatters kernel_size contributions onto the upsampled
-    grid; ``same`` trimming removes max(kernel-stride, 0) // 2 leading
-    positions, ``causal`` removes none (so no output precedes its anchor).
+    grid (:func:`overlap_add` with hop = stride); ``same`` trimming removes
+    max(kernel-stride, 0) // 2 leading positions, ``causal`` removes none
+    (so no output precedes its anchor).
+
+    Step state: ``carry``, the overlap-add partial sums of the next
+    ``(ceil(kernel / stride) - 1) * stride`` positions, and ``mask_history``,
+    the validity of the last ``input_latency`` inputs (newest last), which
+    the trimmed emissions still anchor on.
     """
 
     def __init__(
@@ -289,6 +314,15 @@ class Conv1DTranspose(SequenceLayer):
         self.use_bias = bool(use_bias)
         self.trim_left = (
             max(self.kernel_size - self.stride, 0) // 2 if padding == "same" else 0
+        )
+        self._carry_len = (-(-self.kernel_size // self.stride) - 1) * self.stride
+        # emission r of input i is output o = i * stride + r - trim_left, anchored
+        # at input floor(o / stride): index i + offset[r] of [mask_history, x.mask]
+        self._anchor_offsets = np.array(
+            [
+                self.input_latency - math.ceil((self.trim_left - r) / self.stride)
+                for r in range(self.stride)
+            ]
         )
         spec = {"weight": (self.kernel_size, self.in_channels, self.filters)}
         if self.use_bias:
@@ -327,62 +361,43 @@ class Conv1DTranspose(SequenceLayer):
             )
         return ChannelSpec((self.filters,), np.float32)
 
-    def _contrib(self, values):
-        # [B, T, in] -> per-input scatter contributions [B, T, k, filters]
-        return np.einsum("btc,kcf->btkf", values, self._params["weight"], optimize=False)
+    def _scatter(self, x, carry):
+        # [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
+        values = np.asarray(x.mask_invalid().values, dtype=np.float32)
+        contrib = np.einsum("btc,kcf->btkf", values, self._params["weight"], optimize=False)
+        return overlap_add(contrib, self.stride, carry)
+
+    def _finish(self, out):
+        if self.use_bias:
+            out = out + self._params["bias"]
+        return out.astype(np.float32)
+
+    def _zero_carry(self, batch_size):
+        return np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32)
 
     def layer(self, x, *, training, constants=None):
         self._check_channel_rank(x, 1)
-        xm = x.mask_invalid()
-        batch, time = x.mask.shape
-        out_len = time * self.stride
-        full_len = max(out_len + self.trim_left, (time - 1) * self.stride + self.kernel_size if time else 0)
-        full = np.zeros((batch, full_len, self.filters), dtype=np.float32)
-        contrib = self._contrib(np.asarray(xm.values, dtype=np.float32))
-        # accumulate in input order so layer and step sums associate identically
-        for i in range(time):
-            start = i * self.stride
-            full[:, start : start + self.kernel_size] += contrib[:, i]
-        out = full[:, self.trim_left : self.trim_left + out_len]
-        if self.use_bias:
-            out = out + self._params["bias"]
+        out, tail = self._scatter(x, self._zero_carry(x.batch_size))
+        if self.trim_left:
+            out_len = out.shape[1]
+            out = np.concatenate([out, tail], axis=1)[:, self.trim_left : self.trim_left + out_len]
         out_mask = np.repeat(np.asarray(x.mask), self.stride, axis=1)
-        return Sequence(out.astype(np.float32), out_mask)
+        return Sequence(self._finish(out), out_mask)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        acc_len = max(self.kernel_size, self.stride)
-        acc = np.zeros((batch_size, acc_len, self.filters), dtype=np.float32)
-        # validity of the last ceil(trim_left/stride) inputs, newest last
-        hist = np.zeros((batch_size, self.input_latency), dtype=bool)
-        return (acc, hist)
+        return {
+            "carry": self._zero_carry(batch_size),
+            "mask_history": np.zeros((batch_size, self.input_latency), dtype=bool),
+        }
 
     def step(self, x, state, *, training, constants=None):
         self._check_block(x)
-        acc, hist = state
-        xm = x.mask_invalid()
-        contrib = self._contrib(np.asarray(xm.values, dtype=np.float32))
-        chunks = []
-        mask_chunks = []
-        k, s, tl = self.kernel_size, self.stride, self.trim_left
-        for i in range(x.time):
-            acc = acc.copy()
-            acc[:, :k] += contrib[:, i]
-            hist = np.concatenate([hist, np.asarray(x.mask)[:, i : i + 1]], axis=1)
-            chunk = acc[:, :s]
-            if self.use_bias:
-                chunk = chunk + self._params["bias"]
-            chunks.append(chunk)
-            # emission e (within chunk position r) carries output o = e - tl,
-            # anchored at input floor(o / s): delta steps behind the current one
-            delta = [-(-(tl - r) // s) for r in range(s)]
-            mask_chunks.append(np.stack([hist[:, -1 - d] for d in delta], axis=1))
-            acc = np.concatenate(
-                [acc[:, s:], np.zeros((acc.shape[0], s, self.filters), np.float32)], axis=1
-            )
-            hist = hist[:, -max(self.input_latency, 0) :] if self.input_latency else hist[:, :0]
-        out = np.concatenate(chunks, axis=1)
-        out_mask = np.concatenate(mask_chunks, axis=1)
-        return Sequence(out, out_mask), (acc, hist)
+        out, carry = self._scatter(x, state["carry"])
+        mask = np.concatenate([state["mask_history"], np.asarray(x.mask)], axis=1)
+        anchors = np.arange(x.time)[:, None] + self._anchor_offsets[None, :]
+        out_mask = mask[:, anchors.reshape(-1)]
+        new_state = {"carry": carry, "mask_history": mask[:, x.time :]}
+        return Sequence(self._finish(out), out_mask), new_state
 
 
 class Downsample1D(StatelessLayer):
@@ -435,6 +450,19 @@ class Upsample1D(StatelessLayer):
         )
 
 
+def delay_line(batch_size: int, length: int, spec: ChannelSpec) -> Sequence:
+    """The empty state of a delay line: ``length`` invalid zero steps."""
+    values = np.zeros((batch_size, length) + spec.shape, dtype=spec.dtype)
+    return Sequence(values, np.zeros((batch_size, length), bool), masked=True)
+
+
+def delay_step(x: Sequence, line: Sequence) -> tuple[Sequence, Sequence]:
+    """Pushes ``x`` through a delay line; returns the oldest ``x.time`` steps
+    and the line's next state (same length)."""
+    combined = Sequence.concatenate_sequences([line, x.mask_invalid()])
+    return combined[:, : x.time], combined[:, x.time :]
+
+
 class Delay(SequenceLayer):
     """Shifts the stream later by ``length`` steps, entering invalid steps.
 
@@ -458,18 +486,16 @@ class Delay(SequenceLayer):
         return x.mask_invalid().pad_time(self.length, 0, valid=False)[:, : x.time]
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        values = np.zeros((batch_size, self.length) + input_spec.shape, dtype=input_spec.dtype)
-        return Sequence(values, np.zeros((batch_size, self.length), bool), masked=True)
+        return delay_line(batch_size, self.length, input_spec)
 
     def step(self, x, state: Sequence, *, training, constants=None):
         self._check_block(x)
         if self.length == 0:
             return x, state
-        combined = Sequence.concatenate_sequences([state, x.mask_invalid()])
-        return combined[:, : x.time], combined[:, x.time :]
+        return delay_step(x, state)
 
 
-class StepDelay(SequenceLayer):
+class StepDelay(Delay):
     """Delays the step-wise emission schedule without changing layer().
 
     layer() is the identity; step() holds ``length`` inputs back, so the
@@ -477,12 +503,6 @@ class StepDelay(SequenceLayer):
     downsampling layer aligns an odd accumulated stream delay to the
     downsampler's stride without altering what the pipeline computes.
     """
-
-    def __init__(self, length, name=None):
-        super().__init__(name)
-        if length < 0:
-            raise ValueError(f"step delay length must be >= 0, got {length}")
-        self.length = int(length)
 
     @property
     def input_latency(self):
@@ -492,19 +512,12 @@ class StepDelay(SequenceLayer):
     def output_latency(self):
         return self.length
 
+    @property
+    def receptive_field_per_step(self):
+        return {0: (0, 0)}
+
     def layer(self, x, *, training, constants=None):
         return x
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        values = np.zeros((batch_size, self.length) + input_spec.shape, dtype=input_spec.dtype)
-        return Sequence(values, np.zeros((batch_size, self.length), bool), masked=True)
-
-    def step(self, x, state: Sequence, *, training, constants=None):
-        self._check_block(x)
-        if self.length == 0:
-            return x, state
-        combined = Sequence.concatenate_sequences([state, x.mask_invalid()])
-        return combined[:, : x.time], combined[:, x.time :]
 
 
 class Lookahead(SequenceLayer):
@@ -674,6 +687,10 @@ class OverlapAdd(SequenceLayer):
     Input channel shape (frame_length, ...); output drops the frame axis.
     A position is final only once every overlapping frame has arrived, so
     emission runs frame_length - hop output steps behind the input.
+
+    Step state: ``carry``, the :func:`overlap_add` partial sums of the next
+    ``(ceil(frame_length / hop) - 1) * hop`` positions, and ``delay``, a
+    delay line of the last ``frame_length - hop`` finished positions.
     """
 
     def __init__(self, frame_length, hop, name=None):
@@ -705,70 +722,41 @@ class OverlapAdd(SequenceLayer):
             out[o] = (lo, 0)
         return out
 
-    def _check(self, x):
-        if not x.channel_shape or x.channel_shape[0] != self.frame_length:
+    def _check(self, channel_shape):
+        if not channel_shape or channel_shape[0] != self.frame_length:
             raise SpecMismatchError(
                 f"{self.name}: expected leading channel extent {self.frame_length}, "
-                f"got {x.channel_shape}"
+                f"got {channel_shape}"
             )
 
     def get_output_spec(self, input_spec, constants=None):
-        if not input_spec.shape or input_spec.shape[0] != self.frame_length:
-            raise SpecMismatchError(
-                f"{self.name}: expected leading channel extent {self.frame_length}, "
-                f"got {input_spec.shape}"
-            )
+        self._check(input_spec.shape)
         return ChannelSpec(input_spec.shape[1:], input_spec.dtype)
 
-    def layer(self, x, *, training, constants=None):
-        self._check(x)
-        xm = x.mask_invalid()
-        batch, time = x.mask.shape
-        rest = x.channel_shape[1:]
-        out_len = time * self.hop
-        full_len = max(out_len, (time - 1) * self.hop + self.frame_length if time else 0)
-        full = np.zeros((batch, full_len) + rest, dtype=x.dtype)
-        values = np.asarray(xm.values)
-        for f in range(time):
-            start = f * self.hop
-            full[:, start : start + self.frame_length] += values[:, f]
+    def _zero_carry(self, batch_size, channel_shape, dtype):
+        carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop
+        return np.zeros((batch_size, carry_len) + channel_shape[1:], dtype=dtype)
+
+    def _sum(self, x, carry):
+        out, carry = overlap_add(np.asarray(x.mask_invalid().values), self.hop, carry)
         out_mask = np.repeat(np.asarray(x.mask), self.hop, axis=1)
-        return Sequence(full[:, :out_len], out_mask, masked=True)
+        return Sequence(out, out_mask, masked=True), carry
+
+    def layer(self, x, *, training, constants=None):
+        self._check(x.channel_shape)
+        return self._sum(x, self._zero_carry(x.batch_size, x.channel_shape, x.dtype))[0]
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        rest = input_spec.shape[1:]
-        carry = np.zeros(
-            (batch_size, self.frame_length - self.hop) + rest, dtype=input_spec.dtype
-        )
-        fifo_len = self.frame_length - self.hop
-        fifo = Sequence(
-            np.zeros((batch_size, fifo_len) + rest, dtype=input_spec.dtype),
-            np.zeros((batch_size, fifo_len), bool),
-            masked=True,
-        )
-        return (carry, fifo)
+        return {
+            "carry": self._zero_carry(batch_size, input_spec.shape, input_spec.dtype),
+            "delay": delay_line(
+                batch_size, self.output_latency, self.get_output_spec(input_spec)
+            ),
+        }
 
     def step(self, x, state, *, training, constants=None):
-        self._check(x)
+        self._check(x.channel_shape)
         self._check_block(x)
-        carry, fifo = state
-        xm = x.mask_invalid()
-        values = np.asarray(xm.values)
-        rest = x.channel_shape[1:]
-        batch = x.batch_size
-        chunks = []
-        h, L = self.hop, self.frame_length
-        for f in range(x.time):
-            full = values[:, f].copy()
-            full[:, : L - h] += carry
-            finalized = Sequence(
-                full[:, :h],
-                np.repeat(np.asarray(x.mask)[:, f : f + 1], h, axis=1),
-                masked=True,
-            )
-            carry = full[:, h:]
-            combined = Sequence.concatenate_sequences([fifo, finalized])
-            chunks.append(combined[:, :h])
-            fifo = combined[:, h:]
-        out = Sequence.concatenate_sequences(chunks) if chunks else x[:, 0:0]
-        return out, (carry, fifo)
+        y, carry = self._sum(x, state["carry"])
+        y, delay = delay_step(y, state["delay"])
+        return y, {"carry": carry, "delay": delay}

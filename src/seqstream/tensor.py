@@ -17,7 +17,7 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from typing import BinaryIO, Iterable, Sequence as Tup
+from typing import BinaryIO, Sequence as Tup
 
 import numpy as np
 
@@ -79,16 +79,8 @@ def tensor(data, dtype=None) -> np.ndarray:
     return freeze(arr)
 
 
-def zeros(shape, dtype=FLOAT32) -> np.ndarray:
-    return freeze(np.zeros(shape, dtype=canonical_dtype(dtype)))
-
-
 def ones(shape, dtype=FLOAT32) -> np.ndarray:
     return freeze(np.ones(shape, dtype=canonical_dtype(dtype)))
-
-
-def full(shape, value, dtype=FLOAT32) -> np.ndarray:
-    return freeze(np.full(shape, value, dtype=canonical_dtype(dtype)))
 
 
 # --- pure shape functions -------------------------------------------------
@@ -127,21 +119,6 @@ def matmul_shape(a: Tup[int], b: Tup[int]) -> tuple[int, ...]:
     return batch + (a[-2], b[-1])
 
 
-def reduce_shape(shape: Tup[int], axes: Iterable[int], keepdims: bool = False) -> tuple[int, ...]:
-    shape = tuple(shape)
-    rank = len(shape)
-    norm = []
-    for ax in axes:
-        if not -rank <= ax < rank:
-            raise ShapeMismatchError(f"axis {ax} out of range for shape {shape}")
-        norm.append(ax % rank)
-    if len(set(norm)) != len(norm):
-        raise ShapeMismatchError(f"duplicate reduction axes {tuple(axes)} for shape {shape}")
-    if keepdims:
-        return tuple(1 if i in norm else d for i, d in enumerate(shape))
-    return tuple(d for i, d in enumerate(shape) if i not in norm)
-
-
 def concat_shape(shapes: Tup[Tup[int]], axis: int) -> tuple[int, ...]:
     if not shapes:
         raise ShapeMismatchError("concat of zero tensors")
@@ -173,21 +150,11 @@ def pad_shape(shape: Tup[int], pads: Tup[tuple[int, int]]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def reshape_shape(shape: Tup[int], new_shape: Tup[int]) -> tuple[int, ...]:
-    old_n = int(np.prod(shape, dtype=np.int64)) if shape else 1
-    new_n = int(np.prod(new_shape, dtype=np.int64)) if new_shape else 1
-    if old_n != new_n:
-        raise ShapeMismatchError(f"cannot reshape {tuple(shape)} to {tuple(new_shape)}")
-    return tuple(new_shape)
-
-
 # --- operations -----------------------------------------------------------
 
 _BINARY = {
     "add": np.add,
-    "subtract": np.subtract,
     "multiply": np.multiply,
-    "divide": np.true_divide,
     "maximum": np.maximum,
     "minimum": np.minimum,
 }
@@ -210,8 +177,6 @@ def elementwise(kind: str, a: np.ndarray, b: np.ndarray | None = None) -> np.nda
         raise ValueError(f"unknown binary op {kind!r}")
     broadcast_shapes(np.shape(a), np.shape(b))
     dt = promote(np.asarray(a).dtype, np.asarray(b).dtype)
-    if kind == "divide":
-        dt = FLOAT32
     out = _BINARY[kind](np.asarray(a).astype(dt), np.asarray(b).astype(dt))
     return freeze(np.asarray(out, dtype=dt))
 
@@ -220,16 +185,8 @@ def add(a, b):
     return elementwise("add", a, b)
 
 
-def subtract(a, b):
-    return elementwise("subtract", a, b)
-
-
 def multiply(a, b):
     return elementwise("multiply", a, b)
-
-
-def divide(a, b):
-    return elementwise("divide", a, b)
 
 
 def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -246,27 +203,6 @@ def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     bx = np.broadcast_to(b, out_shape[:-2] + b.shape[-2:])
     out = np.einsum("...mk,...kn->...mn", ax, bx, optimize=False)
     return freeze(np.asarray(out, dtype=FLOAT32))
-
-
-_REDUCERS = {"sum": np.sum, "max": np.max, "min": np.min, "mean": np.mean}
-
-
-def reduce(kind: str, x: np.ndarray, axes, keepdims: bool = False) -> np.ndarray:
-    if kind not in _REDUCERS:
-        raise ValueError(f"unknown reduction {kind!r}")
-    x = np.asarray(x)
-    if isinstance(axes, int):
-        axes = (axes,)
-    axes = tuple(axes)
-    reduce_shape(x.shape, axes, keepdims)  # validates axes
-    for ax in axes:
-        if x.shape[ax % x.ndim] == 0 and kind in ("max", "min"):
-            raise ValueError(f"{kind} over empty axis {ax} of shape {x.shape}")
-    out = _REDUCERS[kind](x, axis=axes, keepdims=keepdims)
-    dt = x.dtype if kind != "mean" else FLOAT32
-    if kind in ("sum",) and x.dtype == BOOL:
-        dt = INT32
-    return freeze(np.asarray(out, dtype=dt))
 
 
 def concat(tensors: Tup[np.ndarray], axis: int) -> np.ndarray:
@@ -291,19 +227,6 @@ def pad(x: np.ndarray, pads: Tup[tuple[int, int]], fill=0) -> np.ndarray:
     pad_shape(x.shape, pads)
     out = np.pad(x, pads, mode="constant", constant_values=fill)
     return freeze(np.asarray(out, dtype=x.dtype))
-
-
-def transpose(x: np.ndarray, perm: Tup[int]) -> np.ndarray:
-    x = np.asarray(x)
-    if sorted(perm) != list(range(x.ndim)):
-        raise ShapeMismatchError(f"perm {tuple(perm)} is not a permutation of rank {x.ndim}")
-    return freeze(np.ascontiguousarray(np.transpose(x, perm)))
-
-
-def reshape(x: np.ndarray, new_shape: Tup[int]) -> np.ndarray:
-    x = np.asarray(x)
-    reshape_shape(x.shape, new_shape)
-    return freeze(np.ascontiguousarray(x).reshape(tuple(new_shape)))
 
 
 # --- SLT1 serialization ---------------------------------------------------

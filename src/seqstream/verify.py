@@ -264,36 +264,34 @@ def empirical_receptive_field(
     unbounded fields appear clipped, never proven.
     """
     cfg = cfg or HarnessConfig()
-    period = len(layer.receptive_field_per_step)
-    changed, time, out_time = _probe_dependencies(layer, input_spec, cfg, constants)
-
-    measured = {}
-    for s in range(period):
-        # representative output step of this class, away from the edges
-        candidates = [t for t in range(s, out_time, period)]
-        mid = candidates[len(candidates) // 2] if candidates else s
-        deps = np.flatnonzero(changed[:, mid]) if mid < out_time else np.array([])
-        if deps.size == 0:
-            entry = None
-        else:
+    measured = dict.fromkeys(range(len(layer.receptive_field_per_step)))
+    for s, mid, deps in _probe_step_classes(layer, input_spec, cfg, constants)[0]:
+        if deps.size:
             anchor_shift = (mid - s) / layer.output_ratio
-            entry = (int(deps.min() - anchor_shift), int(deps.max() - anchor_shift))
-        measured[s] = entry
+            measured[s] = (int(deps.min() - anchor_shift), int(deps.max() - anchor_shift))
     return measured
 
 
-def _check_receptive_field(layer, input_spec, cfg, constants):
+def _probe_step_classes(layer, input_spec, cfg, constants):
+    """Probes once. Returns, for each output step class the probe emits,
+    (class, its middle output step, the input steps measured to move that
+    step), and the probe's input time."""
     period = len(layer.receptive_field_per_step)
     changed, time, out_time = _probe_dependencies(layer, input_spec, cfg, constants)
-
-    metrics = {}
+    picks = []
     for s in range(period):
-        candidates = list(range(s, out_time, period))
-        if not candidates:
-            continue
-        mid = candidates[len(candidates) // 2]
+        candidates = range(s, out_time, period)
+        if candidates:
+            mid = candidates[len(candidates) // 2]  # away from the edges
+            picks.append((s, mid, np.flatnonzero(changed[:, mid])))
+    return picks, time
+
+
+def _check_receptive_field(layer, input_spec, cfg, constants):
+    picks, time = _probe_step_classes(layer, input_spec, cfg, constants)
+    metrics = {}
+    for s, mid, deps in picks:
         declared = rf_at(layer.receptive_field_per_step, layer.output_ratio, mid)
-        deps = np.flatnonzero(changed[:, mid])
         metrics[f"step_{s}"] = {
             "declared": format_rf(declared),
             "measured": f"[{deps.min()}, {deps.max()}]" if deps.size else "None",

@@ -13,6 +13,17 @@ from seqstream.streaming import step_by_step, stream_blocks
 from conftest import assert_sequences_close, random_sequence
 
 
+def _state_arrays(state, path=()):
+    """Every array a step state holds, keyed by its path into the state."""
+    if isinstance(state, dict):
+        parts = state.items()
+    elif isinstance(state, Sequence):
+        parts = (("values", state.values), ("mask", state.mask))
+    else:
+        return {path: state}
+    return {k: v for key, part in parts for k, v in _state_arrays(part, path + (key,)).items()}
+
+
 class TestBlockProtocol:
     def test_stepwise_blocks_reassemble_to_layer_output(self, rng):
         """A basic streaming session: init state, step fixed blocks, concat."""
@@ -107,34 +118,44 @@ class TestStateAndSpecs:
             model.get_initial_state(1, x.channel_spec, True)
 
     @pytest.mark.parametrize(
-        "make",
+        "make,channels",
         [
-            pytest.param(lambda rng: sl.LSTM(3, 4, rng=rng), id="lstm"),
+            pytest.param(lambda rng: sl.LSTM(3, 4, rng=rng), (3,), id="lstm"),
             pytest.param(
                 lambda rng: sl.DotProductSelfAttention(3, 2, 2, max_past_horizon=3, rng=rng),
+                (3,),
                 id="attention_bounded",
             ),
             pytest.param(
                 lambda rng: sl.DotProductSelfAttention(3, 2, 2, max_past_horizon=-1, rng=rng),
+                (3,),
                 id="attention_unbounded",
             ),
             pytest.param(
                 lambda rng: sl.DotProductSelfAttention(
                     3, 2, 2, max_past_horizon=2, max_future_horizon=2, rng=rng
                 ),
+                (3,),
                 id="attention_future",
             ),
+            pytest.param(
+                lambda rng: sl.Conv1DTranspose(3, 2, 6, stride=4, padding="same", rng=rng),
+                (3,),
+                id="conv1d_transpose",
+            ),
+            # frame length not a multiple of the hop: a partial last tap group
+            pytest.param(lambda rng: sl.OverlapAdd(5, 2), (5, 3), id="overlap_add"),
         ],
     )
-    def test_layers_never_mutate_caller_state(self, rng, make):
+    def test_layers_never_mutate_caller_state(self, rng, make, channels):
         model = make(rng)
-        x = random_sequence(7, 2, 4, 3, lengths=[4, 3])
+        x = random_sequence(7, 2, 4, channels, lengths=[4, 3])
         state = model.get_initial_state(2, x.channel_spec, training=False)
         for _ in range(2):  # the second step starts from a state the first one built
-            snapshot = {k: np.array(v) for k, v in state.items()}
+            snapshot = {k: np.array(v) for k, v in _state_arrays(state).items()}
             _, next_state = model.step(x, state, training=False)
-            for key, value in snapshot.items():
-                np.testing.assert_array_equal(state[key], value)
+            for key, value in _state_arrays(state).items():
+                np.testing.assert_array_equal(value, snapshot[key])
             state = next_state
 
 

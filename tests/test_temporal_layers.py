@@ -338,3 +338,37 @@ class TestFrameWindowOverlapAdd:
             sl.Frame(2, 3)
         with pytest.raises(ValueError):
             sl.OverlapAdd(4, 0)
+
+
+def _overlap_add_grid():
+    for k in range(1, 9):
+        for stride in range(1, 6):
+            for padding in ("causal", "same"):
+                yield pytest.param(
+                    lambda rng, k=k, s=stride, p=padding: sl.Conv1DTranspose(
+                        3, 2, k, stride=s, padding=p, rng=rng
+                    ),
+                    3,
+                    id=f"tconv-k{k}-s{stride}-{padding}",
+                )
+    for length in range(1, 8):
+        for hop in range(1, length + 1):
+            yield pytest.param(
+                lambda rng, n=length, h=hop: sl.OverlapAdd(n, h),
+                (length, 2),
+                id=f"ola-L{length}-h{hop}",
+            )
+
+
+@pytest.mark.parametrize("make,channels", list(_overlap_add_grid()))
+def test_overlap_add_step_is_bit_identical_to_layer(make, channels):
+    # both modes add each position's contributions oldest frame first, so the
+    # float sums agree exactly, not just within tolerance
+    layer = make(np.random.default_rng(5))
+    x = random_sequence(17, 3, 13, channels, lengths=[13, 9, 4])
+    y = layer.layer(x, training=False).mask_invalid()
+    for blocks in (1, 3, 8):
+        ys = step_by_step(layer, x, training=False, block=blocks * layer.block_size)
+        ys = ys.mask_invalid()
+        assert np.array_equal(np.asarray(ys.mask), np.asarray(y.mask)), blocks
+        assert np.array_equal(np.asarray(ys.values), np.asarray(y.values)), blocks

@@ -132,40 +132,6 @@ def test_matmul_associative_on_small_triples(seed):
     np.testing.assert_allclose(left, right, atol=1e-5)
 
 
-def test_reduce_sum_axis():
-    np.testing.assert_array_equal(tensor.reduce("sum", np.array([[1, 2], [3, 4]]), 1), [3, 7])
-
-
-def test_reduce_max_empty_errors():
-    with pytest.raises(ValueError, match="empty"):
-        tensor.reduce("max", np.zeros((2, 0), np.float32), 1)
-
-
-def test_reduce_invalid_axis():
-    with pytest.raises(ShapeMismatchError):
-        tensor.reduce("sum", np.zeros((2, 2)), 5)
-
-
-def test_reduce_mean_matches_loop_oracle():
-    rng = np.random.default_rng(2)
-    x = rng.uniform(-1, 1, (2, 3, 4)).astype(np.float32)
-    got = tensor.reduce("mean", x, (0, 2))
-    expect = np.zeros(3)
-    for j in range(3):
-        acc, n = 0.0, 0
-        for i in range(2):
-            for k in range(4):
-                acc += float(x[i, j, k])
-                n += 1
-        expect[j] = acc / n
-    np.testing.assert_allclose(got, expect, atol=1e-6)
-
-
-def test_reshape_preserves_row_major_order():
-    x = tensor.tensor(np.arange(6, dtype=np.int32).reshape(2, 3))
-    np.testing.assert_array_equal(tensor.reshape(x, (3, 2)), np.arange(6).reshape(3, 2))
-
-
 def test_pad_time_axis():
     x = np.ones((1, 3), np.float32)
     out = tensor.pad(x, [(0, 0), (0, 2)], fill=0)
