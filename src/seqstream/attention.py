@@ -86,10 +86,6 @@ class DotProductSelfAttention(SequenceLayer):
         )
 
     @property
-    def parameters(self):
-        return dict(self._params)
-
-    @property
     def unbounded_past(self) -> bool:
         return self.max_past_horizon == -1
 

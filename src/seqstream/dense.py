@@ -73,10 +73,6 @@ class Dense(StatelessLayer):
             spec["bias"] = (self.units,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
 
-    @property
-    def parameters(self):
-        return dict(self._params)
-
     def get_output_spec(self, input_spec, constants=None):
         if not input_spec.shape or input_spec.shape[-1] != self.in_features:
             raise SpecMismatchError(
@@ -202,8 +198,13 @@ class Softmax(StatelessLayer):
         return Sequence(out.astype(x.dtype), x.mask)
 
 
-class LayerNormalization(StatelessLayer):
-    """Normalizes each timestep over all channel axes, then applies an affine."""
+class _Normalization(StatelessLayer):
+    """Per-timestep normalization over all channel axes of a fixed shape.
+
+    ``PARAMS`` names the learned tensors, each of the channel shape.
+    """
+
+    PARAMS: tuple = ()
 
     def __init__(self, shape, epsilon=1e-6, *, params=None, rng=None, name=None):
         super().__init__(name)
@@ -211,12 +212,8 @@ class LayerNormalization(StatelessLayer):
             raise ValueError(f"epsilon must be > 0, got {epsilon}")
         self.shape = tuple(int(d) for d in (shape if np.ndim(shape) else (shape,)))
         self.epsilon = float(epsilon)
-        spec = {"scale": self.shape, "offset": self.shape}
+        spec = {key: self.shape for key in self.PARAMS}
         self._params = params_lib.materialize(spec, params, rng, self.name)
-
-    @property
-    def parameters(self):
-        return dict(self._params)
 
     def _check(self, channel_shape):
         if tuple(channel_shape) != self.shape:
@@ -227,6 +224,12 @@ class LayerNormalization(StatelessLayer):
     def get_output_spec(self, input_spec, constants=None):
         self._check(input_spec.shape)
         return input_spec
+
+
+class LayerNormalization(_Normalization):
+    """Normalizes each timestep over all channel axes, then applies an affine."""
+
+    PARAMS = ("scale", "offset")
 
     def layer(self, x, *, training, constants=None):
         self._check(x.channel_shape)
@@ -240,30 +243,10 @@ class LayerNormalization(StatelessLayer):
         return Sequence(out.astype(np.float32), x.mask)
 
 
-class RMSNormalization(StatelessLayer):
+class RMSNormalization(_Normalization):
     """Root-mean-square normalization over channel axes (no mean centering)."""
 
-    def __init__(self, shape, epsilon=1e-6, *, params=None, rng=None, name=None):
-        super().__init__(name)
-        if epsilon <= 0:
-            raise ValueError(f"epsilon must be > 0, got {epsilon}")
-        self.shape = tuple(int(d) for d in (shape if np.ndim(shape) else (shape,)))
-        self.epsilon = float(epsilon)
-        self._params = params_lib.materialize({"scale": self.shape}, params, rng, self.name)
-
-    @property
-    def parameters(self):
-        return dict(self._params)
-
-    def _check(self, channel_shape):
-        if tuple(channel_shape) != self.shape:
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape {self.shape}, got {tuple(channel_shape)}"
-            )
-
-    def get_output_spec(self, input_spec, constants=None):
-        self._check(input_spec.shape)
-        return input_spec
+    PARAMS = ("scale",)
 
     def layer(self, x, *, training, constants=None):
         self._check(x.channel_shape)

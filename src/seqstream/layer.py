@@ -26,6 +26,7 @@ from __future__ import annotations
 import abc
 import dataclasses
 import math
+import types
 from fractions import Fraction
 from typing import Any, Mapping
 
@@ -100,6 +101,9 @@ def compose_receptive_fields(first: LayerProperties, second: LayerProperties) ->
 class SequenceLayer(abc.ABC):
     """Base class for all layers. Subclasses are immutable after construction."""
 
+    #: named parameter tensors; layers with parameters replace it in __init__
+    _params: Mapping[str, np.ndarray] = types.MappingProxyType({})
+
     def __init__(self, name: str | None = None):
         self.name = name if name is not None else type(self).__name__.lower()
 
@@ -151,7 +155,7 @@ class SequenceLayer(abc.ABC):
 
     @property
     def parameters(self) -> dict[str, np.ndarray]:
-        return {}
+        return dict(self._params)
 
     @property
     def children(self) -> "tuple[SequenceLayer, ...]":

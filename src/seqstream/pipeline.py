@@ -11,6 +11,16 @@ combinators::
       - {type: conv1d, filters: 5, kernel_size: 3, stride: 2, padding: causal}
       - {type: conv1d, filters: 8, kernel_size: 5, stride: 3, padding: causal}
 
+Each registered type has a tuple of ``Field``s, the validation schema for
+its inline fields, and a build function. Most leaf types are one row of the
+``_LEAVES`` table, built by ``_leaf(cls, *fields, takes=...)``: the
+validated fields become ``cls`` keywords, and ``takes`` says what the
+node's input spec supplies as the first positional argument, ``"channels"``
+(the extent of a rank-1 channel shape), ``"shape"`` (the channel shape), or
+nothing. A leaf that takes one is a parameterized layer and also gets
+``params`` and ``rng``. Dropout, the one-argument pointwise kinds,
+the combinators and the sabotage fixtures have their own build functions.
+
 Specs allocate nothing; ``build`` walks the tree, propagates channel specs
 through ``get_output_spec``, derives a deterministic RNG per layer path from
 the build seed, and optionally reads parameters from a named-tensor archive
@@ -18,21 +28,21 @@ instead. Validation errors carry the path of the offending node
 (``serial.children[2].kernel_size``).
 
 A spec file may be a bare node, or a document with ``pipeline:`` plus an
-optional ``input_spec:`` (e.g. ``f32[8]``).
+optional ``input_spec:`` (e.g. ``f32[8]``). ``load_spec_file`` is the one
+place spec text is parsed.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import io
+import functools
 import zlib
-from fractions import Fraction
 from typing import Any, Callable, Mapping
 
 import numpy as np
 import yaml
 
-from . import dense, recurrent, temporal
+from . import dense, recurrent, sabotage, temporal
 from .attention import DotProductSelfAttention
 from .combinators import Bidirectional, Blockwise, Parallel, Repeat, Residual, Serial
 from .errors import PipelineError, SpecParseError
@@ -95,14 +105,10 @@ def _coerce(field: Field, value, path: str):
         if isinstance(value, bool) or not isinstance(value, int):
             raise PipelineError(f"{path}: expected an integer, got {value!r}")
         return value
-    if kind == "float":
+    if kind in ("float", "number"):
         if isinstance(value, bool) or not isinstance(value, (int, float)):
             raise PipelineError(f"{path}: expected a number, got {value!r}")
-        return float(value)
-    if kind == "number":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise PipelineError(f"{path}: expected a number, got {value!r}")
-        return value
+        return float(value) if kind == "float" else value
     if kind == "bool":
         if not isinstance(value, bool):
             raise PipelineError(f"{path}: expected a boolean, got {value!r}")
@@ -209,376 +215,143 @@ def registered_types() -> list[str]:
     return sorted(_REGISTRY)
 
 
-def _simple(build):
-    return LayerDef(fields=(), build=build)
+def _leaf(cls, *fields: Field, takes: str | None = None) -> LayerDef:
+    """A leaf type whose validated fields are keywords of ``cls``.
 
+    ``takes`` is ``"channels"``, ``"shape"`` or None: what the input spec
+    passes first, followed by the archive ``params`` and the path's ``rng``.
+    """
 
-def _dense_build(ctx):
-    ctx.require_channel_rank(1)
-    return dense.Dense(
-        ctx.input_spec.shape[-1],
-        ctx.params["units"],
-        use_bias=ctx.params["use_bias"],
-        params=ctx.layer_params(),
-        rng=ctx.rng(),
-        name=ctx.name,
-    )
-
-
-def _conv_build(ctx):
-    ctx.require_channel_rank(1)
-    return temporal.Conv1D(
-        ctx.input_spec.shape[0],
-        ctx.params["filters"],
-        ctx.params["kernel_size"],
-        stride=ctx.params["stride"],
-        dilation=ctx.params["dilation"],
-        padding=ctx.params["padding"],
-        use_bias=ctx.params["use_bias"],
-        params=ctx.layer_params(),
-        rng=ctx.rng(),
-        name=ctx.name,
-    )
-
-
-def _tconv_build(ctx):
-    ctx.require_channel_rank(1)
-    return temporal.Conv1DTranspose(
-        ctx.input_spec.shape[0],
-        ctx.params["filters"],
-        ctx.params["kernel_size"],
-        stride=ctx.params["stride"],
-        padding=ctx.params["padding"],
-        use_bias=ctx.params["use_bias"],
-        params=ctx.layer_params(),
-        rng=ctx.rng(),
-        name=ctx.name,
-    )
-
-
-def _attention_build(ctx):
-    ctx.require_channel_rank(1)
-    return DotProductSelfAttention(
-        ctx.input_spec.shape[0],
-        ctx.params["num_heads"],
-        ctx.params["units_per_head"],
-        max_past_horizon=ctx.params["max_past_horizon"],
-        max_future_horizon=ctx.params["max_future_horizon"],
-        params=ctx.layer_params(),
-        rng=ctx.rng(),
-        name=ctx.name,
-    )
-
-
-def _norm_build(cls):
     def build(ctx):
+        if takes is None:
+            return cls(**ctx.params, name=ctx.name)
+        if takes == "channels":
+            ctx.require_channel_rank(1)
+            first = ctx.input_spec.shape[0]
+        else:
+            first = ctx.input_spec.shape
         return cls(
-            ctx.input_spec.shape,
-            epsilon=ctx.params["epsilon"],
-            params=ctx.layer_params(),
-            rng=ctx.rng(),
-            name=ctx.name,
+            first, **ctx.params, params=ctx.layer_params(), rng=ctx.rng(), name=ctx.name
         )
 
-    return build
+    return LayerDef(fields=fields, build=build)
 
 
-def _derived_seed(ctx) -> int:
-    return int(ctx.rng().integers(0, 2**63))
-
-
+_STRIDE = Field("stride", "int", default=1, aliases=("strides",))
 _PADDING = Field("padding", "str", default="causal", choices=temporal.PADDING_MODES)
+_USE_BIAS = Field("use_bias", "bool", default=True)
+_EPSILON = Field("epsilon", "float", default=1e-6)
+_FRAMING = (Field("frame_length", "int", required=True), Field("hop", "int", required=True))
+_POOLING = (Field("window", "int", required=True), _STRIDE, _PADDING)
+_COMBINE = Field("combine", "str", default="stack", choices=("stack", "concat", "add", "mean"))
 
-register(
-    "identity", _simple(lambda ctx: dense.Identity(name=ctx.name))
-)
-register("emit", _simple(lambda ctx: dense.Emit(name=ctx.name)))
-register(
-    "dense",
-    LayerDef(
-        fields=(Field("units", "int", required=True), Field("use_bias", "bool", default=True)),
-        build=_dense_build,
+_LEAVES = {
+    "identity": _leaf(dense.Identity),
+    "emit": _leaf(dense.Emit),
+    "dense": _leaf(
+        dense.Dense, Field("units", "int", required=True), _USE_BIAS, takes="channels"
     ),
-)
-register(
-    "scale",
-    LayerDef(
-        fields=(Field("value", "number", required=True),),
-        build=lambda ctx: dense.Scale(ctx.params["value"], name=ctx.name),
+    "scale": _leaf(dense.Scale, Field("value", "number", required=True)),
+    "add": _leaf(dense.Add, Field("value", "number", required=True)),
+    "softmax": _leaf(dense.Softmax, Field("axis", "int", default=-1)),
+    "layer_norm": _leaf(dense.LayerNormalization, _EPSILON, takes="shape"),
+    "rms_norm": _leaf(dense.RMSNormalization, _EPSILON, takes="shape"),
+    "reshape": _leaf(dense.Reshape, Field("shape", "shape", required=True)),
+    "flatten": _leaf(dense.Flatten),
+    "expand_dims": _leaf(dense.ExpandDims, Field("axis", "int", default=0)),
+    "squeeze": _leaf(dense.Squeeze, Field("axis", "int", required=True)),
+    "move_axis": _leaf(
+        dense.MoveAxis,
+        Field("source", "int", required=True),
+        Field("destination", "int", required=True),
     ),
-)
-register(
-    "add",
-    LayerDef(
-        fields=(Field("value", "number", required=True),),
-        build=lambda ctx: dense.Add(ctx.params["value"], name=ctx.name),
+    "transpose_channels": _leaf(dense.TransposeChannels, Field("perm", "shape", required=True)),
+    "conditioning": _leaf(
+        dense.Conditioning,
+        Field("key", "str", required=True),
+        Field("mode", "str", default="add", choices=dense.Conditioning.MODES),
     ),
-)
-
+    "conv1d": _leaf(
+        temporal.Conv1D,
+        Field("filters", "int", required=True),
+        Field("kernel_size", "int", required=True),
+        _STRIDE,
+        Field("dilation", "int", default=1),
+        _PADDING,
+        _USE_BIAS,
+        takes="channels",
+    ),
+    "conv1d_transpose": _leaf(
+        temporal.Conv1DTranspose,
+        Field("filters", "int", required=True),
+        Field("kernel_size", "int", required=True),
+        _STRIDE,
+        Field("padding", "str", default="causal", choices=("causal", "same")),
+        _USE_BIAS,
+        takes="channels",
+    ),
+    "self_attention": _leaf(
+        DotProductSelfAttention,
+        Field("num_heads", "int", required=True),
+        Field("units_per_head", "int", required=True),
+        Field("max_past_horizon", "int", default=-1),
+        Field("max_future_horizon", "int", default=0),
+        takes="channels",
+    ),
+    "lstm": _leaf(recurrent.LSTM, Field("units", "int", required=True), takes="channels"),
+    "downsample1d": _leaf(temporal.Downsample1D, Field("rate", "int", required=True)),
+    "upsample1d": _leaf(temporal.Upsample1D, Field("rate", "int", required=True)),
+    "delay": _leaf(temporal.Delay, Field("length", "int", required=True)),
+    "step_delay": _leaf(temporal.StepDelay, Field("length", "int", required=True)),
+    "lookahead": _leaf(temporal.Lookahead, Field("length", "int", required=True)),
+    "max_pool1d": _leaf(temporal.MaxPooling1D, *_POOLING),
+    "min_pool1d": _leaf(temporal.MinPooling1D, *_POOLING),
+    "avg_pool1d": _leaf(temporal.AveragePooling1D, *_POOLING),
+    "frame": _leaf(temporal.Frame, *_FRAMING),
+    "overlap_add": _leaf(temporal.OverlapAdd, *_FRAMING),
+    "window": _leaf(
+        temporal.Window,
+        Field("kind", "str", default="hann", choices=temporal._WINDOW_KINDS),
+        Field("axis", "int", default=0),
+    ),
+}
 for _kind in ("relu", "gelu", "sigmoid", "tanh", "swish", "softplus", "abs", "exp", "log"):
+    _LEAVES[_kind] = _leaf(functools.partial(dense.Pointwise, _kind))
+for _type_name, _definition in _LEAVES.items():
+    register(_type_name, _definition)
+
+# one-argument pointwise kinds: the spec key is not Pointwise's ``value`` keyword
+for _kind, _field in (
+    ("leaky_relu", Field("alpha", "float", default=0.2)),
+    ("elu", Field("alpha", "float", default=1.0)),
+    ("power", Field("exponent", "number", required=True)),
+    ("maximum", Field("value", "number", required=True)),
+    ("minimum", Field("value", "number", required=True)),
+    ("mod", Field("divisor", "number", required=True)),
+):
     register(
         _kind,
-        _simple(lambda ctx, _kind=_kind: dense.Pointwise(_kind, name=ctx.name)),
+        LayerDef(
+            fields=(_field,),
+            build=lambda ctx, kind=_kind, key=_field.name: dense.Pointwise(
+                kind, ctx.params[key], name=ctx.name
+            ),
+        ),
     )
 
-register(
-    "leaky_relu",
-    LayerDef(
-        fields=(Field("alpha", "float", default=0.2),),
-        build=lambda ctx: dense.Pointwise("leaky_relu", ctx.params["alpha"], name=ctx.name),
-    ),
-)
-register(
-    "elu",
-    LayerDef(
-        fields=(Field("alpha", "float", default=1.0),),
-        build=lambda ctx: dense.Pointwise("elu", ctx.params["alpha"], name=ctx.name),
-    ),
-)
-register(
-    "power",
-    LayerDef(
-        fields=(Field("exponent", "number", required=True),),
-        build=lambda ctx: dense.Pointwise("power", ctx.params["exponent"], name=ctx.name),
-    ),
-)
-register(
-    "maximum",
-    LayerDef(
-        fields=(Field("value", "number", required=True),),
-        build=lambda ctx: dense.Pointwise("maximum", ctx.params["value"], name=ctx.name),
-    ),
-)
-register(
-    "minimum",
-    LayerDef(
-        fields=(Field("value", "number", required=True),),
-        build=lambda ctx: dense.Pointwise("minimum", ctx.params["value"], name=ctx.name),
-    ),
-)
-register(
-    "mod",
-    LayerDef(
-        fields=(Field("divisor", "number", required=True),),
-        build=lambda ctx: dense.Pointwise("mod", ctx.params["divisor"], name=ctx.name),
-    ),
-)
-register(
-    "softmax",
-    LayerDef(
-        fields=(Field("axis", "int", default=-1),),
-        build=lambda ctx: dense.Softmax(ctx.params["axis"], name=ctx.name),
-    ),
-)
-register(
-    "layer_norm",
-    LayerDef(fields=(Field("epsilon", "float", default=1e-6),), build=_norm_build(dense.LayerNormalization)),
-)
-register(
-    "rms_norm",
-    LayerDef(fields=(Field("epsilon", "float", default=1e-6),), build=_norm_build(dense.RMSNormalization)),
-)
+
+def _build_dropout(ctx):
+    seed = ctx.params["seed"]
+    if seed is None:
+        seed = int(ctx.rng().integers(0, 2**63))
+    return dense.Dropout(ctx.params["rate"], seed=seed, name=ctx.name)
+
+
 register(
     "dropout",
     LayerDef(
         fields=(Field("rate", "float", required=True), Field("seed", "int", default=None)),
-        build=lambda ctx: dense.Dropout(
-            ctx.params["rate"],
-            seed=ctx.params["seed"] if ctx.params["seed"] is not None else _derived_seed(ctx),
-            name=ctx.name,
-        ),
-    ),
-)
-register(
-    "reshape",
-    LayerDef(
-        fields=(Field("shape", "shape", required=True),),
-        build=lambda ctx: dense.Reshape(ctx.params["shape"], name=ctx.name),
-    ),
-)
-register("flatten", _simple(lambda ctx: dense.Flatten(name=ctx.name)))
-register(
-    "expand_dims",
-    LayerDef(
-        fields=(Field("axis", "int", default=0),),
-        build=lambda ctx: dense.ExpandDims(ctx.params["axis"], name=ctx.name),
-    ),
-)
-register(
-    "squeeze",
-    LayerDef(
-        fields=(Field("axis", "int", required=True),),
-        build=lambda ctx: dense.Squeeze(ctx.params["axis"], name=ctx.name),
-    ),
-)
-register(
-    "move_axis",
-    LayerDef(
-        fields=(
-            Field("source", "int", required=True),
-            Field("destination", "int", required=True),
-        ),
-        build=lambda ctx: dense.MoveAxis(
-            ctx.params["source"], ctx.params["destination"], name=ctx.name
-        ),
-    ),
-)
-register(
-    "transpose_channels",
-    LayerDef(
-        fields=(Field("perm", "shape", required=True),),
-        build=lambda ctx: dense.TransposeChannels(ctx.params["perm"], name=ctx.name),
-    ),
-)
-register(
-    "conditioning",
-    LayerDef(
-        fields=(
-            Field("key", "str", required=True),
-            Field("mode", "str", default="add", choices=dense.Conditioning.MODES),
-        ),
-        build=lambda ctx: dense.Conditioning(
-            ctx.params["key"], ctx.params["mode"], name=ctx.name
-        ),
-    ),
-)
-register(
-    "conv1d",
-    LayerDef(
-        fields=(
-            Field("filters", "int", required=True),
-            Field("kernel_size", "int", required=True),
-            Field("stride", "int", default=1, aliases=("strides",)),
-            Field("dilation", "int", default=1),
-            _PADDING,
-            Field("use_bias", "bool", default=True),
-        ),
-        build=_conv_build,
-    ),
-)
-register(
-    "conv1d_transpose",
-    LayerDef(
-        fields=(
-            Field("filters", "int", required=True),
-            Field("kernel_size", "int", required=True),
-            Field("stride", "int", default=1, aliases=("strides",)),
-            Field("padding", "str", default="causal", choices=("causal", "same")),
-            Field("use_bias", "bool", default=True),
-        ),
-        build=_tconv_build,
-    ),
-)
-register(
-    "self_attention",
-    LayerDef(
-        fields=(
-            Field("num_heads", "int", required=True),
-            Field("units_per_head", "int", required=True),
-            Field("max_past_horizon", "int", default=-1),
-            Field("max_future_horizon", "int", default=0),
-        ),
-        build=_attention_build,
-    ),
-)
-register(
-    "lstm",
-    LayerDef(
-        fields=(Field("units", "int", required=True),),
-        build=lambda ctx: (
-            ctx.require_channel_rank(1),
-            recurrent.LSTM(
-                ctx.input_spec.shape[0],
-                ctx.params["units"],
-                params=ctx.layer_params(),
-                rng=ctx.rng(),
-                name=ctx.name,
-            ),
-        )[1],
-    ),
-)
-register(
-    "downsample1d",
-    LayerDef(
-        fields=(Field("rate", "int", required=True),),
-        build=lambda ctx: temporal.Downsample1D(ctx.params["rate"], name=ctx.name),
-    ),
-)
-register(
-    "upsample1d",
-    LayerDef(
-        fields=(Field("rate", "int", required=True),),
-        build=lambda ctx: temporal.Upsample1D(ctx.params["rate"], name=ctx.name),
-    ),
-)
-register(
-    "delay",
-    LayerDef(
-        fields=(Field("length", "int", required=True),),
-        build=lambda ctx: temporal.Delay(ctx.params["length"], name=ctx.name),
-    ),
-)
-register(
-    "step_delay",
-    LayerDef(
-        fields=(Field("length", "int", required=True),),
-        build=lambda ctx: temporal.StepDelay(ctx.params["length"], name=ctx.name),
-    ),
-)
-register(
-    "lookahead",
-    LayerDef(
-        fields=(Field("length", "int", required=True),),
-        build=lambda ctx: temporal.Lookahead(ctx.params["length"], name=ctx.name),
-    ),
-)
-for _pool_name, _pool_cls in (
-    ("max_pool1d", temporal.MaxPooling1D),
-    ("min_pool1d", temporal.MinPooling1D),
-    ("avg_pool1d", temporal.AveragePooling1D),
-):
-    register(
-        _pool_name,
-        LayerDef(
-            fields=(
-                Field("window", "int", required=True),
-                Field("stride", "int", default=1, aliases=("strides",)),
-                _PADDING,
-            ),
-            build=lambda ctx, cls=_pool_cls: cls(
-                ctx.params["window"],
-                stride=ctx.params["stride"],
-                padding=ctx.params["padding"],
-                name=ctx.name,
-            ),
-        ),
-    )
-register(
-    "frame",
-    LayerDef(
-        fields=(Field("frame_length", "int", required=True), Field("hop", "int", required=True)),
-        build=lambda ctx: temporal.Frame(
-            ctx.params["frame_length"], ctx.params["hop"], name=ctx.name
-        ),
-    ),
-)
-register(
-    "overlap_add",
-    LayerDef(
-        fields=(Field("frame_length", "int", required=True), Field("hop", "int", required=True)),
-        build=lambda ctx: temporal.OverlapAdd(
-            ctx.params["frame_length"], ctx.params["hop"], name=ctx.name
-        ),
-    ),
-)
-register(
-    "window",
-    LayerDef(
-        fields=(
-            Field("kind", "str", default="hann", choices=temporal._WINDOW_KINDS),
-            Field("axis", "int", default=0),
-        ),
-        build=lambda ctx: temporal.Window(ctx.params["kind"], ctx.params["axis"], name=ctx.name),
+        build=_build_dropout,
     ),
 )
 
@@ -632,69 +405,36 @@ def _build_blockwise(ctx):
 
 
 register("serial", LayerDef(fields=(), build=_build_serial, children="many"))
-register(
-    "parallel",
-    LayerDef(
-        fields=(Field("combine", "str", default="stack", choices=("stack", "concat", "add", "mean")),),
-        build=_build_parallel,
-        children="many",
-    ),
-)
+register("parallel", LayerDef(fields=(_COMBINE,), build=_build_parallel, children="many"))
 register("residual", LayerDef(fields=(), build=_build_residual, children="many"))
 register(
     "repeat",
     LayerDef(
-        fields=(Field("num_repeats", "int", required=True),),
-        build=_build_repeat,
-        children="one",
+        fields=(Field("num_repeats", "int", required=True),), build=_build_repeat, children="one"
     ),
 )
 register(
-    "bidirectional",
-    LayerDef(
-        fields=(Field("combine", "str", default="stack", choices=("stack", "concat", "add", "mean")),),
-        build=_build_bidirectional,
-        children="two",
-    ),
+    "bidirectional", LayerDef(fields=(_COMBINE,), build=_build_bidirectional, children="two")
 )
 register(
     "blockwise",
     LayerDef(
-        fields=(Field("block_size", "int", required=True),),
-        build=_build_blockwise,
-        children="one",
+        fields=(Field("block_size", "int", required=True),), build=_build_blockwise, children="one"
     ),
 )
 
+for _check_name, _factory in sabotage.FIXTURES.items():
 
-def _register_sabotage():
-    from . import sabotage
+    def _build_sabotage(ctx, factory=_factory):
+        ctx.require_channel_rank(1)
+        made = factory(ctx.input_spec.shape[0], ctx.rng())
+        made.name = ctx.name
+        return made
 
-    for check_name, factory in sabotage.FIXTURES.items():
-        short = {
-            "layer_step_equal_1x": "sabotage_step_state",
-            "layer_step_equal_2x": "sabotage_double_block",
-            "metadata_consistency": "sabotage_metadata",
-            "receptive_field_empirical": "sabotage_rf",
-            "batching_invariance": "sabotage_batch_mixing",
-            "padding_invariance": "sabotage_padding_leak",
-            "emits_consistency": "sabotage_emits",
-            "rng_equivalence": "sabotage_rng",
-        }[check_name]
-
-        def build(ctx, factory=factory):
-            ctx.require_channel_rank(1)
-            made = factory(ctx.input_spec.shape[0], ctx.rng())
-            made.name = ctx.name
-            return made
-
-        register(short, LayerDef(fields=(), build=build))
+    register(sabotage.TYPE_NAMES[_check_name], LayerDef(fields=(), build=_build_sabotage))
 
 
-_register_sabotage()
-
-
-# --- parsing / rendering ------------------------------------------------------
+# --- parsing ------------------------------------------------------------------
 
 _RESERVED = ("type", "name", "children")
 
@@ -722,51 +462,25 @@ def _node_from_data(data, path: str) -> PipelineSpec:
     return PipelineSpec(type=type_name, name=name, params=params, children=children)
 
 
-def parse_spec(text: str) -> PipelineSpec:
-    """Parses spec text into a PipelineSpec tree; no layers are created."""
+def _load_yaml(fp, path):
+    """Parses one YAML document; any YAML error is a one-line SpecParseError."""
     try:
-        data = yaml.safe_load(io.StringIO(text))
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-        raise SpecParseError(f"{where}{exc.problem or exc}") from exc
+        return yaml.safe_load(fp)
     except yaml.YAMLError as exc:
-        raise SpecParseError(str(exc)) from exc
-    if isinstance(data, dict) and "pipeline" in data:
-        data = data["pipeline"]
-    root_type = data.get("type", "pipeline") if isinstance(data, dict) else "pipeline"
-    return _node_from_data(data, root_type)
-
-
-def _node_to_data(spec: PipelineSpec) -> dict:
-    out: dict = {"type": spec.type}
-    if spec.name is not None:
-        out["name"] = spec.name
-    for key in sorted(spec.params):
-        value = spec.params[key]
-        if isinstance(value, tuple):
-            value = list(value)
-        out[key] = value
-    if spec.children:
-        out["children"] = [_node_to_data(c) for c in spec.children]
-    return out
-
-
-def render_spec(spec: PipelineSpec) -> str:
-    """Canonical text for a spec; parse(render(s)) == canonicalized s."""
-    return yaml.safe_dump(_node_to_data(spec), sort_keys=False, default_flow_style=False)
+        mark = getattr(exc, "problem_mark", None)
+        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
+        problem = getattr(exc, "problem", None) or " ".join(str(exc).split())
+        raise SpecParseError(f"{path}: {where}{problem}") from exc
 
 
 def load_spec_file(path) -> tuple[PipelineSpec, ChannelSpec | None]:
+    """Parses a spec file into a PipelineSpec tree and its optional input spec.
+
+    No layers are created.
+    """
     with open(path, "r", encoding="utf-8") as fp:
-        text = fp.read()
+        data = _load_yaml(fp, path)
     input_spec = None
-    try:
-        data = yaml.safe_load(io.StringIO(text))
-    except yaml.MarkedYAMLError as exc:
-        mark = exc.problem_mark
-        where = f"line {mark.line + 1}, column {mark.column + 1}: " if mark else ""
-        raise SpecParseError(f"{path}: {where}{exc.problem or exc}") from exc
     if isinstance(data, dict) and "pipeline" in data:
         if "input_spec" in data:
             input_spec = parse_channel_spec(data["input_spec"])
@@ -779,8 +493,10 @@ def load_spec_file(path) -> tuple[PipelineSpec, ChannelSpec | None]:
 _DTYPE_NAMES = {"f32": tensor.FLOAT32, "i32": tensor.INT32, "bool": tensor.BOOL}
 
 
-def parse_channel_spec(text: str) -> ChannelSpec:
+def parse_channel_spec(text) -> ChannelSpec:
     """Parses 'f32[8]' / 'i32[2,3]' / 'bool[]' into a ChannelSpec."""
+    if not isinstance(text, str):
+        raise PipelineError(f"input_spec: expected a string such as 'f32[8]', got {text!r}")
     text = text.strip()
     if "[" not in text or not text.endswith("]"):
         raise PipelineError(f"bad channel spec {text!r}; expected e.g. 'f32[8]'")
@@ -789,16 +505,17 @@ def parse_channel_spec(text: str) -> ChannelSpec:
         raise PipelineError(
             f"bad channel spec dtype {dtype_name!r}; expected one of {sorted(_DTYPE_NAMES)}"
         )
-    shape = tuple(int(d) for d in dims.split(",") if d.strip() != "")
-    return ChannelSpec(shape, _DTYPE_NAMES[dtype_name])
+    dims = [d.strip() for d in dims.split(",") if d.strip() != ""]
+    if not all(d.isascii() and d.isdigit() for d in dims):
+        raise PipelineError(
+            f"input_spec: bad channel spec {text!r}; dimensions must be non-negative integers"
+        )
+    return ChannelSpec(tuple(int(d) for d in dims), _DTYPE_NAMES[dtype_name])
 
 
 def load_manifest(path) -> RunManifest:
     with open(path, "r", encoding="utf-8") as fp:
-        try:
-            data = yaml.safe_load(fp)
-        except yaml.YAMLError as exc:
-            raise SpecParseError(f"{path}: {exc}") from exc
+        data = _load_yaml(fp, path)
     if not isinstance(data, dict):
         raise PipelineError(f"{path}: manifest must be a mapping")
     if "input" not in data:
@@ -892,12 +609,10 @@ def build(
             builder=builder,
         )
         try:
-            layer = definition.build(ctx)
+            return definition.build(ctx)
         except PipelineError:
             raise
         except (ValueError, TypeError) as exc:
             raise PipelineError(f"{display}: {exc}") from exc
-        layer.name = name
-        return layer
 
     return builder(spec, input_spec, None, spec.name or spec.type)

@@ -41,10 +41,6 @@ class LSTM(SequenceLayer):
             self._params = params_lib.materialize(spec, params, None, self.name)
 
     @property
-    def parameters(self):
-        return dict(self._params)
-
-    @property
     def receptive_field_per_step(self):
         return {0: (-np.inf, 0)}
 

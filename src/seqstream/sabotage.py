@@ -177,3 +177,15 @@ FIXTURES = {
     "emits_consistency": lambda ch, rng: ShapeShiftingEmits(name="shape_shifting_emits"),
     "rng_equivalence": lambda ch, rng: BlockSeededDropout(seed=3, name="block_seeded_dropout"),
 }
+
+#: check name -> pipeline registry type name of its fixture
+TYPE_NAMES = {
+    "layer_step_equal_1x": "sabotage_step_state",
+    "layer_step_equal_2x": "sabotage_double_block",
+    "metadata_consistency": "sabotage_metadata",
+    "receptive_field_empirical": "sabotage_rf",
+    "batching_invariance": "sabotage_batch_mixing",
+    "padding_invariance": "sabotage_padding_leak",
+    "emits_consistency": "sabotage_emits",
+    "rng_equivalence": "sabotage_rng",
+}

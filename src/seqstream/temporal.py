@@ -207,10 +207,6 @@ class Conv1D(_WindowedLayer):
             spec["bias"] = (self.filters,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
 
-    @property
-    def parameters(self):
-        return dict(self._params)
-
     def get_output_spec(self, input_spec, constants=None):
         if input_spec.shape != (self.in_channels,):
             raise SpecMismatchError(
@@ -328,10 +324,6 @@ class Conv1DTranspose(SequenceLayer):
         if self.use_bias:
             spec["bias"] = (self.filters,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
-
-    @property
-    def parameters(self):
-        return dict(self._params)
 
     @property
     def output_ratio(self):
@@ -566,80 +558,28 @@ class Lookahead(SequenceLayer):
         return Sequence(values, mask, masked=True), state + x.time
 
 
-class Frame(SequenceLayer):
+class Frame(_WindowedLayer):
     """Stacks sliding windows of the input as a new leading channel axis.
 
     Output step f holds inputs [f*hop, f*hop + frame_length); channel shape
-    becomes (frame_length, *input_channels).
+    becomes (frame_length, *input_channels). This is the ``reverse_causal``
+    window of kernel ``frame_length`` and stride ``hop``, returned unreduced.
     """
 
     def __init__(self, frame_length, hop, name=None):
-        super().__init__(name)
         if not 1 <= hop <= frame_length:
             raise ValueError(
                 f"require frame_length >= hop >= 1, got {(frame_length, hop)}"
             )
+        super().__init__(frame_length, hop, 1, "reverse_causal", name)
         self.frame_length = int(frame_length)
         self.hop = int(hop)
-
-    @property
-    def output_ratio(self):
-        return Fraction(1, self.hop)
-
-    @property
-    def block_size(self):
-        return self.hop
-
-    @property
-    def input_latency(self):
-        return self.frame_length - 1
-
-    @property
-    def output_latency(self):
-        return -(-(self.frame_length - self.hop) // self.hop)
-
-    @property
-    def receptive_field_per_step(self):
-        return {0: (0, self.frame_length - 1)}
 
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec((self.frame_length,) + input_spec.shape, input_spec.dtype)
 
-    def layer(self, x, *, training, constants=None):
-        xm = x.mask_invalid()
-        time = x.time
-        out_len = self.output_time(time)
-        needed = max(0, (out_len - 1) * self.hop + self.frame_length - time)
-        ch_pads = [(0, 0)] * (x.ndim - 2)
-        values = np.pad(np.asarray(xm.values), [(0, 0), (0, needed)] + ch_pads)
-        idx = np.arange(out_len)[:, None] * self.hop + np.arange(self.frame_length)[None, :]
-        frames = values[:, idx]
-        out_mask = np.asarray(x.mask)[:, :: self.hop][:, :out_len]
-        return Sequence(frames, out_mask, masked=False)
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        ctx = self.output_latency * self.hop
-        values = np.zeros((batch_size, ctx) + input_spec.shape, dtype=input_spec.dtype)
-        return Sequence(values, np.zeros((batch_size, ctx), bool), masked=True)
-
-    def step(self, x, state: Sequence, *, training, constants=None):
-        self._check_block(x)
-        xm = x.mask_invalid()
-        values = np.concatenate([np.asarray(state.values), np.asarray(xm.values)], axis=1)
-        mask = np.concatenate([np.asarray(state.mask), np.asarray(x.mask)], axis=1)
-        out_len = x.time // self.hop
-        # each emitted frame starts at a hop boundary; frames that would
-        # extend past the data seen so far are completed on later steps
-        idx = np.arange(out_len)[:, None] * self.hop + np.arange(self.frame_length)[None, :]
-        pad = max(0, (out_len - 1) * self.hop + self.frame_length - values.shape[1])
-        ch_pads = [(0, 0)] * (values.ndim - 2)
-        frames = np.pad(values, [(0, 0), (0, pad)] + ch_pads)[:, idx]
-        out_mask = mask[:, :: self.hop][:, :out_len]
-        ctx = self.output_latency * self.hop
-        new_state = Sequence(
-            values[:, values.shape[1] - ctx :], mask[:, mask.shape[1] - ctx :], masked=True
-        )
-        return Sequence(frames, out_mask, masked=False), new_state
+    def _reduce_windows(self, wv, wm):
+        return wv
 
 
 _WINDOW_KINDS = ("hann", "hamming", "rectangular")
@@ -738,9 +678,11 @@ class OverlapAdd(SequenceLayer):
         return np.zeros((batch_size, carry_len) + channel_shape[1:], dtype=dtype)
 
     def _sum(self, x, carry):
+        # after a row's last valid frame, positions hold that frame's tail,
+        # not zeros, so the output is not masked
         out, carry = overlap_add(np.asarray(x.mask_invalid().values), self.hop, carry)
         out_mask = np.repeat(np.asarray(x.mask), self.hop, axis=1)
-        return Sequence(out, out_mask, masked=True), carry
+        return Sequence(out, out_mask, masked=False), carry
 
     def layer(self, x, *, training, constants=None):
         self._check(x.channel_shape)

@@ -1,11 +1,9 @@
 """Dense n-dimensional arrays with the numeric behaviors the library relies on.
 
 Tensors are plain numpy arrays restricted to three dtypes (float32, int32,
-bool), made read-only at creation so they behave as immutable values. Shape
-arithmetic lives in pure shape functions that are usable (and testable)
-without any data. Arithmetic delegates to numpy; summations use numpy's
-deterministic per-element accumulation order, which keeps layer-wise and
-step-wise results of downstream code comparable at tight tolerances.
+bool), made read-only at creation so they behave as immutable values. The
+shape checks of ``concat`` and ``pad`` live in pure shape functions that are
+usable (and testable) without any data.
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
@@ -27,7 +25,7 @@ FLOAT32 = np.dtype(np.float32)
 INT32 = np.dtype(np.int32)
 BOOL = np.dtype(np.bool_)
 
-#: Supported dtypes in promotion order (bool < int32 < float32).
+#: Supported dtypes.
 DTYPES = (BOOL, INT32, FLOAT32)
 
 _DTYPE_CODES = {FLOAT32: 0, INT32: 1, BOOL: 2}
@@ -48,12 +46,6 @@ def canonical_dtype(dtype) -> np.dtype:
     if dt.kind == "b":
         return BOOL
     raise TypeError(f"unsupported dtype {dt}; expected one of {[str(d) for d in DTYPES]}")
-
-
-def promote(a, b) -> np.dtype:
-    """Promoted dtype of two supported dtypes: bool < int32 < float32."""
-    da, db = canonical_dtype(a), canonical_dtype(b)
-    return max(da, db, key=DTYPES.index)
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
@@ -84,39 +76,6 @@ def ones(shape, dtype=FLOAT32) -> np.ndarray:
 
 
 # --- pure shape functions -------------------------------------------------
-
-
-def broadcast_shapes(a: Tup[int], b: Tup[int]) -> tuple[int, ...]:
-    """Broadcast shape under trailing-dimension alignment.
-
-    Shorter ranks are extended with 1s on the left; a dimension pair is
-    compatible when equal or when either side is 1.
-    """
-    a, b = tuple(a), tuple(b)
-    rank = max(len(a), len(b))
-    ax = (1,) * (rank - len(a)) + a
-    bx = (1,) * (rank - len(b)) + b
-    out = []
-    for da, db in zip(ax, bx):
-        if da == db or db == 1:
-            out.append(da)
-        elif da == 1:
-            out.append(db)
-        else:
-            raise ShapeMismatchError(f"shapes {a} and {b} are not broadcastable")
-    return tuple(out)
-
-
-def matmul_shape(a: Tup[int], b: Tup[int]) -> tuple[int, ...]:
-    a, b = tuple(a), tuple(b)
-    if len(a) < 2 or len(b) < 2:
-        raise ShapeMismatchError(f"matmul requires rank >= 2 operands, got {a} and {b}")
-    if a[-1] != b[-2]:
-        raise ShapeMismatchError(
-            f"matmul inner dimensions differ: {a} (k={a[-1]}) vs {b} (k={b[-2]})"
-        )
-    batch = broadcast_shapes(a[:-2], b[:-2])
-    return batch + (a[-2], b[-1])
 
 
 def concat_shape(shapes: Tup[Tup[int]], axis: int) -> tuple[int, ...]:
@@ -151,59 +110,6 @@ def pad_shape(shape: Tup[int], pads: Tup[tuple[int, int]]) -> tuple[int, ...]:
 
 
 # --- operations -----------------------------------------------------------
-
-_BINARY = {
-    "add": np.add,
-    "multiply": np.multiply,
-    "maximum": np.maximum,
-    "minimum": np.minimum,
-}
-
-_UNARY = {
-    "negative": np.negative,
-    "abs": np.abs,
-    "exp": np.exp,
-    "log": np.log,
-}
-
-
-def elementwise(kind: str, a: np.ndarray, b: np.ndarray | None = None) -> np.ndarray:
-    """Broadcasting elementwise op with dtype promotion."""
-    if b is None:
-        if kind not in _UNARY:
-            raise ValueError(f"unknown unary op {kind!r}")
-        return freeze(_UNARY[kind](a))
-    if kind not in _BINARY:
-        raise ValueError(f"unknown binary op {kind!r}")
-    broadcast_shapes(np.shape(a), np.shape(b))
-    dt = promote(np.asarray(a).dtype, np.asarray(b).dtype)
-    out = _BINARY[kind](np.asarray(a).astype(dt), np.asarray(b).astype(dt))
-    return freeze(np.asarray(out, dtype=dt))
-
-
-def add(a, b):
-    return elementwise("add", a, b)
-
-
-def multiply(a, b):
-    return elementwise("multiply", a, b)
-
-
-def matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Batched matrix product, float32 only.
-
-    Uses einsum so every output element is accumulated in the same order
-    regardless of the batch extents.
-    """
-    a, b = np.asarray(a), np.asarray(b)
-    if a.dtype != FLOAT32 or b.dtype != FLOAT32:
-        raise TypeError(f"matmul is float32 only, got {a.dtype} and {b.dtype}")
-    out_shape = matmul_shape(a.shape, b.shape)
-    ax = np.broadcast_to(a, out_shape[:-2] + a.shape[-2:])
-    bx = np.broadcast_to(b, out_shape[:-2] + b.shape[-2:])
-    out = np.einsum("...mk,...kn->...mn", ax, bx, optimize=False)
-    return freeze(np.asarray(out, dtype=FLOAT32))
-
 
 def concat(tensors: Tup[np.ndarray], axis: int) -> np.ndarray:
     concat_shape([np.shape(t) for t in tensors], axis)

@@ -97,6 +97,31 @@ def test_bad_manifest_seed_exits_2(workdir, capsys, command, seed):
     assert "'seed'" in assert_usage_error(capsys, code)
 
 
+@pytest.mark.parametrize("command", ["describe", "run"])
+@pytest.mark.parametrize(
+    "spec_text, expect",
+    [
+        (SPEC.replace("f32[3]", "5"), "input_spec"),
+        (SPEC.replace("f32[3]", "f32[a]"), "input_spec"),
+        (SPEC + "# \x07\n", "#x0007"),
+    ],
+    ids=["input_spec_int", "input_spec_letters", "control_byte"],
+)
+def test_hostile_spec_file_exits_2(workdir, capsys, command, spec_text, expect):
+    (workdir / "spec.yaml").write_text(spec_text)
+    if command == "describe":
+        code = cli.main(["describe", "--spec", str(workdir / "spec.yaml")])
+    else:
+        code = run_cli(workdir, command)
+    assert expect in assert_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("command", ["run", "stream"])
+def test_manifest_control_byte_exits_2(workdir, capsys, command):
+    code = run_cli(workdir, command, extra_manifest="# \x07\n")
+    assert "#x0007" in assert_usage_error(capsys, code)
+
+
 @settings(max_examples=20, deadline=None)
 @given(
     batch=st.integers(1, 2),

@@ -175,6 +175,16 @@ def test_overlap_add_passes_on_framed_spec():
     assert report.passed, report.render()
 
 
+def test_overlap_add_output_is_not_masked_for_a_lookahead_consumer():
+    # after a row's last valid frame, OverlapAdd's output holds that frame's
+    # tail; a `same` conv downstream must see those positions as unmasked
+    layer = sl.Serial(
+        [sl.OverlapAdd(4, 2), sl.Conv1D(3, 2, 3, padding="same", rng=np.random.default_rng(0))]
+    )
+    report = verify_contract(layer, ChannelSpec((4, 3)))
+    assert report.passed, report.render()
+
+
 def test_conditioning_passes_with_constants():
     from seqstream.sequence import Sequence
 
