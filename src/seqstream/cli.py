@@ -19,8 +19,6 @@ import json
 import sys
 from fractions import Fraction
 
-import numpy as np
-
 from . import params as params_lib
 from .errors import (
     BlockSizeError,
@@ -40,7 +38,7 @@ from .pipeline import (
 from .receptive_field import format_rf, format_rf_map
 from .sequence import Sequence, load_sequence, save_sequence
 from .streaming import step_by_step
-from .verify import HarnessConfig, verify_contract
+from .verify import TOLERANCE, HarnessConfig, compare, verify_contract
 
 USAGE_ERROR = 2
 CONTRACT_ERROR = 1
@@ -155,23 +153,11 @@ def cmd_diff(args) -> int:
     ys = step_by_step(
         layer, x, training=manifest.training, block=block, constants=constants
     )
-    if y.shape != ys.shape:
-        print(f"shape mismatch: layer {y.shape} vs stream {ys.shape}")
+    failure, metrics = compare(y, ys, args.tolerance, "layer vs stream")
+    if failure:
+        print(failure)
         return CONTRACT_ERROR
-    mask_a, mask_b = np.asarray(y.mask), np.asarray(ys.mask)
-    if not np.array_equal(mask_a, mask_b):
-        coord = np.argwhere(mask_a != mask_b)[0]
-        print(f"mask mismatch first at (b={coord[0]}, t={coord[1]})")
-        return CONTRACT_ERROR
-    av = np.asarray(y.mask_invalid().values, dtype=np.float64)
-    bv = np.asarray(ys.mask_invalid().values, dtype=np.float64)
-    diff = np.abs(av - bv)
-    max_diff = float(diff.max()) if diff.size else 0.0
-    if max_diff > args.tolerance:
-        coord = np.unravel_index(int(diff.argmax()), diff.shape)
-        print(f"max diff {max_diff:.6e} > tolerance {args.tolerance:g} first at {coord}")
-        return CONTRACT_ERROR
-    print(f"max diff {max_diff:.6e} <= tolerance {args.tolerance:g}; masks identical")
+    print(f"max diff {metrics['max_diff']:.6e} <= tolerance {args.tolerance:g}; masks identical")
     return 0
 
 
@@ -219,7 +205,7 @@ def make_parser() -> argparse.ArgumentParser:
     diff.add_argument("--spec", required=True)
     diff.add_argument("--manifest", required=True)
     diff.add_argument("--block", type=int)
-    diff.add_argument("--tolerance", type=float, default=1e-6)
+    diff.add_argument("--tolerance", type=float, default=TOLERANCE)
     diff.set_defaults(fn=cmd_diff)
 
     verify = sub.add_parser("verify", help="run the contract battery")

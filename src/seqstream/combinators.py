@@ -2,9 +2,9 @@
 Bidirectional, and Blockwise.
 
 A combinator's streaming metadata is derived from its children on first
-access and cached: layers are immutable once built, and the renames after
-construction (deduplication, Repeat, the pipeline builder) change only
-``name``, which no cached value depends on.
+access and cached: layers are immutable once built. A child whose name a
+combinator changes (deduplication, Repeat) is a renamed copy, so the
+caller's layer keeps its name.
 
 Serial latency accounting: output latencies fold forward (an upstream delay
 of d input steps becomes d * ratio output steps plus the child's own), input
@@ -27,7 +27,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSteppableError, SpecMismatchError
-from .layer import UNIT_RATIO, SequenceLayer
+from .layer import UNIT_RATIO, Emitting, SequenceLayer, renamed
 from .receptive_field import (
     reverse_rf_map,
     rf_at,
@@ -36,6 +36,7 @@ from .receptive_field import (
 )
 from .sequence import ChannelSpec, Sequence
 from .streaming import stream_blocks
+from .temporal import delay_line, delay_step
 
 __all__ = ["Serial", "Parallel", "Residual", "Repeat", "Bidirectional", "Blockwise"]
 
@@ -43,14 +44,17 @@ COMBINE_MODES = ("stack", "concat", "add", "mean")
 
 
 def _unique_names(children):
-    seen = {}
+    """The children under distinct names: a taken name gets the first free
+    numeric suffix, on a renamed copy."""
+    taken, unique = set(), []
     for child in children:
-        if child.name in seen:
-            seen[child.name] += 1
-            child.name = f"{child.name}_{seen[child.name]}"
-        else:
-            seen[child.name] = 0
-    return tuple(children)
+        name, k = child.name, 0
+        while name in taken:
+            k += 1
+            name = f"{child.name}_{k}"
+        taken.add(name)
+        unique.append(renamed(child, name))
+    return tuple(unique)
 
 
 def _combine_specs(specs, mode: str) -> ChannelSpec:
@@ -99,8 +103,8 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
     return Sequence(values, mask)
 
 
-class _Composite(SequenceLayer):
-    """Serial and Parallel: both step methods share one ``_step_children`` loop."""
+class _Composite(Emitting):
+    """Serial and Parallel: an emitting layer over a tuple of children."""
 
     @property
     def children(self):
@@ -109,17 +113,6 @@ class _Composite(SequenceLayer):
     @property
     def is_stochastic(self):
         return any(c.is_stochastic for c in self._children)
-
-    def step(self, x, state, *, training, constants=None):
-        y, state, _ = self._step_children(
-            x, state, training=training, constants=constants, with_emits=False
-        )
-        return y, state
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        return self._step_children(
-            x, state, training=training, constants=constants, with_emits=True
-        )
 
 
 class Serial(_Composite):
@@ -199,11 +192,6 @@ class Serial(_Composite):
             spec = child.get_output_spec(spec, constants)
         return spec
 
-    def layer(self, x, *, training, constants=None):
-        for child in self._children:
-            x = child.layer(x, training=training, constants=constants)
-        return x
-
     def layer_with_emits(self, x, *, training, constants=None):
         emits = []
         for child in self._children:
@@ -230,18 +218,15 @@ class Serial(_Composite):
             spec = child.get_output_spec(spec, constants)
         return tuple(states)
 
-    def _step_children(self, x, state, *, training, constants, with_emits):
+    def step_with_emits(self, x, state, *, training, constants=None):
         self._check_block(x)
         new_states, emits = [], []
         for child, child_state in zip(self._children, state):
-            if with_emits:
-                x, child_state, e = child.step_with_emits(
-                    x, child_state, training=training, constants=constants
-                )
-                emits.append(e)
-            else:
-                x, child_state = child.step(x, child_state, training=training, constants=constants)
+            x, child_state, e = child.step_with_emits(
+                x, child_state, training=training, constants=constants
+            )
             new_states.append(child_state)
+            emits.append(e)
         return x, tuple(new_states), tuple(emits)
 
 
@@ -302,10 +287,6 @@ class Parallel(_Composite):
         specs = [c.get_output_spec(input_spec, constants) for c in self._children]
         return _combine_specs(specs, self.combine)
 
-    def layer(self, x, *, training, constants=None):
-        outputs = [c.layer(x, training=training, constants=constants) for c in self._children]
-        return _combine_outputs(outputs, self.combine)
-
     def layer_with_emits(self, x, *, training, constants=None):
         pairs = [
             c.layer_with_emits(x, training=training, constants=constants)
@@ -320,39 +301,31 @@ class Parallel(_Composite):
             c.get_initial_state(batch_size, input_spec, training=training, constants=constants)
             for c in self._children
         )
-        fifos = []
-        overall = self.output_latency
-        for child in self._children:
-            delay = overall - child.output_latency
-            spec = child.get_output_spec(input_spec, constants)
-            fifos.append(
-                Sequence(
-                    np.zeros((batch_size, delay) + spec.shape, dtype=spec.dtype),
-                    np.zeros((batch_size, delay), bool),
-                    masked=True,
-                )
+        fifos = tuple(
+            delay_line(
+                batch_size,
+                self.output_latency - c.output_latency,
+                c.get_output_spec(input_spec, constants),
             )
-        return (child_states, tuple(fifos))
+            for c in self._children
+        )
+        return (child_states, fifos)
 
-    def _step_children(self, x, state, *, training, constants, with_emits):
+    def step_with_emits(self, x, state, *, training, constants=None):
         self._check_block(x)
         child_states, fifos = state
         outputs, new_states, new_fifos, emits = [], [], [], []
         for child, child_state, fifo in zip(self._children, child_states, fifos):
-            if with_emits:
-                y, child_state, e = child.step_with_emits(
-                    x, child_state, training=training, constants=constants
-                )
-                emits.append(e)
-            else:
-                y, child_state = child.step(x, child_state, training=training, constants=constants)
+            y, child_state, e = child.step_with_emits(
+                x, child_state, training=training, constants=constants
+            )
             y = y.mask_invalid()
             if fifo.time:
-                merged = Sequence.concatenate_sequences([fifo, y])
-                y, fifo = merged[:, : y.time], merged[:, y.time :]
+                y, fifo = delay_step(y, fifo)
             outputs.append(y)
             new_fifos.append(fifo)
             new_states.append(child_state)
+            emits.append(e)
         combined = _combine_outputs(outputs, self.combine)
         return combined, (tuple(new_states), tuple(new_fifos)), tuple(emits)
 
@@ -387,8 +360,7 @@ class Repeat(Serial):
                 raise SpecMismatchError(
                     f"repeat requires ratio-1 children, got {child.output_ratio}"
                 )
-            child.name = f"iter_{i}"
-            children.append(child)
+            children.append(renamed(child, f"iter_{i}"))
         super().__init__(children, name=name)
         self.num_repeats = int(num_repeats)
 
@@ -416,9 +388,7 @@ class Bidirectional(SequenceLayer):
                 raise SpecMismatchError(
                     f"bidirectional requires ratio-1 children, got {child.output_ratio}"
                 )
-        _unique_names([forward, backward])
-        self.forward = forward
-        self.backward = backward
+        self.forward, self.backward = _unique_names([forward, backward])
         self.combine = combine
 
     @property
@@ -466,12 +436,13 @@ class Bidirectional(SequenceLayer):
         raise NotSteppableError(f"{self.name}: bidirectional layers cannot be stepped")
 
 
-class Blockwise(SequenceLayer):
+class Blockwise(Emitting):
     """Re-clocks a steppable child to a larger block size.
 
     layer() is re-implemented by stepping the child block by block (bounding
     peak memory by the block size), flushing per the latency protocol, and
-    trimming to the child's layer-wise extent.
+    trimming to the child's layer-wise extent. Its emits are the child's step
+    emits from that run, untrimmed.
     """
 
     def __init__(self, child, block_size, name=None):
@@ -520,22 +491,18 @@ class Blockwise(SequenceLayer):
     def get_output_spec(self, input_spec, constants=None):
         return self.child.get_output_spec(input_spec, constants)
 
-    def layer(self, x, *, training, constants=None):
+    def layer_with_emits(self, x, *, training, constants=None):
         expected = self.child.output_time(x.time)
         padded = x.pad_time(0, self.child.input_latency, valid=False)
-        out, _, _ = stream_blocks(
+        out, _, emits = stream_blocks(
             self.child, padded, training=training, block=self._block_size, constants=constants
         )
-        return out[:, self.child.output_latency :][:, :expected]
+        return out[:, self.child.output_latency :][:, :expected], emits
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return self.child.get_initial_state(
             batch_size, input_spec, training=training, constants=constants
         )
-
-    def step(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        return self.child.step(x, state, training=training, constants=constants)
 
     def step_with_emits(self, x, state, *, training, constants=None):
         self._check_block(x)

@@ -17,7 +17,7 @@ from scipy import special
 
 from . import params as params_lib
 from .errors import MissingConstantError, SpecMismatchError
-from .layer import Constants, RngCounter, SequenceLayer, State, StatelessLayer
+from .layer import Constants, Emitting, RngCounter, SequenceLayer, State, StatelessLayer
 from .sequence import ChannelSpec, Sequence
 
 __all__ = [
@@ -46,11 +46,8 @@ class Identity(StatelessLayer):
         return x
 
 
-class Emit(StatelessLayer):
+class Emit(Emitting):
     """Identity layer that exposes its input as an emit for tapping a stack."""
-
-    def layer(self, x, *, training, constants=None):
-        return x
 
     def layer_with_emits(self, x, *, training, constants=None):
         return x, x

@@ -17,6 +17,14 @@ Metadata exposed per layer: exact rational ``output_ratio``, ``block_size``,
 both latencies, and a per-step receptive field map (see
 :mod:`seqstream.receptive_field`).
 
+Emits are auxiliary outputs (taps on intermediate activations) returned by
+``layer_with_emits`` and ``step_with_emits``. A plain layer has none, and its
+``*_with_emits`` methods wrap ``layer``/``step``. A layer that produces or
+forwards emits - ``dense.Emit`` and the combinators ``Serial``,
+``Parallel``/``Residual`` and ``Blockwise`` - is :class:`Emitting`: it
+implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
+it, so outputs and emits come from one loop and cannot drift apart.
+
 ``training`` is a required keyword argument on the execution methods; there
 is deliberately no default.
 """
@@ -24,6 +32,7 @@ is deliberately no default.
 from __future__ import annotations
 
 import abc
+import copy
 import dataclasses
 import math
 import types
@@ -229,6 +238,36 @@ class SequenceLayer(abc.ABC):
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"
+
+
+def renamed(layer: SequenceLayer, name: str) -> SequenceLayer:
+    """``layer`` itself when it is already called ``name``, else a shallow copy
+    under ``name``. Layers are immutable, so the copy shares parameters."""
+    if layer.name == name:
+        return layer
+    twin = copy.copy(layer)
+    twin.name = name
+    return twin
+
+
+class Emitting(SequenceLayer):
+    """A layer whose emits ride its one execution loop: subclasses implement
+    ``layer_with_emits`` and ``step_with_emits``; ``layer`` and ``step`` return
+    their outputs without the emits."""
+
+    @abc.abstractmethod
+    def layer_with_emits(self, x, *, training, constants=None):
+        """Processes a whole sequence; returns (output, emits)."""
+
+    def step_with_emits(self, x, state, *, training, constants=None):
+        raise NotImplementedError
+
+    def layer(self, x, *, training, constants=None):
+        return self.layer_with_emits(x, training=training, constants=constants)[0]
+
+    def step(self, x, state, *, training, constants=None):
+        y, state, _ = self.step_with_emits(x, state, training=training, constants=constants)
+        return y, state
 
 
 class StatelessLayer(SequenceLayer):

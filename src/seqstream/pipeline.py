@@ -46,7 +46,7 @@ from . import dense, recurrent, sabotage, temporal
 from .attention import DotProductSelfAttention
 from .combinators import Bidirectional, Blockwise, Parallel, Repeat, Residual, Serial
 from .errors import PipelineError, SpecParseError
-from .layer import SequenceLayer
+from .layer import SequenceLayer, renamed
 from .sequence import ChannelSpec
 from . import tensor
 
@@ -427,9 +427,7 @@ for _check_name, _factory in sabotage.FIXTURES.items():
 
     def _build_sabotage(ctx, factory=_factory):
         ctx.require_channel_rank(1)
-        made = factory(ctx.input_spec.shape[0], ctx.rng())
-        made.name = ctx.name
-        return made
+        return renamed(factory(ctx.input_spec.shape[0], ctx.rng()), ctx.name)
 
     register(sabotage.TYPE_NAMES[_check_name], LayerDef(fields=(), build=_build_sabotage))
 

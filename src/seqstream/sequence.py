@@ -78,7 +78,7 @@ class Sequence:
         values = tensor.tensor(values)
         if values.ndim < 2:
             raise ShapeMismatchError(f"rank >= 2 required, got shape {values.shape}")
-        mask = tensor.ones(values.shape[:2], tensor.BOOL)
+        mask = tensor.freeze(np.ones(values.shape[:2], bool))
         return Sequence(values, mask, masked=True)
 
     @staticmethod
@@ -166,20 +166,21 @@ class Sequence:
         if front == 0 and back == 0:
             return self
         pads = [(0, 0), (front, back)] + [(0, 0)] * (self.ndim - 2)
-        values = tensor.pad(self.values, pads, fill=np.zeros((), dtype=self.dtype))
-        mask = tensor.pad(self.mask, [(0, 0), (front, back)], fill=bool(valid))
+        values = tensor.freeze(np.pad(self.values, pads))
+        mask = tensor.freeze(np.pad(self.mask, pads[:2], constant_values=bool(valid)))
         return Sequence(values, mask, masked=self.masked and not valid)
 
     def slice_time(self, start: int, stop: int) -> "Sequence":
+        """Steps [start, stop) as read-only views of this sequence's arrays."""
         time = self.time
         start = max(0, start + time if start < 0 else start)
         stop = min(time, stop + time if stop < 0 else stop)
         stop = max(stop, start)
         if start == 0 and stop == time:
             return self
-        values = tensor.slice_axis(self.values, 1, start, stop)
-        mask = tensor.slice_axis(self.mask, 1, start, stop)
-        return Sequence(values, mask, masked=self.masked)
+        return Sequence(
+            self.values[:, start:stop], self.mask[:, start:stop], masked=self.masked
+        )
 
     def __getitem__(self, key) -> "Sequence":
         """Supports the usual [batch, time] slicing shorthands, e.g. s[:, a:b]."""
@@ -226,8 +227,8 @@ class Sequence:
         nonempty = [s for s in seqs if s.time]
         if len(nonempty) == 1:
             return nonempty[0]
-        values = tensor.concat([s.values for s in seqs], axis=1)
-        mask = tensor.concat([s.mask for s in seqs], axis=1)
+        values = tensor.freeze(np.concatenate([s.values for s in seqs], axis=1))
+        mask = tensor.freeze(np.concatenate([s.mask for s in seqs], axis=1))
         return Sequence(values, mask, masked=all(s.masked for s in seqs))
 
     def reverse_time_valid(self) -> "Sequence":

@@ -43,12 +43,10 @@ def stream_blocks(
     training: bool,
     block: int | None = None,
     constants=None,
-    initial_state=None,
-    with_emits: bool = False,
 ):
-    """Runs get_initial_state + step over x, padding x up to a block multiple.
+    """Steps x block by block with step_with_emits, padding x to a block multiple.
 
-    Returns (output, final_state, emits); no latency handling is applied.
+    Returns (output, final_state, emits joined over time); no latency handling is applied.
     """
     if not layer.supports_step:
         raise NotSteppableError(f"{layer.name} cannot be stepped")
@@ -56,28 +54,22 @@ def stream_blocks(
     remainder = x.time % block
     if remainder:
         x = x.pad_time(0, block - remainder, valid=False)
-    state = initial_state
-    if state is None:
-        state = layer.get_initial_state(
-            x.batch_size, x.channel_spec, training=training, constants=constants
-        )
+    state = layer.get_initial_state(
+        x.batch_size, x.channel_spec, training=training, constants=constants
+    )
     outputs = []
     emits_list = []
     for start in range(0, x.time, block):
-        piece = x[:, start : start + block]
-        if with_emits:
-            y, state, emits = layer.step_with_emits(
-                piece, state, training=training, constants=constants
-            )
-            emits_list.append(emits)
-        else:
-            y, state = layer.step(piece, state, training=training, constants=constants)
+        y, state, emits = layer.step_with_emits(
+            x[:, start : start + block], state, training=training, constants=constants
+        )
         outputs.append(y)
+        emits_list.append(emits)
     if outputs:
         out = Sequence.concatenate_sequences(outputs)
     else:
         out = x[:, 0:0]
-    return out, state, concat_emits(emits_list) if with_emits else ()
+    return out, state, concat_emits(emits_list)
 
 
 def step_by_step(
@@ -87,8 +79,6 @@ def step_by_step(
     training: bool,
     block: int | None = None,
     constants=None,
-    trim: bool = True,
-    with_emits: bool = False,
 ):
     """Step-wise execution equivalent to layer(x) for contract-abiding layers.
 
@@ -98,12 +88,5 @@ def step_by_step(
     """
     expected = layer.output_time(x.time)
     padded = x.pad_time(0, layer.input_latency, valid=False)
-    out, state, emits = stream_blocks(
-        layer, padded, training=training, block=block, constants=constants, with_emits=with_emits
-    )
-    out = out[:, layer.output_latency :]
-    if trim:
-        out = out[:, :expected]
-    if with_emits:
-        return out, state, emits
-    return out
+    out, _, _ = stream_blocks(layer, padded, training=training, block=block, constants=constants)
+    return out[:, layer.output_latency :][:, :expected]

@@ -1,9 +1,7 @@
 """Dense n-dimensional arrays with the numeric behaviors the library relies on.
 
 Tensors are plain numpy arrays restricted to three dtypes (float32, int32,
-bool), made read-only at creation so they behave as immutable values. The
-shape checks of ``concat`` and ``pad`` live in pure shape functions that are
-usable (and testable) without any data.
+bool), made read-only at creation so they behave as immutable values.
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
@@ -15,11 +13,11 @@ from __future__ import annotations
 import math
 import struct
 import sys
-from typing import BinaryIO, Sequence as Tup
+from typing import BinaryIO
 
 import numpy as np
 
-from .errors import FormatError, ShapeMismatchError
+from .errors import FormatError
 
 FLOAT32 = np.dtype(np.float32)
 INT32 = np.dtype(np.int32)
@@ -69,70 +67,6 @@ def tensor(data, dtype=None) -> np.ndarray:
     if arr.dtype not in DTYPES:
         arr = arr.astype(canonical_dtype(arr.dtype))
     return freeze(arr)
-
-
-def ones(shape, dtype=FLOAT32) -> np.ndarray:
-    return freeze(np.ones(shape, dtype=canonical_dtype(dtype)))
-
-
-# --- pure shape functions -------------------------------------------------
-
-
-def concat_shape(shapes: Tup[Tup[int]], axis: int) -> tuple[int, ...]:
-    if not shapes:
-        raise ShapeMismatchError("concat of zero tensors")
-    first = tuple(shapes[0])
-    rank = len(first)
-    if not -rank <= axis < rank:
-        raise ShapeMismatchError(f"axis {axis} out of range for shape {first}")
-    axis %= rank
-    total = 0
-    for s in shapes:
-        s = tuple(s)
-        if len(s) != rank or any(s[i] != first[i] for i in range(rank) if i != axis):
-            raise ShapeMismatchError(
-                f"concat extents incompatible along axis {axis}: {first} vs {s}"
-            )
-        total += s[axis]
-    return first[:axis] + (total,) + first[axis + 1 :]
-
-
-def pad_shape(shape: Tup[int], pads: Tup[tuple[int, int]]) -> tuple[int, ...]:
-    shape = tuple(shape)
-    if len(pads) != len(shape):
-        raise ShapeMismatchError(f"pad spec {pads} does not match rank of {shape}")
-    out = []
-    for d, (lo, hi) in zip(shape, pads):
-        if lo < 0 or hi < 0:
-            raise ShapeMismatchError(f"negative padding {(lo, hi)}")
-        out.append(d + lo + hi)
-    return tuple(out)
-
-
-# --- operations -----------------------------------------------------------
-
-def concat(tensors: Tup[np.ndarray], axis: int) -> np.ndarray:
-    concat_shape([np.shape(t) for t in tensors], axis)
-    return freeze(np.concatenate([np.asarray(t) for t in tensors], axis=axis))
-
-
-def slice_axis(x: np.ndarray, axis: int, start: int, stop: int) -> np.ndarray:
-    x = np.asarray(x)
-    extent = x.shape[axis]
-    if not (0 <= start <= stop <= extent):
-        raise ShapeMismatchError(
-            f"slice [{start}:{stop}] out of range for extent {extent} on axis {axis}"
-        )
-    idx = [slice(None)] * x.ndim
-    idx[axis] = slice(start, stop)
-    return freeze(np.ascontiguousarray(x[tuple(idx)]))
-
-
-def pad(x: np.ndarray, pads: Tup[tuple[int, int]], fill=0) -> np.ndarray:
-    x = np.asarray(x)
-    pad_shape(x.shape, pads)
-    out = np.pad(x, pads, mode="constant", constant_values=fill)
-    return freeze(np.asarray(out, dtype=x.dtype))
 
 
 # --- SLT1 serialization ---------------------------------------------------

@@ -96,28 +96,34 @@ class ContractReport:
         return json.dumps(self.to_dict(), indent=2, default=str)
 
 
+#: max |layer - step| at any valid position; the contract's bound, never loosened
+TOLERANCE = 1e-6
+#: smallest perturbation the receptive-field probe applies
+EPSILON = 1e-3
+#: how far an unbounded receptive field is probed on each side
+PROBE_CAP = 16
+#: batch rows of every test input
+BATCH = 2
+
+
 @dataclasses.dataclass(frozen=True)
 class HarnessConfig:
-    batch: int = 2
-    time: int | None = None  # auto-sized: a multiple of 2*block_size covering latency + RF period
+    """Seeds every random input and probe pattern the battery draws."""
+
     seed: int = 0
-    tolerance: float = 1e-6
-    epsilon: float = 1e-3
-    probe_cap: int = 16
-    training: bool = False
 
 
-def _auto_time(layer: SequenceLayer, cfg: HarnessConfig) -> int:
+def _auto_time(layer: SequenceLayer) -> int:
+    """A multiple of 2 x block_size covering latency and one RF period."""
     block = layer.block_size
     rf = layer.receptive_field
     extent = 0
     if rf is not None:
-        lo = rf[0] if math.isfinite(rf[0]) else -cfg.probe_cap
-        hi = rf[1] if math.isfinite(rf[1]) else cfg.probe_cap
+        lo = rf[0] if math.isfinite(rf[0]) else -PROBE_CAP
+        hi = rf[1] if math.isfinite(rf[1]) else PROBE_CAP
         extent = int(hi - lo + 1)
     period_inputs = math.ceil(len(layer.receptive_field_per_step) / layer.output_ratio)
     base = max(
-        cfg.time or 0,
         24,
         2 * block,
         layer.input_latency + 2 * block,
@@ -132,8 +138,8 @@ def _random_input(
     layer, input_spec: ChannelSpec, cfg: HarnessConfig, full=False, time=None
 ) -> Sequence:
     rng = np.random.default_rng(cfg.seed)
-    time = _auto_time(layer, cfg) if time is None else time
-    shape = (cfg.batch, time) + input_spec.shape
+    time = _auto_time(layer) if time is None else time
+    shape = (BATCH, time) + input_spec.shape
     if input_spec.dtype.kind == "f":
         values = rng.uniform(-0.5, 0.5, shape).astype(np.float32)
     elif input_spec.dtype.kind == "i":
@@ -143,13 +149,14 @@ def _random_input(
     if full or time < 4:
         return Sequence.from_values(values)
     lengths = [time] + [
-        int(v) for v in rng.integers(max(1, time // 2), time, size=cfg.batch - 1)
+        int(v) for v in rng.integers(max(1, time // 2), time, size=BATCH - 1)
     ]
     return Sequence.from_lengths(values, lengths)
 
 
-def _compare(a: Sequence, b: Sequence, tolerance: float, context: str):
-    """None when equivalent; otherwise a failure description."""
+def compare(a: Sequence, b: Sequence, tolerance: float, context: str):
+    """(failure description or None, metrics): shapes, masks, finiteness and
+    the max difference at valid positions."""
     if a.shape != b.shape:
         return f"{context}: shapes differ {a.shape} vs {b.shape}", {}
     if not np.array_equal(np.asarray(a.mask), np.asarray(b.mask)):
@@ -183,18 +190,12 @@ def _leading_invalid(seq: Sequence) -> int:
     return int(nz[0]) if nz.size else seq.time
 
 
-def _training_for(layer, cfg, stochastic_safe: bool) -> bool:
-    if layer.is_stochastic and not stochastic_safe:
-        return False
-    return cfg.training
-
-
-def _check_equivalence(layer, x, cfg, blocks: int, training: bool, constants):
+def _check_equivalence(layer, x, blocks: int, training: bool, constants):
     y = layer.layer(x, training=training, constants=constants)
     ys = step_by_step(
         layer, x, training=training, block=blocks * layer.block_size, constants=constants
     )
-    return _compare(y, ys, cfg.tolerance, f"blocks={blocks}x")
+    return compare(y, ys, TOLERANCE, f"blocks={blocks}x")
 
 
 def _probe_dependencies(layer, input_spec, cfg, constants):
@@ -205,13 +206,12 @@ def _probe_dependencies(layer, input_spec, cfg, constants):
     invisible to shift-invariant maps like softmax). One batched layer()
     call per perturbation size: probe row u carries the bump at input step u.
     """
-    training = _training_for(layer, cfg, stochastic_safe=False)
     x = _random_input(layer, input_spec, cfg, full=True)[0:1, :]
     time = x.time
     base_constants = _tile_constants(constants, 1)
-    y_base = layer.layer(x, training=training, constants=base_constants).mask_invalid()
+    y_base = layer.layer(x, training=False, constants=base_constants).mask_invalid()
     out_time = y_base.time
-    threshold = 10 * cfg.tolerance
+    threshold = 10 * TOLERANCE
 
     pattern_rng = np.random.default_rng(cfg.seed + 7)
     pattern = pattern_rng.uniform(0.5, 1.5, input_spec.shape)
@@ -220,13 +220,13 @@ def _probe_dependencies(layer, input_spec, cfg, constants):
     changed = np.zeros((time, out_time), dtype=bool)
     base_values = np.asarray(x.values)
     probe_constants = _tile_constants(constants, time)
-    for delta in (cfg.epsilon, 1.0, -1.0):
+    for delta in (EPSILON, 1.0, -1.0):
         tiled = np.repeat(base_values, time, axis=0).copy()
         bump = (delta * pattern).astype(tiled.dtype)
         for u in range(time):
             tiled[u, u] = tiled[u, u] + bump
         probe = Sequence.from_values(tiled)
-        y = layer.layer(probe, training=training, constants=probe_constants).mask_invalid()
+        y = layer.layer(probe, training=False, constants=probe_constants).mask_invalid()
         diff = np.abs(
             np.asarray(y.values, np.float64) - np.asarray(y_base.values, np.float64)
         )
@@ -342,7 +342,6 @@ def _check_receptive_field(layer, input_spec, cfg, constants):
 
 
 def _check_metadata(layer, input_spec, cfg, constants):
-    training = _training_for(layer, cfg, stochastic_safe=False)
     props = layer.properties  # validates internal consistency
     block = props.block_size
     metrics = {
@@ -353,7 +352,7 @@ def _check_metadata(layer, input_spec, cfg, constants):
     }
     for time in (block, 2 * block, 3 * block, 2 * block + 1):
         x = _random_input(layer, input_spec, cfg, time=time)
-        y = layer.layer(x, training=training, constants=constants)
+        y = layer.layer(x, training=False, constants=constants)
         expected_time = layer.output_time(time)
         if y.time != expected_time:
             return (
@@ -373,16 +372,16 @@ def _check_metadata(layer, input_spec, cfg, constants):
     x = _random_input(layer, input_spec, cfg)
     if block > 1:
         state = layer.get_initial_state(
-            x.batch_size, x.channel_spec, training=training, constants=constants
+            x.batch_size, x.channel_spec, training=False, constants=constants
         )
         try:
-            layer.step(x[:, : block + 1], state, training=training, constants=constants)
+            layer.step(x[:, : block + 1], state, training=False, constants=constants)
             return f"step() accepted {block + 1} steps with block_size {block}", metrics
         except BlockSizeError:
             pass
-    y = layer.layer(x, training=training, constants=constants)
+    y = layer.layer(x, training=False, constants=constants)
     padded = x.pad_time(0, props.input_latency, valid=False)
-    raw, _, _ = stream_blocks(layer, padded, training=training, constants=constants)
+    raw, _, _ = stream_blocks(layer, padded, training=False, constants=constants)
     measured = _leading_invalid(raw) - _leading_invalid(y)
     if measured != props.output_latency:
         return (
@@ -394,9 +393,8 @@ def _check_metadata(layer, input_spec, cfg, constants):
 
 
 def _check_batching(layer, input_spec, cfg, constants):
-    training = _training_for(layer, cfg, stochastic_safe=False)
     x = _random_input(layer, input_spec, cfg)
-    y = layer.layer(x, training=training, constants=constants)
+    y = layer.layer(x, training=False, constants=constants)
     rng = np.random.default_rng(cfg.seed + 1)
     perm = rng.permutation(x.batch_size)
     invalid_row = Sequence(
@@ -410,11 +408,11 @@ def _check_batching(layer, input_spec, cfg, constants):
     )
     # batch-aligned constants travel with their rows
     constants2 = _permute_constants(constants, perm, extra_rows=1)
-    y2 = layer.layer(augmented, training=training, constants=constants2)
+    y2 = layer.layer(augmented, training=False, constants=constants2)
     if np.asarray(y2.mask)[-1].any():
         return "an all-invalid batch row produced valid outputs", {}
-    failure, metrics = _compare(
-        y.take_batch(perm), y2.take_batch(np.arange(x.batch_size)), cfg.tolerance, "shuffled batch"
+    failure, metrics = compare(
+        y.take_batch(perm), y2.take_batch(np.arange(x.batch_size)), TOLERANCE, "shuffled batch"
     )
     return failure, metrics
 
@@ -440,26 +438,25 @@ def _permute_constants(constants, perm, extra_rows: int = 0):
 
 
 def _check_padding(layer, input_spec, cfg, constants):
-    training = _training_for(layer, cfg, stochastic_safe=False)
     x = _random_input(layer, input_spec, cfg)
-    y = layer.layer(x, training=training, constants=constants)
+    y = layer.layer(x, training=False, constants=constants)
     # (a) extra end padding
     extra = 2 * layer.block_size
     padded = x.pad_time(0, extra, valid=False)
-    y_padded = layer.layer(padded, training=training, constants=constants)
-    failure, _ = _compare(y, y_padded[:, : y.time], cfg.tolerance, "extra end padding")
+    y_padded = layer.layer(padded, training=False, constants=constants)
+    failure, _ = compare(y, y_padded[:, : y.time], TOLERANCE, "extra end padding")
     if failure:
         return failure, {}
     # (b) poisoned invalid values, layer-wise and step-wise
     poisoned = poison_invalid(x)
-    y_poison = layer.layer(poisoned, training=training, constants=constants)
-    failure, metrics = _compare(y, y_poison, cfg.tolerance, "poisoned layer()")
+    y_poison = layer.layer(poisoned, training=False, constants=constants)
+    failure, metrics = compare(y, y_poison, TOLERANCE, "poisoned layer()")
     if failure:
         return failure, metrics
     if layer.supports_step:
-        ys = step_by_step(layer, x, training=training, constants=constants)
-        ys_poison = step_by_step(layer, poisoned, training=training, constants=constants)
-        failure, metrics = _compare(ys, ys_poison, cfg.tolerance, "poisoned step()")
+        ys = step_by_step(layer, x, training=False, constants=constants)
+        ys_poison = step_by_step(layer, poisoned, training=False, constants=constants)
+        failure, metrics = compare(ys, ys_poison, TOLERANCE, "poisoned step()")
         if failure:
             return failure, metrics
     return None, metrics
@@ -478,21 +475,18 @@ def _tree_signature(emits):
 
 
 def _check_emits(layer, input_spec, cfg, constants):
-    training = _training_for(layer, cfg, stochastic_safe=False)
     x = _random_input(layer, input_spec, cfg)
-    y_plain = layer.layer(x, training=training, constants=constants)
-    y_emits, emits = layer.layer_with_emits(x, training=training, constants=constants)
-    failure, _ = _compare(y_plain, y_emits, cfg.tolerance, "layer vs layer_with_emits")
+    y_plain = layer.layer(x, training=False, constants=constants)
+    y_emits, emits = layer.layer_with_emits(x, training=False, constants=constants)
+    failure, _ = compare(y_plain, y_emits, TOLERANCE, "layer vs layer_with_emits")
     if failure:
         return failure, {}
     sig_layer = _tree_signature(emits)
-    _, emits_again = layer.layer_with_emits(x, training=training, constants=constants)
+    _, emits_again = layer.layer_with_emits(x, training=False, constants=constants)
     if _tree_signature(emits_again) != sig_layer:
         return "emits structure changed between identical layer calls", {}
     if layer.supports_step:
-        y_step, _, step_emits = step_by_step(
-            layer, x, training=training, constants=constants, with_emits=True
-        )
+        _, _, step_emits = stream_blocks(layer, x, training=False, constants=constants)
         sig_step = _tree_signature(step_emits)
         if sig_step != sig_layer:
             return (
@@ -529,16 +523,15 @@ def verify_contract(
     steppable = layer.supports_step
     step_skip = None if steppable else "layer does not support stepping"
     x_eq = _random_input(layer, input_spec, cfg)
-    training_eq = _training_for(layer, cfg, stochastic_safe=False)
 
     run(
         "layer_step_equal_1x",
-        lambda: _check_equivalence(layer, x_eq, cfg, 1, training_eq, constants),
+        lambda: _check_equivalence(layer, x_eq, 1, False, constants),
         skip_reason=step_skip,
     )
     run(
         "layer_step_equal_2x",
-        lambda: _check_equivalence(layer, x_eq, cfg, 2, training_eq, constants),
+        lambda: _check_equivalence(layer, x_eq, 2, False, constants),
         skip_reason=step_skip,
     )
     run("metadata_consistency", lambda: _check_metadata(layer, input_spec, cfg, constants))
@@ -557,10 +550,10 @@ def verify_contract(
     else:
 
         def rng_check():
-            failure, metrics = _check_equivalence(layer, x_eq, cfg, 1, True, constants)
+            failure, metrics = _check_equivalence(layer, x_eq, 1, True, constants)
             if failure:
                 return f"training=True {failure}", metrics
-            failure, metrics = _check_equivalence(layer, x_eq, cfg, 2, True, constants)
+            failure, metrics = _check_equivalence(layer, x_eq, 2, True, constants)
             if failure:
                 return f"training=True {failure}", metrics
             return None, metrics

@@ -1,13 +1,16 @@
-"""CLI error handling: malformed inputs and manifests exit 2 with one error line."""
+"""CLI error handling: malformed inputs and manifests exit 2 with one error line;
+``diff`` exits 1 on any disagreement between layer-wise and step-wise outputs."""
 
 import io
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from seqstream import cli
+from seqstream.streaming import step_by_step
 from seqstream.sequence import Sequence, read_sequence, save_sequence, write_sequence
 
 SPEC = """\
@@ -139,3 +142,43 @@ def test_every_prefix_truncation_raises_value_error(batch, time, channels, seed)
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
             read_sequence(io.BytesIO(blob[:cut]))
+
+
+CONV_STACK = Path(__file__).resolve().parent.parent / "specs" / "conv_stack.yaml"
+
+
+def run_diff_on_conv_stack(tmp_path):
+    values = np.random.default_rng(0).uniform(-1, 1, (2, 36, 3)).astype(np.float32)
+    save_sequence(tmp_path / "x.sls", Sequence.from_lengths(values, [36, 25]))
+    manifest = tmp_path / "manifest.yaml"
+    manifest.write_text(f"input: {tmp_path / 'x.sls'}\ntraining: false\n")
+    return cli.main(["diff", "--spec", str(CONV_STACK), "--manifest", str(manifest)])
+
+
+def patch_stream(monkeypatch, edit):
+    """Makes ``diff``'s step-wise run return ``edit(values, mask)`` of the true output."""
+
+    def patched(*args, **kwargs):
+        y = step_by_step(*args, **kwargs)
+        values, mask = np.array(y.values), np.array(y.mask)
+        edit(values, mask)
+        return Sequence(values, mask)
+
+    monkeypatch.setattr(cli, "step_by_step", patched)
+
+
+def test_diff_passes_on_conv_stack(tmp_path, capsys):
+    assert run_diff_on_conv_stack(tmp_path) == 0
+    assert "masks identical" in capsys.readouterr().out
+
+
+def test_diff_fails_on_nan_in_stream_output(tmp_path, capsys, monkeypatch):
+    patch_stream(monkeypatch, lambda values, mask: values.__setitem__((0, 1, 0), np.nan))
+    assert run_diff_on_conv_stack(tmp_path) == cli.CONTRACT_ERROR
+    assert "non-finite" in capsys.readouterr().out
+
+
+def test_diff_fails_on_mask_mismatch(tmp_path, capsys, monkeypatch):
+    patch_stream(monkeypatch, lambda values, mask: mask.__setitem__((1, -1), True))
+    assert run_diff_on_conv_stack(tmp_path) == cli.CONTRACT_ERROR
+    assert "masks differ" in capsys.readouterr().out

@@ -105,6 +105,27 @@ class TestSerial:
         model = sl.Serial([sl.Dense(3, 3, rng=rng, name="d"), sl.Dense(3, 3, rng=rng, name="d")])
         assert [c.name for c in model.children] == ["d", "d_1"]
 
+    def test_repeated_child_is_renamed_on_a_copy(self):
+        a = sl.Dense(3, 3, rng=np.random.default_rng(0), name="d")
+        model = sl.Serial([a, a])
+        assert [c.name for c in model.children] == ["d", "d_1"]
+        assert a.name == "d"
+        assert len(params_lib.collect_parameters(model)) == 4
+
+    def test_suffix_skips_a_name_already_taken(self):
+        rng = np.random.default_rng(0)
+        model = sl.Serial([sl.Dense(3, 3, rng=rng, name=n) for n in ("d", "d_1", "d")])
+        assert [c.name for c in model.children] == ["d", "d_1", "d_2"]
+        assert len(params_lib.collect_parameters(model)) == 6
+
+    def test_building_leaves_an_earlier_tree_unchanged(self):
+        rng = np.random.default_rng(0)
+        b = sl.Dense(3, 3, rng=rng, name="d")
+        c = sl.Dense(3, 3, rng=rng, name="d")
+        first = sl.Serial([b], name="first")
+        sl.Serial([c, b])
+        assert sorted(params_lib.collect_parameters(first)) == ["first/d/bias", "first/d/weight"]
+
 
 class TestParallel:
     def test_identity_add_doubles(self):
@@ -212,6 +233,12 @@ class TestRepeat:
             model.layer(x, training=False), child.layer(x, training=False), atol=0
         )
 
+    def test_reused_template_gets_one_copy_per_iteration(self):
+        b = sl.Dense(3, 3, rng=np.random.default_rng(0), name="d")
+        model = sl.Repeat(lambda i: b, 2)
+        assert [c.name for c in model.children] == ["iter_0", "iter_1"]
+        assert b.name == "d"
+
     def test_equals_serial_of_clones_with_same_params(self):
         def make(i):
             return sl.Dense(3, 3, rng=np.random.default_rng(700 + i))
@@ -250,6 +277,12 @@ class TestBidirectional:
             2 * np.asarray(x.mask_invalid().values),
             atol=0,
         )
+
+    def test_same_layer_both_ways_is_renamed_on_a_copy(self):
+        a = sl.Identity(name="i")
+        model = sl.Bidirectional(a, a)
+        assert [c.name for c in model.children] == ["i", "i_1"]
+        assert a.name == "i"
 
     def test_backward_conv_matches_reverse_apply_reverse_oracle(self):
         conv = sl.Conv1D(3, 4, 2, padding="causal", rng=np.random.default_rng(17))
@@ -332,6 +365,39 @@ def _counted(name):
         return getattr(sl.SequenceLayer, name).fget(self)
 
     return property(get)
+
+
+EMITTING = {
+    "serial": lambda rng: sl.Serial(
+        [sl.Dense(3, 3, rng=rng), sl.Emit(name="tap"), sl.Conv1D(3, 3, 3, padding="same", rng=rng)]
+    ),
+    "parallel": lambda rng: sl.Parallel(
+        [sl.Emit(), sl.Conv1D(3, 3, 3, padding="reverse_causal", rng=rng)], combine="add"
+    ),
+    "blockwise": lambda rng: sl.Blockwise(
+        sl.Serial([sl.Emit(name="tap"), sl.Dense(3, 3, rng=rng)]), 4
+    ),
+}
+
+
+class TestEmits:
+    def test_blockwise_emits_agree_between_layer_and_step(self):
+        model = EMITTING["blockwise"](np.random.default_rng(30))
+        report = verify_contract(model, ChannelSpec((3,)))
+        assert report.passed, report.render()
+
+    @pytest.mark.parametrize("kind", sorted(EMITTING))
+    def test_plain_paths_are_the_emitting_paths_minus_emits(self, kind):
+        model = EMITTING[kind](np.random.default_rng(31))
+        x = random_sequence(31, 2, 12, 3)
+        y, _ = model.layer_with_emits(x, training=False)
+        assert_sequences_close(model.layer(x, training=False), y, atol=0)
+        plain = emitting = model.get_initial_state(2, x.channel_spec, training=False)
+        for start in range(0, x.time, model.block_size):
+            block = x[:, start : start + model.block_size]
+            y, plain = model.step(block, plain, training=False)
+            y_emits, emitting, _ = model.step_with_emits(block, emitting, training=False)
+            assert_sequences_close(y, y_emits, atol=0)
 
 
 class MetadataCounter(sl.SequenceLayer):

@@ -227,5 +227,5 @@ class TestEmitsApi:
     def test_step_emits_concatenate(self, rng):
         model = sl.Emit()
         x = random_sequence(10, 2, 6, 3)
-        _, _, emits = step_by_step(model, x, training=False, block=2, with_emits=True)
+        _, _, emits = stream_blocks(model, x, training=False, block=2)
         np.testing.assert_array_equal(np.asarray(emits.values), np.asarray(x.values))

@@ -1,4 +1,4 @@
-"""Tensor substrate: immutability, pad/concat/slice against copy oracles, SLT1."""
+"""Tensor substrate: immutability and SLT1 serialization."""
 
 import io
 
@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqstream import tensor
-from seqstream.errors import ShapeMismatchError
 
 
 def test_tensors_are_immutable():
@@ -18,37 +17,6 @@ def test_tensors_are_immutable():
     view = t.reshape(2, 1)
     with pytest.raises(ValueError):
         view[0, 0] = 3.0
-
-
-def test_pad_time_axis():
-    x = np.ones((1, 3), np.float32)
-    out = tensor.pad(x, [(0, 0), (0, 2)], fill=0)
-    assert out.shape == (1, 5)
-    np.testing.assert_array_equal(out[0, 3:], [0, 0])
-
-
-def test_concat_matches_copy_oracle():
-    rng = np.random.default_rng(3)
-    a = rng.uniform(size=(2, 3)).astype(np.float32)
-    b = rng.uniform(size=(2, 5)).astype(np.float32)
-    got = tensor.concat([a, b], axis=1)
-    expect = np.zeros((2, 8), np.float32)
-    for i in range(2):
-        for j in range(3):
-            expect[i, j] = a[i, j]
-        for j in range(5):
-            expect[i, 3 + j] = b[i, j]
-    np.testing.assert_array_equal(got, expect)
-
-
-def test_concat_extent_mismatch():
-    with pytest.raises(ShapeMismatchError, match="incompatible"):
-        tensor.concat([np.zeros((2, 3)), np.zeros((3, 3))], axis=1)
-
-
-def test_slice_out_of_range():
-    with pytest.raises(ShapeMismatchError, match="out of range"):
-        tensor.slice_axis(np.zeros((2, 3)), 1, 0, 9)
 
 
 @pytest.mark.parametrize(

@@ -116,7 +116,7 @@ class TestEmpiricalReceptiveField:
 
     def test_lstm_reaches_probe_window_start(self):
         layer = sl.LSTM(3, 4, rng=np.random.default_rng(6))
-        measured = empirical_receptive_field(layer, SPEC3, HarnessConfig(probe_cap=16))
+        measured = empirical_receptive_field(layer, SPEC3, HarnessConfig())
         start, end = measured[0]
         assert end == 0
         assert start <= -8  # dependence persists at least to distance 8
