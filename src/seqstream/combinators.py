@@ -337,6 +337,8 @@ class Residual(Parallel):
         from .dense import Identity
 
         if isinstance(body, (list, tuple)):
+            if not body:
+                raise ValueError("residual requires at least one child")
             body = Serial(list(body), name="body")
         if shortcut is None:
             shortcut = Identity(name="shortcut")

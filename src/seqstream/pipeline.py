@@ -21,15 +21,22 @@ nothing. A leaf that takes one is a parameterized layer and also gets
 ``params`` and ``rng``. Dropout, the one-argument pointwise kinds,
 the combinators and the sabotage fixtures have their own build functions.
 
-Specs allocate nothing; ``build`` walks the tree, propagates channel specs
-through ``get_output_spec``, derives a deterministic RNG per layer path from
-the build seed, and optionally reads parameters from a named-tensor archive
-instead. Validation errors carry the path of the offending node
-(``serial.children[2].kernel_size``).
-
 A spec file may be a bare node, or a document with ``pipeline:`` plus an
 optional ``input_spec:`` (e.g. ``f32[8]``). ``load_spec_file`` is the one
-place spec text is parsed.
+place spec text is parsed; it returns the root node as parsed YAML.
+
+``build`` checks and builds the tree in one pre-order walk: each node is
+checked (mapping, ``type``, ``name``, ``children``, registry entry, fields,
+child count, duplicate child names), then built, which builds its children.
+Parameters come from a named-tensor archive if given, else from an RNG
+seeded by the build seed and the node's layer path.
+
+A layer path is the node names joined by ``/`` (an unnamed child is
+``{type}_{index}``, an unnamed root ``{type}``); it prefixes the node's
+``collect_parameters`` keys. Errors name a node by its path, plus ``.field``
+for a field (``serial/dense_0.units``). A node without a usable ``type`` or
+``name`` is named by its parent's path plus ``children[index]``, or
+``pipeline`` at the root.
 """
 
 from __future__ import annotations
@@ -49,18 +56,6 @@ from .errors import PipelineError, SpecParseError
 from .layer import SequenceLayer, renamed
 from .sequence import ChannelSpec
 from . import tensor
-
-
-@dataclasses.dataclass(frozen=True)
-class PipelineSpec:
-    type: str
-    name: str | None = None
-    params: Mapping[str, Any] = dataclasses.field(default_factory=dict)
-    children: "tuple[PipelineSpec, ...]" = ()
-
-    def __post_init__(self):
-        object.__setattr__(self, "params", dict(self.params))
-        object.__setattr__(self, "children", tuple(self.children))
 
 
 @dataclasses.dataclass(frozen=True)
@@ -96,7 +91,7 @@ class Field:
 class LayerDef:
     fields: tuple
     build: Callable
-    children: str = "none"  # none | many | one | two
+    children: int | None = 0  # how many children the type takes; None: any number
 
 
 def _coerce(field: Field, value, path: str):
@@ -130,17 +125,19 @@ def _coerce(field: Field, value, path: str):
     raise AssertionError(f"unknown field kind {kind}")
 
 
-def _validate_params(definition: LayerDef, spec: PipelineSpec, path: str) -> dict:
-    known = {}
-    for f in definition.fields:
-        known[f.name] = f
-        for alias in f.aliases:
-            known[alias] = f
+_RESERVED = ("type", "name", "children")
+
+
+def _validate_params(definition: LayerDef, node: dict, path: str) -> dict:
+    """The node's inline fields, checked, coerced and completed with defaults."""
+    known = {key: f for f in definition.fields for key in (f.name, *f.aliases)}
     out = {}
-    for key, value in spec.params.items():
+    for key, value in node.items():
+        if key in _RESERVED:
+            continue
         if key not in known:
             raise PipelineError(
-                f"{path}.{key}: unknown parameter for layer type {spec.type!r} "
+                f"{path}.{key}: unknown parameter for layer type {node['type']!r} "
                 f"(known: {sorted(f.name for f in definition.fields)})"
             )
         f = known[key]
@@ -159,11 +156,12 @@ def _validate_params(definition: LayerDef, spec: PipelineSpec, path: str) -> dic
 class BuildContext:
     path: str
     name: str
+    type: str
     input_spec: ChannelSpec
     seed: int
     archive: Mapping[str, np.ndarray] | None
     params: dict
-    spec: PipelineSpec
+    children: list  # the raw child nodes
     builder: Callable
 
     def rng(self) -> np.random.Generator:
@@ -176,28 +174,29 @@ class BuildContext:
         if self.archive is None:
             return None
         prefix = f"{self.path}/"
-        local = {
+        return {
             key[len(prefix) :]: value
             for key, value in self.archive.items()
             if key.startswith(prefix) and "/" not in key[len(prefix) :]
         }
-        return local
 
     def build_child(
         self,
-        child: PipelineSpec,
         index: int,
         input_spec: ChannelSpec,
         parent_path: str | None = None,
         name: str | None = None,
     ):
-        name = name or child.name or f"{child.type}_{index}"
-        return self.builder(child, input_spec, parent_path or self.path, name)
+        """Checks and builds child ``index`` under ``parent_path`` (default:
+        this node's path), named ``name`` if given."""
+        return self.builder(
+            self.children[index], index, input_spec, parent_path or self.path, name
+        )
 
     def require_channel_rank(self, rank: int):
         if len(self.input_spec.shape) != rank:
             raise PipelineError(
-                f"{self.path}: layer type {self.spec.type!r} requires channel rank "
+                f"{self.path}: layer type {self.type!r} requires channel rank "
                 f"{rank}, got input spec {self.input_spec}"
             )
 
@@ -356,108 +355,75 @@ register(
 )
 
 
+def _chain(ctx, parent_path=None) -> list:
+    """Builds the children in order, each on its predecessor's output spec."""
+    spec, layers = ctx.input_spec, []
+    for i in range(len(ctx.children)):
+        layers.append(ctx.build_child(i, spec, parent_path))
+        spec = layers[-1].get_output_spec(spec)
+    return layers
+
+
 def _build_serial(ctx):
-    spec = ctx.input_spec
-    children = []
-    for i, child in enumerate(ctx.spec.children):
-        layer = ctx.build_child(child, i, spec)
-        spec = layer.get_output_spec(spec)
-        children.append(layer)
-    return Serial(children, name=ctx.name)
+    return Serial(_chain(ctx), name=ctx.name)
 
 
 def _build_parallel(ctx):
-    children = [ctx.build_child(c, i, ctx.input_spec) for i, c in enumerate(ctx.spec.children)]
+    children = [ctx.build_child(i, ctx.input_spec) for i in range(len(ctx.children))]
     return Parallel(children, combine=ctx.params["combine"], name=ctx.name)
 
 
 def _build_residual(ctx):
-    spec = ctx.input_spec
-    children = []
-    wrap = len(ctx.spec.children) > 1
-    body_path = f"{ctx.path}/body" if wrap else None
-    for i, child in enumerate(ctx.spec.children):
-        layer = ctx.build_child(child, i, spec, parent_path=body_path)
-        spec = layer.get_output_spec(spec)
-        children.append(layer)
-    body = children[0] if not wrap else Serial(children, name="body")
-    return Residual(body, name=ctx.name)
+    if len(ctx.children) == 1:
+        return Residual(ctx.build_child(0, ctx.input_spec), name=ctx.name)
+    return Residual(_chain(ctx, f"{ctx.path}/body"), name=ctx.name)
 
 
 def _build_repeat(ctx):
-    template = ctx.spec.children[0]
-
-    def make(i):
-        return ctx.build_child(template, i, ctx.input_spec, name=f"iter_{i}")
-
-    return Repeat(make, ctx.params["num_repeats"], name=ctx.name)
+    # every iteration is built, and so checked, from the one template child
+    return Repeat(
+        lambda i: ctx.build_child(0, ctx.input_spec, name=f"iter_{i}"),
+        ctx.params["num_repeats"],
+        name=ctx.name,
+    )
 
 
 def _build_bidirectional(ctx):
-    fwd = ctx.build_child(ctx.spec.children[0], 0, ctx.input_spec, name="forward")
-    bwd = ctx.build_child(ctx.spec.children[1], 1, ctx.input_spec, name="backward")
+    fwd = ctx.build_child(0, ctx.input_spec, name="forward")
+    bwd = ctx.build_child(1, ctx.input_spec, name="backward")
     return Bidirectional(fwd, bwd, combine=ctx.params["combine"], name=ctx.name)
 
 
 def _build_blockwise(ctx):
-    child = ctx.build_child(ctx.spec.children[0], 0, ctx.input_spec)
+    child = ctx.build_child(0, ctx.input_spec)
     return Blockwise(child, ctx.params["block_size"], name=ctx.name)
 
 
-register("serial", LayerDef(fields=(), build=_build_serial, children="many"))
-register("parallel", LayerDef(fields=(_COMBINE,), build=_build_parallel, children="many"))
-register("residual", LayerDef(fields=(), build=_build_residual, children="many"))
+register("serial", LayerDef(fields=(), build=_build_serial, children=None))
+register("parallel", LayerDef(fields=(_COMBINE,), build=_build_parallel, children=None))
+register("residual", LayerDef(fields=(), build=_build_residual, children=None))
 register(
     "repeat",
-    LayerDef(
-        fields=(Field("num_repeats", "int", required=True),), build=_build_repeat, children="one"
-    ),
+    LayerDef(fields=(Field("num_repeats", "int", required=True),), build=_build_repeat, children=1),
 )
-register(
-    "bidirectional", LayerDef(fields=(_COMBINE,), build=_build_bidirectional, children="two")
-)
+register("bidirectional", LayerDef(fields=(_COMBINE,), build=_build_bidirectional, children=2))
 register(
     "blockwise",
-    LayerDef(
-        fields=(Field("block_size", "int", required=True),), build=_build_blockwise, children="one"
-    ),
+    LayerDef(fields=(Field("block_size", "int", required=True),), build=_build_blockwise, children=1),
 )
 
 for _check_name, _factory in sabotage.FIXTURES.items():
 
     def _build_sabotage(ctx, factory=_factory):
         ctx.require_channel_rank(1)
-        return renamed(factory(ctx.input_spec.shape[0], ctx.rng()), ctx.name)
+        return renamed(
+            factory(ctx.input_spec.shape[0], ctx.rng(), ctx.layer_params()), ctx.name
+        )
 
     register(sabotage.TYPE_NAMES[_check_name], LayerDef(fields=(), build=_build_sabotage))
 
 
 # --- parsing ------------------------------------------------------------------
-
-_RESERVED = ("type", "name", "children")
-
-
-def _node_from_data(data, path: str) -> PipelineSpec:
-    if not isinstance(data, dict):
-        raise PipelineError(f"{path}: expected a mapping, got {type(data).__name__}")
-    if "type" not in data:
-        raise PipelineError(f"{path}: missing 'type'")
-    type_name = data["type"]
-    if not isinstance(type_name, str):
-        raise PipelineError(f"{path}.type: expected a string, got {type_name!r}")
-    name = data.get("name")
-    if name is not None and not isinstance(name, str):
-        raise PipelineError(f"{path}.name: expected a string, got {name!r}")
-    raw_children = data.get("children", [])
-    if raw_children is None:
-        raw_children = []
-    if not isinstance(raw_children, list):
-        raise PipelineError(f"{path}.children: expected a list")
-    children = tuple(
-        _node_from_data(c, f"{path}.children[{i}]") for i, c in enumerate(raw_children)
-    )
-    params = {k: v for k, v in data.items() if k not in _RESERVED}
-    return PipelineSpec(type=type_name, name=name, params=params, children=children)
 
 
 def _load_yaml(fp, path):
@@ -471,21 +437,15 @@ def _load_yaml(fp, path):
         raise SpecParseError(f"{path}: {where}{problem}") from exc
 
 
-def load_spec_file(path) -> tuple[PipelineSpec, ChannelSpec | None]:
-    """Parses a spec file into a PipelineSpec tree and its optional input spec.
-
-    No layers are created.
-    """
+def load_spec_file(path) -> tuple[Any, ChannelSpec | None]:
+    """Parses a spec file into its root node, as parsed YAML, and its
+    optional input spec. ``build`` checks the node."""
     with open(path, "r", encoding="utf-8") as fp:
         data = _load_yaml(fp, path)
-    input_spec = None
     if isinstance(data, dict) and "pipeline" in data:
-        if "input_spec" in data:
-            input_spec = parse_channel_spec(data["input_spec"])
-        node = _node_from_data(data["pipeline"], "pipeline")
-    else:
-        node = _node_from_data(data, data.get("type", "pipeline") if isinstance(data, dict) else "pipeline")
-    return node, input_spec
+        input_spec = parse_channel_spec(data["input_spec"]) if "input_spec" in data else None
+        return data["pipeline"], input_spec
+    return data, None
 
 
 _DTYPE_NAMES = {"f32": tensor.FLOAT32, "i32": tensor.INT32, "bool": tensor.BOOL}
@@ -550,60 +510,63 @@ def load_manifest(path) -> RunManifest:
 
 # --- building -----------------------------------------------------------------
 
-_CHILD_COUNT_RULES = {"none": (0, 0), "many": (0, None), "one": (1, 1), "two": (2, 2)}
-
-
-def validate_spec(spec: PipelineSpec, path: str | None = None) -> None:
-    """Structural validation without materializing anything."""
-    path = path or spec.type
-    if spec.type not in _REGISTRY:
-        raise PipelineError(
-            f"{path}: unknown layer type {spec.type!r}; known types: {registered_types()}"
-        )
-    definition = _REGISTRY[spec.type]
-    _validate_params(definition, spec, path)
-    lo, hi = _CHILD_COUNT_RULES[definition.children]
-    n = len(spec.children)
-    if n < lo or (hi is not None and n > hi):
-        expected = {"none": "no children", "one": "exactly 1 child", "two": "exactly 2 children"}.get(
-            definition.children, "children"
-        )
-        raise PipelineError(f"{path}: layer type {spec.type!r} takes {expected}, got {n}")
-    names = [c.name for c in spec.children if c.name is not None]
-    dupes = {n for n in names if names.count(n) > 1}
-    if dupes:
-        raise PipelineError(f"{path}: duplicate child names {sorted(dupes)}")
-    for i, child in enumerate(spec.children):
-        validate_spec(child, f"{path}.children[{i}]")
-
 
 def build(
-    spec: PipelineSpec,
+    node,
     input_spec: ChannelSpec,
     seed: int = 0,
     archive: Mapping[str, np.ndarray] | None = None,
 ) -> SequenceLayer:
-    """Materializes the layer tree described by a validated spec.
+    """Checks and materializes the layer tree of a parsed spec node.
 
     Parameters come from the archive when given, otherwise from a
     deterministic per-path RNG derived from the seed: building the same spec
     twice with the same seed yields identical parameters.
     """
-    validate_spec(spec)
 
-    def builder(node: PipelineSpec, node_input: ChannelSpec, parent_path: str | None, name: str):
-        definition = _REGISTRY[node.type]
+    def builder(node, index: int | None, node_input: ChannelSpec, parent_path, name):
+        path = "pipeline" if parent_path is None else f"{parent_path}/children[{index}]"
+        if not isinstance(node, dict):
+            raise PipelineError(f"{path}: expected a mapping, got {type(node).__name__}")
+        if "type" not in node:
+            raise PipelineError(f"{path}: missing 'type'")
+        type_name = node["type"]
+        if not isinstance(type_name, str):
+            raise PipelineError(f"{path}.type: expected a string, got {type_name!r}")
+        own_name = node.get("name")
+        if own_name is not None and not isinstance(own_name, str):
+            raise PipelineError(f"{path}.name: expected a string, got {own_name!r}")
+        name = name or own_name or (type_name if index is None else f"{type_name}_{index}")
         path = name if parent_path is None else f"{parent_path}/{name}"
-        display = path.replace("/", ".")
-        params = _validate_params(definition, node, display)
+        children = [] if node.get("children") is None else node["children"]
+        if not isinstance(children, list):
+            raise PipelineError(f"{path}.children: expected a list")
+        definition = _REGISTRY.get(type_name)
+        if definition is None:
+            raise PipelineError(
+                f"{path}: unknown layer type {type_name!r}; known types: {registered_types()}"
+            )
+        params = _validate_params(definition, node, path)
+        count = definition.children
+        if count is not None and len(children) != count:
+            takes = ("no children", "exactly 1 child", "exactly 2 children")[count]
+            raise PipelineError(
+                f"{path}: layer type {type_name!r} takes {takes}, got {len(children)}"
+            )
+        names = [c.get("name") for c in children if isinstance(c, dict)]
+        names = [n for n in names if isinstance(n, str)]
+        dupes = {n for n in names if names.count(n) > 1}
+        if dupes:
+            raise PipelineError(f"{path}: duplicate child names {sorted(dupes)}")
         ctx = BuildContext(
             path=path,
             name=name,
+            type=type_name,
             input_spec=node_input,
             seed=seed,
             archive=archive,
             params=params,
-            spec=node,
+            children=children,
             builder=builder,
         )
         try:
@@ -611,6 +574,6 @@ def build(
         except PipelineError:
             raise
         except (ValueError, TypeError) as exc:
-            raise PipelineError(f"{display}: {exc}") from exc
+            raise PipelineError(f"{path}: {exc}") from exc
 
-    return builder(spec, input_spec, None, spec.name or spec.type)
+    return builder(node, None, input_spec, None, None)

@@ -92,53 +92,21 @@ def _map_period(ratio: Fraction, *lengths: int) -> int:
 def _span_union(rf_per_step: dict, ratio: Fraction, lo, hi):
     """Union of rf_at over all integer steps in [lo, hi]; bounds may be ±inf.
 
-    Exploits periodicity: the left endpoint is minimized within the first
-    period of the span and the right endpoint maximized within the last.
+    Shifting a step by one period shifts its interval later, so the union
+    starts within the span's first period and ends within its last; an
+    infinite span bound is the union's bound. Whether a step depends on any
+    input repeats with the period, so one period decides an empty union.
     """
     period = len(rf_per_step)
-    if all(rf is None for rf in rf_per_step.values()):
+    first = int(lo) if math.isfinite(lo) else int(hi) - period + 1 if math.isfinite(hi) else 0
+    last = int(hi) if math.isfinite(hi) else first + period - 1
+    head = [rf_at(rf_per_step, ratio, u) for u in range(first, min(first + period, last + 1))]
+    tail = [rf_at(rf_per_step, ratio, u) for u in range(max(last - period + 1, first), last + 1)]
+    starts = [rf[0] for rf in head if rf is not None]
+    if not starts:
         return None
-
-    if lo == -math.inf and hi == math.inf:
-        return -math.inf, math.inf
-
-    start: int | float
-    end: int | float
-    if lo == -math.inf:
-        start = -math.inf
-        end = max(
-            (rf_at(rf_per_step, ratio, u)[1] for u in range(int(hi) - period + 1, int(hi) + 1)
-             if rf_at(rf_per_step, ratio, u) is not None),
-            default=None,
-        )
-        if end is None:
-            return None
-        return start, end
-    if hi == math.inf:
-        end = math.inf
-        start = min(
-            (rf_at(rf_per_step, ratio, u)[0] for u in range(int(lo), int(lo) + period)
-             if rf_at(rf_per_step, ratio, u) is not None),
-            default=None,
-        )
-        if start is None:
-            return None
-        return start, end
-
-    lo, hi = int(lo), int(hi)
-    if hi - lo + 1 <= 2 * period:
-        probes = range(lo, hi + 1)
-        out = None
-        for u in probes:
-            out = rf_union(out, rf_at(rf_per_step, ratio, u))
-        return out
-    first = [rf_at(rf_per_step, ratio, u) for u in range(lo, lo + period)]
-    last = [rf_at(rf_per_step, ratio, u) for u in range(hi - period + 1, hi + 1)]
-    starts = [rf[0] for rf in first if rf is not None]
-    ends = [rf[1] for rf in last if rf is not None]
-    if not starts or not ends:
-        return None
-    return min(starts), max(ends)
+    ends = [rf[1] for rf in tail if rf is not None]
+    return (min(starts) if math.isfinite(lo) else lo), (max(ends) if math.isfinite(hi) else hi)
 
 
 def compose_rf_maps(

@@ -160,22 +160,27 @@ class BlockSeededDropout(SequenceLayer):
         return self.layer(x, training=training, constants=constants), state.advanced(x.time)
 
 
-#: check name -> factory(in_channels, rng) for the fixture that must trip it
+#: check name -> factory(in_channels, rng, params=None) for the fixture that
+#: must trip it; ``params`` is an archive of the fixture's own parameters
 FIXTURES = {
-    "layer_step_equal_1x": lambda ch, rng: StaleBufferConv(
-        ch, 3, 3, padding="causal", rng=rng, name="stale_buffer_conv"
+    "layer_step_equal_1x": lambda ch, rng, params=None: StaleBufferConv(
+        ch, 3, 3, padding="causal", params=params, rng=rng, name="stale_buffer_conv"
     ),
-    "layer_step_equal_2x": lambda ch, rng: FirstBlockOnly(name="first_block_only"),
-    "metadata_consistency": lambda ch, rng: WrongRatioIdentity(name="wrong_ratio"),
-    "receptive_field_empirical": lambda ch, rng: UnderdeclaredRFConv(
-        ch, 3, rng=rng, name="underdeclared_rf"
+    "layer_step_equal_2x": lambda ch, rng, params=None: FirstBlockOnly(name="first_block_only"),
+    "metadata_consistency": lambda ch, rng, params=None: WrongRatioIdentity(name="wrong_ratio"),
+    "receptive_field_empirical": lambda ch, rng, params=None: UnderdeclaredRFConv(
+        ch, 3, params=params, rng=rng, name="underdeclared_rf"
     ),
-    "batching_invariance": lambda ch, rng: BatchMixingDense(name="batch_mixing"),
-    "padding_invariance": lambda ch, rng: LeakyConv(
-        ch, 3, 3, padding="reverse_causal", rng=rng, name="leaky_conv"
+    "batching_invariance": lambda ch, rng, params=None: BatchMixingDense(name="batch_mixing"),
+    "padding_invariance": lambda ch, rng, params=None: LeakyConv(
+        ch, 3, 3, padding="reverse_causal", params=params, rng=rng, name="leaky_conv"
     ),
-    "emits_consistency": lambda ch, rng: ShapeShiftingEmits(name="shape_shifting_emits"),
-    "rng_equivalence": lambda ch, rng: BlockSeededDropout(seed=3, name="block_seeded_dropout"),
+    "emits_consistency": lambda ch, rng, params=None: ShapeShiftingEmits(
+        name="shape_shifting_emits"
+    ),
+    "rng_equivalence": lambda ch, rng, params=None: BlockSeededDropout(
+        seed=3, name="block_seeded_dropout"
+    ),
 }
 
 #: check name -> pipeline registry type name of its fixture

@@ -459,7 +459,10 @@ class Delay(SequenceLayer):
     """Shifts the stream later by ``length`` steps, entering invalid steps.
 
     The shift happens identically in layer and step mode, so the layer has
-    no latency in the protocol sense.
+    no latency in the protocol sense. Output step t is valid only where both
+    the delayed input step t - length and the current input step t are
+    valid; its values are zero elsewhere. So the output ends where the input
+    does, and a lookahead layer downstream never reads past the input's end.
     """
 
     def __init__(self, length, name=None):
@@ -472,10 +475,15 @@ class Delay(SequenceLayer):
     def receptive_field_per_step(self):
         return {0: (-self.length, -self.length)}
 
+    @staticmethod
+    def _gate(delayed: Sequence, x: Sequence) -> Sequence:
+        mask = np.logical_and(np.asarray(delayed.mask), np.asarray(x.mask))
+        return Sequence(delayed.values, mask).mask_invalid()
+
     def layer(self, x, *, training, constants=None):
         if self.length == 0:
             return x
-        return x.mask_invalid().pad_time(self.length, 0, valid=False)[:, : x.time]
+        return self._gate(x.mask_invalid().pad_time(self.length, 0, valid=False)[:, : x.time], x)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return delay_line(batch_size, self.length, input_spec)
@@ -484,7 +492,8 @@ class Delay(SequenceLayer):
         self._check_block(x)
         if self.length == 0:
             return x, state
-        return delay_step(x, state)
+        y, state = delay_step(x, state)
+        return self._gate(y, x), state
 
 
 class StepDelay(Delay):
@@ -494,6 +503,8 @@ class StepDelay(Delay):
     layer's output latency is ``length``. Inserting one before a
     downsampling layer aligns an odd accumulated stream delay to the
     downsampler's stride without altering what the pipeline computes.
+    Because layer() is the identity, step() is the plain delay line, without
+    :class:`Delay`'s gating by the current input step.
     """
 
     @property
@@ -510,6 +521,10 @@ class StepDelay(Delay):
 
     def layer(self, x, *, training, constants=None):
         return x
+
+    def step(self, x, state: Sequence, *, training, constants=None):
+        self._check_block(x)
+        return delay_step(x, state)
 
 
 class Lookahead(SequenceLayer):
@@ -625,12 +640,11 @@ class OverlapAdd(SequenceLayer):
 
     The inverse of :class:`Frame` for non-overlapping (rectangular) configs.
     Input channel shape (frame_length, ...); output drops the frame axis.
-    A position is final only once every overlapping frame has arrived, so
-    emission runs frame_length - hop output steps behind the input.
+    Output position p sums the frames t with ``t * hop <= p``, so frame t's
+    ``hop`` positions are final once it arrives: there is no latency.
 
-    Step state: ``carry``, the :func:`overlap_add` partial sums of the next
-    ``(ceil(frame_length / hop) - 1) * hop`` positions, and ``delay``, a
-    delay line of the last ``frame_length - hop`` finished positions.
+    Step state: the :func:`overlap_add` carry, the partial sums of the next
+    ``(ceil(frame_length / hop) - 1) * hop`` positions.
     """
 
     def __init__(self, frame_length, hop, name=None):
@@ -645,14 +659,6 @@ class OverlapAdd(SequenceLayer):
     @property
     def output_ratio(self):
         return Fraction(self.hop)
-
-    @property
-    def output_latency(self):
-        return self.frame_length - self.hop
-
-    @property
-    def input_latency(self):
-        return -(-(self.frame_length - self.hop) // self.hop)
 
     @property
     def receptive_field_per_step(self):
@@ -689,16 +695,9 @@ class OverlapAdd(SequenceLayer):
         return self._sum(x, self._zero_carry(x.batch_size, x.channel_shape, x.dtype))[0]
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return {
-            "carry": self._zero_carry(batch_size, input_spec.shape, input_spec.dtype),
-            "delay": delay_line(
-                batch_size, self.output_latency, self.get_output_spec(input_spec)
-            ),
-        }
+        return self._zero_carry(batch_size, input_spec.shape, input_spec.dtype)
 
     def step(self, x, state, *, training, constants=None):
         self._check(x.channel_shape)
         self._check_block(x)
-        y, carry = self._sum(x, state["carry"])
-        y, delay = delay_step(y, state["delay"])
-        return y, {"carry": carry, "delay": delay}
+        return self._sum(x, state)

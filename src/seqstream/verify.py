@@ -30,6 +30,7 @@ Failures land in the returned report, never as exceptions.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import json
 import math
 
@@ -190,12 +191,8 @@ def _leading_invalid(seq: Sequence) -> int:
     return int(nz[0]) if nz.size else seq.time
 
 
-def _check_equivalence(layer, x, blocks: int, training: bool, constants):
-    y = layer.layer(x, training=training, constants=constants)
-    ys = step_by_step(
-        layer, x, training=training, block=blocks * layer.block_size, constants=constants
-    )
-    return compare(y, ys, TOLERANCE, f"blocks={blocks}x")
+def _check_equivalence(layer_out, streamed, blocks: int, training: bool):
+    return compare(layer_out(training), streamed(blocks, training), TOLERANCE, f"blocks={blocks}x")
 
 
 def _probe_dependencies(layer, input_spec, cfg, constants):
@@ -341,7 +338,7 @@ def _check_receptive_field(layer, input_spec, cfg, constants):
     return None, metrics
 
 
-def _check_metadata(layer, input_spec, cfg, constants):
+def _check_metadata(layer, input_spec, cfg, constants, x, layer_out):
     props = layer.properties  # validates internal consistency
     block = props.block_size
     metrics = {
@@ -351,8 +348,8 @@ def _check_metadata(layer, input_spec, cfg, constants):
         "output_latency": props.output_latency,
     }
     for time in (block, 2 * block, 3 * block, 2 * block + 1):
-        x = _random_input(layer, input_spec, cfg, time=time)
-        y = layer.layer(x, training=False, constants=constants)
+        xt = _random_input(layer, input_spec, cfg, time=time)
+        y = layer.layer(xt, training=False, constants=constants)
         expected_time = layer.output_time(time)
         if y.time != expected_time:
             return (
@@ -360,7 +357,7 @@ def _check_metadata(layer, input_spec, cfg, constants):
                 f"output_time predicts {expected_time}",
                 metrics,
             )
-        declared_spec = layer.get_output_spec(x.channel_spec, constants)
+        declared_spec = layer.get_output_spec(xt.channel_spec, constants)
         if y.channel_spec != declared_spec:
             return (
                 f"output spec {y.channel_spec} does not match get_output_spec "
@@ -369,7 +366,6 @@ def _check_metadata(layer, input_spec, cfg, constants):
             )
     if not props.supports_step:
         return None, metrics
-    x = _random_input(layer, input_spec, cfg)
     if block > 1:
         state = layer.get_initial_state(
             x.batch_size, x.channel_spec, training=False, constants=constants
@@ -379,7 +375,7 @@ def _check_metadata(layer, input_spec, cfg, constants):
             return f"step() accepted {block + 1} steps with block_size {block}", metrics
         except BlockSizeError:
             pass
-    y = layer.layer(x, training=False, constants=constants)
+    y = layer_out(False)
     padded = x.pad_time(0, props.input_latency, valid=False)
     raw, _, _ = stream_blocks(layer, padded, training=False, constants=constants)
     measured = _leading_invalid(raw) - _leading_invalid(y)
@@ -392,9 +388,8 @@ def _check_metadata(layer, input_spec, cfg, constants):
     return None, metrics
 
 
-def _check_batching(layer, input_spec, cfg, constants):
-    x = _random_input(layer, input_spec, cfg)
-    y = layer.layer(x, training=False, constants=constants)
+def _check_batching(layer, input_spec, cfg, constants, x, layer_out):
+    y = layer_out(False)
     rng = np.random.default_rng(cfg.seed + 1)
     perm = rng.permutation(x.batch_size)
     invalid_row = Sequence(
@@ -437,9 +432,8 @@ def _permute_constants(constants, perm, extra_rows: int = 0):
     return out
 
 
-def _check_padding(layer, input_spec, cfg, constants):
-    x = _random_input(layer, input_spec, cfg)
-    y = layer.layer(x, training=False, constants=constants)
+def _check_padding(layer, constants, x, layer_out, streamed):
+    y = layer_out(False)
     # (a) extra end padding
     extra = 2 * layer.block_size
     padded = x.pad_time(0, extra, valid=False)
@@ -454,7 +448,7 @@ def _check_padding(layer, input_spec, cfg, constants):
     if failure:
         return failure, metrics
     if layer.supports_step:
-        ys = step_by_step(layer, x, training=False, constants=constants)
+        ys = streamed(1, False)
         ys_poison = step_by_step(layer, poisoned, training=False, constants=constants)
         failure, metrics = compare(ys, ys_poison, TOLERANCE, "poisoned step()")
         if failure:
@@ -474,9 +468,8 @@ def _tree_signature(emits):
     return ("leaf", type(emits).__name__)
 
 
-def _check_emits(layer, input_spec, cfg, constants):
-    x = _random_input(layer, input_spec, cfg)
-    y_plain = layer.layer(x, training=False, constants=constants)
+def _check_emits(layer, constants, x, layer_out):
+    y_plain = layer_out(False)
     y_emits, emits = layer.layer_with_emits(x, training=False, constants=constants)
     failure, _ = compare(y_plain, y_emits, TOLERANCE, "layer vs layer_with_emits")
     if failure:
@@ -522,26 +515,43 @@ def verify_contract(
 
     steppable = layer.supports_step
     step_skip = None if steppable else "layer does not support stepping"
-    x_eq = _random_input(layer, input_spec, cfg)
+    # the checks share one input and its reference outputs; a call that
+    # raises is not cached, so it fails every check that needs it
+    x = _random_input(layer, input_spec, cfg)
+
+    @functools.cache
+    def layer_out(training):
+        return layer.layer(x, training=training, constants=constants)
+
+    @functools.cache
+    def streamed(blocks, training):
+        block = blocks * layer.block_size
+        return step_by_step(layer, x, training=training, block=block, constants=constants)
 
     run(
         "layer_step_equal_1x",
-        lambda: _check_equivalence(layer, x_eq, 1, False, constants),
+        lambda: _check_equivalence(layer_out, streamed, 1, False),
         skip_reason=step_skip,
     )
     run(
         "layer_step_equal_2x",
-        lambda: _check_equivalence(layer, x_eq, 2, False, constants),
+        lambda: _check_equivalence(layer_out, streamed, 2, False),
         skip_reason=step_skip,
     )
-    run("metadata_consistency", lambda: _check_metadata(layer, input_spec, cfg, constants))
+    run(
+        "metadata_consistency",
+        lambda: _check_metadata(layer, input_spec, cfg, constants, x, layer_out),
+    )
     run(
         "receptive_field_empirical",
         lambda: _check_receptive_field(layer, input_spec, cfg, constants),
     )
-    run("batching_invariance", lambda: _check_batching(layer, input_spec, cfg, constants))
-    run("padding_invariance", lambda: _check_padding(layer, input_spec, cfg, constants))
-    run("emits_consistency", lambda: _check_emits(layer, input_spec, cfg, constants))
+    run(
+        "batching_invariance",
+        lambda: _check_batching(layer, input_spec, cfg, constants, x, layer_out),
+    )
+    run("padding_invariance", lambda: _check_padding(layer, constants, x, layer_out, streamed))
+    run("emits_consistency", lambda: _check_emits(layer, constants, x, layer_out))
 
     if not layer.is_stochastic:
         run("rng_equivalence", None, skip_reason="deterministic layer")
@@ -550,12 +560,10 @@ def verify_contract(
     else:
 
         def rng_check():
-            failure, metrics = _check_equivalence(layer, x_eq, 1, True, constants)
-            if failure:
-                return f"training=True {failure}", metrics
-            failure, metrics = _check_equivalence(layer, x_eq, 2, True, constants)
-            if failure:
-                return f"training=True {failure}", metrics
+            for blocks in (1, 2):
+                failure, metrics = _check_equivalence(layer_out, streamed, blocks, True)
+                if failure:
+                    return f"training=True {failure}", metrics
             return None, metrics
 
         run("rng_equivalence", rng_check)

@@ -107,8 +107,10 @@ def test_bad_manifest_seed_exits_2(workdir, capsys, command, seed):
         (SPEC.replace("f32[3]", "5"), "input_spec"),
         (SPEC.replace("f32[3]", "f32[a]"), "input_spec"),
         (SPEC + "# \x07\n", "#x0007"),
+        (SPEC.replace("    - {type: dense, units: 2}", "    - dense"), "tiny/children[0]: "),
+        ("pipeline: [dense]\ninput_spec: f32[3]\n", "pipeline: expected a mapping"),
     ],
-    ids=["input_spec_int", "input_spec_letters", "control_byte"],
+    ids=["input_spec_int", "input_spec_letters", "control_byte", "child_string", "root_list"],
 )
 def test_hostile_spec_file_exits_2(workdir, capsys, command, spec_text, expect):
     (workdir / "spec.yaml").write_text(spec_text)

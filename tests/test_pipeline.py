@@ -198,7 +198,27 @@ ERRORS = {
     "constructor error names the node": (
         "{type: serial, name: s, children: [{type: delay, length: -1}]}",
         "f32[3]",
-        "s.delay_0: delay length must be >= 0, got -1",
+        "s/delay_0: delay length must be >= 0, got -1",
+    ),
+    "nested field": (
+        "{type: serial, children: [{type: dense, units: 2.5}]}",
+        "f32[3]",
+        "serial/dense_0.units: expected an integer, got 2.5",
+    ),
+    "residual without children": (
+        "{type: residual}",
+        "f32[3]",
+        "residual: residual requires at least one child",
+    ),
+    "non-mapping child": (
+        "{type: serial, children: [{type: relu}, relu]}",
+        "f32[3]",
+        "serial/children[1]: expected a mapping, got str",
+    ),
+    "non-mapping root": (
+        "[{type: relu}]",
+        "f32[3]",
+        "pipeline: expected a mapping, got list",
     ),
 }
 
@@ -280,7 +300,7 @@ def test_bundled_spec_parameters_are_pinned(name):
     assert digest.hexdigest()[:16] == SPEC_CHECKSUMS[name]
 
 
-@pytest.mark.parametrize("name", REAL_SPECS)
+@pytest.mark.parametrize("name", REAL_SPECS + ["sabotage_rf"])
 def test_archive_round_trip_reproduces_parameters(name):
     layer, input_spec = build_bundled(name)
     named = collect_parameters(layer)

@@ -6,11 +6,13 @@ hand-built per-step maps.
 """
 
 import math
+import random
 from fractions import Fraction
 
 import pytest
 
 from seqstream.receptive_field import (
+    _span_union,
     compose_rf_maps,
     format_rf,
     format_rf_map,
@@ -112,6 +114,24 @@ def test_compose_large_finite_spans_probe_periodically():
     got = compose_rf_maps(TCONV_K1_S2, Fraction(2), attn_past4, Fraction(1))
     # output step 0 consults intermediate steps -64..0; only even ones map back
     assert got == {0: (-32, 0), 1: (-31, 0)}
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_span_union_matches_brute_force_over_finite_spans(seed):
+    rnd = random.Random(seed)
+    for _ in range(500):
+        ratio = Fraction(rnd.randint(1, 4), rnd.randint(1, 4))
+        period = ratio.numerator * rnd.randint(1, 3)
+        rf_map = {}
+        for s in range(period):
+            start = rnd.randint(-6, 6)
+            rf_map[s] = None if rnd.random() < 0.25 else (start, start + rnd.randint(0, 5))
+        lo = rnd.randint(-20, 20)
+        hi = lo + rnd.randint(0, 3 * period)
+        expect = None
+        for u in range(lo, hi + 1):
+            expect = rf_union(expect, rf_at(rf_map, ratio, u))
+        assert _span_union(rf_map, ratio, lo, hi) == expect, (rf_map, ratio, lo, hi)
 
 
 def test_union_maps_expands_periods():

@@ -315,8 +315,8 @@ class TestFrameWindowOverlapAdd:
         assert frame.receptive_field == (0, 3)
         ola = sl.OverlapAdd(4, 2)
         assert ola.output_ratio == Fraction(2)
-        assert ola.output_latency == 2
-        assert ola.input_latency == 1
+        assert ola.output_latency == 0
+        assert ola.input_latency == 0
 
     def test_hann_symmetric_endpoints_zero(self):
         curve = window_curve("hann", 9)

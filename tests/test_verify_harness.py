@@ -134,6 +134,14 @@ def test_delay_passes_and_lookahead_passes():
         assert report.passed, report.render()
 
 
+@pytest.mark.parametrize("layer", [sl.Delay(4), sl.Lookahead(3)], ids=["delay4", "lookahead3"])
+def test_latency_is_measured_on_the_shared_input(layer):
+    # a latency longer than the short shape-check inputs must still be
+    # measured against the layer output of the same input
+    report = verify_contract(layer, SPEC3)
+    assert report.passed, report.render()
+
+
 def test_full_catalog_passes():
     rng = np.random.default_rng(8)
     catalog = [
@@ -182,6 +190,29 @@ def test_overlap_add_output_is_not_masked_for_a_lookahead_consumer():
         [sl.OverlapAdd(4, 2), sl.Conv1D(3, 2, 3, padding="same", rng=np.random.default_rng(0))]
     )
     report = verify_contract(layer, ChannelSpec((4, 3)))
+    assert report.passed, report.render()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sl.Serial([sl.Delay(2), sl.MaxPooling1D(2, padding="same")]),
+        lambda: sl.Serial(
+            [
+                sl.Delay(1),
+                sl.DotProductSelfAttention(
+                    4, 2, 4, max_past_horizon=2, max_future_horizon=1,
+                    rng=np.random.default_rng(0),
+                ),
+            ]
+        ),
+    ],
+    ids=["max_pool_same", "attention_future"],
+)
+def test_delay_output_ends_with_the_input_for_a_lookahead_consumer(make):
+    # a delayed step past the input's end is invalid, so a lookahead layer
+    # downstream reads the same steps whatever the end padding
+    report = verify_contract(make(), ChannelSpec((4,)))
     assert report.passed, report.render()
 
 
