@@ -146,14 +146,13 @@ class DotProductSelfAttention(SequenceLayer):
         weights = np.exp(np.subtract(logits, peak, out=logits), out=logits)
         denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
         context = (weights @ v.transpose(0, 2, 1, 3)) / denom  # [B, H, Tq, U]
-        context = np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
-        return tensor.freeze(context)
+        return np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
 
     def layer(self, x, *, training, constants=None):
         q, k, v = self._project(x)
         positions = np.arange(x.time)
         context = self._attend(q, positions, x.mask, k, v, positions, x.mask)
-        return Sequence(context, x.mask, masked=True)
+        return Sequence._wrap(context, x.mask, masked=True)
 
     # -- streaming ---------------------------------------------------------
 
@@ -194,4 +193,4 @@ class DotProductSelfAttention(SequenceLayer):
             "pending_q": queries[:, time:],
             "pending_mask": query_mask[:, time:],
         }
-        return Sequence(context, out_mask, masked=True), new_state
+        return Sequence._wrap(context, out_mask, masked=True), new_state

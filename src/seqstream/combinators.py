@@ -14,9 +14,11 @@ upstream delay is not a multiple of its stride would consume misaligned
 blocks, so such chains report supports_step = False and name the child; a
 Delay inserted before it restores alignment.
 
-Parallel children may disagree on latency: faster children are delayed
-inside step() by per-child FIFOs so all branches emit the same stream
-positions, and the combinator reports the maximum latencies.
+Parallel children must agree on output length for every input length, which
+is checked at construction over one period of their block sizes. They may
+disagree on latency: faster children are delayed inside step() by per-child
+FIFOs so all branches emit the same stream positions, and the combinator
+reports the maximum latencies.
 """
 
 from __future__ import annotations
@@ -78,6 +80,28 @@ def _combine_specs(specs, mode: str) -> ChannelSpec:
     return ChannelSpec(first.shape[:-1] + (last,), first.dtype)
 
 
+#: the longest period of child block sizes whose output lengths are checked
+MAX_OUTPUT_TIME_PERIOD = 4096
+
+
+def _check_output_times(children, kind: str) -> None:
+    """Raises unless the children agree on output length for every input
+    length; lengths repeat with the period of the children's block sizes."""
+    sizes = [c.block_size for c in children]
+    period = math.lcm(*sizes)
+    if period > MAX_OUTPUT_TIME_PERIOD:
+        raise SpecMismatchError(
+            f"{kind} children's block sizes {sizes} repeat every {period} steps; "
+            f"at most {MAX_OUTPUT_TIME_PERIOD} is supported"
+        )
+    for time in range(1, period + 1):
+        lengths = [c.output_time(time) for c in children]
+        if len(set(lengths)) != 1:
+            raise SpecMismatchError(
+                f"{kind} children disagree on output length for input length {time}: {lengths}"
+            )
+
+
 def _combine_outputs(outputs, mode: str) -> Sequence:
     time = {y.time for y in outputs}
     if len(time) != 1:
@@ -100,7 +124,10 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
         if mode == "mean":
             total = (total / np.float32(len(arrays))).astype(arrays[0].dtype)
         values = total
-    return Sequence(values, mask)
+    if len({y.dtype for y in outputs}) != 1:
+        # numpy promotes mixed branch dtypes; validating canonicalizes them
+        return Sequence(values, mask)
+    return Sequence._wrap(values, mask)
 
 
 class _Composite(Emitting):
@@ -246,6 +273,7 @@ class Parallel(_Composite):
                 f"parallel children must share an output ratio, got "
                 f"{[str(c.output_ratio) for c in children]}"
             )
+        _check_output_times(children, "parallel")
         self.combine = combine
         self._children = _unique_names(children)
 
@@ -275,13 +303,7 @@ class Parallel(_Composite):
         return all(c.supports_step for c in self._children)
 
     def output_time(self, input_time):
-        times = {c.output_time(input_time) for c in self._children}
-        if len(times) != 1:
-            raise SpecMismatchError(
-                f"{self.name}: children disagree on output length for input "
-                f"{input_time}: {sorted(times)}"
-            )
-        return times.pop()
+        return self._children[0].output_time(input_time)
 
     def get_output_spec(self, input_spec, constants=None):
         specs = [c.get_output_spec(input_spec, constants) for c in self._children]
@@ -390,6 +412,7 @@ class Bidirectional(SequenceLayer):
                 raise SpecMismatchError(
                     f"bidirectional requires ratio-1 children, got {child.output_ratio}"
                 )
+        _check_output_times([forward, backward], "bidirectional")
         self.forward, self.backward = _unique_names([forward, backward])
         self.combine = combine
 

@@ -16,6 +16,7 @@ import numpy as np
 from scipy import special
 
 from . import params as params_lib
+from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
 from .layer import Constants, Emitting, RngCounter, SequenceLayer, State, StatelessLayer
 from .sequence import ChannelSpec, Sequence
@@ -76,7 +77,7 @@ class Dense(StatelessLayer):
                 f"{self.name}: expected final channel extent {self.in_features}, "
                 f"got {input_spec.shape}"
             )
-        return ChannelSpec(input_spec.shape[:-1] + (self.units,), input_spec.dtype)
+        return ChannelSpec(input_spec.shape[:-1] + (self.units,), np.float32)
 
     def layer(self, x, *, training, constants=None):
         if not x.channel_shape or x.channel_shape[-1] != self.in_features:
@@ -87,7 +88,7 @@ class Dense(StatelessLayer):
         y = np.einsum("...i,io->...o", np.asarray(x.values), self._params["weight"], optimize=False)
         if self.use_bias:
             y = y + self._params["bias"]
-        return Sequence(np.asarray(y, dtype=np.float32), x.mask)
+        return Sequence._wrap(np.asarray(y, dtype=np.float32), x.mask)
 
 
 class Scale(StatelessLayer):
@@ -96,6 +97,9 @@ class Scale(StatelessLayer):
     def __init__(self, value, name=None):
         super().__init__(name)
         self.value = np.asarray(value, dtype=np.float32)
+
+    def get_output_spec(self, input_spec, constants=None):
+        return ChannelSpec(input_spec.shape, np.float32)
 
     def layer(self, x, *, training, constants=None):
         return x.apply_values(lambda v: v * self.value, zero_preserving=True)
@@ -107,6 +111,9 @@ class Add(StatelessLayer):
     def __init__(self, value, name=None):
         super().__init__(name)
         self.value = np.asarray(value, dtype=np.float32)
+
+    def get_output_spec(self, input_spec, constants=None):
+        return ChannelSpec(input_spec.shape, np.float32)
 
     def layer(self, x, *, training, constants=None):
         zero_preserving = bool(np.all(self.value == 0))
@@ -192,7 +199,7 @@ class Softmax(StatelessLayer):
         shifted = v - np.max(v, axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / np.sum(e, axis=axis, keepdims=True)
-        return Sequence(out.astype(x.dtype), x.mask)
+        return Sequence._wrap(out.astype(x.dtype), x.mask)
 
 
 class _Normalization(StatelessLayer):
@@ -220,7 +227,7 @@ class _Normalization(StatelessLayer):
 
     def get_output_spec(self, input_spec, constants=None):
         self._check(input_spec.shape)
-        return input_spec
+        return ChannelSpec(input_spec.shape, np.float32)
 
 
 class LayerNormalization(_Normalization):
@@ -237,7 +244,7 @@ class LayerNormalization(_Normalization):
         var = np.mean(np.square(centered), axis=axes, keepdims=True)
         normed = centered / np.sqrt(var + np.float32(self.epsilon))
         out = normed * self._params["scale"] + self._params["offset"]
-        return Sequence(out.astype(np.float32), x.mask)
+        return Sequence._wrap(out.astype(np.float32), x.mask)
 
 
 class RMSNormalization(_Normalization):
@@ -252,7 +259,7 @@ class RMSNormalization(_Normalization):
         ms = np.mean(np.square(v), axis=axes, keepdims=True)
         out = v / np.sqrt(ms + np.float32(self.epsilon)) * self._params["scale"]
         # f(0) = 0, so a masked input stays masked
-        return Sequence(out.astype(np.float32), x.mask, masked=x.masked)
+        return Sequence._wrap(out.astype(np.float32), x.mask, masked=x.masked)
 
 
 # --- dropout ----------------------------------------------------------------
@@ -317,7 +324,7 @@ class Dropout(SequenceLayer):
         keep = (u < (1.0 - self.rate)).reshape((batch, time) + x.channel_shape)
         scale = np.float32(1.0 / (1.0 - self.rate))
         values = np.where(keep, np.asarray(x.values) * scale, np.float32(0))
-        return Sequence(values, x.mask, masked=x.masked)
+        return Sequence._wrap(values, x.mask, masked=x.masked)
 
     def layer(self, x, *, training, constants=None):
         if not training or self.rate == 0:
@@ -473,20 +480,22 @@ class Conditioning(SequenceLayer):
 
     def get_output_spec(self, input_spec, constants=None):
         cond = self._lookup(constants)
+        # numpy promotes mixed dtypes, and Sequence canonicalizes the result
+        dtype = tensor.canonical_dtype(np.result_type(input_spec.dtype, cond.dtype))
         if self.mode == "add":
             if cond.channel_shape != input_spec.shape:
                 raise SpecMismatchError(
                     f"{self.name}: add conditioning requires equal channel shapes, "
                     f"got {input_spec.shape} and {cond.channel_shape}"
                 )
-            return input_spec
+            return ChannelSpec(input_spec.shape, dtype)
         if cond.channel_shape[:-1] != input_spec.shape[:-1]:
             raise SpecMismatchError(
                 f"{self.name}: concat conditioning requires equal leading channel dims, "
                 f"got {input_spec.shape} and {cond.channel_shape}"
             )
         shape = input_spec.shape[:-1] + (input_spec.shape[-1] + cond.channel_shape[-1],)
-        return ChannelSpec(shape, input_spec.dtype)
+        return ChannelSpec(shape, dtype)
 
     def _combine(self, x: Sequence, cond: Sequence, start: int) -> Sequence:
         if cond.batch_size != x.batch_size:
@@ -504,6 +513,7 @@ class Conditioning(SequenceLayer):
             values = np.asarray(x.values) + np.asarray(window.values)
         else:
             values = np.concatenate([np.asarray(x.values), np.asarray(window.values)], axis=-1)
+        # validated: the two dtypes may differ, and numpy then promotes
         return Sequence(values, mask)
 
     def layer(self, x, *, training, constants=None):

@@ -78,7 +78,15 @@ def read_archive(fp: BinaryIO) -> dict[str, np.ndarray]:
         if len(header) != 2:
             raise FormatError("truncated archive record header")
         (n,) = struct.unpack("<H", header)
-        name = fp.read(n).decode("utf-8")
+        raw = fp.read(n)
+        if len(raw) != n:
+            raise FormatError(f"truncated archive record name: expected {n} bytes, got {len(raw)}")
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"archive record name is not UTF-8: {raw[:40]!r}") from exc
+        if name in out:
+            raise FormatError(f"duplicate archive record {name!r}")
         out[name] = tensor.read_tensor(fp)
 
 

@@ -80,7 +80,7 @@ class LSTM(SequenceLayer):
             c = np.where(valid, c_new.astype(np.float32), c)
             h = np.where(valid, h_new.astype(np.float32), h)
             outputs[:, t] = np.where(valid, h_new, 0.0)
-        return Sequence(outputs, mask, masked=True), {"c": c, "h": h}
+        return Sequence._wrap(outputs, mask, masked=True), {"c": c, "h": h}
 
     def layer(self, x, *, training, constants=None):
         zeros = np.zeros((x.batch_size, self.units), dtype=np.float32)

@@ -13,6 +13,14 @@ Validity is expected to be contiguous from t=0 per batch row (end-padding
 convention). ``from_lengths`` enforces this by construction; arbitrary masks
 are accepted elsewhere, but the library's guarantees only cover end padding.
 
+Validation happens at the public edges: ``Sequence(...)``, ``from_values``,
+``from_lengths``, :meth:`Sequence.apply_values` and :func:`read_sequence`
+check ranks, shapes and dtypes and take a read-only copy of any writeable
+array they are given. Sequences the library builds itself from arrays it
+just allocated go through the trusted :meth:`Sequence._wrap`, which freezes
+those arrays in place and checks nothing. Either way a sequence's ``values``
+and ``mask`` are read-only arrays of a supported dtype.
+
 Serialization uses the ``SLS1`` container: magic ``b"SLS1"`` followed by the
 values tensor and the mask tensor, each in SLT1 format.
 """
@@ -69,6 +77,23 @@ class Sequence:
             )
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "mask", mask)
+
+    @staticmethod
+    def _wrap(values: np.ndarray, mask: np.ndarray, masked: bool = False) -> "Sequence":
+        """The trusted constructor for arrays the library just built.
+
+        Contract, unchecked: ``values`` is an ndarray of rank >= 2 with a
+        dtype in ``tensor.DTYPES``; ``mask`` is a bool ndarray shaped
+        ``values.shape[:2]``; both were just allocated by the library or are
+        views of already read-only arrays. Never pass a caller's writeable
+        array: both arrays are made read-only in place, not copied.
+        """
+        values.setflags(write=False)
+        mask.setflags(write=False)
+        seq = object.__new__(Sequence)
+        fields = seq.__dict__
+        fields["values"], fields["mask"], fields["masked"] = values, mask, masked
+        return seq
 
     # -- construction helpers --
 
@@ -142,7 +167,7 @@ class Sequence:
             return self
         zero = np.zeros((), dtype=self.dtype)
         values = np.where(self.expanded_mask(), self.values, zero)
-        return Sequence(values, self.mask, masked=True)
+        return Sequence._wrap(values, self.mask, masked=True)
 
     def apply_values(self, fn: Callable[[np.ndarray], np.ndarray], zero_preserving: bool = False) -> "Sequence":
         """Applies fn to the values.
@@ -166,9 +191,9 @@ class Sequence:
         if front == 0 and back == 0:
             return self
         pads = [(0, 0), (front, back)] + [(0, 0)] * (self.ndim - 2)
-        values = tensor.freeze(np.pad(self.values, pads))
-        mask = tensor.freeze(np.pad(self.mask, pads[:2], constant_values=bool(valid)))
-        return Sequence(values, mask, masked=self.masked and not valid)
+        values = np.pad(self.values, pads)
+        mask = np.pad(self.mask, pads[:2], constant_values=bool(valid))
+        return Sequence._wrap(values, mask, masked=self.masked and not valid)
 
     def slice_time(self, start: int, stop: int) -> "Sequence":
         """Steps [start, stop) as read-only views of this sequence's arrays."""
@@ -178,7 +203,7 @@ class Sequence:
         stop = max(stop, start)
         if start == 0 and stop == time:
             return self
-        return Sequence(
+        return Sequence._wrap(
             self.values[:, start:stop], self.mask[:, start:stop], masked=self.masked
         )
 
@@ -191,20 +216,17 @@ class Sequence:
             raise TypeError("time index must be a unit-stride slice")
         start, stop, _ = tkey.indices(self.time)
         out = self.slice_time(start, stop)
-        if isinstance(bkey, slice):
-            if bkey == slice(None):
-                return out
-            values = out.values[bkey]
-            mask = out.mask[bkey]
-        else:
-            idx = np.asarray(bkey)
-            values = out.values[idx]
-            mask = out.mask[idx]
-        return Sequence(values, mask, masked=out.masked)
+        if isinstance(bkey, slice) and bkey == slice(None):
+            return out
+        return out.take_batch(bkey)
 
     def take_batch(self, indices) -> "Sequence":
-        idx = np.asarray(indices)
-        return Sequence(self.values[idx], self.mask[idx], masked=self.masked)
+        """The rows a batch slice or a 1-D index (or bool) array selects."""
+        if not isinstance(indices, slice):
+            indices = np.asarray(indices)
+            if indices.ndim != 1:
+                raise ShapeMismatchError(f"batch index must be 1-D, got shape {indices.shape}")
+        return Sequence._wrap(self.values[indices], self.mask[indices], masked=self.masked)
 
     @staticmethod
     def concatenate_sequences(seqs: Iterable["Sequence"]) -> "Sequence":
@@ -227,9 +249,9 @@ class Sequence:
         nonempty = [s for s in seqs if s.time]
         if len(nonempty) == 1:
             return nonempty[0]
-        values = tensor.freeze(np.concatenate([s.values for s in seqs], axis=1))
-        mask = tensor.freeze(np.concatenate([s.mask for s in seqs], axis=1))
-        return Sequence(values, mask, masked=all(s.masked for s in seqs))
+        values = np.concatenate([s.values for s in seqs], axis=1)
+        mask = np.concatenate([s.mask for s in seqs], axis=1)
+        return Sequence._wrap(values, mask, masked=all(s.masked for s in seqs))
 
     def reverse_time_valid(self) -> "Sequence":
         """Reverses each row's valid region in place; end padding stays at the end.
@@ -243,7 +265,7 @@ class Sequence:
             np.asarray(self.values), src.reshape(src.shape + (1,) * (self.ndim - 2)), axis=1
         )
         mask = np.take_along_axis(np.asarray(self.mask), src, axis=1)
-        return Sequence(values, mask, masked=self.masked)
+        return Sequence._wrap(values, mask, masked=self.masked)
 
 
 def write_sequence(fp: BinaryIO, s: Sequence) -> None:
@@ -260,6 +282,11 @@ def read_sequence(fp: BinaryIO) -> Sequence:
     mask = tensor.read_tensor(fp)
     if mask.dtype != tensor.BOOL:
         raise FormatError(f"SLS1 mask must be bool, got {mask.dtype}")
+    if values.ndim < 2 or mask.shape != values.shape[:2]:
+        raise FormatError(
+            f"SLS1 values {values.shape} and mask {mask.shape} do not form a "
+            "[batch, time, ...] sequence"
+        )
     return Sequence(values, mask)
 
 

@@ -61,7 +61,7 @@ def stream_blocks(
     emits_list = []
     for start in range(0, x.time, block):
         y, state, emits = layer.step_with_emits(
-            x[:, start : start + block], state, training=training, constants=constants
+            x.slice_time(start, start + block), state, training=training, constants=constants
         )
         outputs.append(y)
         emits_list.append(emits)

@@ -19,11 +19,13 @@ of the full scatter for ``same`` and nothing for ``causal``.
 
 from __future__ import annotations
 
+import functools
 import math
 
 import numpy as np
 
 from . import params as params_lib
+from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer, StatelessLayer, ceil_ratio
 from .sequence import ChannelSpec, Sequence
@@ -92,6 +94,28 @@ def overlap_add(frames: np.ndarray, hop: int, carry: np.ndarray):
     return flat[:, : time * hop], flat[:, time * hop :]
 
 
+def window_index(out_len: int, stride: int, kernel_size: int, dilation: int) -> np.ndarray:
+    """[out_len, kernel_size] read-only input offsets of each output's window taps."""
+    taps = np.arange(kernel_size) * dilation
+    return tensor.freeze(np.arange(out_len)[:, None] * stride + taps[None, :])
+
+
+#: window_index for step(), whose few block lengths recur on every call
+_step_window_index = functools.lru_cache(maxsize=128)(window_index)
+
+
+@functools.lru_cache(maxsize=128)
+def _anchor_index(time: int, stride: int, trim_left: int, history: int) -> np.ndarray:
+    """Conv1DTranspose.step's anchor of each of its ``time * stride`` emissions.
+
+    Emission r of input i is output o = i * stride + r - trim_left, anchored
+    at input floor(o / stride): index i + offset[r] of [mask_history, x.mask],
+    where mask_history holds the last ``history`` input steps.
+    """
+    offsets = [history - math.ceil((trim_left - r) / stride) for r in range(stride)]
+    return tensor.freeze((np.arange(time)[:, None] + np.array(offsets)[None, :]).reshape(-1))
+
+
 class _WindowedLayer(SequenceLayer):
     """Shared layer/step plumbing for fixed-window time reductions."""
 
@@ -107,6 +131,8 @@ class _WindowedLayer(SequenceLayer):
         self.dilation = int(dilation)
         self.padding = str(padding)
         self.pad_left, self.pad_right = explicit_padding(padding, kernel_size, dilation)
+        #: steps of trailing input the step state carries
+        self._context_len = self.output_latency * self.stride + self.pad_left
 
     @property
     def output_ratio(self):
@@ -129,17 +155,9 @@ class _WindowedLayer(SequenceLayer):
         eff = effective_kernel(self.kernel_size, self.dilation)
         return {0: (-self.pad_left, -self.pad_left + eff - 1)}
 
-    def _context_len(self) -> int:
-        return self.output_latency * self.stride + self.pad_left
-
     def _reduce_windows(self, window_values, window_mask):
         """[B, out, k, ...ch] windows -> [B, out, ...ch] outputs."""
         raise NotImplementedError
-
-    def _gather(self, values, mask, out_len):
-        taps = np.arange(self.kernel_size) * self.dilation
-        idx = np.arange(out_len)[:, None] * self.stride + taps[None, :]
-        return values[:, idx], mask[:, idx]
 
     def layer(self, x, *, training, constants=None):
         xm = x.mask_invalid()
@@ -150,16 +168,16 @@ class _WindowedLayer(SequenceLayer):
         ch_pads = [(0, 0)] * (x.ndim - 2)
         values = np.pad(np.asarray(xm.values), [(0, 0), (self.pad_left, needed)] + ch_pads)
         mask = np.pad(np.asarray(x.mask), [(0, 0), (self.pad_left, needed)])
-        wv, wm = self._gather(values, mask, out_len)
-        out = self._reduce_windows(wv, wm)
+        idx = window_index(out_len, self.stride, self.kernel_size, self.dilation)
+        out = self._reduce_windows(values[:, idx], mask[:, idx])
         out_mask = np.asarray(x.mask)[:, :: self.stride][:, :out_len]
-        return Sequence(out, out_mask)
+        return Sequence._wrap(out, out_mask)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        ctx = self._context_len()
+        ctx = self._context_len
         values = np.zeros((batch_size, ctx) + input_spec.shape, dtype=input_spec.dtype)
         mask = np.zeros((batch_size, ctx), dtype=bool)
-        return Sequence(values, mask, masked=True)
+        return Sequence._wrap(values, mask, masked=True)
 
     def step(self, x, state: Sequence, *, training, constants=None):
         self._check_block(x)
@@ -167,14 +185,14 @@ class _WindowedLayer(SequenceLayer):
         values = np.concatenate([np.asarray(state.values), np.asarray(xm.values)], axis=1)
         mask = np.concatenate([np.asarray(state.mask), np.asarray(x.mask)], axis=1)
         out_len = x.time // self.stride
-        wv, wm = self._gather(values, mask, out_len)
-        out = self._reduce_windows(wv, wm)
+        idx = _step_window_index(out_len, self.stride, self.kernel_size, self.dilation)
+        out = self._reduce_windows(values[:, idx], mask[:, idx])
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
-        ctx = self._context_len()
-        new_state = Sequence(
+        ctx = self._context_len
+        new_state = Sequence._wrap(
             values[:, values.shape[1] - ctx :], mask[:, mask.shape[1] - ctx :], masked=True
         )
-        return Sequence(out, out_mask), new_state
+        return Sequence._wrap(out, out_mask), new_state
 
 
 class Conv1D(_WindowedLayer):
@@ -261,6 +279,9 @@ class MinPooling1D(_ExtremumPooling1D):
 class AveragePooling1D(_Pooling1D):
     kind = "avg"
 
+    def get_output_spec(self, input_spec, constants=None):
+        return ChannelSpec(input_spec.shape, np.float32)
+
     def _reduce_windows(self, wv, wm):
         # window values arrive pre-masked (zeros at invalid), so a plain sum
         # divided by the valid count is the mean over valid members
@@ -312,14 +333,6 @@ class Conv1DTranspose(SequenceLayer):
             max(self.kernel_size - self.stride, 0) // 2 if padding == "same" else 0
         )
         self._carry_len = (-(-self.kernel_size // self.stride) - 1) * self.stride
-        # emission r of input i is output o = i * stride + r - trim_left, anchored
-        # at input floor(o / stride): index i + offset[r] of [mask_history, x.mask]
-        self._anchor_offsets = np.array(
-            [
-                self.input_latency - math.ceil((self.trim_left - r) / self.stride)
-                for r in range(self.stride)
-            ]
-        )
         spec = {"weight": (self.kernel_size, self.in_channels, self.filters)}
         if self.use_bias:
             spec["bias"] = (self.filters,)
@@ -374,7 +387,7 @@ class Conv1DTranspose(SequenceLayer):
             out_len = out.shape[1]
             out = np.concatenate([out, tail], axis=1)[:, self.trim_left : self.trim_left + out_len]
         out_mask = np.repeat(np.asarray(x.mask), self.stride, axis=1)
-        return Sequence(self._finish(out), out_mask)
+        return Sequence._wrap(self._finish(out), out_mask)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return {
@@ -386,10 +399,9 @@ class Conv1DTranspose(SequenceLayer):
         self._check_block(x)
         out, carry = self._scatter(x, state["carry"])
         mask = np.concatenate([state["mask_history"], np.asarray(x.mask)], axis=1)
-        anchors = np.arange(x.time)[:, None] + self._anchor_offsets[None, :]
-        out_mask = mask[:, anchors.reshape(-1)]
+        out_mask = mask[:, _anchor_index(x.time, self.stride, self.trim_left, self.input_latency)]
         new_state = {"carry": carry, "mask_history": mask[:, x.time :]}
-        return Sequence(self._finish(out), out_mask), new_state
+        return Sequence._wrap(self._finish(out), out_mask), new_state
 
 
 class Downsample1D(StatelessLayer):
@@ -410,7 +422,7 @@ class Downsample1D(StatelessLayer):
         return self.rate
 
     def layer(self, x, *, training, constants=None):
-        return Sequence(
+        return Sequence._wrap(
             np.asarray(x.values)[:, :: self.rate],
             np.asarray(x.mask)[:, :: self.rate],
             masked=x.masked,
@@ -435,7 +447,7 @@ class Upsample1D(StatelessLayer):
         return {o: (0, 0) for o in range(self.rate)}
 
     def layer(self, x, *, training, constants=None):
-        return Sequence(
+        return Sequence._wrap(
             np.repeat(np.asarray(x.values), self.rate, axis=1),
             np.repeat(np.asarray(x.mask), self.rate, axis=1),
             masked=x.masked,
@@ -445,7 +457,7 @@ class Upsample1D(StatelessLayer):
 def delay_line(batch_size: int, length: int, spec: ChannelSpec) -> Sequence:
     """The empty state of a delay line: ``length`` invalid zero steps."""
     values = np.zeros((batch_size, length) + spec.shape, dtype=spec.dtype)
-    return Sequence(values, np.zeros((batch_size, length), bool), masked=True)
+    return Sequence._wrap(values, np.zeros((batch_size, length), bool), masked=True)
 
 
 def delay_step(x: Sequence, line: Sequence) -> tuple[Sequence, Sequence]:
@@ -478,7 +490,7 @@ class Delay(SequenceLayer):
     @staticmethod
     def _gate(delayed: Sequence, x: Sequence) -> Sequence:
         mask = np.logical_and(np.asarray(delayed.mask), np.asarray(x.mask))
-        return Sequence(delayed.values, mask).mask_invalid()
+        return Sequence._wrap(delayed.values, mask).mask_invalid()
 
     def layer(self, x, *, training, constants=None):
         if self.length == 0:
@@ -564,13 +576,14 @@ class Lookahead(SequenceLayer):
 
     def step(self, x, state: int, *, training, constants=None):
         self._check_block(x)
-        xm = x.mask_invalid()
         position = state + np.arange(x.time)
         mask = np.logical_and(np.asarray(x.mask), (position >= self.length)[None, :])
         values = np.where(
-            mask.reshape(mask.shape + (1,) * (x.ndim - 2)), np.asarray(xm.values), 0
+            mask.reshape(mask.shape + (1,) * (x.ndim - 2)),
+            np.asarray(x.values),
+            np.zeros((), x.dtype),
         )
-        return Sequence(values, mask, masked=True), state + x.time
+        return Sequence._wrap(values, mask, masked=True), state + x.time
 
 
 class Frame(_WindowedLayer):
@@ -688,7 +701,7 @@ class OverlapAdd(SequenceLayer):
         # not zeros, so the output is not masked
         out, carry = overlap_add(np.asarray(x.mask_invalid().values), self.hop, carry)
         out_mask = np.repeat(np.asarray(x.mask), self.hop, axis=1)
-        return Sequence(out, out_mask, masked=False), carry
+        return Sequence._wrap(out, out_mask, masked=False), carry
 
     def layer(self, x, *, training, constants=None):
         self._check(x.channel_shape)

@@ -3,6 +3,11 @@
 Tensors are plain numpy arrays restricted to three dtypes (float32, int32,
 bool), made read-only at creation so they behave as immutable values.
 
+:func:`tensor` is the validating edge: it canonicalizes the dtype and copies
+any writeable input, so a caller's array is never frozen or aliased. Arrays
+the library allocates itself skip it and are frozen in place with
+:func:`freeze` (directly, or through ``Sequence._wrap``).
+
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
 extents, then the raw row-major payload (bool stored as u8 0/1).

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from seqstream import cli
+from seqstream import cli, params
+from seqstream.errors import FormatError
 from seqstream.streaming import step_by_step
 from seqstream.sequence import Sequence, read_sequence, save_sequence, write_sequence
 
@@ -19,6 +20,25 @@ pipeline:
   name: tiny
   children:
     - {type: dense, units: 2}
+input_spec: f32[3]
+"""
+
+# two ratio-1 branches whose block sizes are primes near 4096: checking that
+# their output lengths agree over one period would take about 1.7e7 steps
+RESAMPLING_BRANCHES = """\
+pipeline:
+  type: parallel
+  name: hostile
+  combine: add
+  children:
+    - type: serial
+      children:
+        - {type: downsample1d, rate: 4093}
+        - {type: upsample1d, rate: 4093}
+    - type: serial
+      children:
+        - {type: downsample1d, rate: 4091}
+        - {type: upsample1d, rate: 4091}
 input_spec: f32[3]
 """
 
@@ -109,8 +129,16 @@ def test_bad_manifest_seed_exits_2(workdir, capsys, command, seed):
         (SPEC + "# \x07\n", "#x0007"),
         (SPEC.replace("    - {type: dense, units: 2}", "    - dense"), "tiny/children[0]: "),
         ("pipeline: [dense]\ninput_spec: f32[3]\n", "pipeline: expected a mapping"),
+        (RESAMPLING_BRANCHES, "repeat every 16744463 steps; at most 4096"),
     ],
-    ids=["input_spec_int", "input_spec_letters", "control_byte", "child_string", "root_list"],
+    ids=[
+        "input_spec_int",
+        "input_spec_letters",
+        "control_byte",
+        "child_string",
+        "root_list",
+        "branch_period",
+    ],
 )
 def test_hostile_spec_file_exits_2(workdir, capsys, command, spec_text, expect):
     (workdir / "spec.yaml").write_text(spec_text)
@@ -144,6 +172,42 @@ def test_every_prefix_truncation_raises_value_error(batch, time, channels, seed)
     for cut in range(len(blob)):
         with pytest.raises(ValueError):
             read_sequence(io.BytesIO(blob[:cut]))
+
+
+def sls1_blob():
+    values = np.arange(12, dtype=np.float32).reshape(2, 3, 2)
+    buf = io.BytesIO()
+    write_sequence(buf, Sequence.from_lengths(values, [3, 1]))
+    return buf.getvalue()
+
+
+def archive_blob():
+    buf = io.BytesIO()
+    named = {"d/bias": np.zeros(2, np.float32), "d/bias2": np.ones((1, 2), np.float32)}
+    params.write_archive(buf, named)
+    return buf.getvalue()
+
+
+@pytest.mark.parametrize(
+    "blob, read", [(sls1_blob(), read_sequence), (archive_blob(), params.read_archive)],
+    ids=["sls1", "archive"],
+)
+def test_every_single_bit_flip_reads_or_raises_format_error(blob, read):
+    for bit in range(8 * len(blob)):
+        flipped = bytearray(blob)
+        flipped[bit // 8] ^= 1 << (bit % 8)
+        try:
+            read(io.BytesIO(bytes(flipped)))
+        except FormatError:
+            pass
+
+
+def test_duplicate_archive_record_raises_format_error():
+    buf = io.BytesIO()
+    for _ in range(2):
+        params.write_archive(buf, {"d/bias": np.zeros(2, np.float32)})
+    with pytest.raises(FormatError, match="duplicate"):
+        params.read_archive(io.BytesIO(buf.getvalue()))
 
 
 CONV_STACK = Path(__file__).resolve().parent.parent / "specs" / "conv_stack.yaml"

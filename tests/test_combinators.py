@@ -186,10 +186,16 @@ class TestParallel:
     def test_unequal_output_lengths_rejected(self):
         left = sl.Serial([sl.Downsample1D(2), sl.Upsample1D(3)])
         right = sl.Serial([sl.Upsample1D(3), sl.Downsample1D(2)])
-        model = sl.Parallel([left, right], combine="add")
-        x = random_sequence(10, 1, 7, 2)
         with pytest.raises(sl.SpecMismatchError, match="output length|disagree"):
-            model.layer(x, training=False)
+            sl.Parallel([left, right], combine="add")
+
+    def test_residual_with_unequal_body_length_rejected(self):
+        # same ratio 1 as the shortcut, but input length 1 gives body length 2
+        body = sl.Serial(
+            [sl.MaxPooling1D(3, stride=2, padding="same"), sl.Conv1DTranspose(3, 3, 4, stride=2)]
+        )
+        with pytest.raises(sl.SpecMismatchError, match="input length 1: \\[2, 1\\]"):
+            sl.Residual(body)
 
 
 class TestResidual:
@@ -277,6 +283,12 @@ class TestBidirectional:
             2 * np.asarray(x.mask_invalid().values),
             atol=0,
         )
+
+    def test_unequal_output_lengths_rejected(self):
+        # ratio 1, but input length 1 gives output length 2
+        resampled = sl.Serial([sl.Downsample1D(2), sl.Upsample1D(2)])
+        with pytest.raises(sl.SpecMismatchError, match="input length 1: \\[2, 1\\]"):
+            sl.Bidirectional(resampled, sl.Identity(), combine="add")
 
     def test_same_layer_both_ways_is_renamed_on_a_copy(self):
         a = sl.Identity(name="i")
