@@ -37,7 +37,7 @@ from .pipeline import (
 )
 from .receptive_field import format_rf, format_rf_map
 from .sequence import Sequence, load_sequence, save_sequence
-from .streaming import step_by_step
+from .streaming import _resolve_block, step_by_step
 from .verify import TOLERANCE, HarnessConfig, compare, verify_contract
 
 USAGE_ERROR = 2
@@ -123,15 +123,8 @@ def cmd_run(args) -> int:
 
 
 def _stream_block(args, manifest, layer) -> int:
-    block = args.block if args.block is not None else manifest.block
-    if block is None:
-        block = layer.block_size
-    if block <= 0 or block % layer.block_size:
-        raise BlockSizeError(
-            f"stream block {block} is not a positive multiple of the pipeline's "
-            f"block_size {layer.block_size}"
-        )
-    return block
+    """The --block flag over the manifest's block, checked by the step driver."""
+    return _resolve_block(layer, args.block if args.block is not None else manifest.block)
 
 
 def cmd_stream(args) -> int:

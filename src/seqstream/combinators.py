@@ -37,7 +37,8 @@ from .receptive_field import (
     union_rf_maps,
 )
 from .sequence import ChannelSpec, Sequence
-from .streaming import stream_blocks
+# stream_blocks stays importable here: perfbench/tracer.py patches it by this name
+from .streaming import _flushed, stream_blocks  # noqa: F401
 from .temporal import delay_line, delay_step
 
 __all__ = ["Serial", "Parallel", "Residual", "Repeat", "Bidirectional", "Blockwise"]
@@ -517,12 +518,10 @@ class Blockwise(Emitting):
         return self.child.get_output_spec(input_spec, constants)
 
     def layer_with_emits(self, x, *, training, constants=None):
-        expected = self.child.output_time(x.time)
-        padded = x.pad_time(0, self.child.input_latency, valid=False)
-        out, _, emits = stream_blocks(
-            self.child, padded, training=training, block=self._block_size, constants=constants
+        out, _, emits = _flushed(
+            self.child, x, training=training, block=self._block_size, constants=constants
         )
-        return out[:, self.child.output_latency :][:, :expected], emits
+        return out, emits
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return self.child.get_initial_state(

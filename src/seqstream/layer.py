@@ -11,7 +11,7 @@ State is an explicit tree (empty tuple, arrays, Sequences, tuples, dicts, or
 an RngCounter); no layer keeps memory on itself. A layer with lookahead emits
 invalid placeholder steps until enough input has arrived; callers flush it
 with ``input_latency`` invalid inputs and drop the first ``output_latency``
-outputs (see :func:`seqstream.verify.step_by_step`).
+outputs (see :func:`seqstream.streaming.step_by_step`).
 
 Metadata exposed per layer: exact rational ``output_ratio``, ``block_size``,
 both latencies, and a per-step receptive field map (see

@@ -80,7 +80,7 @@ class RunManifest:
 @dataclasses.dataclass(frozen=True)
 class Field:
     name: str
-    kind: str  # int | float | bool | str | number | shape | key
+    kind: str  # int | float | bool | str | number | shape
     required: bool = False
     default: Any = None
     choices: tuple | None = None
@@ -319,10 +319,11 @@ for _kind in ("relu", "gelu", "sigmoid", "tanh", "swish", "softplus", "abs", "ex
 for _type_name, _definition in _LEAVES.items():
     register(_type_name, _definition)
 
-# one-argument pointwise kinds: the spec key is not Pointwise's ``value`` keyword
+# one-argument pointwise kinds: the spec key is not Pointwise's ``value`` keyword;
+# an absent ``alpha`` is None, so Pointwise supplies its default
 for _kind, _field in (
-    ("leaky_relu", Field("alpha", "float", default=0.2)),
-    ("elu", Field("alpha", "float", default=1.0)),
+    ("leaky_relu", Field("alpha", "float")),
+    ("elu", Field("alpha", "float")),
     ("power", Field("exponent", "number", required=True)),
     ("maximum", Field("value", "number", required=True)),
     ("minimum", Field("value", "number", required=True)),

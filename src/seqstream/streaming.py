@@ -72,6 +72,20 @@ def stream_blocks(
     return out, state, concat_emits(emits_list)
 
 
+def _flushed(layer: SequenceLayer, x: Sequence, *, training, block=None, constants=None):
+    """The latency protocol of :func:`step_by_step`, written once.
+
+    Returns (its output, the raw stepped output before the drop and trim, the
+    step emits joined over time).
+    """
+    expected = layer.output_time(x.time)
+    padded = x.pad_time(0, layer.input_latency, valid=False)
+    raw, _, emits = stream_blocks(
+        layer, padded, training=training, block=block, constants=constants
+    )
+    return raw[:, layer.output_latency :][:, :expected], raw, emits
+
+
 def step_by_step(
     layer: SequenceLayer,
     x: Sequence,
@@ -86,7 +100,4 @@ def step_by_step(
     the first output_latency (invalid) outputs, and trims the result to the
     layer-wise output extent.
     """
-    expected = layer.output_time(x.time)
-    padded = x.pad_time(0, layer.input_latency, valid=False)
-    out, _, _ = stream_blocks(layer, padded, training=training, block=block, constants=constants)
-    return out[:, layer.output_latency :][:, :expected]
+    return _flushed(layer, x, training=training, block=block, constants=constants)[0]

@@ -4,9 +4,9 @@ Tensors are plain numpy arrays restricted to three dtypes (float32, int32,
 bool), made read-only at creation so they behave as immutable values.
 
 :func:`tensor` is the validating edge: it canonicalizes the dtype and copies
-any writeable input, so a caller's array is never frozen or aliased. Arrays
-the library allocates itself skip it and are frozen in place with
-:func:`freeze` (directly, or through ``Sequence._wrap``).
+any input that is, or is a view of, a writeable array, so a caller's array is
+never frozen or aliased. Arrays the library allocates itself skip it and are
+frozen in place with :func:`freeze` (directly, or through ``Sequence._wrap``).
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
@@ -59,11 +59,15 @@ def freeze(arr: np.ndarray) -> np.ndarray:
 def tensor(data, dtype=None) -> np.ndarray:
     """Creates an immutable tensor from array-like data.
 
-    Copies unless ``data`` is already an immutable array of the target dtype.
+    Copies unless ``data`` is already an immutable array of the target dtype:
+    read-only, and a view of read-only arrays only.
     """
     if dtype is not None:
         dtype = canonical_dtype(dtype)
-    if isinstance(data, np.ndarray) and not data.flags.writeable:
+    base = data
+    while isinstance(base, np.ndarray) and not base.flags.writeable:
+        base = base.base  # a read-only view of a writeable array still aliases it
+    if base is None and isinstance(data, np.ndarray):
         if dtype is None and data.dtype in DTYPES:
             return data
         if data.dtype == dtype:

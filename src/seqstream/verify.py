@@ -20,6 +20,11 @@
 8.  rng_equivalence - stochastic layers reproduce layer() step-wise when
     started from the same RNG counter.
 
+The checks share one random input, its layer() outputs and one flushed step
+run per (block multiple, training, poisoned input): 1, 2, 6 and 8 compare
+trimmed runs, 3 measures latency on the raw 1x eval run and 7 reads its step
+emits. A deterministic layer is stepped three times, a stochastic one five.
+
 Gradient equality between layer and step is intentionally not verified
 (no autodiff here); every report carries a permanently skipped
 ``gradient_equivalence`` entry so the omission is visible.
@@ -33,6 +38,7 @@ import dataclasses
 import functools
 import json
 import math
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -40,7 +46,8 @@ from .errors import BlockSizeError
 from .layer import SequenceLayer, poison_invalid
 from .receptive_field import format_rf, rf_at
 from .sequence import ChannelSpec, Sequence
-from .streaming import step_by_step, stream_blocks
+# the step drivers stay importable here: perfbench/tracer.py patches them by these names
+from .streaming import _flushed, step_by_step, stream_blocks  # noqa: F401
 
 CHECK_NAMES = (
     "layer_step_equal_1x",
@@ -191,8 +198,10 @@ def _leading_invalid(seq: Sequence) -> int:
     return int(nz[0]) if nz.size else seq.time
 
 
-def _check_equivalence(layer_out, streamed, blocks: int, training: bool):
-    return compare(layer_out(training), streamed(blocks, training), TOLERANCE, f"blocks={blocks}x")
+def _check_equivalence(layer_out, flushed, blocks: int, training: bool):
+    return compare(
+        layer_out(training), flushed(blocks, training)[0], TOLERANCE, f"blocks={blocks}x"
+    )
 
 
 def _probe_dependencies(layer, input_spec, cfg, constants):
@@ -205,7 +214,7 @@ def _probe_dependencies(layer, input_spec, cfg, constants):
     """
     x = _random_input(layer, input_spec, cfg, full=True)[0:1, :]
     time = x.time
-    base_constants = _tile_constants(constants, 1)
+    base_constants = _take_rows(constants, np.zeros(1, int))
     y_base = layer.layer(x, training=False, constants=base_constants).mask_invalid()
     out_time = y_base.time
     threshold = 10 * TOLERANCE
@@ -216,7 +225,7 @@ def _probe_dependencies(layer, input_spec, cfg, constants):
 
     changed = np.zeros((time, out_time), dtype=bool)
     base_values = np.asarray(x.values)
-    probe_constants = _tile_constants(constants, time)
+    probe_constants = _take_rows(constants, np.zeros(time, int))
     for delta in (EPSILON, 1.0, -1.0):
         tiled = np.repeat(base_values, time, axis=0).copy()
         bump = (delta * pattern).astype(tiled.dtype)
@@ -232,17 +241,21 @@ def _probe_dependencies(layer, input_spec, cfg, constants):
     return changed, time, out_time
 
 
-def _tile_constants(constants, batch: int):
-    """Repeats row 0 of Sequence constants to the probe batch size."""
-    if not constants:
-        return constants
-    out = {}
-    for key, value in constants.items():
-        if isinstance(value, Sequence):
-            out[key] = value.take_batch(np.zeros(batch, dtype=int))
-        else:
-            out[key] = value
-    return out
+def _take_rows(value, rows, invalid_rows: int = 0):
+    """Batch rows ``rows`` of a Sequence, then ``invalid_rows`` all-invalid
+    zero rows. A constants mapping gets this per Sequence entry; any other
+    value is returned as it is."""
+    if isinstance(value, Mapping):
+        return {key: _take_rows(v, rows, invalid_rows) for key, v in value.items()}
+    if not isinstance(value, Sequence):
+        return value
+    taken = value.take_batch(rows)
+    if not invalid_rows:
+        return taken
+    return Sequence(
+        np.concatenate([taken.values, np.zeros((invalid_rows,) + value.shape[1:], value.dtype)]),
+        np.concatenate([taken.mask, np.zeros((invalid_rows, value.time), bool)]),
+    )
 
 
 def empirical_receptive_field(
@@ -338,7 +351,7 @@ def _check_receptive_field(layer, input_spec, cfg, constants):
     return None, metrics
 
 
-def _check_metadata(layer, input_spec, cfg, constants, x, layer_out):
+def _check_metadata(layer, input_spec, cfg, constants, x, layer_out, flushed):
     props = layer.properties  # validates internal consistency
     block = props.block_size
     metrics = {
@@ -376,8 +389,7 @@ def _check_metadata(layer, input_spec, cfg, constants, x, layer_out):
         except BlockSizeError:
             pass
     y = layer_out(False)
-    padded = x.pad_time(0, props.input_latency, valid=False)
-    raw, _, _ = stream_blocks(layer, padded, training=False, constants=constants)
+    raw = flushed(1, False)[1]
     measured = _leading_invalid(raw) - _leading_invalid(y)
     if measured != props.output_latency:
         return (
@@ -388,21 +400,13 @@ def _check_metadata(layer, input_spec, cfg, constants, x, layer_out):
     return None, metrics
 
 
-def _check_batching(layer, input_spec, cfg, constants, x, layer_out):
+def _check_batching(layer, cfg, constants, x, layer_out):
     y = layer_out(False)
     rng = np.random.default_rng(cfg.seed + 1)
     perm = rng.permutation(x.batch_size)
-    invalid_row = Sequence(
-        np.zeros((1, x.time) + input_spec.shape, dtype=input_spec.dtype),
-        np.zeros((1, x.time), bool),
-    )
-    shuffled = x.take_batch(perm)
-    augmented = Sequence(
-        np.concatenate([np.asarray(shuffled.values), np.asarray(invalid_row.values)]),
-        np.concatenate([np.asarray(shuffled.mask), np.asarray(invalid_row.mask)]),
-    )
+    augmented = _take_rows(x, perm, invalid_rows=1)
     # batch-aligned constants travel with their rows
-    constants2 = _permute_constants(constants, perm, extra_rows=1)
+    constants2 = _take_rows(constants, perm, invalid_rows=1)
     y2 = layer.layer(augmented, training=False, constants=constants2)
     if np.asarray(y2.mask)[-1].any():
         return "an all-invalid batch row produced valid outputs", {}
@@ -412,27 +416,7 @@ def _check_batching(layer, input_spec, cfg, constants, x, layer_out):
     return failure, metrics
 
 
-def _permute_constants(constants, perm, extra_rows: int = 0):
-    if not constants:
-        return constants
-    out = {}
-    for key, value in constants.items():
-        if isinstance(value, Sequence):
-            moved = value.take_batch(perm)
-            if extra_rows:
-                pad_values = np.zeros((extra_rows,) + value.shape[1:], dtype=value.dtype)
-                pad_mask = np.zeros((extra_rows, value.time), bool)
-                moved = Sequence(
-                    np.concatenate([np.asarray(moved.values), pad_values]),
-                    np.concatenate([np.asarray(moved.mask), pad_mask]),
-                )
-            out[key] = moved
-        else:
-            out[key] = value
-    return out
-
-
-def _check_padding(layer, constants, x, layer_out, streamed):
+def _check_padding(layer, constants, x, layer_out, flushed):
     y = layer_out(False)
     # (a) extra end padding
     extra = 2 * layer.block_size
@@ -448,8 +432,8 @@ def _check_padding(layer, constants, x, layer_out, streamed):
     if failure:
         return failure, metrics
     if layer.supports_step:
-        ys = streamed(1, False)
-        ys_poison = step_by_step(layer, poisoned, training=False, constants=constants)
+        ys = flushed(1, False)[0]
+        ys_poison = flushed(1, False, poisoned=True)[0]
         failure, metrics = compare(ys, ys_poison, TOLERANCE, "poisoned step()")
         if failure:
             return failure, metrics
@@ -468,7 +452,7 @@ def _tree_signature(emits):
     return ("leaf", type(emits).__name__)
 
 
-def _check_emits(layer, constants, x, layer_out):
+def _check_emits(layer, constants, x, layer_out, flushed):
     y_plain = layer_out(False)
     y_emits, emits = layer.layer_with_emits(x, training=False, constants=constants)
     failure, _ = compare(y_plain, y_emits, TOLERANCE, "layer vs layer_with_emits")
@@ -479,8 +463,7 @@ def _check_emits(layer, constants, x, layer_out):
     if _tree_signature(emits_again) != sig_layer:
         return "emits structure changed between identical layer calls", {}
     if layer.supports_step:
-        _, _, step_emits = stream_blocks(layer, x, training=False, constants=constants)
-        sig_step = _tree_signature(step_emits)
+        sig_step = _tree_signature(flushed(1, False)[2])
         if sig_step != sig_layer:
             return (
                 f"emits structure differs between layer ({sig_layer}) and step ({sig_step})",
@@ -515,8 +498,9 @@ def verify_contract(
 
     steppable = layer.supports_step
     step_skip = None if steppable else "layer does not support stepping"
-    # the checks share one input and its reference outputs; a call that
-    # raises is not cached, so it fails every check that needs it
+    # the checks share one input, its layer() outputs and its flushed step
+    # runs; a call that raises is not cached, so it fails every check that
+    # needs it
     x = _random_input(layer, input_spec, cfg)
 
     @functools.cache
@@ -524,23 +508,28 @@ def verify_contract(
         return layer.layer(x, training=training, constants=constants)
 
     @functools.cache
-    def streamed(blocks, training):
-        block = blocks * layer.block_size
-        return step_by_step(layer, x, training=training, block=block, constants=constants)
+    def flushed(blocks, training, poisoned=False):
+        return _flushed(
+            layer,
+            poison_invalid(x) if poisoned else x,
+            training=training,
+            block=blocks * layer.block_size,
+            constants=constants,
+        )
 
     run(
         "layer_step_equal_1x",
-        lambda: _check_equivalence(layer_out, streamed, 1, False),
+        lambda: _check_equivalence(layer_out, flushed, 1, False),
         skip_reason=step_skip,
     )
     run(
         "layer_step_equal_2x",
-        lambda: _check_equivalence(layer_out, streamed, 2, False),
+        lambda: _check_equivalence(layer_out, flushed, 2, False),
         skip_reason=step_skip,
     )
     run(
         "metadata_consistency",
-        lambda: _check_metadata(layer, input_spec, cfg, constants, x, layer_out),
+        lambda: _check_metadata(layer, input_spec, cfg, constants, x, layer_out, flushed),
     )
     run(
         "receptive_field_empirical",
@@ -548,10 +537,10 @@ def verify_contract(
     )
     run(
         "batching_invariance",
-        lambda: _check_batching(layer, input_spec, cfg, constants, x, layer_out),
+        lambda: _check_batching(layer, cfg, constants, x, layer_out),
     )
-    run("padding_invariance", lambda: _check_padding(layer, constants, x, layer_out, streamed))
-    run("emits_consistency", lambda: _check_emits(layer, constants, x, layer_out))
+    run("padding_invariance", lambda: _check_padding(layer, constants, x, layer_out, flushed))
+    run("emits_consistency", lambda: _check_emits(layer, constants, x, layer_out, flushed))
 
     if not layer.is_stochastic:
         run("rng_equivalence", None, skip_reason="deterministic layer")
@@ -561,7 +550,7 @@ def verify_contract(
 
         def rng_check():
             for blocks in (1, 2):
-                failure, metrics = _check_equivalence(layer_out, streamed, blocks, True)
+                failure, metrics = _check_equivalence(layer_out, flushed, blocks, True)
                 if failure:
                     return f"training=True {failure}", metrics
             return None, metrics

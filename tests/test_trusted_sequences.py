@@ -180,6 +180,21 @@ def test_public_constructor_copies_a_writeable_array():
     assert not s.values.flags.writeable and not s.mask.flags.writeable
 
 
+def test_public_constructor_copies_a_read_only_view_of_a_writeable_array():
+    arr = np.zeros((1, 3, 2), np.float32)
+    view = arr.view()
+    view.flags.writeable = False
+    s = Sequence(view, np.ones((1, 3), bool))
+    arr[0, 0, 0] = 7.0
+    assert s.values[0, 0, 0] == 0.0
+
+
+def test_public_constructor_shares_a_view_of_a_frozen_array():
+    frozen = tensor.freeze(np.zeros((1, 3, 2), np.float32))
+    view = frozen[:, 1:]
+    assert Sequence(view, np.ones((1, 2), bool)).values is view
+
+
 def test_public_constructor_still_validates():
     with pytest.raises(sl.ShapeMismatchError):
         Sequence(np.zeros(3, np.float32), np.ones(3, bool))

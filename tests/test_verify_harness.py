@@ -2,11 +2,13 @@
 caught by its designated check, reports are deterministic and serializable."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import seqstream as sl
+from seqstream import pipeline
 from seqstream.sabotage import FIXTURES
 from seqstream.sequence import ChannelSpec
 from seqstream.verify import (
@@ -140,6 +142,41 @@ def test_latency_is_measured_on_the_shared_input(layer):
     # measured against the layer output of the same input
     report = verify_contract(layer, SPEC3)
     assert report.passed, report.render()
+
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def _spec_layer(name):
+    spec, input_spec = pipeline.load_spec_file(SPEC_DIR / f"{name}.yaml")
+    return pipeline.build(spec, input_spec), input_spec
+
+
+@pytest.mark.parametrize(
+    "make, expected",
+    [
+        # 1x and 2x eval runs and the poisoned 1x run
+        (lambda: (sl.Dense(3, 4, rng=np.random.default_rng(0)), SPEC3), 3),
+        # plus the probe that step() rejects a block of block_size + 1
+        (lambda: _spec_layer("conv_stack"), 4),
+        # plus the 1x and 2x training runs of a stochastic layer
+        (lambda: _spec_layer("transformer_block"), 5),
+    ],
+    ids=["dense", "conv_stack", "transformer_block"],
+)
+def test_battery_steps_each_input_once(make, expected):
+    layer, input_spec = make()
+    calls = []
+    initial_state = layer.get_initial_state
+
+    def counted(*args, **kwargs):
+        calls.append(kwargs.get("training"))
+        return initial_state(*args, **kwargs)
+
+    layer.get_initial_state = counted
+    report = verify_contract(layer, input_spec)
+    assert report.passed, report.render()
+    assert len(calls) == expected, calls
 
 
 def test_full_catalog_passes():
