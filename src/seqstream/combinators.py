@@ -19,6 +19,21 @@ is checked at construction over one period of their block sizes. They may
 disagree on latency: faster children are delayed inside step() by per-child
 FIFOs so all branches emit the same stream positions, and the combinator
 reports the maximum latencies.
+
+Stepping runs a plan, not a walk of the tree. On its first step a Serial,
+Repeat, Parallel or Residual lowers its subtree once into a cached
+:class:`_StepPlan`: the children of nested Serials and Repeats are inlined
+into one run of leaf steps, and each nested Parallel or Residual becomes a
+branch group that masks its branch outputs, pushes them through their FIFOs
+and combines them. One executor runs the plan. Only the composite being
+stepped checks its block; the composites inside it are never called, and
+their checks are implied by its own. Each leaf is called through its public
+``step`` attribute, looked up per call, so a leaf's own checks and any
+wrapper installed on it still run; a leaf that overrides ``step_with_emits``
+(``Emit``, ``Blockwise``) is called through that instead. When no leaf is, the
+emits tree is the same constant on every step. States and emits keep the
+nesting of the tree: a Serial's state is the tuple of its children's, a
+Parallel's is (children's states, FIFOs).
 """
 
 from __future__ import annotations
@@ -29,7 +44,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotSteppableError, SpecMismatchError
-from .layer import UNIT_RATIO, Emitting, SequenceLayer, renamed
+from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, renamed
 from .receptive_field import (
     reverse_rf_map,
     rf_at,
@@ -113,7 +128,7 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
     mask = outputs[0].mask
     for y in outputs[1:]:
         mask = np.logical_and(mask, y.mask)
-    arrays = [np.asarray(y.values) for y in outputs]
+    arrays = [y.values for y in outputs]
     if mode == "stack":
         values = np.stack(arrays, axis=2)
     elif mode == "concat":
@@ -123,16 +138,130 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
         for a in arrays[1:]:
             total = total + a
         if mode == "mean":
-            total = (total / np.float32(len(arrays))).astype(arrays[0].dtype)
+            total = (total / np.float32(len(arrays))).astype(arrays[0].dtype, copy=False)
         values = total
-    if len({y.dtype for y in outputs}) != 1:
+    if len({a.dtype for a in arrays}) != 1:
         # numpy promotes mixed branch dtypes; validating canonicalizes them
         return Sequence(values, mask)
     return Sequence._wrap(values, mask)
 
 
+def _flatten(layout, state, flat):
+    """Writes the leaf states and fifos of a nested composite state into
+    their slots of ``flat``."""
+    children, fifo_slots = layout
+    if fifo_slots is not None:
+        state, fifos = state
+        for slot, fifo in zip(fifo_slots, fifos):
+            flat[slot] = fifo
+    for sub, child_state in zip(children, state):
+        if isinstance(sub, int):
+            flat[sub] = child_state
+        else:
+            _flatten(sub, child_state, flat)
+
+
+def _unflatten(layout, flat, fifos):
+    """The nested tree of the slots of ``flat``: a composite state when
+    ``fifos``, else emits, which have no fifos."""
+    children, fifo_slots = layout
+    tree = tuple([
+        flat[sub] if isinstance(sub, int) else _unflatten(sub, flat, fifos) for sub in children
+    ])
+    if fifos and fifo_slots is not None:
+        return tree, tuple([flat[slot] for slot in fifo_slots])
+    return tree
+
+
+class _StepPlan:
+    """A composite's subtree lowered once for stepping (see the module docstring).
+
+    For the length of a step, leaf states and Parallel fifos live in
+    numbered slots of a flat list. ``layout`` maps the nested composite
+    state onto them: a leaf is its slot, a composite is ``(child layouts,
+    fifo slots)``, where a Serial has None for fifo slots.
+
+    ``ops`` run in order. Each reads a value from a list of registers, which
+    starts as [input block], and appends its output to it. A leaf op
+    ``(leaf, slot, src, emits)`` steps ``leaf`` on register ``src`` with the
+    state in ``slot``; with ``emits`` it calls ``step_with_emits`` and puts
+    the emits in ``slot`` of the flat emits. A branch op ``(None, branches,
+    combine)`` ends a Parallel: each ``(src, slot)`` branch output is masked
+    and delayed by the fifo in ``slot``, and the outputs are combined.
+    """
+
+    def __init__(self, composite):
+        self.ops = []
+        self.num_slots = 0
+        self.layout, self.out = self._lower_composite(composite, 0)
+        emitting = any(op[0] is not None and op[3] for op in self.ops)
+        #: the emits tree when no leaf is called through step_with_emits
+        self.emits = (
+            None if emitting else _unflatten(self.layout, [EMPTY_EMITS] * self.num_slots, False)
+        )
+
+    def _slot(self):
+        self.num_slots += 1
+        return self.num_slots - 1
+
+    def _lower(self, node, src):
+        """Appends the ops that step ``node`` on register ``src``; returns
+        (its layout, its output register)."""
+        # inlined: Serial, Repeat, Parallel and Residual, not a subclass that steps itself
+        if type(node).step_with_emits is _Composite.step_with_emits:
+            return self._lower_composite(node, src)
+        slot = self._slot()
+        emits = type(node).step_with_emits is not SequenceLayer.step_with_emits
+        self.ops.append((node, slot, src, emits))
+        return slot, len(self.ops)
+
+    def _lower_composite(self, node, src):
+        if not isinstance(node, Parallel):
+            layouts = []
+            for child in node.children:
+                layout, src = self._lower(child, src)
+                layouts.append(layout)
+            return (tuple(layouts), None), src
+        layouts, outputs = zip(*(self._lower(child, src) for child in node.children))
+        fifo_slots = tuple(self._slot() for _ in outputs)
+        self.ops.append((None, tuple(zip(outputs, fifo_slots)), node.combine))
+        return (layouts, fifo_slots), len(self.ops)
+
+    def run(self, x, state, training, constants):
+        """(output, next state, emits) of one step, nested as the composite's."""
+        states = [None] * self.num_slots
+        _flatten(self.layout, state, states)
+        regs = [x]
+        emits = None if self.emits is not None else [EMPTY_EMITS] * self.num_slots
+        for op in self.ops:
+            leaf = op[0]
+            if leaf is None:
+                outputs = []
+                for src, slot in op[1]:
+                    y = regs[src].mask_invalid()
+                    if states[slot].time:
+                        y, states[slot] = delay_step(y, states[slot])
+                    outputs.append(y)
+                regs.append(_combine_outputs(outputs, op[2]))
+                continue
+            _, slot, src, with_emits = op
+            # looked up per call, so wrappers installed on a leaf are honoured
+            if with_emits:
+                y, states[slot], emits[slot] = leaf.step_with_emits(
+                    regs[src], states[slot], training=training, constants=constants
+                )
+            else:
+                y, states[slot] = leaf.step(
+                    regs[src], states[slot], training=training, constants=constants
+                )
+            regs.append(y)
+        step_emits = self.emits if emits is None else _unflatten(self.layout, emits, False)
+        return regs[self.out], _unflatten(self.layout, states, True), step_emits
+
+
 class _Composite(Emitting):
-    """Serial and Parallel: an emitting layer over a tuple of children."""
+    """Serial and Parallel: an emitting layer over a tuple of children,
+    stepped through a :class:`_StepPlan` built on its first step."""
 
     @property
     def children(self):
@@ -141,6 +270,14 @@ class _Composite(Emitting):
     @property
     def is_stochastic(self):
         return any(c.is_stochastic for c in self._children)
+
+    @cached_property
+    def _plan(self):
+        return _StepPlan(self)
+
+    def step_with_emits(self, x, state, *, training, constants=None):
+        self._check_block(x)
+        return self._plan.run(x, state, training, constants)
 
 
 class Serial(_Composite):
@@ -246,17 +383,6 @@ class Serial(_Composite):
             spec = child.get_output_spec(spec, constants)
         return tuple(states)
 
-    def step_with_emits(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        new_states, emits = [], []
-        for child, child_state in zip(self._children, state):
-            x, child_state, e = child.step_with_emits(
-                x, child_state, training=training, constants=constants
-            )
-            new_states.append(child_state)
-            emits.append(e)
-        return x, tuple(new_states), tuple(emits)
-
 
 class Parallel(_Composite):
     """Feeds the same input to every child and combines their outputs."""
@@ -333,24 +459,6 @@ class Parallel(_Composite):
             for c in self._children
         )
         return (child_states, fifos)
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        child_states, fifos = state
-        outputs, new_states, new_fifos, emits = [], [], [], []
-        for child, child_state, fifo in zip(self._children, child_states, fifos):
-            y, child_state, e = child.step_with_emits(
-                x, child_state, training=training, constants=constants
-            )
-            y = y.mask_invalid()
-            if fifo.time:
-                y, fifo = delay_step(y, fifo)
-            outputs.append(y)
-            new_fifos.append(fifo)
-            new_states.append(child_state)
-            emits.append(e)
-        combined = _combine_outputs(outputs, self.combine)
-        return combined, (tuple(new_states), tuple(new_fifos)), tuple(emits)
 
 
 class Residual(Parallel):

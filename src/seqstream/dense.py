@@ -125,7 +125,7 @@ def _gelu(v):
 
 
 def _sigmoid(v):
-    return special.expit(v).astype(v.dtype)
+    return special.expit(v).astype(v.dtype, copy=False)
 
 
 # kind -> (fn builder, zero-preserving predicate, allows integer input)
@@ -135,7 +135,11 @@ _POINTWISE = {
     "sigmoid": (lambda p: _sigmoid, lambda p: False, False),
     "tanh": (lambda p: np.tanh, lambda p: True, False),
     "swish": (lambda p: lambda v: v * _sigmoid(v), lambda p: True, False),
-    "softplus": (lambda p: lambda v: np.logaddexp(0.0, v).astype(v.dtype), lambda p: False, False),
+    "softplus": (
+        lambda p: lambda v: np.logaddexp(0.0, v).astype(v.dtype, copy=False),
+        lambda p: False,
+        False,
+    ),
     "leaky_relu": (
         lambda p: lambda v: np.where(v >= 0, v, np.asarray(p, v.dtype) * v),
         lambda p: True,
@@ -199,7 +203,7 @@ class Softmax(StatelessLayer):
         shifted = v - np.max(v, axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / np.sum(e, axis=axis, keepdims=True)
-        return Sequence._wrap(out.astype(x.dtype), x.mask)
+        return Sequence._wrap(out.astype(x.dtype, copy=False), x.mask)
 
 
 class _Normalization(StatelessLayer):
@@ -218,6 +222,9 @@ class _Normalization(StatelessLayer):
         self.epsilon = float(epsilon)
         spec = {key: self.shape for key in self.PARAMS}
         self._params = params_lib.materialize(spec, params, rng, self.name)
+        self._epsilon = np.float32(self.epsilon)
+        self._axes = tuple(range(2, 2 + len(self.shape)))
+        self._count = np.intp(math.prod(self.shape))
 
     def _check(self, channel_shape):
         if tuple(channel_shape) != self.shape:
@@ -229,6 +236,12 @@ class _Normalization(StatelessLayer):
         self._check(input_spec.shape)
         return ChannelSpec(input_spec.shape, np.float32)
 
+    def _mean(self, v):
+        """``np.mean(v, axis=channel axes, keepdims=True)`` as the two ufunc
+        calls it makes, without its Python wrapper: the same bits."""
+        total = np.add.reduce(v, axis=self._axes, keepdims=True)
+        return np.true_divide(total, self._count, out=total, casting="unsafe")
+
 
 class LayerNormalization(_Normalization):
     """Normalizes each timestep over all channel axes, then applies an affine."""
@@ -237,14 +250,12 @@ class LayerNormalization(_Normalization):
 
     def layer(self, x, *, training, constants=None):
         self._check(x.channel_shape)
-        axes = tuple(range(2, x.ndim))
         v = np.asarray(x.values, dtype=np.float32)
-        mean = v.mean(axis=axes, keepdims=True)
-        centered = v - mean
-        var = np.mean(np.square(centered), axis=axes, keepdims=True)
-        normed = centered / np.sqrt(var + np.float32(self.epsilon))
+        centered = v - self._mean(v)
+        var = self._mean(np.square(centered))
+        normed = centered / np.sqrt(var + self._epsilon)
         out = normed * self._params["scale"] + self._params["offset"]
-        return Sequence._wrap(out.astype(np.float32), x.mask)
+        return Sequence._wrap(out.astype(np.float32, copy=False), x.mask)
 
 
 class RMSNormalization(_Normalization):
@@ -254,12 +265,11 @@ class RMSNormalization(_Normalization):
 
     def layer(self, x, *, training, constants=None):
         self._check(x.channel_shape)
-        axes = tuple(range(2, x.ndim))
         v = np.asarray(x.values, dtype=np.float32)
-        ms = np.mean(np.square(v), axis=axes, keepdims=True)
-        out = v / np.sqrt(ms + np.float32(self.epsilon)) * self._params["scale"]
+        ms = self._mean(np.square(v))
+        out = v / np.sqrt(ms + self._epsilon) * self._params["scale"]
         # f(0) = 0, so a masked input stays masked
-        return Sequence._wrap(out.astype(np.float32), x.mask, masked=x.masked)
+        return Sequence._wrap(out.astype(np.float32, copy=False), x.mask, masked=x.masked)
 
 
 # --- dropout ----------------------------------------------------------------
@@ -354,10 +364,10 @@ class _ChannelOp(StatelessLayer):
         return ChannelSpec(self._out_shape(input_spec.shape), input_spec.dtype)
 
     def layer(self, x, *, training, constants=None):
-        out_shape = self._out_shape(x.channel_shape)
-        return x.apply_values(
-            lambda v: self._transform(v, out_shape), zero_preserving=True
-        )
+        values = self._transform(x.values, self._out_shape(x.channel_shape))
+        # a view of x's read-only values; tensor() copies it only where the
+        # view would alias a writeable array, as the validating path does
+        return Sequence._wrap(tensor.tensor(values), x.mask, masked=x.masked)
 
     def _transform(self, values, out_shape):
         return values.reshape(values.shape[:2] + out_shape)

@@ -24,6 +24,9 @@ forwards emits - ``dense.Emit`` and the combinators ``Serial``,
 ``Parallel``/``Residual`` and ``Blockwise`` - is :class:`Emitting`: it
 implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
 it, so outputs and emits come from one loop and cannot drift apart.
+Composites step their leaves through a plan (see
+:mod:`seqstream.combinators`): they call each leaf's public ``step``, and
+honour an overridden ``step_with_emits`` by calling that instead.
 
 ``training`` is a required keyword argument on the execution methods; there
 is deliberately no default.
@@ -224,9 +227,10 @@ class SequenceLayer(abc.ABC):
     # -- validation helpers --------------------------------------------------
 
     def _check_block(self, x: Sequence) -> None:
-        if x.time == 0 or x.time % self.block_size:
+        time = x.values.shape[1]
+        if time == 0 or time % self.block_size:
             raise BlockSizeError(
-                f"{self.name}: step input time {x.time} is not a positive multiple "
+                f"{self.name}: step input time {time} is not a positive multiple "
                 f"of block_size {self.block_size}"
             )
 

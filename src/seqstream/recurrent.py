@@ -77,8 +77,8 @@ class LSTM(SequenceLayer):
             c_new = f_g * c + i_g * g_g
             h_new = o_g * np.tanh(c_new)
             valid = mask[:, t][:, None]
-            c = np.where(valid, c_new.astype(np.float32), c)
-            h = np.where(valid, h_new.astype(np.float32), h)
+            c = np.where(valid, c_new.astype(np.float32, copy=False), c)
+            h = np.where(valid, h_new.astype(np.float32, copy=False), h)
             outputs[:, t] = np.where(valid, h_new, 0.0)
         return Sequence._wrap(outputs, mask, masked=True), {"c": c, "h": h}
 

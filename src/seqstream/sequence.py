@@ -6,8 +6,8 @@ The trailing ``...channel`` dimensions are the sequence's channel shape.
 
 A sequence is *masked* when every invalid position holds exactly zero; this
 is tracked by the ``masked`` flag (the analogue of a marker subclass) and
-established by :meth:`Sequence.mask_invalid`. Operations document whether
-they preserve the flag.
+established by :meth:`Sequence.mask_invalid`, which copies nothing when
+every step is valid. Operations document whether they preserve the flag.
 
 Validity is expected to be contiguous from t=0 per batch row (end-padding
 convention). ``from_lengths`` enforces this by construction; arbitrary masks
@@ -88,8 +88,10 @@ class Sequence:
         views of already read-only arrays. Never pass a caller's writeable
         array: both arrays are made read-only in place, not copied.
         """
-        values.setflags(write=False)
-        mask.setflags(write=False)
+        if values.flags.writeable:
+            values.setflags(write=False)
+        if mask.flags.writeable:
+            mask.setflags(write=False)
         seq = object.__new__(Sequence)
         fields = seq.__dict__
         fields["values"], fields["mask"], fields["masked"] = values, mask, masked
@@ -162,9 +164,15 @@ class Sequence:
         return self.mask.reshape(self.mask.shape + (1,) * (self.ndim - 2))
 
     def mask_invalid(self) -> "Sequence":
-        """Zeroes values at invalid positions. No-op when already masked."""
+        """Zeroes values at invalid positions. No-op when already masked.
+
+        When every step is valid there is nothing to zero: the result shares
+        this sequence's arrays, flagged masked, and copies nothing.
+        """
         if self.masked:
             return self
+        if np.count_nonzero(self.mask) == self.mask.size:
+            return Sequence._wrap(self.values, self.mask, masked=True)
         zero = np.zeros((), dtype=self.dtype)
         values = np.where(self.expanded_mask(), self.values, zero)
         return Sequence._wrap(values, self.mask, masked=True)
@@ -181,7 +189,11 @@ class Sequence:
                 f"apply_values must preserve batch/time, got {values.shape[:2]} "
                 f"from {self.values.shape[:2]}"
             )
-        return Sequence(values, self.mask, masked=self.masked and zero_preserving)
+        # the mask is this sequence's own; the values get the public edge's
+        # dtype and copy rules
+        return Sequence._wrap(
+            tensor.tensor(values), self.mask, masked=self.masked and zero_preserving
+        )
 
     # -- time manipulation --
 

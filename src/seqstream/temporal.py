@@ -119,6 +119,9 @@ def _anchor_index(time: int, stride: int, trim_left: int, history: int) -> np.nd
 class _WindowedLayer(SequenceLayer):
     """Shared layer/step plumbing for fixed-window time reductions."""
 
+    #: whether _reduce_windows reads its window mask; when not, None is passed
+    _reads_window_mask = False
+
     def __init__(self, kernel_size, stride, dilation, padding, name):
         super().__init__(name)
         if kernel_size < 1 or stride < 1 or dilation < 1:
@@ -159,6 +162,11 @@ class _WindowedLayer(SequenceLayer):
         """[B, out, k, ...ch] windows -> [B, out, ...ch] outputs."""
         raise NotImplementedError
 
+    def _windows(self, values, mask, idx):
+        """The reduced windows of values at the [out, k] offsets idx."""
+        window_mask = mask[:, idx] if self._reads_window_mask else None
+        return self._reduce_windows(values[:, idx], window_mask)
+
     def layer(self, x, *, training, constants=None):
         xm = x.mask_invalid()
         time = x.time
@@ -169,7 +177,7 @@ class _WindowedLayer(SequenceLayer):
         values = np.pad(np.asarray(xm.values), [(0, 0), (self.pad_left, needed)] + ch_pads)
         mask = np.pad(np.asarray(x.mask), [(0, 0), (self.pad_left, needed)])
         idx = window_index(out_len, self.stride, self.kernel_size, self.dilation)
-        out = self._reduce_windows(values[:, idx], mask[:, idx])
+        out = self._windows(values, mask, idx)
         out_mask = np.asarray(x.mask)[:, :: self.stride][:, :out_len]
         return Sequence._wrap(out, out_mask)
 
@@ -181,12 +189,16 @@ class _WindowedLayer(SequenceLayer):
 
     def step(self, x, state: Sequence, *, training, constants=None):
         self._check_block(x)
+        if x.channel_shape != state.channel_shape:
+            raise SpecMismatchError(
+                f"{self.name}: expected channel shape {state.channel_shape}, got {x.channel_shape}"
+            )
         xm = x.mask_invalid()
-        values = np.concatenate([np.asarray(state.values), np.asarray(xm.values)], axis=1)
-        mask = np.concatenate([np.asarray(state.mask), np.asarray(x.mask)], axis=1)
+        values = np.concatenate([state.values, xm.values], axis=1)
+        mask = np.concatenate([state.mask, x.mask], axis=1)
         out_len = x.time // self.stride
         idx = _step_window_index(out_len, self.stride, self.kernel_size, self.dilation)
-        out = self._reduce_windows(values[:, idx], mask[:, idx])
+        out = self._windows(values, mask, idx)
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
         ctx = self._context_len
         new_state = Sequence._wrap(
@@ -236,7 +248,7 @@ class Conv1D(_WindowedLayer):
         y = np.einsum("btkc,kcf->btf", wv, self._params["weight"], optimize=False)
         if self.use_bias:
             y = y + self._params["bias"]
-        return y.astype(np.float32)
+        return y.astype(np.float32, copy=False)
 
     def layer(self, x, *, training, constants=None):
         self._check_channel_rank(x, 1)
@@ -251,6 +263,7 @@ class _Pooling1D(_WindowedLayer):
     """Windowed reduction over valid timesteps only."""
 
     kind = ""
+    _reads_window_mask = True
 
     def __init__(self, window, stride=1, padding="causal", *, name=None):
         super().__init__(window, stride, 1, padding, name)
@@ -288,7 +301,7 @@ class AveragePooling1D(_Pooling1D):
         wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
         total = wv.sum(axis=2, dtype=np.float32)
         count = wm.sum(axis=2, dtype=np.float32)
-        return (total / np.maximum(count, 1.0)).astype(np.float32)
+        return (total / np.maximum(count, 1.0)).astype(np.float32, copy=False)
 
 
 class Conv1DTranspose(SequenceLayer):
@@ -373,8 +386,9 @@ class Conv1DTranspose(SequenceLayer):
         return overlap_add(contrib, self.stride, carry)
 
     def _finish(self, out):
+        # out views overlap_add's buffer: the bias add or the cast makes it fresh
         if self.use_bias:
-            out = out + self._params["bias"]
+            return (out + self._params["bias"]).astype(np.float32, copy=False)
         return out.astype(np.float32)
 
     def _zero_carry(self, batch_size):
@@ -397,6 +411,10 @@ class Conv1DTranspose(SequenceLayer):
 
     def step(self, x, state, *, training, constants=None):
         self._check_block(x)
+        if x.channel_shape != (self.in_channels,):
+            raise SpecMismatchError(
+                f"{self.name}: expected channel shape ({self.in_channels},), got {x.channel_shape}"
+            )
         out, carry = self._scatter(x, state["carry"])
         mask = np.concatenate([state["mask_history"], np.asarray(x.mask)], axis=1)
         out_mask = mask[:, _anchor_index(x.time, self.stride, self.trim_left, self.input_latency)]

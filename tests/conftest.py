@@ -1,7 +1,18 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from seqstream import pipeline
 from seqstream.sequence import Sequence
+
+SPEC_DIR = Path(__file__).resolve().parent.parent / "specs"
+
+
+def build_spec(name):
+    """(layer, input spec) of a bundled spec, built with seed 0."""
+    node, spec = pipeline.load_spec_file(SPEC_DIR / f"{name}.yaml")
+    return pipeline.build(node, spec, seed=0), spec
 
 
 def random_sequence(seed, batch, time, channels, lengths=None):

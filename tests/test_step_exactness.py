@@ -1,0 +1,77 @@
+"""Stepping gives the very bits of layer(), at every block multiple.
+
+The contract allows |step - layer| up to 1e-6, but these layers and specs
+meet it exactly, and a faster step path must keep it that way: on a BLAS
+whose rows depend on the matrix height, rewriting one contraction (an einsum
+as a matmul, say) changes bits without failing any tolerance.
+"""
+
+import numpy as np
+import pytest
+
+import seqstream as sl
+from seqstream.sequence import Sequence
+from seqstream.streaming import step_by_step
+
+from conftest import build_spec, random_sequence
+
+MULTS = (1, 2, 3, 8)
+
+
+def layers():
+    rng = np.random.default_rng(5)
+    return {
+        "conv1d": (sl.Conv1D(3, 4, 3, stride=2, padding="same", rng=rng), (3,)),
+        "conv1d_transpose": (sl.Conv1DTranspose(3, 4, 5, stride=2, padding="same", rng=rng), (3,)),
+        # wide enough that a matmul's rows would depend on the batch of rows
+        "dense": (sl.Dense(128, 32, rng=rng), (128,)),
+        "layer_norm": (sl.LayerNormalization((2, 3), rng=rng), (2, 3)),
+        "rms_norm": (sl.RMSNormalization(3, rng=rng), (3,)),
+        "lstm": (sl.LSTM(3, 4, rng=rng), (3,)),
+    }
+
+
+def padded_input(channels, time=48):
+    return random_sequence(0, 3, time, channels, lengths=[time, time - 7, time // 3])
+
+
+def assert_bit_exact(y, ref):
+    assert y.shape == ref.shape
+    assert np.array_equal(y.mask, ref.mask)
+    assert y.mask_invalid().values.tobytes() == ref.mask_invalid().values.tobytes()
+
+
+@pytest.mark.parametrize("mult", MULTS)
+@pytest.mark.parametrize("name", sorted(layers()))
+def test_leaf_steps_are_bit_exact(name, mult):
+    layer, channels = layers()[name]
+    x = padded_input(channels)
+    ref = layer.layer(x, training=False)
+    assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
+
+
+@pytest.mark.parametrize("mult", MULTS)
+@pytest.mark.parametrize("name", ["conv_stack", "streaming_encoder", "mixed_resample"])
+def test_spec_steps_are_bit_exact(name, mult):
+    layer, spec = build_spec(name)
+    x = padded_input(spec.shape, time=16 * layer.block_size)
+    ref = layer.layer(x, training=False)
+    assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
+
+
+#: transformer_block's worst |step - layer| on the live input below; the
+#: equivalence tolerance is 1e-6, so this bound is stricter, never looser
+TRANSFORMER_MARGIN = 5e-7
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+def test_transformer_block_keeps_its_margin(seed):
+    layer, spec = build_spec("transformer_block")
+    # one full-length stream, drawn as the benchmark's live_stream input is
+    rng = np.random.default_rng([seed, 2])
+    x = Sequence.from_lengths(rng.standard_normal((1, 1024) + spec.shape, dtype=np.float32), [1024])
+    y = step_by_step(layer, x, training=False)
+    ref = layer.layer(x, training=False)
+    assert np.array_equal(y.mask, ref.mask)
+    diff = np.abs(y.values.astype(np.float64) - ref.values.astype(np.float64))
+    assert diff.max() <= TRANSFORMER_MARGIN

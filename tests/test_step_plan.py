@@ -1,0 +1,227 @@
+"""Composites step through a plan built once; it must match the tree walk.
+
+``reference_step`` below is the recursive Serial/Parallel step loop that the
+plan replaced, kept here as the reference: every output, mask, final state
+and emit of the plan must be bit-identical to it, block after block.
+"""
+
+import numpy as np
+import pytest
+
+import seqstream as sl
+from seqstream import sabotage, tensor
+from seqstream.combinators import _combine_outputs, _Composite
+from seqstream.layer import RngCounter
+from seqstream.sequence import ChannelSpec, Sequence
+from seqstream.temporal import delay_step
+
+from conftest import build_spec
+
+SPECS = ("conv_stack", "streaming_encoder", "transformer_block", "mixed_resample")
+
+
+def reference_step(layer, x, state, *, training, constants=None):
+    """(output, state, emits) of one step, walking Serial/Parallel recursively."""
+    if type(layer).step_with_emits is not _Composite.step_with_emits:
+        return layer.step_with_emits(x, state, training=training, constants=constants)
+    if isinstance(layer, sl.Parallel):
+        layer._check_block(x)
+        child_states, fifos = state
+        outputs, new_states, new_fifos, emits = [], [], [], []
+        for child, child_state, fifo in zip(layer.children, child_states, fifos):
+            y, child_state, e = reference_step(
+                child, x, child_state, training=training, constants=constants
+            )
+            y = y.mask_invalid()
+            if fifo.time:
+                y, fifo = delay_step(y, fifo)
+            outputs.append(y)
+            new_fifos.append(fifo)
+            new_states.append(child_state)
+            emits.append(e)
+        combined = _combine_outputs(outputs, layer.combine)
+        return combined, (tuple(new_states), tuple(new_fifos)), tuple(emits)
+    layer._check_block(x)
+    new_states, emits = [], []
+    for child, child_state in zip(layer.children, state):
+        x, child_state, e = reference_step(
+            child, x, child_state, training=training, constants=constants
+        )
+        new_states.append(child_state)
+        emits.append(e)
+    return x, tuple(new_states), tuple(emits)
+
+
+def assert_identical(a, b, where="root"):
+    """Bit-identical trees of Sequences, arrays, tuples, dicts and scalars."""
+    assert type(a) is type(b), (where, type(a), type(b))
+    if isinstance(a, Sequence):
+        assert a.masked == b.masked, where
+        assert_identical(a.values, b.values, f"{where}.values")
+        assert_identical(a.mask, b.mask, f"{where}.mask")
+    elif isinstance(a, np.ndarray):
+        assert (a.dtype, a.shape) == (b.dtype, b.shape), where
+        assert a.tobytes() == b.tobytes(), where
+    elif isinstance(a, tuple):
+        assert len(a) == len(b), where
+        for i, (x, y) in enumerate(zip(a, b)):
+            assert_identical(x, y, f"{where}[{i}]")
+    elif isinstance(a, dict):
+        assert a.keys() == b.keys(), where
+        for k in a:
+            assert_identical(a[k], b[k], f"{where}[{k!r}]")
+    else:
+        assert isinstance(a, (int, RngCounter)), (where, type(a))
+        assert a == b, where
+
+
+def make_input(spec, seed=0, batch=3, time=24):
+    rng = np.random.default_rng(seed)
+    shape = (batch, time) + spec.shape
+    if spec.dtype == tensor.FLOAT32:
+        values = rng.standard_normal(shape).astype(np.float32)
+    elif spec.dtype == tensor.INT32:
+        values = rng.integers(-5, 6, shape).astype(np.int32)
+    else:
+        values = rng.integers(0, 2, shape).astype(bool)
+    return Sequence.from_lengths(values, [time, 2 * time // 3, time // 3][:batch])
+
+
+def assert_plan_matches_reference(layer, spec, *, training=False, mult=1, time=24):
+    x = make_input(spec, time=time)
+    block = layer.block_size * mult
+    x = x.pad_time(0, -x.time % block, valid=False)
+    plan_state = layer.get_initial_state(x.batch_size, spec, training=training)
+    ref_state = layer.get_initial_state(x.batch_size, spec, training=training)
+    for start in range(0, x.time, block):
+        chunk = x.slice_time(start, start + block)
+        got = layer.step_with_emits(chunk, plan_state, training=training)
+        want = reference_step(layer, chunk, ref_state, training=training)
+        assert_identical(got, want, f"step at {start}")
+        plan_state, ref_state = got[1], want[1]
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("mult", [1, 2])
+@pytest.mark.parametrize("name", SPECS)
+def test_bundled_specs_match_the_tree_walk(name, mult, training):
+    layer, spec = build_spec(name)
+    assert_plan_matches_reference(layer, spec, training=training, mult=mult, time=36)
+
+
+F32, I32, BOOL = ChannelSpec((3,)), ChannelSpec((3,), np.int32), ChannelSpec((3,), bool)
+
+
+def trees():
+    rng = np.random.default_rng(7)
+    conv = lambda: sl.Conv1D(3, 3, 3, padding="same", rng=rng)  # noqa: E731
+    return {
+        # branch latencies 1, 0 and 2: the faster branches run through fifos
+        "unequal_latencies": (
+            sl.Parallel([conv(), sl.Identity(), sl.Lookahead(2)], combine="add"),
+            (F32,),
+        ),
+        "stack": (sl.Parallel([conv(), sl.Delay(1)], combine="stack"), (F32,)),
+        "concat": (sl.Parallel([conv(), sl.Dense(3, 2, rng=rng)], combine="concat"), (F32,)),
+        "mean": (sl.Parallel([sl.Identity(), sl.Lookahead(1)], combine="mean"), (F32, I32)),
+        "nested_emits": (
+            sl.Serial(
+                [
+                    sl.Emit(name="first"),
+                    sl.Residual([sl.Emit(), sl.Serial([conv(), sl.Emit(name="inner")])]),
+                    sl.Serial([sl.Emit(name="last")]),
+                ]
+            ),
+            (F32,),
+        ),
+        "blockwise_emit": (sl.Serial([sl.Blockwise(sl.Emit(), 4), sl.Identity()]), (F32, I32)),
+        "repeat": (
+            sl.Repeat(lambda i: sl.Residual([sl.Dense(3, 3, rng=rng), sl.Emit()]), 3),
+            (F32,),
+        ),
+        "shape_shifting_emits": (
+            sl.Serial([sabotage.ShapeShiftingEmits(), sl.Delay(1)]),
+            (F32, I32, BOOL),
+        ),
+        "mixed_dtypes": (
+            sl.Serial(
+                [sl.Parallel([sl.Identity(), sl.Delay(1)], combine="concat"), sl.Lookahead(1)]
+            ),
+            (I32, BOOL),
+        ),
+        "dropout": (
+            sl.Serial(
+                [
+                    sl.Residual([sl.Dropout(0.4, seed=3), sl.Dense(3, 3, rng=rng)]),
+                    sl.Parallel([sl.Dropout(0.2, seed=5), sl.StepDelay(1)], combine="add"),
+                ]
+            ),
+            (F32,),
+        ),
+        "empty_serial": (sl.Serial([sl.Serial([]), sl.Parallel([sl.Serial([])])]), (F32, BOOL)),
+    }
+
+
+CASES = [
+    pytest.param(name, spec, id=f"{name}-{spec}")
+    for name, (_, specs) in trees().items()
+    for spec in specs
+]
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("mult", [1, 3])
+@pytest.mark.parametrize("name, spec", CASES)
+def test_trees_match_the_tree_walk(name, spec, mult, training):
+    layer = trees()[name][0]
+    assert_plan_matches_reference(layer, spec, training=training, mult=mult)
+
+
+def test_nested_emits_keep_the_tree_structure():
+    layer = trees()["nested_emits"][0]
+    x = make_input(F32, time=4)
+    state = layer.get_initial_state(x.batch_size, F32, training=False)
+    _, _, emits = layer.step_with_emits(x, state, training=False)
+    first, (body, shortcut), (last,) = emits
+    assert body[0] is x and body[1][1].time == x.time and shortcut == ()
+    assert first is x and last.time == x.time
+
+
+def test_plan_is_built_once_per_composite():
+    layer, spec = build_spec("transformer_block")
+    x = make_input(spec, time=3)
+    state = layer.get_initial_state(x.batch_size, spec, training=False)
+    layer.step(x[:, 0:1], state, training=False)
+    plan = layer._plan
+    layer.step(x[:, 1:2], state, training=False)
+    assert layer._plan is plan
+    # the inner composites are inlined: only leaves are stepped
+    stepped = [op[0] for op in plan.ops if op[0] is not None]
+    assert not any(isinstance(node, (sl.Serial, sl.Parallel)) for node in stepped)
+    assert len(stepped) == 14
+
+
+def test_the_stepped_composite_checks_its_block():
+    layer = sl.Serial([sl.Serial([sl.Downsample1D(2)]), sl.Identity()])
+    state = layer.get_initial_state(1, F32, training=False)
+    with pytest.raises(sl.BlockSizeError, match="serial"):
+        layer.step(make_input(F32, batch=1, time=3), state, training=False)
+
+
+class CountingSerial(sl.Serial):
+    """A Serial subclass that steps itself: the plan must call it, not inline it."""
+
+    def __init__(self, layers, name=None):
+        super().__init__(layers, name=name)
+        self.calls = 0
+
+    def step_with_emits(self, x, state, *, training, constants=None):
+        self.calls += 1
+        return super().step_with_emits(x, state, training=training, constants=constants)
+
+
+def test_a_composite_that_steps_itself_is_called_as_a_leaf():
+    inner = CountingSerial([sl.Dense(3, 3, rng=np.random.default_rng(1)), sl.Emit()])
+    layer = sl.Serial([sl.Identity(), inner])
+    assert_plan_matches_reference(layer, F32)
+    assert inner.calls == 2 * make_input(F32).time

@@ -372,3 +372,21 @@ def test_overlap_add_step_is_bit_identical_to_layer(make, channels):
         ys = ys.mask_invalid()
         assert np.array_equal(np.asarray(ys.mask), np.asarray(y.mask)), blocks
         assert np.array_equal(np.asarray(ys.values), np.asarray(y.values)), blocks
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sl.Conv1D(3, 5, 3, stride=2, rng=np.random.default_rng(0)),
+        lambda: sl.MaxPooling1D(3, stride=2, padding="same"),
+        lambda: sl.Frame(4, 2),
+        lambda: sl.Conv1DTranspose(3, 5, 4, stride=2, rng=np.random.default_rng(0)),
+    ],
+    ids=["conv1d", "pooling", "frame", "conv1d_transpose"],
+)
+def test_step_rejects_a_block_with_the_wrong_channels(make):
+    layer = make()
+    state = layer.get_initial_state(1, sl.ChannelSpec((3,)), training=False)
+    block = random_sequence(0, 1, 2 * layer.block_size, 4)
+    with pytest.raises(sl.SpecMismatchError, match=r"expected channel shape \(3,\), got \(4,\)"):
+        layer.step(block, state, training=False)

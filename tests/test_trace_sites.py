@@ -1,17 +1,24 @@
-"""Every library attribute the benchmark's tracer wraps must still exist.
+"""The benchmark's tracer still sees what it wraps.
 
-``perfbench/tracer.py`` replaces these attributes by name while a traced run
-is installed; a renamed or removed one makes the traced benchmark crash. The
-tracer module is only imported here, never installed.
+``perfbench/tracer.py`` replaces library attributes by name while a traced
+run is installed; a renamed or removed one makes the traced benchmark crash.
+It also wraps each node's public methods, so a composite must reach its
+leaves through their attributes at call time. The tracer is used as it is:
+these tests only import and install it.
 """
 
 import importlib.util
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from seqstream import sequence, tensor
+from seqstream.sequence import Sequence
+from seqstream.streaming import step_by_step
+
+from conftest import build_spec
 
 TRACER = Path(__file__).resolve().parent.parent / "perfbench" / "tracer.py"
 
@@ -41,3 +48,30 @@ def test_every_wrapped_attribute_exists(tracer):
     ]
     assert not missing, missing
 
+
+
+def leaf_paths(tracer, root):
+    return [path for path, node in tracer.walk(root) if not node.children]
+
+
+@pytest.mark.parametrize("name", ["conv_stack", "transformer_block"])
+def test_traced_steps_reach_every_leaf(tracer, name):
+    layer, spec = build_spec(name)
+    rng = np.random.default_rng(4)
+    x = Sequence.from_lengths(
+        rng.standard_normal((2, 8 * layer.block_size) + spec.shape).astype(np.float32),
+        [8 * layer.block_size, 5 * layer.block_size],
+    )
+    # the first, untraced run builds the step plan before the tracer wraps anything
+    untraced = step_by_step(layer, x, training=False)
+    tr, stats = tracer.Tracer(), tracer.Stats()
+    with tr.installed([layer]), tr.collect(stats):
+        traced = step_by_step(layer, x, training=False)
+    after = step_by_step(layer, x, training=False)
+    root_calls = stats.nodes[layer.name].calls["step"]
+    assert root_calls == x.time // layer.block_size
+    for path in leaf_paths(tracer, layer):
+        assert stats.nodes[path].calls["step"] == root_calls, path
+    for y in (traced, after):
+        assert y.values.tobytes() == untraced.values.tobytes()
+        assert np.array_equal(y.mask, untraced.mask)
