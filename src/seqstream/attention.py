@@ -113,14 +113,15 @@ class DotProductSelfAttention(SequenceLayer):
             )
         return ChannelSpec((self.num_heads, self.units_per_head), np.float32)
 
-    def _project(self, x):
-        """Scaled queries, keys and values of x's masked values, each [B, T, H, U]."""
-        self._check_channel_rank(x, 1)
-        if x.channel_shape[0] != self.d_model:
+    def _project(self, values):
+        """Scaled queries, keys and values of masked ``values``, each [B, T, H, U]."""
+        channel_shape = values.shape[2:]
+        self._check_channel_rank(channel_shape, 1)
+        if channel_shape[0] != self.d_model:
             raise SpecMismatchError(
-                f"{self.name}: expected d_model {self.d_model}, got {x.channel_shape[0]}"
+                f"{self.name}: expected d_model {self.d_model}, got {channel_shape[0]}"
             )
-        values = np.asarray(x.mask_invalid().values, dtype=np.float32)
+        values = np.asarray(values, dtype=np.float32)
         batch, time = values.shape[:2]
         qkv = values.reshape(batch * time, self.d_model) @ self._qkv_proj
         qkv = qkv.reshape(batch, time, 3, self.num_heads, self.units_per_head)
@@ -149,7 +150,7 @@ class DotProductSelfAttention(SequenceLayer):
         return np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
 
     def layer(self, x, *, training, constants=None):
-        q, k, v = self._project(x)
+        q, k, v = self._project(x.mask_invalid().values)
         positions = np.arange(x.time)
         context = self._attend(q, positions, x.mask, k, v, positions, x.mask)
         return Sequence._wrap(context, x.mask, masked=True)
@@ -168,10 +169,11 @@ class DotProductSelfAttention(SequenceLayer):
             "pending_mask": np.zeros((batch_size, f), bool),
         }
 
-    def step(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        q, k, v = self._project(x)
-        mask, time = x.mask, x.time
+    _masks_step_input = True
+
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        q, k, v = self._project(values)
+        time = values.shape[1]
         end = state["position"] + time
         keys = np.concatenate([state["keys"], k], axis=1)
         values = np.concatenate([state["values"], v], axis=1)
@@ -186,11 +188,11 @@ class DotProductSelfAttention(SequenceLayer):
         if not self.unbounded_past:
             keys, values, key_mask = keys[:, time:], values[:, time:], key_mask[:, time:]
         new_state = {
-            "keys": keys,
-            "values": values,
-            "key_mask": key_mask,
+            "keys": tensor.freeze(keys),
+            "values": tensor.freeze(values),
+            "key_mask": tensor.freeze(key_mask),
             "position": end,
-            "pending_q": queries[:, time:],
-            "pending_mask": query_mask[:, time:],
+            "pending_q": tensor.freeze(queries[:, time:]),
+            "pending_mask": tensor.freeze(query_mask[:, time:]),
         }
-        return Sequence._wrap(context, out_mask, masked=True), new_state
+        return context, out_mask, True, new_state

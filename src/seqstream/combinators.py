@@ -25,15 +25,18 @@ Repeat, Parallel or Residual lowers its subtree once into a cached
 :class:`_StepPlan`: the children of nested Serials and Repeats are inlined
 into one run of leaf steps, and each nested Parallel or Residual becomes a
 branch group that masks its branch outputs, pushes them through their FIFOs
-and combines them. One executor runs the plan. Only the composite being
-stepped checks its block; the composites inside it are never called, and
-their checks are implied by its own. Each leaf is called through its public
-``step`` attribute, looked up per call, so a leaf's own checks and any
-wrapper installed on it still run; a leaf that overrides ``step_with_emits``
-(``Emit``, ``Blockwise``) is called through that instead. When no leaf is, the
-emits tree is the same constant on every step. States and emits keep the
-nesting of the tree: a Serial's state is the tuple of its children's, a
-Parallel's is (children's states, FIFOs).
+and combines them. One executor runs the plan over raw (values, mask,
+masked) registers and zeroes each register's invalid steps at most once.
+Only the composite being stepped checks its block; every check of a
+composite or a leaf block inside it is implied by its own. Each library
+leaf runs its array kernel (see :mod:`seqstream.layer`), a stateless one its
+``layer()``. A leaf with its own ``step``, or with a ``step`` set on the
+instance such as a tracing wrapper (looked up per call), is called through
+that ``step``; one that overrides ``step_with_emits`` (``Emit``,
+``Blockwise``) through that. When no leaf is, the emits tree is the same
+constant on every step. States and emits keep the nesting of the tree: a
+Serial's state is the tuple of its children's, a Parallel's is (children's
+states, FIFOs).
 """
 
 from __future__ import annotations
@@ -43,15 +46,16 @@ from functools import cached_property
 
 import numpy as np
 
+from . import tensor
 from .errors import NotSteppableError, SpecMismatchError
-from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, renamed
+from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, StatelessLayer, renamed
 from .receptive_field import (
     reverse_rf_map,
     rf_at,
     serial_rf_map,
     union_rf_maps,
 )
-from .sequence import ChannelSpec, Sequence
+from .sequence import ChannelSpec, Sequence, zero_invalid
 # stream_blocks stays importable here: perfbench/tracer.py patches it by this name
 from .streaming import _flushed, stream_blocks  # noqa: F401
 from .temporal import delay_line, delay_step
@@ -118,17 +122,17 @@ def _check_output_times(children, kind: str) -> None:
             )
 
 
-def _combine_outputs(outputs, mode: str) -> Sequence:
-    time = {y.time for y in outputs}
+def _combine(arrays, masks, mode: str):
+    """(values, mask) of branch outputs combined: the arrays of :func:`_combine_outputs`."""
+    time = {a.shape[1] for a in arrays}
     if len(time) != 1:
         raise SpecMismatchError(
             f"parallel branches produced unequal output lengths {sorted(time)}; "
             "equal lengths are required"
         )
-    mask = outputs[0].mask
-    for y in outputs[1:]:
-        mask = np.logical_and(mask, y.mask)
-    arrays = [y.values for y in outputs]
+    mask = masks[0]
+    for m in masks[1:]:
+        mask = np.logical_and(mask, m)
     if mode == "stack":
         values = np.stack(arrays, axis=2)
     elif mode == "concat":
@@ -141,8 +145,13 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
             total = (total / np.float32(len(arrays))).astype(arrays[0].dtype, copy=False)
         values = total
     if len({a.dtype for a in arrays}) != 1:
-        # numpy promotes mixed branch dtypes; validating canonicalizes them
-        return Sequence(values, mask)
+        # numpy promotes mixed branch dtypes; the public edge canonicalizes them
+        values = tensor.tensor(values)
+    return values, mask
+
+
+def _combine_outputs(outputs, mode: str) -> Sequence:
+    values, mask = _combine([y.values for y in outputs], [y.mask for y in outputs], mode)
     return Sequence._wrap(values, mask)
 
 
@@ -173,6 +182,12 @@ def _unflatten(layout, flat, fifos):
     return tree
 
 
+#: how the plan steps a leaf: its array kernel, its layer(), its step or its
+#: step_with_emits; a leaf class's step -> its route, for the library's steps
+_KERNEL, _LAYER, _STEP, _EMITS = range(4)
+_ROUTES = {SequenceLayer.step: _KERNEL, StatelessLayer.step: _LAYER}
+
+
 class _StepPlan:
     """A composite's subtree lowered once for stepping (see the module docstring).
 
@@ -181,20 +196,27 @@ class _StepPlan:
     state onto them: a leaf is its slot, a composite is ``(child layouts,
     fifo slots)``, where a Serial has None for fifo slots.
 
-    ``ops`` run in order. Each reads a value from a list of registers, which
-    starts as [input block], and appends its output to it. A leaf op
-    ``(leaf, slot, src, emits)`` steps ``leaf`` on register ``src`` with the
-    state in ``slot``; with ``emits`` it calls ``step_with_emits`` and puts
-    the emits in ``slot`` of the flat emits. A branch op ``(None, branches,
-    combine)`` ends a Parallel: each ``(src, slot)`` branch output is masked
-    and delayed by the fifo in ``slot``, and the outputs are combined.
+    ``ops`` run in order. Each reads a register, a list that starts as
+    [input block], and appends its output. A register is ``[values, mask,
+    masked, Sequence, zeroed values]``; the last two are None until needed.
+    A leaf op ``(leaf, slot, src, route, kernel, zeroes, attrs)`` steps
+    ``leaf`` on register ``src`` with the state in ``slot`` by its route
+    (see ``_ROUTES``): ``kernel``, its bound ``_step_arrays``, on zeroed
+    values when ``zeroes``; its ``layer()``; or its public method, whose
+    emits go in ``slot`` of the flat emits. A ``step`` in ``attrs``, the
+    leaf's instance dict, takes over from the first two. A branch op
+    ``(None, branches, combine)`` ends a Parallel: each ``(src, slot)``
+    branch output is zeroed and delayed by the fifo in ``slot``, and the
+    outputs are combined.
     """
 
     def __init__(self, composite):
         self.ops = []
         self.num_slots = 0
         self.layout, self.out = self._lower_composite(composite, 0)
-        emitting = any(op[0] is not None and op[3] for op in self.ops)
+        #: a Serial of leaves, whose state tuple is the flat list itself
+        self.flat = self.layout == (tuple(range(self.num_slots)), None)
+        emitting = any(op[0] is not None and op[3] == _EMITS for op in self.ops)
         #: the emits tree when no leaf is called through step_with_emits
         self.emits = (
             None if emitting else _unflatten(self.layout, [EMPTY_EMITS] * self.num_slots, False)
@@ -207,12 +229,17 @@ class _StepPlan:
     def _lower(self, node, src):
         """Appends the ops that step ``node`` on register ``src``; returns
         (its layout, its output register)."""
+        cls = type(node)
         # inlined: Serial, Repeat, Parallel and Residual, not a subclass that steps itself
-        if type(node).step_with_emits is _Composite.step_with_emits:
+        if cls.step_with_emits is _Composite.step_with_emits:
             return self._lower_composite(node, src)
         slot = self._slot()
-        emits = type(node).step_with_emits is not SequenceLayer.step_with_emits
-        self.ops.append((node, slot, src, emits))
+        if cls.step_with_emits is not SequenceLayer.step_with_emits:
+            route = _EMITS
+        else:
+            route = _ROUTES.get(cls.step, _STEP)
+        kernel = node._step_arrays if route == _KERNEL else None
+        self.ops.append((node, slot, src, route, kernel, node._masks_step_input, vars(node)))
         return slot, len(self.ops)
 
     def _lower_composite(self, node, src):
@@ -229,34 +256,65 @@ class _StepPlan:
 
     def run(self, x, state, training, constants):
         """(output, next state, emits) of one step, nested as the composite's."""
-        states = [None] * self.num_slots
-        _flatten(self.layout, state, states)
-        regs = [x]
+        if self.flat:
+            states = list(state)
+        else:
+            states = [None] * self.num_slots
+            _flatten(self.layout, state, states)
+        regs = [[x.values, x.mask, x.masked, x, None]]
         emits = None if self.emits is not None else [EMPTY_EMITS] * self.num_slots
         for op in self.ops:
             leaf = op[0]
             if leaf is None:
-                outputs = []
+                arrays, masks = [], []
                 for src, slot in op[1]:
-                    y = regs[src].mask_invalid()
+                    reg = regs[src]
+                    values, mask = _zeroed(reg), reg[1]
                     if states[slot].time:
-                        y, states[slot] = delay_step(y, states[slot])
-                    outputs.append(y)
-                regs.append(_combine_outputs(outputs, op[2]))
+                        line = states[slot]
+                        y, states[slot] = delay_step(Sequence._wrap(values, mask, True), line)
+                        values, mask = y.values, y.mask
+                    arrays.append(values)
+                    masks.append(mask)
+                regs.append([*_combine(arrays, masks, op[2]), False, None, None])
                 continue
-            _, slot, src, with_emits = op
-            # looked up per call, so wrappers installed on a leaf are honoured
-            if with_emits:
+            _, slot, src, route, kernel, zeroes, attrs = op
+            reg = regs[src]
+            # a step set on the leaf itself (a wrapper) is looked up per call and honoured
+            wrapped = "step" in attrs
+            if route == _KERNEL and not wrapped:
+                values, masked = (_zeroed(reg), True) if zeroes else (reg[0], reg[2])
+                values, mask, masked, states[slot] = kernel(
+                    values, reg[1], masked, states[slot], training, constants
+                )
+                regs.append([values, mask, masked, None, None])
+                continue
+            seq = reg[3]
+            if seq is None:
+                seq = reg[3] = Sequence._wrap(reg[0], reg[1], reg[2])
+            if route == _LAYER and not wrapped:
+                y = leaf.layer(seq, training=training, constants=constants)
+            elif route == _EMITS:
                 y, states[slot], emits[slot] = leaf.step_with_emits(
-                    regs[src], states[slot], training=training, constants=constants
+                    seq, states[slot], training=training, constants=constants
                 )
             else:
                 y, states[slot] = leaf.step(
-                    regs[src], states[slot], training=training, constants=constants
+                    seq, states[slot], training=training, constants=constants
                 )
-            regs.append(y)
+            regs.append([y.values, y.mask, y.masked, y, None])
+        out = regs[self.out]
+        y = out[3] if out[3] is not None else Sequence._wrap(out[0], out[1], out[2])
         step_emits = self.emits if emits is None else _unflatten(self.layout, emits, False)
-        return regs[self.out], _unflatten(self.layout, states, True), step_emits
+        state = tuple(states) if self.flat else _unflatten(self.layout, states, True)
+        return y, state, step_emits
+
+
+def _zeroed(reg):
+    """A register's values with its invalid steps zeroed, computed once."""
+    if reg[4] is None:
+        reg[4] = zero_invalid(reg[0], reg[1], reg[2])
+    return reg[4]
 
 
 class _Composite(Emitting):

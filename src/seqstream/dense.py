@@ -85,7 +85,7 @@ class Dense(StatelessLayer):
                 f"{self.name}: expected final channel extent {self.in_features}, "
                 f"got {x.channel_shape}"
             )
-        y = np.einsum("...i,io->...o", np.asarray(x.values), self._params["weight"], optimize=False)
+        y = tensor.einsum("...i,io->...o", np.asarray(x.values), self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]
         return Sequence._wrap(np.asarray(y, dtype=np.float32), x.mask)
@@ -323,32 +323,32 @@ class Dropout(SequenceLayer):
     def is_stochastic(self):
         return self.rate > 0
 
-    def _apply(self, x: Sequence, offset: int) -> Sequence:
-        if x.dtype.kind != "f":
-            raise SpecMismatchError(f"{self.name}: float input required, got {x.dtype}")
-        batch, time = x.mask.shape
-        channels = int(np.prod(x.channel_shape, dtype=np.int64)) if x.channel_shape else 1
+    def _apply(self, values, offset: int):
+        """``values`` with this layer's draws for steps from ``offset`` applied."""
+        if values.dtype.kind != "f":
+            raise SpecMismatchError(f"{self.name}: float input required, got {values.dtype}")
+        batch, time = values.shape[:2]
+        channel_shape = values.shape[2:]
+        channels = int(np.prod(channel_shape, dtype=np.int64)) if channel_shape else 1
         u = counter_uniform(
             self.seed, np.arange(offset, offset + time), np.arange(batch), np.arange(channels)
         )
-        keep = (u < (1.0 - self.rate)).reshape((batch, time) + x.channel_shape)
+        keep = (u < (1.0 - self.rate)).reshape((batch, time) + channel_shape)
         scale = np.float32(1.0 / (1.0 - self.rate))
-        values = np.where(keep, np.asarray(x.values) * scale, np.float32(0))
-        return Sequence._wrap(values, x.mask, masked=x.masked)
+        return np.where(keep, values * scale, np.float32(0))
 
     def layer(self, x, *, training, constants=None):
         if not training or self.rate == 0:
             return x
-        return self._apply(x, offset=0)
+        return Sequence._wrap(self._apply(x.values, 0), x.mask, masked=x.masked)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return RngCounter(self.seed, 0)
 
-    def step(self, x, state: RngCounter, *, training, constants=None):
-        self._check_block(x)
-        if not training or self.rate == 0:
-            return x, state.advanced(x.time)
-        return self._apply(x, offset=state.offset), state.advanced(x.time)
+    def _step_arrays(self, values, mask, masked, state: RngCounter, training, constants):
+        if training and self.rate != 0:
+            values = self._apply(values, state.offset)
+        return values, mask, masked, state.advanced(values.shape[1])
 
 
 # --- channel shape manipulation ---------------------------------------------
@@ -507,33 +507,33 @@ class Conditioning(SequenceLayer):
         shape = input_spec.shape[:-1] + (input_spec.shape[-1] + cond.channel_shape[-1],)
         return ChannelSpec(shape, dtype)
 
-    def _combine(self, x: Sequence, cond: Sequence, start: int) -> Sequence:
-        if cond.batch_size != x.batch_size:
+    def _combine(self, values, mask, cond: Sequence, start: int) -> Sequence:
+        batch, time = values.shape[:2]
+        if cond.batch_size != batch:
             raise SpecMismatchError(
-                f"{self.name}: conditioning batch {cond.batch_size} != input batch {x.batch_size}"
+                f"{self.name}: conditioning batch {cond.batch_size} != input batch {batch}"
             )
-        if cond.time < start + x.time:
+        if cond.time < start + time:
             raise SpecMismatchError(
                 f"{self.name}: conditioning time {cond.time} too short for "
-                f"positions [{start}, {start + x.time})"
+                f"positions [{start}, {start + time})"
             )
-        window = cond.slice_time(start, start + x.time)
-        mask = np.logical_and(x.mask, window.mask)
+        window = cond.slice_time(start, start + time)
+        mask = np.logical_and(mask, window.mask)
         if self.mode == "add":
-            values = np.asarray(x.values) + np.asarray(window.values)
+            values = values + np.asarray(window.values)
         else:
-            values = np.concatenate([np.asarray(x.values), np.asarray(window.values)], axis=-1)
+            values = np.concatenate([values, np.asarray(window.values)], axis=-1)
         # validated: the two dtypes may differ, and numpy then promotes
         return Sequence(values, mask)
 
     def layer(self, x, *, training, constants=None):
-        return self._combine(x, self._lookup(constants), start=0)
+        return self._combine(x.values, x.mask, self._lookup(constants), start=0)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         self._lookup(constants)
         return 0
 
-    def step(self, x, state: int, *, training, constants=None):
-        self._check_block(x)
-        y = self._combine(x, self._lookup(constants), start=state)
-        return y, state + x.time
+    def _step_arrays(self, values, mask, masked, state: int, training, constants):
+        y = self._combine(values, mask, self._lookup(constants), start=state)
+        return y.values, y.mask, y.masked, state + values.shape[1]

@@ -24,9 +24,15 @@ forwards emits - ``dense.Emit`` and the combinators ``Serial``,
 ``Parallel``/``Residual`` and ``Blockwise`` - is :class:`Emitting`: it
 implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
 it, so outputs and emits come from one loop and cannot drift apart.
-Composites step their leaves through a plan (see
-:mod:`seqstream.combinators`): they call each leaf's public ``step``, and
-honour an overridden ``step_with_emits`` by calling that instead.
+
+A library leaf implements stepping once, as the array kernel
+``_step_arrays(values, mask, masked, state, training, constants)``, which
+returns ``(values, mask, masked, state)``; ``step`` is derived from it here.
+A stateless leaf steps through its ``layer()``. Composites run the kernels
+through a plan (see :mod:`seqstream.combinators`) whose root makes the one
+block check for the whole tree. The checks that relate a block to a leaf's
+state, parameters or constants, such as its channel shape, stay in the
+kernel, since only the leaf knows them; so do their typed errors.
 
 ``training`` is a required keyword argument on the execution methods; there
 is deliberately no default.
@@ -46,7 +52,7 @@ import numpy as np
 
 from .errors import BlockSizeError, NotSteppableError, SpecMismatchError
 from .receptive_field import compose_rf_maps, rf_overall, validate_rf_per_step
-from .sequence import ChannelSpec, Sequence
+from .sequence import ChannelSpec, Sequence, zero_invalid
 
 Constants = Mapping[str, Any]
 State = Any
@@ -198,6 +204,13 @@ class SequenceLayer(abc.ABC):
             raise NotSteppableError(f"{self.name} does not support stepping")
         return EMPTY_STATE
 
+    #: whether ``_step_arrays`` reads its input with invalid steps zeroed
+    _masks_step_input = False
+
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        """The step kernel over raw arrays (see the module docstring)."""
+        raise NotImplementedError
+
     def step(
         self,
         x: Sequence,
@@ -206,7 +219,14 @@ class SequenceLayer(abc.ABC):
         training: bool,
         constants: Constants | None = None,
     ) -> tuple[Sequence, State]:
-        raise NotImplementedError
+        self._check_block(x)
+        values, masked = x.values, x.masked
+        if self._masks_step_input:
+            values, masked = zero_invalid(values, x.mask, masked), True
+        values, mask, masked, state = self._step_arrays(
+            values, x.mask, masked, state, training, constants
+        )
+        return Sequence._wrap(values, mask, masked), state
 
     def layer_with_emits(
         self, x: Sequence, *, training: bool, constants: Constants | None = None
@@ -234,10 +254,10 @@ class SequenceLayer(abc.ABC):
                 f"of block_size {self.block_size}"
             )
 
-    def _check_channel_rank(self, x: Sequence, rank: int) -> None:
-        if len(x.channel_shape) != rank:
+    def _check_channel_rank(self, channel_shape: tuple, rank: int) -> None:
+        if len(channel_shape) != rank:
             raise SpecMismatchError(
-                f"{self.name} expects channel rank {rank}, got shape {x.channel_shape}"
+                f"{self.name} expects channel rank {rank}, got shape {channel_shape}"
             )
 
     def __repr__(self) -> str:

@@ -55,21 +55,22 @@ class LSTM(SequenceLayer):
         zeros = np.zeros((batch_size, self.units), dtype=np.float32)
         return {"c": zeros, "h": zeros}
 
-    def _scan(self, x: Sequence, c: np.ndarray, h: np.ndarray):
-        self._check_channel_rank(x, 1)
-        if x.channel_shape[0] != self.in_features:
+    def _scan(self, values, mask, c: np.ndarray, h: np.ndarray):
+        """(outputs, c, h) of the recurrence over masked ``values``."""
+        channel_shape = values.shape[2:]
+        self._check_channel_rank(channel_shape, 1)
+        if channel_shape[0] != self.in_features:
             raise SpecMismatchError(
-                f"{self.name}: expected {self.in_features} input features, got {x.channel_shape[0]}"
+                f"{self.name}: expected {self.in_features} input features, got {channel_shape[0]}"
             )
-        xm = x.mask_invalid()
-        values = np.asarray(xm.values, dtype=np.float32)
-        mask = np.asarray(x.mask)
+        values = np.asarray(values, dtype=np.float32)
         kernel, bias = self._params["kernel"], self._params["bias"]
         u = self.units
-        outputs = np.zeros((x.batch_size, x.time, u), dtype=np.float32)
-        for t in range(x.time):
+        batch, time = values.shape[:2]
+        outputs = np.zeros((batch, time, u), dtype=np.float32)
+        for t in range(time):
             zin = np.concatenate([values[:, t], h], axis=1)
-            z = np.einsum("bc,cg->bg", zin, kernel, optimize=False) + bias
+            z = tensor.einsum("bc,cg->bg", zin, kernel) + bias
             i_g = special.expit(z[:, :u])
             f_g = special.expit(z[:, u : 2 * u])
             g_g = np.tanh(z[:, 2 * u : 3 * u])
@@ -80,13 +81,15 @@ class LSTM(SequenceLayer):
             c = np.where(valid, c_new.astype(np.float32, copy=False), c)
             h = np.where(valid, h_new.astype(np.float32, copy=False), h)
             outputs[:, t] = np.where(valid, h_new, 0.0)
-        return Sequence._wrap(outputs, mask, masked=True), {"c": c, "h": h}
+        return outputs, c, h
 
     def layer(self, x, *, training, constants=None):
         zeros = np.zeros((x.batch_size, self.units), dtype=np.float32)
-        out, _ = self._scan(x, zeros, zeros)
-        return out
+        outputs, _, _ = self._scan(x.mask_invalid().values, x.mask, zeros, zeros)
+        return Sequence._wrap(outputs, x.mask, masked=True)
 
-    def step(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        return self._scan(x, state["c"], state["h"])
+    _masks_step_input = True
+
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        outputs, c, h = self._scan(values, mask, state["c"], state["h"])
+        return outputs, mask, True, {"c": tensor.freeze(c), "h": tensor.freeze(h)}

@@ -54,6 +54,16 @@ class ChannelSpec:
         return f"{names[self.dtype]}[{','.join(str(d) for d in self.shape)}]"
 
 
+def zero_invalid(values: np.ndarray, mask: np.ndarray, masked: bool = False) -> np.ndarray:
+    """``values`` with the steps ``mask`` marks invalid set to zero: the
+    arrays of :meth:`Sequence.mask_invalid`. Returns ``values`` itself when
+    ``masked`` or when every step is valid."""
+    if masked or np.count_nonzero(mask) == mask.size:
+        return values
+    expanded = mask.reshape(mask.shape + (1,) * (values.ndim - 2))
+    return np.where(expanded, values, np.zeros((), dtype=values.dtype))
+
+
 @dataclasses.dataclass(frozen=True)
 class Sequence:
     """Batched values plus a per-timestep validity mask."""
@@ -171,11 +181,7 @@ class Sequence:
         """
         if self.masked:
             return self
-        if np.count_nonzero(self.mask) == self.mask.size:
-            return Sequence._wrap(self.values, self.mask, masked=True)
-        zero = np.zeros((), dtype=self.dtype)
-        values = np.where(self.expanded_mask(), self.values, zero)
-        return Sequence._wrap(values, self.mask, masked=True)
+        return Sequence._wrap(zero_invalid(self.values, self.mask), self.mask, masked=True)
 
     def apply_values(self, fn: Callable[[np.ndarray], np.ndarray], zero_preserving: bool = False) -> "Sequence":
         """Applies fn to the values.

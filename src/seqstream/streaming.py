@@ -25,6 +25,10 @@ def concat_emits(emits_list):
     if not emits_list:
         return ()
     head = emits_list[0]
+    if _timeless(head):
+        # nothing to join, as in a plan's constant tree of (): the walk
+        # below would rebuild head, whatever the later blocks hold
+        return head
     if isinstance(head, Sequence):
         return Sequence.concatenate_sequences(emits_list)
     if isinstance(head, np.ndarray):
@@ -34,6 +38,13 @@ def concat_emits(emits_list):
     if isinstance(head, dict):
         return {k: concat_emits([e[k] for e in emits_list]) for k in head}
     return head
+
+
+def _timeless(tree) -> bool:
+    """True when an emits tree holds no Sequence or array to join over time."""
+    if isinstance(tree, (tuple, dict)):
+        return all(map(_timeless, tree.values() if isinstance(tree, dict) else tree))
+    return not isinstance(tree, (Sequence, np.ndarray))
 
 
 def stream_blocks(
@@ -47,6 +58,8 @@ def stream_blocks(
     """Steps x block by block with step_with_emits, padding x to a block multiple.
 
     Returns (output, final_state, emits joined over time); no latency handling is applied.
+    The blocks' outputs are joined without re-checking their specs: they all
+    come from one layer, and an empty stream gets the layer's output spec.
     """
     if not layer.supports_step:
         raise NotSteppableError(f"{layer.name} cannot be stepped")
@@ -60,15 +73,24 @@ def stream_blocks(
     outputs = []
     emits_list = []
     for start in range(0, x.time, block):
-        y, state, emits = layer.step_with_emits(
-            x.slice_time(start, start + block), state, training=training, constants=constants
-        )
+        stop = start + block
+        part = Sequence._wrap(x.values[:, start:stop], x.mask[:, start:stop], x.masked)
+        y, state, emits = layer.step_with_emits(part, state, training=training, constants=constants)
         outputs.append(y)
         emits_list.append(emits)
-    if outputs:
-        out = Sequence.concatenate_sequences(outputs)
+    if len(outputs) == 1:
+        out = outputs[0]
+    elif outputs:
+        out = Sequence._wrap(
+            np.concatenate([y.values for y in outputs], axis=1),
+            np.concatenate([y.mask for y in outputs], axis=1),
+            masked=all(y.masked for y in outputs),
+        )
     else:
-        out = x[:, 0:0]
+        spec = layer.get_output_spec(x.channel_spec, constants)
+        out = Sequence._wrap(
+            np.zeros((x.batch_size, 0) + spec.shape, spec.dtype), np.zeros((x.batch_size, 0), bool)
+        )
     return out, state, concat_emits(emits_list)
 
 

@@ -28,7 +28,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer, StatelessLayer, ceil_ratio
-from .sequence import ChannelSpec, Sequence
+from .sequence import ChannelSpec, Sequence, zero_invalid
 from fractions import Fraction
 
 __all__ = [
@@ -187,24 +187,24 @@ class _WindowedLayer(SequenceLayer):
         mask = np.zeros((batch_size, ctx), dtype=bool)
         return Sequence._wrap(values, mask, masked=True)
 
-    def step(self, x, state: Sequence, *, training, constants=None):
-        self._check_block(x)
-        if x.channel_shape != state.channel_shape:
+    _masks_step_input = True
+
+    def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
+        if values.shape[2:] != state.values.shape[2:]:
             raise SpecMismatchError(
-                f"{self.name}: expected channel shape {state.channel_shape}, got {x.channel_shape}"
+                f"{self.name}: expected channel shape {state.channel_shape}, got {values.shape[2:]}"
             )
-        xm = x.mask_invalid()
-        values = np.concatenate([state.values, xm.values], axis=1)
-        mask = np.concatenate([state.mask, x.mask], axis=1)
-        out_len = x.time // self.stride
+        out_len = values.shape[1] // self.stride
+        values = np.concatenate([state.values, values], axis=1)
+        mask = np.concatenate([state.mask, mask], axis=1)
         idx = _step_window_index(out_len, self.stride, self.kernel_size, self.dilation)
         out = self._windows(values, mask, idx)
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
         ctx = self._context_len
         new_state = Sequence._wrap(
-            values[:, values.shape[1] - ctx :], mask[:, mask.shape[1] - ctx :], masked=True
+            values[:, values.shape[1] - ctx :], mask[:, mask.shape[1] - ctx :], True
         )
-        return Sequence._wrap(out, out_mask), new_state
+        return out, out_mask, False, new_state
 
 
 class Conv1D(_WindowedLayer):
@@ -245,13 +245,13 @@ class Conv1D(_WindowedLayer):
         return ChannelSpec((self.filters,), np.float32)
 
     def _reduce_windows(self, wv, wm):
-        y = np.einsum("btkc,kcf->btf", wv, self._params["weight"], optimize=False)
+        y = tensor.einsum("btkc,kcf->btf", wv, self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]
         return y.astype(np.float32, copy=False)
 
     def layer(self, x, *, training, constants=None):
-        self._check_channel_rank(x, 1)
+        self._check_channel_rank(x.channel_shape, 1)
         if x.channel_shape[0] != self.in_channels:
             raise SpecMismatchError(
                 f"{self.name}: expected {self.in_channels} input channels, got {x.channel_shape[0]}"
@@ -379,10 +379,10 @@ class Conv1DTranspose(SequenceLayer):
             )
         return ChannelSpec((self.filters,), np.float32)
 
-    def _scatter(self, x, carry):
-        # [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
-        values = np.asarray(x.mask_invalid().values, dtype=np.float32)
-        contrib = np.einsum("btc,kcf->btkf", values, self._params["weight"], optimize=False)
+    def _scatter(self, values, carry):
+        # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
+        values = np.asarray(values, dtype=np.float32)
+        contrib = tensor.einsum("btc,kcf->btkf", values, self._params["weight"])
         return overlap_add(contrib, self.stride, carry)
 
     def _finish(self, out):
@@ -395,8 +395,8 @@ class Conv1DTranspose(SequenceLayer):
         return np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32)
 
     def layer(self, x, *, training, constants=None):
-        self._check_channel_rank(x, 1)
-        out, tail = self._scatter(x, self._zero_carry(x.batch_size))
+        self._check_channel_rank(x.channel_shape, 1)
+        out, tail = self._scatter(x.mask_invalid().values, self._zero_carry(x.batch_size))
         if self.trim_left:
             out_len = out.shape[1]
             out = np.concatenate([out, tail], axis=1)[:, self.trim_left : self.trim_left + out_len]
@@ -409,17 +409,19 @@ class Conv1DTranspose(SequenceLayer):
             "mask_history": np.zeros((batch_size, self.input_latency), dtype=bool),
         }
 
-    def step(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        if x.channel_shape != (self.in_channels,):
+    _masks_step_input = True
+
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        if values.shape[2:] != (self.in_channels,):
             raise SpecMismatchError(
-                f"{self.name}: expected channel shape ({self.in_channels},), got {x.channel_shape}"
+                f"{self.name}: expected channel shape ({self.in_channels},), got {values.shape[2:]}"
             )
-        out, carry = self._scatter(x, state["carry"])
-        mask = np.concatenate([state["mask_history"], np.asarray(x.mask)], axis=1)
-        out_mask = mask[:, _anchor_index(x.time, self.stride, self.trim_left, self.input_latency)]
-        new_state = {"carry": carry, "mask_history": mask[:, x.time :]}
-        return Sequence._wrap(self._finish(out), out_mask), new_state
+        time = values.shape[1]
+        out, carry = self._scatter(values, state["carry"])
+        mask = np.concatenate([state["mask_history"], mask], axis=1)
+        out_mask = mask[:, _anchor_index(time, self.stride, self.trim_left, self.input_latency)]
+        new_state = {"carry": tensor.freeze(carry), "mask_history": tensor.freeze(mask[:, time:])}
+        return self._finish(out), out_mask, False, new_state
 
 
 class Downsample1D(StatelessLayer):
@@ -506,24 +508,30 @@ class Delay(SequenceLayer):
         return {0: (-self.length, -self.length)}
 
     @staticmethod
-    def _gate(delayed: Sequence, x: Sequence) -> Sequence:
-        mask = np.logical_and(np.asarray(delayed.mask), np.asarray(x.mask))
-        return Sequence._wrap(delayed.values, mask).mask_invalid()
+    def _gate(delayed: Sequence, mask):
+        """The delayed values, valid only where the current input step is
+        valid too and zero elsewhere: (values, mask)."""
+        mask = np.logical_and(delayed.mask, mask)
+        return zero_invalid(delayed.values, mask), mask
 
     def layer(self, x, *, training, constants=None):
         if self.length == 0:
             return x
-        return self._gate(x.mask_invalid().pad_time(self.length, 0, valid=False)[:, : x.time], x)
+        delayed = x.mask_invalid().pad_time(self.length, 0, valid=False)[:, : x.time]
+        return Sequence._wrap(*self._gate(delayed, x.mask), masked=True)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return delay_line(batch_size, self.length, input_spec)
 
-    def step(self, x, state: Sequence, *, training, constants=None):
-        self._check_block(x)
+    @property
+    def _masks_step_input(self):
+        return self.length > 0
+
+    def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
         if self.length == 0:
-            return x, state
-        y, state = delay_step(x, state)
-        return self._gate(y, x), state
+            return values, mask, masked, state
+        delayed, state = delay_step(Sequence._wrap(values, mask, True), state)
+        return *self._gate(delayed, mask), True, state
 
 
 class StepDelay(Delay):
@@ -549,12 +557,14 @@ class StepDelay(Delay):
     def receptive_field_per_step(self):
         return {0: (0, 0)}
 
+    _masks_step_input = True
+
     def layer(self, x, *, training, constants=None):
         return x
 
-    def step(self, x, state: Sequence, *, training, constants=None):
-        self._check_block(x)
-        return delay_step(x, state)
+    def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
+        y, state = delay_step(Sequence._wrap(values, mask, True), state)
+        return y.values, y.mask, y.masked, state
 
 
 class Lookahead(SequenceLayer):
@@ -592,16 +602,16 @@ class Lookahead(SequenceLayer):
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return 0
 
-    def step(self, x, state: int, *, training, constants=None):
-        self._check_block(x)
-        position = state + np.arange(x.time)
-        mask = np.logical_and(np.asarray(x.mask), (position >= self.length)[None, :])
+    def _step_arrays(self, values, mask, masked, state: int, training, constants):
+        time = values.shape[1]
+        position = state + np.arange(time)
+        mask = np.logical_and(mask, (position >= self.length)[None, :])
         values = np.where(
-            mask.reshape(mask.shape + (1,) * (x.ndim - 2)),
-            np.asarray(x.values),
-            np.zeros((), x.dtype),
+            mask.reshape(mask.shape + (1,) * (values.ndim - 2)),
+            values,
+            np.zeros((), values.dtype),
         )
-        return Sequence._wrap(values, mask, masked=True), state + x.time
+        return values, mask, True, state + time
 
 
 class Frame(_WindowedLayer):
@@ -714,21 +724,21 @@ class OverlapAdd(SequenceLayer):
         carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop
         return np.zeros((batch_size, carry_len) + channel_shape[1:], dtype=dtype)
 
-    def _sum(self, x, carry):
-        # after a row's last valid frame, positions hold that frame's tail,
-        # not zeros, so the output is not masked
-        out, carry = overlap_add(np.asarray(x.mask_invalid().values), self.hop, carry)
-        out_mask = np.repeat(np.asarray(x.mask), self.hop, axis=1)
-        return Sequence._wrap(out, out_mask, masked=False), carry
-
     def layer(self, x, *, training, constants=None):
-        self._check(x.channel_shape)
-        return self._sum(x, self._zero_carry(x.batch_size, x.channel_shape, x.dtype))[0]
+        carry = self._zero_carry(x.batch_size, x.channel_shape, x.dtype)
+        values = zero_invalid(x.values, x.mask, x.masked)
+        out = self._step_arrays(values, x.mask, True, carry, training, constants)
+        return Sequence._wrap(*out[:3])
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return self._zero_carry(batch_size, input_spec.shape, input_spec.dtype)
 
-    def step(self, x, state, *, training, constants=None):
-        self._check(x.channel_shape)
-        self._check_block(x)
-        return self._sum(x, state)
+    _masks_step_input = True
+
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        self._check(values.shape[2:])
+        out, carry = overlap_add(values, self.hop, state)
+        out_mask = np.repeat(mask, self.hop, axis=1)
+        # after a row's last valid frame, positions hold that frame's tail,
+        # not zeros, so the output is not masked
+        return out, out_mask, False, tensor.freeze(carry)

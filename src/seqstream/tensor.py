@@ -24,6 +24,13 @@ import numpy as np
 
 from .errors import FormatError
 
+# The C routine ``np.einsum(..., optimize=False)`` runs, without that
+# function's Python dispatch: the same bits, sooner on a step's small blocks.
+try:
+    from numpy._core.multiarray import c_einsum as einsum
+except ImportError:  # numpy < 2
+    from numpy.core.multiarray import c_einsum as einsum
+
 FLOAT32 = np.dtype(np.float32)
 INT32 = np.dtype(np.int32)
 BOOL = np.dtype(np.bool_)
@@ -52,7 +59,7 @@ def canonical_dtype(dtype) -> np.dtype:
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:
-    arr.flags.writeable = False
+    arr.setflags(write=False)
     return arr
 
 

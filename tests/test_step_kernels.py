@@ -1,0 +1,82 @@
+"""A composite steps its library leaves through their array kernels.
+
+The plan calls each leaf's ``_step_arrays`` (a stateless leaf's ``layer()``)
+on raw arrays; a leaf's public ``step`` is derived from the same kernel.
+These tests hold the two routes to the same bits and pin when the plan must
+leave the kernel route: a ``step`` set on the leaf itself.
+"""
+
+import numpy as np
+import pytest
+
+import seqstream as sl
+from seqstream.combinators import _KERNEL, _LAYER
+from seqstream.sequence import Sequence
+from seqstream.streaming import stream_blocks
+
+from test_step_plan import F32, assert_identical
+from test_trusted_sequences import CASES, make_input
+
+
+def arrays_in(tree):
+    """Every array in a state tree, Sequences included."""
+    if isinstance(tree, Sequence):
+        yield from (tree.values, tree.mask)
+    elif isinstance(tree, np.ndarray):
+        yield tree
+    elif isinstance(tree, (tuple, list)):
+        for part in tree:
+            yield from arrays_in(part)
+    elif isinstance(tree, dict):
+        for part in tree.values():
+            yield from arrays_in(part)
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("mult", [1, 3])
+@pytest.mark.parametrize("layer, spec", CASES)
+def test_the_plan_steps_a_leaf_as_its_public_step_does(layer, spec, mult, training):
+    root = sl.Serial([layer])
+    x = make_input(spec)
+    block = layer.block_size * mult
+    x = x.pad_time(0, -x.time % block, valid=False)
+    state = layer.get_initial_state(x.batch_size, spec, training=training)
+    root_state = root.get_initial_state(x.batch_size, spec, training=training)
+    for start in range(0, x.time, block):
+        chunk = x.slice_time(start, start + block)
+        y, state = layer.step(chunk, state, training=training)
+        z, root_state = root.step(chunk, root_state, training=training)
+        assert_identical((z, root_state[0]), (y, state), f"step at {start}")
+        for i, a in enumerate(arrays_in((state, root_state))):
+            assert not a.flags.writeable, (start, i)
+    leaf_routes = {op[3] for op in root._plan.ops if op[0] is not None}
+    assert leaf_routes <= {_KERNEL, _LAYER}, leaf_routes
+
+
+def wrapped_leaf_tree():
+    rng = np.random.default_rng(2)
+    conv = sl.Conv1D(3, 3, 3, padding="same", rng=rng)
+    dense = sl.Dense(3, 3, rng=rng)
+    return sl.Residual([dense, conv, sl.Lookahead(1)]), {"conv1d": conv, "dense": dense}
+
+
+@pytest.mark.parametrize("name", ["conv1d", "dense"])
+def test_a_step_set_on_a_leaf_after_the_plan_is_built_is_called_per_block(name):
+    layer, leaves = wrapped_leaf_tree()
+    x = make_input(F32, time=12)
+    plain = stream_blocks(layer, x, training=False)  # builds the plan
+    leaf = leaves[name]
+    step, calls = leaf.step, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].time)
+        return step(*args, **kwargs)
+
+    leaf.step = counting
+    try:
+        wrapped = stream_blocks(layer, x, training=False)
+    finally:
+        del leaf.step
+    assert calls == [layer.block_size] * (x.time // layer.block_size)
+    assert_identical(wrapped, plain)
+    assert_identical(stream_blocks(layer, x, training=False), plain)
