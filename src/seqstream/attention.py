@@ -142,7 +142,8 @@ class DotProductSelfAttention(SequenceLayer):
         admissible = window[None, None] & k_mask[:, None, None, :]
         logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)  # [B, H, Tq, S]
         logits = np.where(admissible, logits, _NEG_INF)
-        peak = np.max(logits, axis=-1, keepdims=True)
+        # the initial value gives an empty key axis (a zero-length layer()) a peak
+        peak = np.max(logits, axis=-1, keepdims=True, initial=_NEG_INF)
         peak = np.where(np.isfinite(peak), peak, np.float32(0))
         weights = np.exp(np.subtract(logits, peak, out=logits), out=logits)
         denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))

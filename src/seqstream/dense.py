@@ -18,7 +18,7 @@ from scipy import special
 from . import params as params_lib
 from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
-from .layer import Constants, Emitting, RngCounter, SequenceLayer, State, StatelessLayer
+from .layer import Constants, Emitting, RngCounter, SequenceLayer, StatelessLayer
 from .sequence import ChannelSpec, Sequence
 
 __all__ = [
@@ -337,11 +337,6 @@ class Dropout(SequenceLayer):
         scale = np.float32(1.0 / (1.0 - self.rate))
         return np.where(keep, values * scale, np.float32(0))
 
-    def layer(self, x, *, training, constants=None):
-        if not training or self.rate == 0:
-            return x
-        return Sequence._wrap(self._apply(x.values, 0), x.mask, masked=x.masked)
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return RngCounter(self.seed, 0)
 
@@ -526,9 +521,6 @@ class Conditioning(SequenceLayer):
             values = np.concatenate([values, np.asarray(window.values)], axis=-1)
         # validated: the two dtypes may differ, and numpy then promotes
         return Sequence(values, mask)
-
-    def layer(self, x, *, training, constants=None):
-        return self._combine(x.values, x.mask, self._lookup(constants), start=0)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         self._lookup(constants)

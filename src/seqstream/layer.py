@@ -25,14 +25,23 @@ forwards emits - ``dense.Emit`` and the combinators ``Serial``,
 implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
 it, so outputs and emits come from one loop and cannot drift apart.
 
-A library leaf implements stepping once, as the array kernel
+A stateful leaf implements ``get_initial_state`` and one array kernel,
 ``_step_arrays(values, mask, masked, state, training, constants)``, which
-returns ``(values, mask, masked, state)``; ``step`` is derived from it here.
-A stateless leaf steps through its ``layer()``. Composites run the kernels
-through a plan (see :mod:`seqstream.combinators`) whose root makes the one
-block check for the whole tree. The checks that relate a block to a leaf's
-state, parameters or constants, such as its channel shape, stay in the
-kernel, since only the leaf knows them; so do their typed errors.
+returns ``(values, mask, masked, state)``; it sets ``_masks_step_input`` when
+the kernel reads its input with invalid steps zeroed. Both modes derive
+from that kernel here: ``step`` runs it on one block, and ``layer`` runs it
+once over the whole sequence from the initial state, flushed and trimmed by
+the rule :func:`flush_extent` computes for the step drivers too. So the two
+modes share their math, their checks and their typed errors. A leaf's check
+of its input channels goes in the kernel or in ``get_initial_state``, which
+both modes call. Only a leaf whose whole-sequence result must not come from
+the kernel keeps a ``layer()`` of its own: ``StepDelay`` (the identity by
+design) and ``DotProductSelfAttention`` (one call over the whole sequence
+keeps its matmul shapes, and so its bits). A stateless leaf implements
+``layer()`` and steps through it.
+
+Composites run the kernels through a plan (see :mod:`seqstream.combinators`)
+whose root makes the one block check for the whole tree.
 
 ``training`` is a required keyword argument on the execution methods; there
 is deliberately no default.
@@ -43,7 +52,6 @@ from __future__ import annotations
 import abc
 import copy
 import dataclasses
-import math
 import types
 from fractions import Fraction
 from typing import Any, Mapping
@@ -104,6 +112,16 @@ class LayerProperties:
 
 def ceil_ratio(time: int, ratio: Fraction) -> int:
     return -((-time * ratio.numerator) // ratio.denominator)
+
+
+def flush_extent(layer: "SequenceLayer", time: int) -> tuple[int, int, int]:
+    """The latency protocol for ``time`` input steps: (invalid steps to
+    append, outputs to drop, outputs to keep). The appended steps flush the
+    ``input_latency`` buffered ones and fill the last ``block_size`` block;
+    the first ``output_latency`` outputs are placeholders, and
+    ``output_time(time)`` outputs follow them."""
+    fill = -(time + layer.input_latency) % layer.block_size
+    return layer.input_latency + fill, layer.output_latency, layer.output_time(time)
 
 
 def compose_receptive_fields(first: LayerProperties, second: LayerProperties) -> dict:
@@ -188,9 +206,25 @@ class SequenceLayer(abc.ABC):
 
     # -- execution -----------------------------------------------------------
 
-    @abc.abstractmethod
     def layer(self, x: Sequence, *, training: bool, constants: Constants | None = None) -> Sequence:
-        """Processes a whole sequence."""
+        """Processes a whole sequence: the step kernel run once over all of
+        ``x``, flushed and trimmed as :func:`seqstream.streaming.step_by_step`
+        does (see :func:`flush_extent`)."""
+        pad, drop, keep = flush_extent(self, x.time)
+        values, mask, masked = x.values, x.mask, x.masked
+        if pad:
+            batch = x.batch_size
+            values = np.concatenate(
+                [values, np.zeros((batch, pad) + values.shape[2:], values.dtype)], axis=1
+            )
+            mask = np.concatenate([mask, np.zeros((batch, pad), bool)], axis=1)
+        if self._masks_step_input:
+            values, masked = zero_invalid(values, mask, masked), True
+        state = self.get_initial_state(
+            x.batch_size, x.channel_spec, training=training, constants=constants
+        )
+        values, mask, masked, _ = self._step_arrays(values, mask, masked, state, training, constants)
+        return Sequence._wrap(values[:, drop : drop + keep], mask[:, drop : drop + keep], masked)
 
     def get_initial_state(
         self,

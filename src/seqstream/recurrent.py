@@ -9,7 +9,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer
-from .sequence import ChannelSpec, Sequence
+from .sequence import ChannelSpec
 
 __all__ = ["LSTM"]
 
@@ -82,11 +82,6 @@ class LSTM(SequenceLayer):
             h = np.where(valid, h_new.astype(np.float32, copy=False), h)
             outputs[:, t] = np.where(valid, h_new, 0.0)
         return outputs, c, h
-
-    def layer(self, x, *, training, constants=None):
-        zeros = np.zeros((x.batch_size, self.units), dtype=np.float32)
-        outputs, _, _ = self._scan(x.mask_invalid().values, x.mask, zeros, zeros)
-        return Sequence._wrap(outputs, x.mask, masked=True)
 
     _masks_step_input = True
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import BlockSizeError, NotSteppableError
-from .layer import SequenceLayer
+from .layer import SequenceLayer, flush_extent
 from .sequence import Sequence
 
 
@@ -100,12 +100,11 @@ def _flushed(layer: SequenceLayer, x: Sequence, *, training, block=None, constan
     Returns (its output, the raw stepped output before the drop and trim, the
     step emits joined over time).
     """
-    expected = layer.output_time(x.time)
-    padded = x.pad_time(0, layer.input_latency, valid=False)
+    pad, drop, keep = flush_extent(layer, x.time)
     raw, _, emits = stream_blocks(
-        layer, padded, training=training, block=block, constants=constants
+        layer, x.pad_time(0, pad, valid=False), training=training, block=block, constants=constants
     )
-    return raw[:, layer.output_latency :][:, :expected], raw, emits
+    return raw[:, drop : drop + keep], raw, emits
 
 
 def step_by_step(

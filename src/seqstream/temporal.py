@@ -1,9 +1,15 @@
 """Layers that mix information across time.
 
+Each stateful layer here implements its step kernel only; its ``layer()`` is
+that kernel run once over the flushed sequence (see :mod:`seqstream.layer`).
+``StepDelay`` is the exception: its ``layer()`` is the identity.
+
 Streaming mechanics shared by the windowed layers (Conv1D, pooling, Frame):
 the state carries the trailing context of already-seen masked inputs, sized
 ``output_latency * stride + pad_left`` so that each incoming block lines up
-its windows at fixed offsets within ``context + block``. Output validity
+its windows at fixed offsets within ``context + block``. Over a whole
+sequence that context starts as invalid zeros: the left padding, plus the
+placeholder windows the flush protocol drops. Output validity
 follows the anchor rule: output step ``t`` is valid iff its anchor input
 ``t * stride`` (or ``floor(t / ratio)`` for upsampling layers) is valid.
 
@@ -27,7 +33,7 @@ import numpy as np
 from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
-from .layer import SequenceLayer, StatelessLayer, ceil_ratio
+from .layer import SequenceLayer, StatelessLayer
 from .sequence import ChannelSpec, Sequence, zero_invalid
 from fractions import Fraction
 
@@ -94,14 +100,12 @@ def overlap_add(frames: np.ndarray, hop: int, carry: np.ndarray):
     return flat[:, : time * hop], flat[:, time * hop :]
 
 
-def window_index(out_len: int, stride: int, kernel_size: int, dilation: int) -> np.ndarray:
-    """[out_len, kernel_size] read-only input offsets of each output's window taps."""
+@functools.lru_cache(maxsize=128)
+def _window_index(out_len: int, stride: int, kernel_size: int, dilation: int) -> np.ndarray:
+    """[out_len, kernel_size] read-only input offsets of each output's window
+    taps; cached, since a stream's few block lengths recur on every step."""
     taps = np.arange(kernel_size) * dilation
     return tensor.freeze(np.arange(out_len)[:, None] * stride + taps[None, :])
-
-
-#: window_index for step(), whose few block lengths recur on every call
-_step_window_index = functools.lru_cache(maxsize=128)(window_index)
 
 
 @functools.lru_cache(maxsize=128)
@@ -162,26 +166,8 @@ class _WindowedLayer(SequenceLayer):
         """[B, out, k, ...ch] windows -> [B, out, ...ch] outputs."""
         raise NotImplementedError
 
-    def _windows(self, values, mask, idx):
-        """The reduced windows of values at the [out, k] offsets idx."""
-        window_mask = mask[:, idx] if self._reads_window_mask else None
-        return self._reduce_windows(values[:, idx], window_mask)
-
-    def layer(self, x, *, training, constants=None):
-        xm = x.mask_invalid()
-        time = x.time
-        out_len = self.output_time(time)
-        eff = effective_kernel(self.kernel_size, self.dilation)
-        needed = max(0, (out_len - 1) * self.stride + eff - self.pad_left - time)
-        ch_pads = [(0, 0)] * (x.ndim - 2)
-        values = np.pad(np.asarray(xm.values), [(0, 0), (self.pad_left, needed)] + ch_pads)
-        mask = np.pad(np.asarray(x.mask), [(0, 0), (self.pad_left, needed)])
-        idx = window_index(out_len, self.stride, self.kernel_size, self.dilation)
-        out = self._windows(values, mask, idx)
-        out_mask = np.asarray(x.mask)[:, :: self.stride][:, :out_len]
-        return Sequence._wrap(out, out_mask)
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
+        self.get_output_spec(input_spec, constants)  # Conv1D's channel check, for both modes
         ctx = self._context_len
         values = np.zeros((batch_size, ctx) + input_spec.shape, dtype=input_spec.dtype)
         mask = np.zeros((batch_size, ctx), dtype=bool)
@@ -197,8 +183,9 @@ class _WindowedLayer(SequenceLayer):
         out_len = values.shape[1] // self.stride
         values = np.concatenate([state.values, values], axis=1)
         mask = np.concatenate([state.mask, mask], axis=1)
-        idx = _step_window_index(out_len, self.stride, self.kernel_size, self.dilation)
-        out = self._windows(values, mask, idx)
+        idx = _window_index(out_len, self.stride, self.kernel_size, self.dilation)
+        window_mask = mask[:, idx] if self._reads_window_mask else None
+        out = self._reduce_windows(values[:, idx], window_mask)
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
         ctx = self._context_len
         new_state = Sequence._wrap(
@@ -249,14 +236,6 @@ class Conv1D(_WindowedLayer):
         if self.use_bias:
             y = y + self._params["bias"]
         return y.astype(np.float32, copy=False)
-
-    def layer(self, x, *, training, constants=None):
-        self._check_channel_rank(x.channel_shape, 1)
-        if x.channel_shape[0] != self.in_channels:
-            raise SpecMismatchError(
-                f"{self.name}: expected {self.in_channels} input channels, got {x.channel_shape[0]}"
-            )
-        return super().layer(x, training=training, constants=constants)
 
 
 class _Pooling1D(_WindowedLayer):
@@ -379,33 +358,9 @@ class Conv1DTranspose(SequenceLayer):
             )
         return ChannelSpec((self.filters,), np.float32)
 
-    def _scatter(self, values, carry):
-        # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
-        values = np.asarray(values, dtype=np.float32)
-        contrib = tensor.einsum("btc,kcf->btkf", values, self._params["weight"])
-        return overlap_add(contrib, self.stride, carry)
-
-    def _finish(self, out):
-        # out views overlap_add's buffer: the bias add or the cast makes it fresh
-        if self.use_bias:
-            return (out + self._params["bias"]).astype(np.float32, copy=False)
-        return out.astype(np.float32)
-
-    def _zero_carry(self, batch_size):
-        return np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32)
-
-    def layer(self, x, *, training, constants=None):
-        self._check_channel_rank(x.channel_shape, 1)
-        out, tail = self._scatter(x.mask_invalid().values, self._zero_carry(x.batch_size))
-        if self.trim_left:
-            out_len = out.shape[1]
-            out = np.concatenate([out, tail], axis=1)[:, self.trim_left : self.trim_left + out_len]
-        out_mask = np.repeat(np.asarray(x.mask), self.stride, axis=1)
-        return Sequence._wrap(self._finish(out), out_mask)
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return {
-            "carry": self._zero_carry(batch_size),
+            "carry": np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32),
             "mask_history": np.zeros((batch_size, self.input_latency), dtype=bool),
         }
 
@@ -417,11 +372,19 @@ class Conv1DTranspose(SequenceLayer):
                 f"{self.name}: expected channel shape ({self.in_channels},), got {values.shape[2:]}"
             )
         time = values.shape[1]
-        out, carry = self._scatter(values, state["carry"])
+        # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
+        values = np.asarray(values, dtype=np.float32)
+        contrib = tensor.einsum("btc,kcf->btkf", values, self._params["weight"])
+        out, carry = overlap_add(contrib, self.stride, state["carry"])
+        # out views overlap_add's buffer: the bias add or the cast makes it fresh
+        if self.use_bias:
+            out = (out + self._params["bias"]).astype(np.float32, copy=False)
+        else:
+            out = out.astype(np.float32)
         mask = np.concatenate([state["mask_history"], mask], axis=1)
         out_mask = mask[:, _anchor_index(time, self.stride, self.trim_left, self.input_latency)]
         new_state = {"carry": tensor.freeze(carry), "mask_history": tensor.freeze(mask[:, time:])}
-        return self._finish(out), out_mask, False, new_state
+        return out, out_mask, False, new_state
 
 
 class Downsample1D(StatelessLayer):
@@ -507,19 +470,6 @@ class Delay(SequenceLayer):
     def receptive_field_per_step(self):
         return {0: (-self.length, -self.length)}
 
-    @staticmethod
-    def _gate(delayed: Sequence, mask):
-        """The delayed values, valid only where the current input step is
-        valid too and zero elsewhere: (values, mask)."""
-        mask = np.logical_and(delayed.mask, mask)
-        return zero_invalid(delayed.values, mask), mask
-
-    def layer(self, x, *, training, constants=None):
-        if self.length == 0:
-            return x
-        delayed = x.mask_invalid().pad_time(self.length, 0, valid=False)[:, : x.time]
-        return Sequence._wrap(*self._gate(delayed, x.mask), masked=True)
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return delay_line(batch_size, self.length, input_spec)
 
@@ -531,7 +481,9 @@ class Delay(SequenceLayer):
         if self.length == 0:
             return values, mask, masked, state
         delayed, state = delay_step(Sequence._wrap(values, mask, True), state)
-        return *self._gate(delayed, mask), True, state
+        # valid only where the current input step is valid too, zero elsewhere
+        mask = np.logical_and(delayed.mask, mask)
+        return zero_invalid(delayed.values, mask), mask, True, state
 
 
 class StepDelay(Delay):
@@ -592,12 +544,6 @@ class Lookahead(SequenceLayer):
     @property
     def receptive_field_per_step(self):
         return {0: (self.length, self.length)}
-
-    def layer(self, x, *, training, constants=None):
-        if self.length == 0:
-            return x
-        shifted = x.mask_invalid()[:, min(self.length, x.time) :]
-        return shifted.pad_time(0, x.time - shifted.time, valid=False)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return 0
@@ -720,18 +666,9 @@ class OverlapAdd(SequenceLayer):
         self._check(input_spec.shape)
         return ChannelSpec(input_spec.shape[1:], input_spec.dtype)
 
-    def _zero_carry(self, batch_size, channel_shape, dtype):
-        carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop
-        return np.zeros((batch_size, carry_len) + channel_shape[1:], dtype=dtype)
-
-    def layer(self, x, *, training, constants=None):
-        carry = self._zero_carry(x.batch_size, x.channel_shape, x.dtype)
-        values = zero_invalid(x.values, x.mask, x.masked)
-        out = self._step_arrays(values, x.mask, True, carry, training, constants)
-        return Sequence._wrap(*out[:3])
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return self._zero_carry(batch_size, input_spec.shape, input_spec.dtype)
+        carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop
+        return np.zeros((batch_size, carry_len) + input_spec.shape[1:], dtype=input_spec.dtype)
 
     _masks_step_input = True
 

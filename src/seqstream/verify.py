@@ -25,6 +25,13 @@ run per (block multiple, training, poisoned input): 1, 2, 6 and 8 compare
 trimmed runs, 3 measures latency on the raw 1x eval run and 7 reads its step
 emits. A deterministic layer is stepped three times, a stochastic one five.
 
+For a leaf whose ``layer()`` is its step kernel run once over the whole
+sequence (see :mod:`seqstream.layer`), checks 1, 2 and 8 compare the kernel
+run over the whole sequence at once with the same kernel run block by
+block: they check how the stream is split into blocks, not the kernel's
+math. The independent
+reference for the math is the explicit-loop oracles in the tests.
+
 Gradient equality between layer and step is intentionally not verified
 (no autodiff here); every report carries a permanently skipped
 ``gradient_equivalence`` entry so the omission is visible.

@@ -1,9 +1,11 @@
 """A composite steps its library leaves through their array kernels.
 
 The plan calls each leaf's ``_step_arrays`` (a stateless leaf's ``layer()``)
-on raw arrays; a leaf's public ``step`` is derived from the same kernel.
-These tests hold the two routes to the same bits and pin when the plan must
-leave the kernel route: a ``step`` set on the leaf itself.
+on raw arrays; a leaf's public ``step`` and its ``layer()`` are derived from
+the same kernel. These tests hold the routes to the same bits and the same
+typed errors, pin when the plan must leave the kernel route (a ``step`` set
+on the leaf itself), and keep a second layer-mode copy of a kernel's math
+from coming back.
 """
 
 import numpy as np
@@ -11,8 +13,9 @@ import pytest
 
 import seqstream as sl
 from seqstream.combinators import _KERNEL, _LAYER
-from seqstream.sequence import Sequence
-from seqstream.streaming import stream_blocks
+from seqstream.layer import SequenceLayer
+from seqstream.sequence import ChannelSpec, Sequence
+from seqstream.streaming import step_by_step, stream_blocks
 
 from test_step_plan import F32, assert_identical
 from test_trusted_sequences import CASES, make_input
@@ -80,3 +83,60 @@ def test_a_step_set_on_a_leaf_after_the_plan_is_built_is_called_per_block(name):
     assert calls == [layer.block_size] * (x.time // layer.block_size)
     assert_identical(wrapped, plain)
     assert_identical(stream_blocks(layer, x, training=False), plain)
+
+
+#: kernel leaves that keep a layer() of their own, and why
+OWN_LAYER = {
+    # layer() is the identity by design; only the step schedule is delayed
+    "StepDelay",
+    # one whole-sequence attention call: a kernel call over the flushed
+    # sequence would change its matmul shapes, and so its bits
+    "DotProductSelfAttention",
+}
+
+
+def library_layer_classes():
+    found, todo = [], [SequenceLayer]
+    while todo:
+        cls = todo.pop()
+        todo.extend(cls.__subclasses__())
+        if cls.__module__.startswith("seqstream.") and cls.__module__ != "seqstream.sabotage":
+            found.append(cls)
+    return found
+
+
+def test_every_kernel_leaf_runs_its_kernel_for_layer():
+    kernel_leaves = [
+        cls for cls in library_layer_classes()
+        if cls._step_arrays is not SequenceLayer._step_arrays
+    ]
+    assert {"Conv1D", "LSTM", "Delay", "StepDelay"} <= {cls.__name__ for cls in kernel_leaves}
+    second_paths = sorted(
+        cls.__name__ for cls in kernel_leaves
+        if cls.layer is not SequenceLayer.layer and cls.__name__ not in OWN_LAYER
+    )
+    assert not second_paths, second_paths
+
+
+def three_channel_leaves():
+    rng = np.random.default_rng(5)
+    return [
+        sl.Dense(3, 2, rng=rng),
+        sl.LayerNormalization(3, rng=rng),
+        sl.RMSNormalization(3, rng=rng),
+        sl.Conv1D(3, 2, 3, rng=rng),
+        sl.Conv1DTranspose(3, 2, 3, stride=2, rng=rng),
+        sl.LSTM(3, 2, rng=rng),
+        sl.DotProductSelfAttention(3, 2, 2, rng=rng),
+        sl.OverlapAdd(3, 1),
+    ]
+
+
+@pytest.mark.parametrize("layer", three_channel_leaves(), ids=lambda layer: layer.name)
+def test_a_wrong_channel_input_raises_one_typed_error_in_both_modes(layer):
+    x = make_input(ChannelSpec((4,)), time=6)
+    with pytest.raises(sl.SpecMismatchError) as layer_err:
+        layer.layer(x, training=False)
+    with pytest.raises(sl.SpecMismatchError) as step_err:
+        step_by_step(layer, x, training=False)
+    assert str(layer_err.value) == str(step_err.value)

@@ -117,6 +117,7 @@ def empty_cases():
         "dense": (dense, ChannelSpec((3,))),
         "dense_int32": (dense, ChannelSpec((3,), np.int32)),
         "strided_conv": (sl.Serial([sl.Conv1D(3, 4, 3, stride=2, rng=rng)]), ChannelSpec((3,))),
+        "attention": (sl.DotProductSelfAttention(3, 2, 4, 2, 1, rng=rng), ChannelSpec((3,))),
     }
     cases.update({name: build_spec(name) for name in SPECS})
     return cases
@@ -129,8 +130,8 @@ def test_an_empty_stream_has_the_layers_output_spec(name):
     y = step_by_step(layer, x, training=False)
     assert y.channel_spec == layer.get_output_spec(spec)
     assert y.shape[:2] == (2, 0)
-    if name in ("dense", "dense_int32", "strided_conv"):
-        assert y.channel_spec == layer.layer(x, training=False).channel_spec
+    z = layer.layer(x, training=False)
+    assert (z.shape, z.channel_spec) == (y.shape, y.channel_spec)
 
 
 def test_emits_with_nothing_to_join_come_back_as_they_are():

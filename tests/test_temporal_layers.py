@@ -85,6 +85,21 @@ def pool_oracle(kind, x: Sequence, window, stride, padding):
     return out, mask[:, ::stride][:, :out_len]
 
 
+def shift_oracle(x: Sequence, shift: int):
+    """Output step t copies input step t + shift where both steps are valid,
+    zeros elsewhere: a delay shifts by -length, a lookahead by +length."""
+    values, mask = np.asarray(x.values), np.asarray(x.mask)
+    out, out_mask = np.zeros_like(values), np.zeros_like(mask)
+    batch, time = mask.shape
+    for b in range(batch):
+        for t in range(time):
+            u = t + shift
+            if 0 <= u < time and mask[b, u] and mask[b, t]:
+                out[b, t] = values[b, u]
+                out_mask[b, t] = True
+    return out, out_mask
+
+
 class TestConv1D:
     def test_k1_identity_weight_matches_dense(self, rng):
         w = rng.uniform(-0.5, 0.5, (1, 3, 4)).astype(np.float32)
@@ -240,6 +255,23 @@ class TestDelayLookahead:
     def test_delay_rf_anchor(self):
         assert sl.Delay(3).receptive_field == (-3, -3)
         assert sl.Lookahead(2).receptive_field == (2, 2)
+
+    @pytest.mark.parametrize("time", [0, 1, 4, 9])
+    @pytest.mark.parametrize("length", [0, 1, 2, 5])
+    @pytest.mark.parametrize("cls, sign", [(sl.Delay, -1), (sl.Lookahead, 1)])
+    def test_matches_the_index_oracle_over_end_padded_rows(self, cls, sign, length, time):
+        rng = np.random.default_rng(10 * time + length)
+        lengths = np.array([time, time // 2, 0])
+        x = Sequence.from_lengths(rng.standard_normal((3, time, 2)).astype(np.float32), lengths)
+        expect, expect_mask = shift_oracle(x, sign * length)
+        # a delayed row ends where its input does; a lookahead row `length` steps earlier
+        end = np.where(lengths > length, lengths - length * (cls is sl.Lookahead), 0)
+        layer = cls(length)
+        for y in (layer.layer(poison_invalid(x), training=False), step_by_step(layer, x, training=False)):
+            np.testing.assert_array_equal(np.asarray(y.mask), expect_mask)
+            np.testing.assert_array_equal(np.asarray(y.mask_invalid().values), expect)
+            ends = [np.flatnonzero(row)[-1] + 1 if row.any() else 0 for row in np.asarray(y.mask)]
+            np.testing.assert_array_equal(ends, end)
 
     def test_delay_prepends_invalid(self):
         x = random_sequence(6, 1, 5, 2)
