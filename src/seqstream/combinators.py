@@ -29,14 +29,13 @@ and combines them. One executor runs the plan over raw (values, mask,
 masked) registers and zeroes each register's invalid steps at most once.
 Only the composite being stepped checks its block; every check of a
 composite or a leaf block inside it is implied by its own. Each library
-leaf runs its array kernel (see :mod:`seqstream.layer`), a stateless one its
-``layer()``. A leaf with its own ``step``, or with a ``step`` set on the
-instance such as a tracing wrapper (looked up per call), is called through
-that ``step``; one that overrides ``step_with_emits`` (``Emit``,
-``Blockwise``) through that. When no leaf is, the emits tree is the same
-constant on every step. States and emits keep the nesting of the tree: a
-Serial's state is the tuple of its children's, a Parallel's is (children's
-states, FIFOs).
+leaf runs its array kernel (see :mod:`seqstream.layer`). A leaf with its
+own ``step``, or with a ``step`` set on the instance such as a tracing
+wrapper (looked up per call), is called through that ``step``; one that
+overrides ``step_with_emits`` (``Emit``, ``Blockwise``) through that. When
+no leaf is, the emits tree is the same constant on every step. States and
+emits keep the nesting of the tree: a Serial's state is the tuple of its
+children's, a Parallel's is (children's states, FIFOs).
 """
 
 from __future__ import annotations
@@ -48,7 +47,7 @@ import numpy as np
 
 from . import tensor
 from .errors import NotSteppableError, SpecMismatchError
-from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, StatelessLayer, renamed
+from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, renamed
 from .receptive_field import (
     reverse_rf_map,
     rf_at,
@@ -182,10 +181,8 @@ def _unflatten(layout, flat, fifos):
     return tree
 
 
-#: how the plan steps a leaf: its array kernel, its layer(), its step or its
-#: step_with_emits; a leaf class's step -> its route, for the library's steps
-_KERNEL, _LAYER, _STEP, _EMITS = range(4)
-_ROUTES = {SequenceLayer.step: _KERNEL, StatelessLayer.step: _LAYER}
+#: how the plan steps a leaf: its array kernel, its step or its step_with_emits
+_KERNEL, _STEP, _EMITS = range(3)
 
 
 class _StepPlan:
@@ -198,13 +195,15 @@ class _StepPlan:
 
     ``ops`` run in order. Each reads a register, a list that starts as
     [input block], and appends its output. A register is ``[values, mask,
-    masked, Sequence, zeroed values]``; the last two are None until needed.
-    A leaf op ``(leaf, slot, src, route, kernel, zeroes, attrs)`` steps
-    ``leaf`` on register ``src`` with the state in ``slot`` by its route
-    (see ``_ROUTES``): ``kernel``, its bound ``_step_arrays``, on zeroed
-    values when ``zeroes``; its ``layer()``; or its public method, whose
-    emits go in ``slot`` of the flat emits. A ``step`` in ``attrs``, the
-    leaf's instance dict, takes over from the first two. A branch op
+    masked, Sequence, zeroed values]``; the last two are None until needed:
+    the Sequence is built only for a leaf called through its public
+    ``step`` or ``step_with_emits``. A leaf op ``(leaf, slot, src, route,
+    kernel, zeroes, attrs)`` steps ``leaf`` on register ``src`` with the
+    state in ``slot`` by its route: ``kernel``, its bound ``_step_arrays``
+    (the route of every class that inherits ``SequenceLayer.step``), on
+    zeroed values when ``zeroes``; or its public method, whose emits go in
+    ``slot`` of the flat emits. A ``step`` in ``attrs``, the leaf's instance
+    dict, takes over from the kernel. A branch op
     ``(None, branches, combine)`` ends a Parallel: each ``(src, slot)``
     branch output is zeroed and delayed by the fifo in ``slot``, and the
     outputs are combined.
@@ -237,7 +236,7 @@ class _StepPlan:
         if cls.step_with_emits is not SequenceLayer.step_with_emits:
             route = _EMITS
         else:
-            route = _ROUTES.get(cls.step, _STEP)
+            route = _KERNEL if cls.step is SequenceLayer.step else _STEP
         kernel = node._step_arrays if route == _KERNEL else None
         self.ops.append((node, slot, src, route, kernel, node._masks_step_input, vars(node)))
         return slot, len(self.ops)
@@ -292,9 +291,7 @@ class _StepPlan:
             seq = reg[3]
             if seq is None:
                 seq = reg[3] = Sequence._wrap(reg[0], reg[1], reg[2])
-            if route == _LAYER and not wrapped:
-                y = leaf.layer(seq, training=training, constants=constants)
-            elif route == _EMITS:
+            if route == _EMITS:
                 y, states[slot], emits[slot] = leaf.step_with_emits(
                     seq, states[slot], training=training, constants=constants
                 )

@@ -2,10 +2,12 @@
 channel-shape manipulation, conditioning, and the identity/emit utilities.
 
 Everything here has output ratio 1, block size 1, zero latency, and a
-receptive field of (0, 0): no information moves across time. Dropout is the
-one stochastic member; its draws are a pure function of (seed, absolute
-timestep, batch row, flat channel index) so that any block partition of the
-stream reproduces the same decisions.
+receptive field of (0, 0): no information moves across time. Each leaf is
+its step kernel (see :mod:`seqstream.layer`); all but ``Dropout`` and
+``Conditioning`` keep the empty state. Dropout is the one stochastic
+member; its draws are a pure function of (seed, absolute timestep, batch
+row, flat channel index) so that any block partition of the stream
+reproduces the same decisions.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from scipy import special
 from . import params as params_lib
 from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
-from .layer import Constants, Emitting, RngCounter, SequenceLayer, StatelessLayer
+from .layer import Constants, Emitting, RngCounter, SequenceLayer
 from .sequence import ChannelSpec, Sequence
 
 __all__ = [
@@ -42,9 +44,9 @@ __all__ = [
 ]
 
 
-class Identity(StatelessLayer):
-    def layer(self, x, *, training, constants=None):
-        return x
+class Identity(SequenceLayer):
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        return values, mask, masked, state
 
 
 class Emit(Emitting):
@@ -58,7 +60,7 @@ class Emit(Emitting):
         return x, state, x
 
 
-class Dense(StatelessLayer):
+class Dense(SequenceLayer):
     """Affine map over the final channel dimension."""
 
     def __init__(self, in_features, units, use_bias=True, *, params=None, rng=None, name=None):
@@ -79,19 +81,20 @@ class Dense(StatelessLayer):
             )
         return ChannelSpec(input_spec.shape[:-1] + (self.units,), np.float32)
 
-    def layer(self, x, *, training, constants=None):
-        if not x.channel_shape or x.channel_shape[-1] != self.in_features:
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        channel_shape = values.shape[2:]
+        if not channel_shape or channel_shape[-1] != self.in_features:
             raise SpecMismatchError(
                 f"{self.name}: expected final channel extent {self.in_features}, "
-                f"got {x.channel_shape}"
+                f"got {channel_shape}"
             )
-        y = tensor.einsum("...i,io->...o", np.asarray(x.values), self._params["weight"])
+        y = tensor.einsum("...i,io->...o", values, self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]
-        return Sequence._wrap(np.asarray(y, dtype=np.float32), x.mask)
+        return np.asarray(y, dtype=np.float32), mask, False, state
 
 
-class Scale(StatelessLayer):
+class Scale(SequenceLayer):
     """Multiplies by a constant scalar or channel-broadcastable array."""
 
     def __init__(self, value, name=None):
@@ -101,11 +104,11 @@ class Scale(StatelessLayer):
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec(input_spec.shape, np.float32)
 
-    def layer(self, x, *, training, constants=None):
-        return x.apply_values(lambda v: v * self.value, zero_preserving=True)
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        return tensor.tensor(values * self.value), mask, masked, state
 
 
-class Add(StatelessLayer):
+class Add(SequenceLayer):
     """Adds a constant scalar or channel-broadcastable array."""
 
     def __init__(self, value, name=None):
@@ -115,9 +118,9 @@ class Add(StatelessLayer):
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec(input_spec.shape, np.float32)
 
-    def layer(self, x, *, training, constants=None):
-        zero_preserving = bool(np.all(self.value == 0))
-        return x.apply_values(lambda v: v + self.value, zero_preserving=zero_preserving)
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        masked = masked and bool(np.all(self.value == 0))
+        return tensor.tensor(values + self.value), mask, masked, state
 
 
 def _gelu(v):
@@ -162,7 +165,7 @@ _POINTWISE = {
 _POINTWISE_DEFAULTS = {"leaky_relu": 0.2, "elu": 1.0}
 
 
-class Pointwise(StatelessLayer):
+class Pointwise(SequenceLayer):
     """Named elementwise activation applied per value.
 
     Kinds with f(0) != 0 clear the masked flag; zero-preserving kinds keep it.
@@ -178,13 +181,13 @@ class Pointwise(StatelessLayer):
         self._fn = builder(self.value)
         self._zero_preserving = zp(self.value)
 
-    def layer(self, x, *, training, constants=None):
-        if x.dtype.kind != "f" and not self._allows_int:
-            raise SpecMismatchError(f"{self.name}: float input required, got {x.dtype}")
-        return x.apply_values(self._fn, zero_preserving=self._zero_preserving)
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        if values.dtype.kind != "f" and not self._allows_int:
+            raise SpecMismatchError(f"{self.name}: float input required, got {values.dtype}")
+        return tensor.tensor(self._fn(values)), mask, masked and self._zero_preserving, state
 
 
-class Softmax(StatelessLayer):
+class Softmax(SequenceLayer):
     """Softmax over one channel axis, computed per (batch, time) position."""
 
     def __init__(self, axis=-1, name=None):
@@ -195,18 +198,17 @@ class Softmax(StatelessLayer):
         axis = self.axis % (ndim - 2)
         return axis + 2
 
-    def layer(self, x, *, training, constants=None):
-        if not x.channel_shape:
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        if not values.shape[2:]:
             raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
-        axis = self._values_axis(x.ndim)
-        v = np.asarray(x.values)
-        shifted = v - np.max(v, axis=axis, keepdims=True)
+        axis = self._values_axis(values.ndim)
+        shifted = values - np.max(values, axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / np.sum(e, axis=axis, keepdims=True)
-        return Sequence._wrap(out.astype(x.dtype, copy=False), x.mask)
+        return out.astype(values.dtype, copy=False), mask, False, state
 
 
-class _Normalization(StatelessLayer):
+class _Normalization(SequenceLayer):
     """Per-timestep normalization over all channel axes of a fixed shape.
 
     ``PARAMS`` names the learned tensors, each of the channel shape.
@@ -248,14 +250,14 @@ class LayerNormalization(_Normalization):
 
     PARAMS = ("scale", "offset")
 
-    def layer(self, x, *, training, constants=None):
-        self._check(x.channel_shape)
-        v = np.asarray(x.values, dtype=np.float32)
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        self._check(values.shape[2:])
+        v = np.asarray(values, dtype=np.float32)
         centered = v - self._mean(v)
         var = self._mean(np.square(centered))
         normed = centered / np.sqrt(var + self._epsilon)
         out = normed * self._params["scale"] + self._params["offset"]
-        return Sequence._wrap(out.astype(np.float32, copy=False), x.mask)
+        return out.astype(np.float32, copy=False), mask, False, state
 
 
 class RMSNormalization(_Normalization):
@@ -263,13 +265,13 @@ class RMSNormalization(_Normalization):
 
     PARAMS = ("scale",)
 
-    def layer(self, x, *, training, constants=None):
-        self._check(x.channel_shape)
-        v = np.asarray(x.values, dtype=np.float32)
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        self._check(values.shape[2:])
+        v = np.asarray(values, dtype=np.float32)
         ms = self._mean(np.square(v))
         out = v / np.sqrt(ms + self._epsilon) * self._params["scale"]
         # f(0) = 0, so a masked input stays masked
-        return Sequence._wrap(out.astype(np.float32, copy=False), x.mask, masked=x.masked)
+        return out.astype(np.float32, copy=False), mask, masked, state
 
 
 # --- dropout ----------------------------------------------------------------
@@ -349,7 +351,7 @@ class Dropout(SequenceLayer):
 # --- channel shape manipulation ---------------------------------------------
 
 
-class _ChannelOp(StatelessLayer):
+class _ChannelOp(SequenceLayer):
     """Base for pure channel-shape manipulations (bit-exact value moves)."""
 
     def _out_shape(self, channel_shape) -> tuple[int, ...]:
@@ -358,11 +360,11 @@ class _ChannelOp(StatelessLayer):
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec(self._out_shape(input_spec.shape), input_spec.dtype)
 
-    def layer(self, x, *, training, constants=None):
-        values = self._transform(x.values, self._out_shape(x.channel_shape))
-        # a view of x's read-only values; tensor() copies it only where the
-        # view would alias a writeable array, as the validating path does
-        return Sequence._wrap(tensor.tensor(values), x.mask, masked=x.masked)
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        # a view of the frozen input; tensor() copies it only where the view
+        # would alias a writeable array, as the validating path does
+        view = self._transform(tensor.freeze(values), self._out_shape(values.shape[2:]))
+        return tensor.tensor(view), mask, masked, state
 
     def _transform(self, values, out_shape):
         return values.reshape(values.shape[:2] + out_shape)
@@ -502,7 +504,7 @@ class Conditioning(SequenceLayer):
         shape = input_spec.shape[:-1] + (input_spec.shape[-1] + cond.channel_shape[-1],)
         return ChannelSpec(shape, dtype)
 
-    def _combine(self, values, mask, cond: Sequence, start: int) -> Sequence:
+    def _combine(self, values, mask, cond: Sequence, start: int):
         batch, time = values.shape[:2]
         if cond.batch_size != batch:
             raise SpecMismatchError(
@@ -519,13 +521,13 @@ class Conditioning(SequenceLayer):
             values = values + np.asarray(window.values)
         else:
             values = np.concatenate([values, np.asarray(window.values)], axis=-1)
-        # validated: the two dtypes may differ, and numpy then promotes
-        return Sequence(values, mask)
+        # the two dtypes may differ: numpy then promotes, and tensor() canonicalizes
+        return tensor.tensor(values), mask
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         self._lookup(constants)
         return 0
 
     def _step_arrays(self, values, mask, masked, state: int, training, constants):
-        y = self._combine(values, mask, self._lookup(constants), start=state)
-        return y.values, y.mask, y.masked, state + values.shape[1]
+        values, mask = self._combine(values, mask, self._lookup(constants), start=state)
+        return values, mask, False, state + values.shape[1]

@@ -25,20 +25,21 @@ forwards emits - ``dense.Emit`` and the combinators ``Serial``,
 implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
 it, so outputs and emits come from one loop and cannot drift apart.
 
-A stateful leaf implements ``get_initial_state`` and one array kernel,
+Every library leaf implements one array kernel,
 ``_step_arrays(values, mask, masked, state, training, constants)``, which
 returns ``(values, mask, masked, state)``; it sets ``_masks_step_input`` when
-the kernel reads its input with invalid steps zeroed. Both modes derive
-from that kernel here: ``step`` runs it on one block, and ``layer`` runs it
-once over the whole sequence from the initial state, flushed and trimmed by
-the rule :func:`flush_extent` computes for the step drivers too. So the two
-modes share their math, their checks and their typed errors. A leaf's check
-of its input channels goes in the kernel or in ``get_initial_state``, which
-both modes call. Only a leaf whose whole-sequence result must not come from
-the kernel keeps a ``layer()`` of its own: ``StepDelay`` (the identity by
-design) and ``DotProductSelfAttention`` (one call over the whole sequence
-keeps its matmul shapes, and so its bits). A stateless leaf implements
-``layer()`` and steps through it.
+the kernel reads its input with invalid steps zeroed. A stateful leaf also
+implements ``get_initial_state``; a stateless one keeps the empty state and
+returns it unchanged. Both modes derive from that kernel here: ``step`` runs
+it on one block, and ``layer`` runs it once over the whole sequence from the
+initial state, flushed and trimmed by the rule :func:`flush_extent` computes
+for the step drivers too. So the two modes share their math, their checks
+and their typed errors. A leaf's check of its input channels goes in the
+kernel or in ``get_initial_state``, which both modes call. Only a leaf whose
+whole-sequence result must not come from the kernel keeps a ``layer()`` of
+its own: ``StepDelay`` (the identity by design) and
+``DotProductSelfAttention`` (one call over the whole sequence keeps its
+matmul shapes, and so its bits).
 
 Composites run the kernels through a plan (see :mod:`seqstream.combinators`)
 whose root makes the one block check for the whole tree.
@@ -326,14 +327,6 @@ class Emitting(SequenceLayer):
     def step(self, x, state, *, training, constants=None):
         y, state, _ = self.step_with_emits(x, state, training=training, constants=constants)
         return y, state
-
-
-class StatelessLayer(SequenceLayer):
-    """Layer with no memory across steps; step() delegates to layer()."""
-
-    def step(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        return self.layer(x, training=training, constants=constants), state
 
 
 def poison_value(dtype: np.dtype):

@@ -65,6 +65,15 @@ class WrongRatioIdentity(Identity):
     def block_size(self):
         return 2
 
+    # its own identity in both modes: a kernel-derived layer() would trim
+    # the output to the false ratio and hide the violation
+    def layer(self, x, *, training, constants=None):
+        return x
+
+    def step(self, x, state, *, training, constants=None):
+        self._check_block(x)
+        return x, state
+
 
 class UnderdeclaredRFConv(Conv1D):
     """kernel_size-3 causal conv declaring a 2-step receptive field.

@@ -14,11 +14,11 @@ convention). ``from_lengths`` enforces this by construction; arbitrary masks
 are accepted elsewhere, but the library's guarantees only cover end padding.
 
 Validation happens at the public edges: ``Sequence(...)``, ``from_values``,
-``from_lengths``, :meth:`Sequence.apply_values` and :func:`read_sequence`
-check ranks, shapes and dtypes and take a read-only copy of any writeable
-array they are given. Sequences the library builds itself from arrays it
-just allocated go through the trusted :meth:`Sequence._wrap`, which freezes
-those arrays in place and checks nothing. Either way a sequence's ``values``
+``from_lengths`` and :func:`read_sequence` check ranks, shapes and dtypes
+and take a read-only copy of any writeable array they are given. Sequences
+the library builds itself from arrays it just allocated go through the
+trusted :meth:`Sequence._wrap`, which freezes those arrays in place and
+checks nothing. Either way a sequence's ``values``
 and ``mask`` are read-only arrays of a supported dtype.
 
 Serialization uses the ``SLS1`` container: magic ``b"SLS1"`` followed by the
@@ -28,7 +28,7 @@ values tensor and the mask tensor, each in SLT1 format.
 from __future__ import annotations
 
 import dataclasses
-from typing import BinaryIO, Callable, Iterable
+from typing import BinaryIO, Iterable
 
 import numpy as np
 
@@ -182,24 +182,6 @@ class Sequence:
         if self.masked:
             return self
         return Sequence._wrap(zero_invalid(self.values, self.mask), self.mask, masked=True)
-
-    def apply_values(self, fn: Callable[[np.ndarray], np.ndarray], zero_preserving: bool = False) -> "Sequence":
-        """Applies fn to the values.
-
-        The masked flag survives only when the caller declares fn
-        zero-preserving (f(0) == 0); the function is never inspected.
-        """
-        values = np.asarray(fn(self.values))
-        if values.shape[:2] != self.values.shape[:2]:
-            raise ShapeMismatchError(
-                f"apply_values must preserve batch/time, got {values.shape[:2]} "
-                f"from {self.values.shape[:2]}"
-            )
-        # the mask is this sequence's own; the values get the public edge's
-        # dtype and copy rules
-        return Sequence._wrap(
-            tensor.tensor(values), self.mask, masked=self.masked and zero_preserving
-        )
 
     # -- time manipulation --
 

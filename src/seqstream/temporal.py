@@ -1,8 +1,9 @@
 """Layers that mix information across time.
 
-Each stateful layer here implements its step kernel only; its ``layer()`` is
-that kernel run once over the flushed sequence (see :mod:`seqstream.layer`).
-``StepDelay`` is the exception: its ``layer()`` is the identity.
+Each layer here implements its step kernel only; its ``layer()`` is that
+kernel run once over the flushed sequence (see :mod:`seqstream.layer`).
+``StepDelay`` is the exception: its ``layer()`` is the identity. The
+resamplers and ``Window`` keep no state.
 
 Streaming mechanics shared by the windowed layers (Conv1D, pooling, Frame):
 the state carries the trailing context of already-seen masked inputs, sized
@@ -33,7 +34,7 @@ import numpy as np
 from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
-from .layer import SequenceLayer, StatelessLayer
+from .layer import SequenceLayer
 from .sequence import ChannelSpec, Sequence, zero_invalid
 from fractions import Fraction
 
@@ -387,7 +388,7 @@ class Conv1DTranspose(SequenceLayer):
         return out, out_mask, False, new_state
 
 
-class Downsample1D(StatelessLayer):
+class Downsample1D(SequenceLayer):
     """Keeps every rate-th timestep (phase 0)."""
 
     def __init__(self, rate, name=None):
@@ -404,15 +405,11 @@ class Downsample1D(StatelessLayer):
     def block_size(self):
         return self.rate
 
-    def layer(self, x, *, training, constants=None):
-        return Sequence._wrap(
-            np.asarray(x.values)[:, :: self.rate],
-            np.asarray(x.mask)[:, :: self.rate],
-            masked=x.masked,
-        )
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        return values[:, :: self.rate], mask[:, :: self.rate], masked, state
 
 
-class Upsample1D(StatelessLayer):
+class Upsample1D(SequenceLayer):
     """Repeats every timestep rate times."""
 
     def __init__(self, rate, name=None):
@@ -429,11 +426,12 @@ class Upsample1D(StatelessLayer):
     def receptive_field_per_step(self):
         return {o: (0, 0) for o in range(self.rate)}
 
-    def layer(self, x, *, training, constants=None):
-        return Sequence._wrap(
-            np.repeat(np.asarray(x.values), self.rate, axis=1),
-            np.repeat(np.asarray(x.mask), self.rate, axis=1),
-            masked=x.masked,
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        return (
+            np.repeat(values, self.rate, axis=1),
+            np.repeat(mask, self.rate, axis=1),
+            masked,
+            state,
         )
 
 
@@ -552,12 +550,7 @@ class Lookahead(SequenceLayer):
         time = values.shape[1]
         position = state + np.arange(time)
         mask = np.logical_and(mask, (position >= self.length)[None, :])
-        values = np.where(
-            mask.reshape(mask.shape + (1,) * (values.ndim - 2)),
-            values,
-            np.zeros((), values.dtype),
-        )
-        return values, mask, True, state + time
+        return zero_invalid(values, mask), mask, True, state + time
 
 
 class Frame(_WindowedLayer):
@@ -601,7 +594,7 @@ def window_curve(kind: str, length: int) -> np.ndarray:
     raise ValueError(f"unknown window kind {kind!r}; expected one of {_WINDOW_KINDS}")
 
 
-class Window(StatelessLayer):
+class Window(SequenceLayer):
     """Multiplies one channel axis by a window curve."""
 
     def __init__(self, kind="hann", axis=0, name=None):
@@ -611,15 +604,16 @@ class Window(StatelessLayer):
         self.kind = kind
         self.axis = int(axis)
 
-    def layer(self, x, *, training, constants=None):
-        if not x.channel_shape:
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        channel_shape = values.shape[2:]
+        if not channel_shape:
             raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
-        axis = self.axis % len(x.channel_shape)
-        curve = window_curve(self.kind, x.channel_shape[axis])
-        shape = [1] * x.ndim
-        shape[2 + axis] = x.channel_shape[axis]
+        axis = self.axis % len(channel_shape)
+        curve = window_curve(self.kind, channel_shape[axis])
+        shape = [1] * values.ndim
+        shape[2 + axis] = channel_shape[axis]
         curve = curve.reshape(shape)
-        return x.apply_values(lambda v: (v * curve).astype(v.dtype), zero_preserving=True)
+        return tensor.tensor((values * curve).astype(values.dtype)), mask, masked, state
 
 
 class OverlapAdd(SequenceLayer):

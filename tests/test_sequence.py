@@ -179,23 +179,6 @@ def test_lengths_of_fig_mask():
     np.testing.assert_array_equal(seq_2x3().lengths(), [2, 1])
 
 
-def test_apply_values_then_mask_matches_loop_oracle():
-    s = seq_2x3()
-    out = s.apply_values(lambda v: v + 42).mask_invalid()
-    expect = np.zeros((2, 3), np.float32)
-    for b in range(2):
-        for t in range(3):
-            if s.mask[b, t]:
-                expect[b, t] = s.values[b, t] + 42
-    np.testing.assert_array_equal(out.values, expect)
-
-
-def test_apply_values_clears_masked_unless_declared():
-    s = seq_2x3().mask_invalid()
-    assert not s.apply_values(lambda v: v + 1).masked
-    assert s.apply_values(lambda v: v * 2, zero_preserving=True).masked
-
-
 def test_channel_spec():
     s = Sequence.from_values(np.zeros((2, 3, 4, 5), np.float32))
     assert s.channel_spec == ChannelSpec((4, 5), np.float32)

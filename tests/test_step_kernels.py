@@ -1,19 +1,19 @@
 """A composite steps its library leaves through their array kernels.
 
-The plan calls each leaf's ``_step_arrays`` (a stateless leaf's ``layer()``)
-on raw arrays; a leaf's public ``step`` and its ``layer()`` are derived from
-the same kernel. These tests hold the routes to the same bits and the same
-typed errors, pin when the plan must leave the kernel route (a ``step`` set
-on the leaf itself), and keep a second layer-mode copy of a kernel's math
-from coming back.
+The plan calls each leaf's ``_step_arrays`` on raw arrays; a leaf's public
+``step`` and its ``layer()`` are derived from the same kernel. These tests
+hold the routes to the same bits and the same typed errors, pin when the
+plan must leave the kernel route (a ``step`` set on the leaf itself), and
+keep a leaf without a kernel, or a second layer-mode copy of a kernel's
+math, from coming back.
 """
 
 import numpy as np
 import pytest
 
 import seqstream as sl
-from seqstream.combinators import _KERNEL, _LAYER
-from seqstream.layer import SequenceLayer
+from seqstream.combinators import _KERNEL, Bidirectional
+from seqstream.layer import Emitting, SequenceLayer
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step, stream_blocks
 
@@ -53,7 +53,7 @@ def test_the_plan_steps_a_leaf_as_its_public_step_does(layer, spec, mult, traini
         for i, a in enumerate(arrays_in((state, root_state))):
             assert not a.flags.writeable, (start, i)
     leaf_routes = {op[3] for op in root._plan.ops if op[0] is not None}
-    assert leaf_routes <= {_KERNEL, _LAYER}, leaf_routes
+    assert leaf_routes == {_KERNEL}, leaf_routes
 
 
 def wrapped_leaf_tree():
@@ -85,7 +85,7 @@ def test_a_step_set_on_a_leaf_after_the_plan_is_built_is_called_per_block(name):
     assert_identical(stream_blocks(layer, x, training=False), plain)
 
 
-#: kernel leaves that keep a layer() of their own, and why
+#: leaves that keep a layer() of their own beside their kernel, and why
 OWN_LAYER = {
     # layer() is the identity by design; only the step schedule is delayed
     "StepDelay",
@@ -105,17 +105,25 @@ def library_layer_classes():
     return found
 
 
-def test_every_kernel_leaf_runs_its_kernel_for_layer():
-    kernel_leaves = [
+def test_every_library_leaf_is_its_kernel():
+    # public leaves: composites and other emitting layers, and Bidirectional,
+    # are built from other layers and have no kernel of their own
+    leaves = [
         cls for cls in library_layer_classes()
-        if cls._step_arrays is not SequenceLayer._step_arrays
+        if cls is not SequenceLayer and not cls.__name__.startswith("_")
+        and not issubclass(cls, (Emitting, Bidirectional))
     ]
-    assert {"Conv1D", "LSTM", "Delay", "StepDelay"} <= {cls.__name__ for cls in kernel_leaves}
+    names = {cls.__name__ for cls in leaves}
+    assert {"Dense", "Identity", "Reshape", "Window", "Conv1D", "LSTM", "StepDelay"} <= names
+    no_kernel = sorted(
+        cls.__name__ for cls in leaves if cls._step_arrays is SequenceLayer._step_arrays
+    )
+    own_step = sorted(cls.__name__ for cls in leaves if cls.step is not SequenceLayer.step)
     second_paths = sorted(
-        cls.__name__ for cls in kernel_leaves
+        cls.__name__ for cls in leaves
         if cls.layer is not SequenceLayer.layer and cls.__name__ not in OWN_LAYER
     )
-    assert not second_paths, second_paths
+    assert (no_kernel, own_step, second_paths) == ([], [], [])
 
 
 def three_channel_leaves():

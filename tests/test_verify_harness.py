@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import seqstream as sl
-from seqstream import pipeline
+from seqstream import pipeline, streaming
 from seqstream.sabotage import FIXTURES
 from seqstream.sequence import ChannelSpec
 from seqstream.verify import (
@@ -164,19 +164,32 @@ def _spec_layer(name):
     ],
     ids=["dense", "conv_stack", "transformer_block"],
 )
-def test_battery_steps_each_input_once(make, expected):
+def test_battery_steps_each_input_once(make, expected, monkeypatch):
+    # counts step runs: each call of the block driver, and each step() call
+    # made outside one (the block-size probe); a kernel leaf's layer() builds
+    # an initial state too, so initial states are no proxy for step runs
     layer, input_spec = make()
-    calls = []
-    initial_state = layer.get_initial_state
+    runs, driving = [], []
+    drive, step = streaming.stream_blocks, layer.step
 
-    def counted(*args, **kwargs):
-        calls.append(kwargs.get("training"))
-        return initial_state(*args, **kwargs)
+    def counted_drive(*args, **kwargs):
+        runs.append(("stream_blocks", kwargs["training"]))
+        driving.append(True)
+        try:
+            return drive(*args, **kwargs)
+        finally:
+            driving.pop()
 
-    layer.get_initial_state = counted
+    def counted_step(*args, **kwargs):
+        if not driving:
+            runs.append(("step", kwargs["training"]))
+        return step(*args, **kwargs)
+
+    monkeypatch.setattr(streaming, "stream_blocks", counted_drive)
+    layer.step = counted_step
     report = verify_contract(layer, input_spec)
     assert report.passed, report.render()
-    assert len(calls) == expected, calls
+    assert len(runs) == expected, runs
 
 
 def test_full_catalog_passes():
