@@ -16,6 +16,7 @@ from seqstream.sequence import (
     read_sequence,
     save_sequence,
     write_sequence,
+    zero_invalid,
 )
 
 
@@ -177,6 +178,30 @@ def test_time_slice_shorthand():
 
 def test_lengths_of_fig_mask():
     np.testing.assert_array_equal(seq_2x3().lengths(), [2, 1])
+
+
+def test_zero_invalid_matches_loop_oracle():
+    mask = np.array([[True, False, True], [False, False, True]])
+    values = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4) + 42
+    out = zero_invalid(values, mask)
+    expect = np.zeros((2, 3, 4), np.float32)
+    for b in range(2):
+        for t in range(3):
+            if mask[b, t]:
+                expect[b, t] = values[b, t]
+    np.testing.assert_array_equal(out, expect)
+    assert out.dtype == values.dtype
+    np.testing.assert_array_equal(out, Sequence(values, mask).mask_invalid().values)
+
+
+def test_zero_invalid_returns_values_unless_it_must_zero():
+    s = seq_2x3()
+    values = s.values + 1
+    assert zero_invalid(values, s.mask, masked=True) is values
+    assert zero_invalid(values, np.ones((2, 3), bool)) is values
+    out = zero_invalid(values, s.mask)
+    assert out is not values
+    np.testing.assert_array_equal(values, np.full((2, 3), 2, np.float32))
 
 
 def test_channel_spec():
