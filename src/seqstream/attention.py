@@ -32,7 +32,6 @@ import numpy as np
 
 from . import params as params_lib
 from . import tensor
-from .errors import SpecMismatchError
 from .layer import SequenceLayer
 from .sequence import ChannelSpec, Sequence
 
@@ -107,20 +106,12 @@ class DotProductSelfAttention(SequenceLayer):
         return {0: (past, self.max_future_horizon)}
 
     def get_output_spec(self, input_spec, constants=None):
-        if input_spec.shape != (self.d_model,):
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape ({self.d_model},), got {input_spec.shape}"
-            )
+        self._expect_channels(input_spec.shape, (self.d_model,))
         return ChannelSpec((self.num_heads, self.units_per_head), np.float32)
 
     def _project(self, values):
         """Scaled queries, keys and values of masked ``values``, each [B, T, H, U]."""
-        channel_shape = values.shape[2:]
-        self._check_channel_rank(channel_shape, 1)
-        if channel_shape[0] != self.d_model:
-            raise SpecMismatchError(
-                f"{self.name}: expected d_model {self.d_model}, got {channel_shape[0]}"
-            )
+        self._expect_channels(values.shape[2:], (self.d_model,))
         values = np.asarray(values, dtype=np.float32)
         batch, time = values.shape[:2]
         qkv = values.reshape(batch * time, self.d_model) @ self._qkv_proj

@@ -16,26 +16,27 @@ Delay inserted before it restores alignment.
 
 Parallel children must agree on output length for every input length, which
 is checked at construction over one period of their block sizes. They may
-disagree on latency: faster children are delayed inside step() by per-child
-FIFOs so all branches emit the same stream positions, and the combinator
-reports the maximum latencies.
+disagree on latency: inside step() each faster child's output runs through a
+StepDelay of the difference, so all branches emit the same stream positions,
+and the combinator reports the maximum latencies. Blockwise is a one-child
+Serial with a larger block.
 
 Stepping runs a plan, not a walk of the tree. On its first step a Serial,
-Repeat, Parallel or Residual lowers its subtree once into a cached
-:class:`_StepPlan`: the children of nested Serials and Repeats are inlined
-into one run of leaf steps, and each nested Parallel or Residual becomes a
-branch group that masks its branch outputs, pushes them through their FIFOs
-and combines them. One executor runs the plan over raw (values, mask,
-masked) registers and zeroes each register's invalid steps at most once.
-Only the composite being stepped checks its block; every check of a
-composite or a leaf block inside it is implied by its own. Each library
-leaf runs its array kernel (see :mod:`seqstream.layer`). A leaf with its
-own ``step``, or with a ``step`` set on the instance such as a tracing
-wrapper (looked up per call), is called through that ``step``; one that
-overrides ``step_with_emits`` (``Emit``, ``Blockwise``) through that. When
-no leaf is, the emits tree is the same constant on every step. States and
-emits keep the nesting of the tree: a Serial's state is the tuple of its
-children's, a Parallel's is (children's states, FIFOs).
+Repeat, Blockwise, Parallel or Residual lowers its subtree once into a
+cached :class:`_StepPlan`: the children of nested Serials are inlined into
+one run of leaf steps, and each nested Parallel or Residual becomes its
+branches, their aligning StepDelays and one op that masks the branch
+outputs and combines them. One executor runs the plan over raw (values,
+mask, masked) registers and zeroes each register's invalid steps at most
+once. Only the composite being stepped checks its block; every check of a
+composite or a leaf block inside it is implied by its own. A leaf runs its
+array kernel (see :mod:`seqstream.layer`), or else its public
+``step_with_emits``: a leaf that overrides ``step`` or ``step_with_emits``
+(``Emit``) does, and so does one with a ``step`` set on the instance, such
+as a tracing wrapper (looked up per call). When no leaf emits, the emits
+tree is the same constant on every step. States and emits keep the nesting
+of the tree: a Serial's state is the tuple of its children's, a Parallel's
+is (children's states, StepDelay states).
 """
 
 from __future__ import annotations
@@ -50,14 +51,13 @@ from .errors import NotSteppableError, SpecMismatchError
 from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, renamed
 from .receptive_field import (
     reverse_rf_map,
-    rf_at,
     serial_rf_map,
     union_rf_maps,
 )
 from .sequence import ChannelSpec, Sequence, zero_invalid
 # stream_blocks stays importable here: perfbench/tracer.py patches it by this name
 from .streaming import _flushed, stream_blocks  # noqa: F401
-from .temporal import delay_line, delay_step
+from .temporal import StepDelay
 
 __all__ = ["Serial", "Parallel", "Residual", "Repeat", "Bidirectional", "Blockwise"]
 
@@ -154,71 +154,59 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
     return Sequence._wrap(values, mask)
 
 
-def _flatten(layout, state, flat):
-    """Writes the leaf states and fifos of a nested composite state into
-    their slots of ``flat``."""
-    children, fifo_slots = layout
-    if fifo_slots is not None:
-        state, fifos = state
-        for slot, fifo in zip(fifo_slots, fifos):
-            flat[slot] = fifo
-    for sub, child_state in zip(children, state):
+def _flatten(layout, tree, flat):
+    """Writes the leaves of a nested state into their slots of ``flat``."""
+    for sub, part in zip(layout, tree):
         if isinstance(sub, int):
-            flat[sub] = child_state
+            flat[sub] = part
         else:
-            _flatten(sub, child_state, flat)
+            _flatten(sub, part, flat)
 
 
-def _unflatten(layout, flat, fifos):
-    """The nested tree of the slots of ``flat``: a composite state when
-    ``fifos``, else emits, which have no fifos."""
-    children, fifo_slots = layout
-    tree = tuple([
-        flat[sub] if isinstance(sub, int) else _unflatten(sub, flat, fifos) for sub in children
-    ])
-    if fifos and fifo_slots is not None:
-        return tree, tuple([flat[slot] for slot in fifo_slots])
-    return tree
-
-
-#: how the plan steps a leaf: its array kernel, its step or its step_with_emits
-_KERNEL, _STEP, _EMITS = range(3)
+def _unflatten(layout, flat):
+    """The nested tree of the slots of ``flat`` that ``layout`` names."""
+    return tuple([flat[sub] if isinstance(sub, int) else _unflatten(sub, flat) for sub in layout])
 
 
 class _StepPlan:
     """A composite's subtree lowered once for stepping (see the module docstring).
 
-    For the length of a step, leaf states and Parallel fifos live in
-    numbered slots of a flat list. ``layout`` maps the nested composite
-    state onto them: a leaf is its slot, a composite is ``(child layouts,
-    fifo slots)``, where a Serial has None for fifo slots.
+    For the length of a step, leaf states live in numbered slots of a flat
+    list. ``layout`` maps the nested composite state onto them, and
+    ``emits_layout`` the nested emits: a leaf is its slot, a Serial the
+    tuple of its children's layouts. A Parallel's state layout is
+    ``(child layouts, delay slots)``, the slots of the StepDelay that aligns
+    each branch; its emits layout is its child layouts alone.
 
     ``ops`` run in order. Each reads a register, a list that starts as
     [input block], and appends its output. A register is ``[values, mask,
     masked, Sequence, zeroed values]``; the last two are None until needed:
     the Sequence is built only for a leaf called through its public
-    ``step`` or ``step_with_emits``. A leaf op ``(leaf, slot, src, route,
-    kernel, zeroes, attrs)`` steps ``leaf`` on register ``src`` with the
-    state in ``slot`` by its route: ``kernel``, its bound ``_step_arrays``
-    (the route of every class that inherits ``SequenceLayer.step``), on
-    zeroed values when ``zeroes``; or its public method, whose emits go in
-    ``slot`` of the flat emits. A ``step`` in ``attrs``, the leaf's instance
-    dict, takes over from the kernel. A branch op
-    ``(None, branches, combine)`` ends a Parallel: each ``(src, slot)``
-    branch output is zeroed and delayed by the fifo in ``slot``, and the
-    outputs are combined.
+    ``step_with_emits``. A leaf op ``(leaf, slot, src, kernel, zeroes,
+    attrs)`` steps ``leaf`` on register ``src`` with the state in ``slot``.
+    It runs ``kernel``, its bound ``_step_arrays``, on zeroed values when
+    ``zeroes``; a leaf that steps itself has no kernel, and neither does
+    one with a ``step`` in ``attrs``, its instance dict, such as a tracing
+    wrapper. Such a leaf is called through ``step_with_emits``, whose emits
+    go in ``slot`` of the flat emits. A branch op ``(None, srcs, combine)``
+    ends a Parallel: it zeroes the (aligned) branch outputs in ``srcs`` and
+    combines them.
     """
 
     def __init__(self, composite):
         self.ops = []
         self.num_slots = 0
-        self.layout, self.out = self._lower_composite(composite, 0)
+        self.layout, self.emits_layout, self.out = self._lower_composite(composite, 0)
         #: a Serial of leaves, whose state tuple is the flat list itself
-        self.flat = self.layout == (tuple(range(self.num_slots)), None)
-        emitting = any(op[0] is not None and op[3] == _EMITS for op in self.ops)
-        #: the emits tree when no leaf is called through step_with_emits
+        self.flat = self.layout == tuple(range(self.num_slots))
+        emitting = any(
+            type(op[0]).step_with_emits is not SequenceLayer.step_with_emits
+            for op in self.ops
+            if op[0] is not None
+        )
+        #: the emits tree when no leaf emits
         self.emits = (
-            None if emitting else _unflatten(self.layout, [EMPTY_EMITS] * self.num_slots, False)
+            None if emitting else _unflatten(self.emits_layout, [EMPTY_EMITS] * self.num_slots)
         )
 
     def _slot(self):
@@ -227,31 +215,40 @@ class _StepPlan:
 
     def _lower(self, node, src):
         """Appends the ops that step ``node`` on register ``src``; returns
-        (its layout, its output register)."""
+        (its state layout, its emits layout, its output register)."""
         cls = type(node)
-        # inlined: Serial, Repeat, Parallel and Residual, not a subclass that steps itself
+        # inlined: a Serial, Repeat, Blockwise, Parallel or Residual, unless it
+        # is a subclass that steps itself
         if cls.step_with_emits is _Composite.step_with_emits:
             return self._lower_composite(node, src)
         slot = self._slot()
-        if cls.step_with_emits is not SequenceLayer.step_with_emits:
-            route = _EMITS
-        else:
-            route = _KERNEL if cls.step is SequenceLayer.step else _STEP
-        kernel = node._step_arrays if route == _KERNEL else None
-        self.ops.append((node, slot, src, route, kernel, node._masks_step_input, vars(node)))
-        return slot, len(self.ops)
+        inherits = cls.step is SequenceLayer.step
+        inherits = inherits and cls.step_with_emits is SequenceLayer.step_with_emits
+        kernel = node._step_arrays if inherits else None
+        self.ops.append((node, slot, src, kernel, node._masks_step_input, vars(node)))
+        return slot, slot, len(self.ops)
 
     def _lower_composite(self, node, src):
         if not isinstance(node, Parallel):
-            layouts = []
+            layouts, emits_layouts = [], []
             for child in node.children:
-                layout, src = self._lower(child, src)
+                layout, emits_layout, src = self._lower(child, src)
                 layouts.append(layout)
-            return (tuple(layouts), None), src
-        layouts, outputs = zip(*(self._lower(child, src) for child in node.children))
-        fifo_slots = tuple(self._slot() for _ in outputs)
-        self.ops.append((None, tuple(zip(outputs, fifo_slots)), node.combine))
-        return (layouts, fifo_slots), len(self.ops)
+                emits_layouts.append(emits_layout)
+            return tuple(layouts), tuple(emits_layouts), src
+        layouts, emits_layouts, outputs, delay_slots = [], [], [], []
+        for child, delay in zip(node.children, node._delays):
+            layout, emits_layout, out = self._lower(child, src)
+            if delay.length:
+                slot, _, out = self._lower(delay, out)
+            else:
+                slot = self._slot()
+            layouts.append(layout)
+            emits_layouts.append(emits_layout)
+            outputs.append(out)
+            delay_slots.append(slot)
+        self.ops.append((None, tuple(outputs), node.combine))
+        return (tuple(layouts), tuple(delay_slots)), tuple(emits_layouts), len(self.ops)
 
     def run(self, x, state, training, constants):
         """(output, next state, emits) of one step, nested as the composite's."""
@@ -265,23 +262,14 @@ class _StepPlan:
         for op in self.ops:
             leaf = op[0]
             if leaf is None:
-                arrays, masks = [], []
-                for src, slot in op[1]:
-                    reg = regs[src]
-                    values, mask = _zeroed(reg), reg[1]
-                    if states[slot].time:
-                        line = states[slot]
-                        y, states[slot] = delay_step(Sequence._wrap(values, mask, True), line)
-                        values, mask = y.values, y.mask
-                    arrays.append(values)
-                    masks.append(mask)
+                arrays = [_zeroed(regs[src]) for src in op[1]]
+                masks = [regs[src][1] for src in op[1]]
                 regs.append([*_combine(arrays, masks, op[2]), False, None, None])
                 continue
-            _, slot, src, route, kernel, zeroes, attrs = op
+            _, slot, src, kernel, zeroes, attrs = op
             reg = regs[src]
             # a step set on the leaf itself (a wrapper) is looked up per call and honoured
-            wrapped = "step" in attrs
-            if route == _KERNEL and not wrapped:
+            if kernel is not None and "step" not in attrs:
                 values, masked = (_zeroed(reg), True) if zeroes else (reg[0], reg[2])
                 values, mask, masked, states[slot] = kernel(
                     values, reg[1], masked, states[slot], training, constants
@@ -291,19 +279,16 @@ class _StepPlan:
             seq = reg[3]
             if seq is None:
                 seq = reg[3] = Sequence._wrap(reg[0], reg[1], reg[2])
-            if route == _EMITS:
-                y, states[slot], emits[slot] = leaf.step_with_emits(
-                    seq, states[slot], training=training, constants=constants
-                )
-            else:
-                y, states[slot] = leaf.step(
-                    seq, states[slot], training=training, constants=constants
-                )
+            y, states[slot], leaf_emits = leaf.step_with_emits(
+                seq, states[slot], training=training, constants=constants
+            )
+            if emits is not None:
+                emits[slot] = leaf_emits
             regs.append([y.values, y.mask, y.masked, y, None])
         out = regs[self.out]
         y = out[3] if out[3] is not None else Sequence._wrap(out[0], out[1], out[2])
-        step_emits = self.emits if emits is None else _unflatten(self.layout, emits, False)
-        state = tuple(states) if self.flat else _unflatten(self.layout, states, True)
+        step_emits = self.emits if emits is None else _unflatten(self.emits_layout, emits)
+        state = tuple(states) if self.flat else _unflatten(self.layout, states)
         return y, state, step_emits
 
 
@@ -395,10 +380,16 @@ class Serial(_Composite):
         return serial_rf_map(maps, [c.output_ratio for c in self._children])
 
     @cached_property
+    def _unsteppable(self):
+        """Why this Serial cannot be stepped, or None."""
+        bad = [c.name for c in self._children if not c.supports_step]
+        if bad:
+            return f"children {bad} cannot be stepped"
+        return self._forward_output_latency[1]
+
+    @cached_property
     def supports_step(self):
-        if not all(c.supports_step for c in self._children):
-            return False
-        return self._forward_output_latency[1] is None
+        return self._unsteppable is None
 
     def output_time(self, input_time):
         time = input_time
@@ -419,16 +410,9 @@ class Serial(_Composite):
             emits.append(e)
         return x, tuple(emits)
 
-    def _require_steppable(self):
-        bad = [c.name for c in self._children if not c.supports_step]
-        if bad:
-            raise NotSteppableError(f"{self.name}: children {bad} cannot be stepped")
-        reason = self._forward_output_latency[1]
-        if reason is not None:
-            raise NotSteppableError(f"{self.name}: {reason}")
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        self._require_steppable()
+        if self._unsteppable is not None:
+            raise NotSteppableError(f"{self.name}: {self._unsteppable}")
         states = []
         spec = input_spec
         for child in self._children:
@@ -484,6 +468,11 @@ class Parallel(_Composite):
     def supports_step(self):
         return all(c.supports_step for c in self._children)
 
+    @cached_property
+    def _delays(self):
+        """The StepDelay that aligns each child's output with the slowest child's."""
+        return tuple(StepDelay(self.output_latency - c.output_latency) for c in self._children)
+
     def output_time(self, input_time):
         return self._children[0].output_time(input_time)
 
@@ -505,15 +494,13 @@ class Parallel(_Composite):
             c.get_initial_state(batch_size, input_spec, training=training, constants=constants)
             for c in self._children
         )
-        fifos = tuple(
-            delay_line(
-                batch_size,
-                self.output_latency - c.output_latency,
-                c.get_output_spec(input_spec, constants),
+        delay_states = tuple(
+            delay.get_initial_state(
+                batch_size, c.get_output_spec(input_spec, constants), training=training
             )
-            for c in self._children
+            for c, delay in zip(self._children, self._delays)
         )
-        return (child_states, fifos)
+        return (child_states, delay_states)
 
 
 class Residual(Parallel):
@@ -625,17 +612,17 @@ class Bidirectional(SequenceLayer):
         raise NotSteppableError(f"{self.name}: bidirectional layers cannot be stepped")
 
 
-class Blockwise(Emitting):
-    """Re-clocks a steppable child to a larger block size.
+class Blockwise(Serial):
+    """Re-clocks a steppable child to a larger block size: a one-child Serial
+    whose block is ``block_size``, so its state is ``(child state,)``.
 
-    layer() is re-implemented by stepping the child block by block (bounding
-    peak memory by the block size), flushing per the latency protocol, and
-    trimming to the child's layer-wise extent. Its emits are the child's step
-    emits from that run, untrimmed.
+    layer() steps it block by block (bounding peak memory by the block
+    size), flushed and trimmed per the latency protocol. Its emits are its
+    step emits from that run, untrimmed, nested as a Serial's:
+    ``(child emits,)``.
     """
 
     def __init__(self, child, block_size, name=None):
-        super().__init__(name)
         if not child.supports_step:
             raise NotSteppableError(f"blockwise requires a steppable child, got {child.name}")
         if block_size <= 0 or block_size % child.block_size:
@@ -643,54 +630,17 @@ class Blockwise(Emitting):
                 f"block_size {block_size} is not a positive multiple of "
                 f"{child.name}'s block_size {child.block_size}"
             )
-        self.child = child
+        super().__init__([child], name=name)
         self._block_size = int(block_size)
 
     @property
-    def children(self):
-        return (self.child,)
-
-    @property
-    def output_ratio(self):
-        return self.child.output_ratio
+    def child(self):
+        return self._children[0]
 
     @property
     def block_size(self):
         return self._block_size
 
-    @property
-    def input_latency(self):
-        return self.child.input_latency
-
-    @property
-    def output_latency(self):
-        return self.child.output_latency
-
-    @property
-    def receptive_field_per_step(self):
-        return self.child.receptive_field_per_step
-
-    @property
-    def is_stochastic(self):
-        return self.child.is_stochastic
-
-    def output_time(self, input_time):
-        return self.child.output_time(input_time)
-
-    def get_output_spec(self, input_spec, constants=None):
-        return self.child.get_output_spec(input_spec, constants)
-
     def layer_with_emits(self, x, *, training, constants=None):
-        out, _, emits = _flushed(
-            self.child, x, training=training, block=self._block_size, constants=constants
-        )
+        out, _, emits = _flushed(self, x, training=training, constants=constants)
         return out, emits
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return self.child.get_initial_state(
-            batch_size, input_spec, training=training, constants=constants
-        )
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        return self.child.step_with_emits(x, state, training=training, constants=constants)

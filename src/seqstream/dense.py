@@ -7,7 +7,11 @@ its step kernel (see :mod:`seqstream.layer`); all but ``Dropout`` and
 ``Conditioning`` keep the empty state. Dropout is the one stochastic
 member; its draws are a pure function of (seed, absolute timestep, batch
 row, flat channel index) so that any block partition of the stream
-reproduces the same decisions.
+reproduces the same decisions. Its state is the number of steps consumed,
+which is the absolute timestep of its next block. ``Dense`` checks its
+input channels with one ``_check`` and the normalizations with
+``SequenceLayer._expect_channels``, each from both ``get_output_spec`` and
+its kernel.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ from scipy import special
 from . import params as params_lib
 from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
-from .layer import Constants, Emitting, RngCounter, SequenceLayer
+from .layer import Constants, Emitting, SequenceLayer
 from .sequence import ChannelSpec, Sequence
 
 __all__ = [
@@ -73,21 +77,19 @@ class Dense(SequenceLayer):
             spec["bias"] = (self.units,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
 
-    def get_output_spec(self, input_spec, constants=None):
-        if not input_spec.shape or input_spec.shape[-1] != self.in_features:
-            raise SpecMismatchError(
-                f"{self.name}: expected final channel extent {self.in_features}, "
-                f"got {input_spec.shape}"
-            )
-        return ChannelSpec(input_spec.shape[:-1] + (self.units,), np.float32)
-
-    def _step_arrays(self, values, mask, masked, state, training, constants):
-        channel_shape = values.shape[2:]
+    def _check(self, channel_shape):
         if not channel_shape or channel_shape[-1] != self.in_features:
             raise SpecMismatchError(
                 f"{self.name}: expected final channel extent {self.in_features}, "
                 f"got {channel_shape}"
             )
+
+    def get_output_spec(self, input_spec, constants=None):
+        self._check(input_spec.shape)
+        return ChannelSpec(input_spec.shape[:-1] + (self.units,), np.float32)
+
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        self._check(values.shape[2:])
         y = tensor.einsum("...i,io->...o", values, self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]
@@ -228,14 +230,8 @@ class _Normalization(SequenceLayer):
         self._axes = tuple(range(2, 2 + len(self.shape)))
         self._count = np.intp(math.prod(self.shape))
 
-    def _check(self, channel_shape):
-        if tuple(channel_shape) != self.shape:
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape {self.shape}, got {tuple(channel_shape)}"
-            )
-
     def get_output_spec(self, input_spec, constants=None):
-        self._check(input_spec.shape)
+        self._expect_channels(input_spec.shape, self.shape)
         return ChannelSpec(input_spec.shape, np.float32)
 
     def _mean(self, v):
@@ -251,7 +247,7 @@ class LayerNormalization(_Normalization):
     PARAMS = ("scale", "offset")
 
     def _step_arrays(self, values, mask, masked, state, training, constants):
-        self._check(values.shape[2:])
+        self._expect_channels(values.shape[2:], self.shape)
         v = np.asarray(values, dtype=np.float32)
         centered = v - self._mean(v)
         var = self._mean(np.square(centered))
@@ -266,7 +262,7 @@ class RMSNormalization(_Normalization):
     PARAMS = ("scale",)
 
     def _step_arrays(self, values, mask, masked, state, training, constants):
-        self._check(values.shape[2:])
+        self._expect_channels(values.shape[2:], self.shape)
         v = np.asarray(values, dtype=np.float32)
         ms = self._mean(np.square(v))
         out = v / np.sqrt(ms + self._epsilon) * self._params["scale"]
@@ -310,8 +306,8 @@ class Dropout(SequenceLayer):
     """Drops each element with probability ``rate`` during training.
 
     Kept elements are scaled by 1/(1-rate). Identity when training is False.
-    Step-wise state is an RngCounter whose offset advances by the timesteps
-    consumed, so layer-wise and step-wise draws coincide for any block split.
+    Step-wise state is the number of timesteps consumed, so layer-wise and
+    step-wise draws coincide for any block split.
     """
 
     def __init__(self, rate, seed=0, name=None):
@@ -340,12 +336,12 @@ class Dropout(SequenceLayer):
         return np.where(keep, values * scale, np.float32(0))
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return RngCounter(self.seed, 0)
+        return 0
 
-    def _step_arrays(self, values, mask, masked, state: RngCounter, training, constants):
+    def _step_arrays(self, values, mask, masked, state: int, training, constants):
         if training and self.rate != 0:
-            values = self._apply(values, state.offset)
-        return values, mask, masked, state.advanced(values.shape[1])
+            values = self._apply(values, state)
+        return values, mask, masked, state + values.shape[1]
 
 
 # --- channel shape manipulation ---------------------------------------------

@@ -8,9 +8,10 @@ Every layer processes sequences two ways and the two must agree:
   the layer's ``block_size``, threading all memory through the returned state.
 
 State is an explicit tree (empty tuple, arrays, Sequences, tuples, dicts, or
-an RngCounter); no layer keeps memory on itself. A layer with lookahead emits
-invalid placeholder steps until enough input has arrived; callers flush it
-with ``input_latency`` invalid inputs and drop the first ``output_latency``
+an integer count of the steps consumed, as in ``Dropout`` and ``Lookahead``);
+no layer keeps memory on itself. A layer with lookahead emits invalid
+placeholder steps until enough input has arrived; callers flush it with
+``input_latency`` invalid inputs and drop the first ``output_latency``
 outputs (see :func:`seqstream.streaming.step_by_step`).
 
 Metadata exposed per layer: exact rational ``output_ratio``, ``block_size``,
@@ -34,10 +35,12 @@ returns it unchanged. Both modes derive from that kernel here: ``step`` runs
 it on one block, and ``layer`` runs it once over the whole sequence from the
 initial state, flushed and trimmed by the rule :func:`flush_extent` computes
 for the step drivers too. So the two modes share their math, their checks
-and their typed errors. A leaf's check of its input channels goes in the
-kernel or in ``get_initial_state``, which both modes call. Only a leaf whose
-whole-sequence result must not come from the kernel keeps a ``layer()`` of
-its own: ``StepDelay`` (the identity by design) and
+and their typed errors. A leaf checks its input channels in the kernel or in
+``get_initial_state``, which both modes call; a leaf that also checks them
+in ``get_output_spec`` calls one helper from both places (such as
+:meth:`SequenceLayer._expect_channels`), so the message is the same. Only a
+leaf whose whole-sequence result must not come from the kernel keeps a
+``layer()`` of its own: ``StepDelay`` (the identity by design) and
 ``DotProductSelfAttention`` (one call over the whole sequence keeps its
 matmul shapes, and so its bits).
 
@@ -70,17 +73,6 @@ Emits = Any
 EMPTY_STATE: State = ()
 EMPTY_EMITS: Emits = ()
 UNIT_RATIO = Fraction(1)
-
-
-@dataclasses.dataclass(frozen=True)
-class RngCounter:
-    """Counter-based RNG state: a seed plus the number of timesteps consumed."""
-
-    seed: int
-    offset: int = 0
-
-    def advanced(self, steps: int) -> "RngCounter":
-        return RngCounter(self.seed, self.offset + steps)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -289,11 +281,12 @@ class SequenceLayer(abc.ABC):
                 f"of block_size {self.block_size}"
             )
 
-    def _check_channel_rank(self, channel_shape: tuple, rank: int) -> None:
-        if len(channel_shape) != rank:
-            raise SpecMismatchError(
-                f"{self.name} expects channel rank {rank}, got shape {channel_shape}"
-            )
+    def _expect_channels(self, shape: tuple, expected: tuple) -> None:
+        """Raises unless an input's channel ``shape`` is ``expected``: one
+        check for ``get_output_spec`` and the kernel, so both modes and the
+        spec give one message."""
+        if shape != expected:
+            raise SpecMismatchError(f"{self.name}: expected channel shape {expected}, got {shape}")
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

@@ -7,7 +7,6 @@ from scipy import special
 
 from . import params as params_lib
 from . import tensor
-from .errors import SpecMismatchError
 from .layer import SequenceLayer
 from .sequence import ChannelSpec
 
@@ -45,10 +44,7 @@ class LSTM(SequenceLayer):
         return {0: (-np.inf, 0)}
 
     def get_output_spec(self, input_spec, constants=None):
-        if input_spec.shape != (self.in_features,):
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape ({self.in_features},), got {input_spec.shape}"
-            )
+        self._expect_channels(input_spec.shape, (self.in_features,))
         return ChannelSpec((self.units,), np.float32)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
@@ -57,12 +53,7 @@ class LSTM(SequenceLayer):
 
     def _scan(self, values, mask, c: np.ndarray, h: np.ndarray):
         """(outputs, c, h) of the recurrence over masked ``values``."""
-        channel_shape = values.shape[2:]
-        self._check_channel_rank(channel_shape, 1)
-        if channel_shape[0] != self.in_features:
-            raise SpecMismatchError(
-                f"{self.name}: expected {self.in_features} input features, got {channel_shape[0]}"
-            )
+        self._expect_channels(values.shape[2:], (self.in_features,))
         values = np.asarray(values, dtype=np.float32)
         kernel, bias = self._params["kernel"], self._params["bias"]
         u = self.units

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .dense import Identity
-from .layer import RngCounter, SequenceLayer
+from .layer import SequenceLayer
 from .sequence import Sequence
 from .temporal import Conv1D
 
@@ -162,11 +162,11 @@ class BlockSeededDropout(SequenceLayer):
         )
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return RngCounter(self.seed, 0)
+        return 0
 
     def step(self, x, state, *, training, constants=None):
         self._check_block(x)
-        return self.layer(x, training=training, constants=constants), state.advanced(x.time)
+        return self.layer(x, training=training, constants=constants), state + x.time
 
 
 #: check name -> factory(in_channels, rng, params=None) for the fixture that

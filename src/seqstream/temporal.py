@@ -177,10 +177,7 @@ class _WindowedLayer(SequenceLayer):
     _masks_step_input = True
 
     def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
-        if values.shape[2:] != state.values.shape[2:]:
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape {state.channel_shape}, got {values.shape[2:]}"
-            )
+        self._expect_channels(values.shape[2:], state.values.shape[2:])
         out_len = values.shape[1] // self.stride
         values = np.concatenate([state.values, values], axis=1)
         mask = np.concatenate([state.mask, mask], axis=1)
@@ -226,10 +223,7 @@ class Conv1D(_WindowedLayer):
         self._params = params_lib.materialize(spec, params, rng, self.name)
 
     def get_output_spec(self, input_spec, constants=None):
-        if input_spec.shape != (self.in_channels,):
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape ({self.in_channels},), got {input_spec.shape}"
-            )
+        self._expect_channels(input_spec.shape, (self.in_channels,))
         return ChannelSpec((self.filters,), np.float32)
 
     def _reduce_windows(self, wv, wm):
@@ -353,10 +347,7 @@ class Conv1DTranspose(SequenceLayer):
         return out
 
     def get_output_spec(self, input_spec, constants=None):
-        if input_spec.shape != (self.in_channels,):
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape ({self.in_channels},), got {input_spec.shape}"
-            )
+        self._expect_channels(input_spec.shape, (self.in_channels,))
         return ChannelSpec((self.filters,), np.float32)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
@@ -368,10 +359,7 @@ class Conv1DTranspose(SequenceLayer):
     _masks_step_input = True
 
     def _step_arrays(self, values, mask, masked, state, training, constants):
-        if values.shape[2:] != (self.in_channels,):
-            raise SpecMismatchError(
-                f"{self.name}: expected channel shape ({self.in_channels},), got {values.shape[2:]}"
-            )
+        self._expect_channels(values.shape[2:], (self.in_channels,))
         time = values.shape[1]
         # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
         values = np.asarray(values, dtype=np.float32)
@@ -580,18 +568,21 @@ class Frame(_WindowedLayer):
 _WINDOW_KINDS = ("hann", "hamming", "rectangular")
 
 
+@functools.lru_cache(maxsize=128)
 def window_curve(kind: str, length: int) -> np.ndarray:
-    """Window samples, symmetric convention (endpoints of a Hann are zero)."""
-    if kind == "rectangular":
-        return np.ones(length, dtype=np.float32)
-    n = np.arange(length, dtype=np.float64)
-    if length == 1:
-        return np.ones(1, dtype=np.float32)
-    if kind == "hann":
-        return (0.5 - 0.5 * np.cos(2 * np.pi * n / (length - 1))).astype(np.float32)
-    if kind == "hamming":
-        return (0.54 - 0.46 * np.cos(2 * np.pi * n / (length - 1))).astype(np.float32)
-    raise ValueError(f"unknown window kind {kind!r}; expected one of {_WINDOW_KINDS}")
+    """Window samples, symmetric convention (endpoints of a Hann are zero).
+
+    Read-only and cached, since a stepped ``Window`` needs it on every block.
+    """
+    if kind == "rectangular" or length == 1:
+        curve = np.ones(length, dtype=np.float32)
+    elif kind in ("hann", "hamming"):
+        a0, a1 = (0.5, 0.5) if kind == "hann" else (0.54, 0.46)
+        n = np.arange(length, dtype=np.float64)
+        curve = (a0 - a1 * np.cos(2 * np.pi * n / (length - 1))).astype(np.float32)
+    else:
+        raise ValueError(f"unknown window kind {kind!r}; expected one of {_WINDOW_KINDS}")
+    return tensor.freeze(curve)
 
 
 class Window(SequenceLayer):

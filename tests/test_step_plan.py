@@ -11,7 +11,6 @@ import pytest
 import seqstream as sl
 from seqstream import sabotage, tensor
 from seqstream.combinators import _combine_outputs, _Composite
-from seqstream.layer import RngCounter
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.temporal import delay_step
 
@@ -71,7 +70,7 @@ def assert_identical(a, b, where="root"):
         for k in a:
             assert_identical(a[k], b[k], f"{where}[{k!r}]")
     else:
-        assert isinstance(a, (int, RngCounter)), (where, type(a))
+        assert isinstance(a, int), (where, type(a))
         assert a == b, where
 
 
@@ -159,6 +158,12 @@ def trees():
             (F32,),
         ),
         "empty_serial": (sl.Serial([sl.Serial([]), sl.Parallel([sl.Serial([])])]), (F32, BOOL)),
+        "blockwise_conv": (sl.Serial([sl.Blockwise(conv(), 4), sl.Identity()]), (F32,)),
+        # a delayed shortcut inside a Blockwise inside a Serial
+        "blockwise_residual": (
+            sl.Serial([sl.Blockwise(sl.Residual([conv(), sl.Lookahead(1)]), 2), sl.Emit()]),
+            (F32,),
+        ),
     }
 
 
@@ -225,3 +230,34 @@ def test_a_composite_that_steps_itself_is_called_as_a_leaf():
     layer = sl.Serial([sl.Identity(), inner])
     assert_plan_matches_reference(layer, F32)
     assert inner.calls == 2 * make_input(F32).time
+
+
+def test_a_blockwise_is_inlined_and_its_leaves_step_by_their_kernels():
+    layer = trees()["blockwise_conv"][0]
+    state = layer.get_initial_state(2, F32, training=False)
+    layer.step(make_input(F32, batch=2, time=4), state, training=False)
+    # a leaf op is (leaf, slot, src, kernel, zeroes, attrs)
+    leaf_ops = [op for op in layer._plan.ops if op[0] is not None]
+    assert [type(op[0]) for op in leaf_ops] == [sl.Conv1D, sl.Identity]
+    assert all(op[3] is not None for op in leaf_ops)
+
+
+def test_a_blockwise_state_is_its_childs_state_in_a_tuple():
+    child = sl.LSTM(3, 2, rng=np.random.default_rng(4))
+    layer = sl.Blockwise(child, 4)
+    state = layer.get_initial_state(2, F32, training=False)
+    assert_identical(state, (child.get_initial_state(2, F32, training=False),))
+    x = make_input(F32, batch=2, time=4)
+    _, (child_state,) = layer.step(x, state, training=False)
+    _, want = child.step(x, child.get_initial_state(2, F32, training=False), training=False)
+    assert_identical(child_state, want)
+
+
+def test_a_parallel_delays_exactly_its_faster_branches_by_step_delay_ops():
+    layer = trees()["unequal_latencies"][0]
+    state = layer.get_initial_state(2, F32, training=False)
+    layer.step(make_input(F32, batch=2, time=1), state, training=False)
+    # branch latencies 1, 0 and 2: the first two are delayed by 1 and 2
+    delays = [op[0].length for op in layer._plan.ops if isinstance(op[0], sl.StepDelay)]
+    assert delays == [1, 2]
+    assert [line.time for line in state[1]] == [1, 2, 0]

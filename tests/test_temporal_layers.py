@@ -357,6 +357,12 @@ class TestFrameWindowOverlapAdd:
         assert curve[0] == 0 and curve[-1] == 0
         np.testing.assert_allclose(curve, curve[::-1], atol=0)
 
+    @pytest.mark.parametrize("kind", ["hann", "hamming", "rectangular"])
+    def test_window_curve_is_cached_read_only(self, kind):
+        curve = window_curve(kind, 16)
+        assert window_curve(kind, 16) is curve
+        assert not curve.flags.writeable
+
     def test_window_layer_multiplies_frame_axis(self):
         x = random_sequence(10, 1, 6, (4, 2))
         y = sl.Window("hann", axis=0).layer(x, training=False)
