@@ -20,10 +20,12 @@ Step-wise state:
   far (the one sanctioned exception to fixed-shape state);
 * ``position``: the number of input steps consumed so far;
 * ``pending_q``/``pending_mask``: the F most recent projected queries, which
-  still wait for their lookahead keys.
+  still wait for their lookahead keys: a delay line of F steps.
 
-``step()`` handles a whole block per call and never writes into arrays that
-the caller's state references.
+Both the cache and the pending queries advance by one
+:func:`~seqstream.sequence.shift_in` each, the cache growing when the past is
+unbounded. ``step()`` handles a whole block per call and never writes into
+arrays that the caller's state references.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 from . import params as params_lib
 from . import tensor
 from .layer import SequenceLayer
-from .sequence import ChannelSpec, Sequence
+from .sequence import ChannelSpec, Sequence, shift_in
 
 __all__ = ["DotProductSelfAttention"]
 
@@ -167,24 +169,21 @@ class DotProductSelfAttention(SequenceLayer):
         q, k, v = self._project(values)
         time = values.shape[1]
         end = state["position"] + time
-        keys = np.concatenate([state["keys"], k], axis=1)
-        values = np.concatenate([state["values"], v], axis=1)
-        key_mask = np.concatenate([state["key_mask"], mask], axis=1)
-        queries = np.concatenate([state["pending_q"], q], axis=1)
-        query_mask = np.concatenate([state["pending_mask"], mask], axis=1)
+        cache = (state["keys"], state["values"], state["key_mask"])
+        (keys, values, key_mask), cache = shift_in(cache, (k, v, mask), self.unbounded_past)
+        pending = (state["pending_q"], state["pending_mask"])
+        (queries, query_mask), pending = shift_in(pending, (q, mask))
         # the oldest `time` queries have all their lookahead keys now
         q_pos = np.arange(end - queries.shape[1], end - self.max_future_horizon)
         k_pos = np.arange(end - keys.shape[1], end)
         out_mask = query_mask[:, :time]
         context = self._attend(queries[:, :time], q_pos, out_mask, keys, values, k_pos, key_mask)
-        if not self.unbounded_past:
-            keys, values, key_mask = keys[:, time:], values[:, time:], key_mask[:, time:]
         new_state = {
-            "keys": tensor.freeze(keys),
-            "values": tensor.freeze(values),
-            "key_mask": tensor.freeze(key_mask),
+            "keys": cache[0],
+            "values": cache[1],
+            "key_mask": cache[2],
             "position": end,
-            "pending_q": tensor.freeze(queries[:, time:]),
-            "pending_mask": tensor.freeze(query_mask[:, time:]),
+            "pending_q": pending[0],
+            "pending_mask": pending[1],
         }
         return context, out_mask, True, new_state

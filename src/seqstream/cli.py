@@ -29,6 +29,7 @@ from .errors import (
     SpecMismatchError,
     SpecParseError,
 )
+from .layer import check_metadata
 from .pipeline import (
     build,
     load_manifest,
@@ -78,18 +79,18 @@ def _print_layer_tree(layer, indent=0, out=sys.stdout):
 def cmd_describe(args) -> int:
     spec, input_spec = _load_pipeline(args)
     layer = build(spec, input_spec, seed=args.seed)
-    props = layer.properties
-    ratio = props.output_ratio
+    check_metadata(layer)
+    ratio = layer.output_ratio
     print(f"pipeline: {layer.name}")
     print(f"input_spec: {input_spec}")
     print(f"output_spec: {layer.get_output_spec(input_spec)}")
     print(f"output_ratio: {ratio.numerator}/{ratio.denominator}")
-    print(f"block_size: {props.block_size}")
-    print(f"input_latency: {props.input_latency}")
-    print(f"output_latency: {props.output_latency}")
-    print(f"receptive_field: {format_rf(props.receptive_field)}")
-    print(f"receptive_field_per_step: {format_rf_map(props.receptive_field_per_step)}")
-    print(f"steppable: {'yes' if props.supports_step else 'no'}")
+    print(f"block_size: {layer.block_size}")
+    print(f"input_latency: {layer.input_latency}")
+    print(f"output_latency: {layer.output_latency}")
+    print(f"receptive_field: {format_rf(layer.receptive_field)}")
+    print(f"receptive_field_per_step: {format_rf_map(layer.receptive_field_per_step)}")
+    print(f"steppable: {'yes' if layer.supports_step else 'no'}")
     print("layers:")
     _print_layer_tree(layer, indent=1)
     return 0

@@ -7,16 +7,20 @@ Every layer processes sequences two ways and the two must agree:
   consume the sequence in blocks whose time extent is a positive multiple of
   the layer's ``block_size``, threading all memory through the returned state.
 
-State is an explicit tree (empty tuple, arrays, Sequences, tuples, dicts, or
-an integer count of the steps consumed, as in ``Dropout`` and ``Lookahead``);
-no layer keeps memory on itself. A layer with lookahead emits invalid
-placeholder steps until enough input has arrived; callers flush it with
-``input_latency`` invalid inputs and drop the first ``output_latency``
-outputs (see :func:`seqstream.streaming.step_by_step`).
+State is an explicit tree of plain data: the empty tuple, read-only arrays,
+tuples, dicts, or an integer count of the steps consumed, as in ``Dropout``
+and ``Lookahead``. It holds no Sequences: a history of past steps is a
+``(values, mask)`` pair, or arrays in a dict, that
+:func:`seqstream.sequence.shift_in` advances. No layer keeps memory on
+itself. A layer with lookahead emits invalid placeholder steps until enough
+input has arrived; callers flush it with ``input_latency`` invalid inputs
+and drop the first ``output_latency`` outputs (see
+:func:`seqstream.streaming.step_by_step`).
 
 Metadata exposed per layer: exact rational ``output_ratio``, ``block_size``,
 both latencies, and a per-step receptive field map (see
-:mod:`seqstream.receptive_field`).
+:mod:`seqstream.receptive_field`). :func:`check_metadata` raises
+``ValueError`` when they contradict each other.
 
 Emits are auxiliary outputs (taps on intermediate activations) returned by
 ``layer_with_emits`` and ``step_with_emits``. A plain layer has none, and its
@@ -55,7 +59,6 @@ from __future__ import annotations
 
 import abc
 import copy
-import dataclasses
 import types
 from fractions import Fraction
 from typing import Any, Mapping
@@ -63,7 +66,10 @@ from typing import Any, Mapping
 import numpy as np
 
 from .errors import BlockSizeError, NotSteppableError, SpecMismatchError
-from .receptive_field import compose_rf_maps, rf_overall, validate_rf_per_step
+from .receptive_field import rf_overall, validate_rf_per_step
+
+# perfbench/tracer.py counts receptive-field map builds by patching this name
+from .receptive_field import compose_rf_maps  # noqa: F401
 from .sequence import ChannelSpec, Sequence, zero_invalid
 
 Constants = Mapping[str, Any]
@@ -75,32 +81,20 @@ EMPTY_EMITS: Emits = ()
 UNIT_RATIO = Fraction(1)
 
 
-@dataclasses.dataclass(frozen=True)
-class LayerProperties:
-    """Static metadata describing a layer's streaming behavior."""
-
-    output_ratio: Fraction
-    block_size: int
-    input_latency: int
-    output_latency: int
-    receptive_field_per_step: dict
-    supports_step: bool
-
-    def __post_init__(self):
-        if self.block_size < 1:
-            raise ValueError(f"block_size must be positive, got {self.block_size}")
-        if self.block_size % self.output_ratio.denominator:
-            raise ValueError(
-                f"block_size {self.block_size} not divisible by ratio denominator "
-                f"{self.output_ratio.denominator}"
-            )
-        if self.input_latency < 0 or self.output_latency < 0:
-            raise ValueError("latencies must be non-negative")
-        validate_rf_per_step(self.receptive_field_per_step)
-
-    @property
-    def receptive_field(self):
-        return rf_overall(self.receptive_field_per_step, self.output_ratio)
+def check_metadata(layer: "SequenceLayer") -> None:
+    """Raises ValueError unless ``layer``'s metadata is self-consistent: a
+    positive ``block_size`` divisible by its ``output_ratio``'s denominator,
+    non-negative latencies and a well-formed receptive field map."""
+    block, ratio = layer.block_size, layer.output_ratio
+    if block < 1:
+        raise ValueError(f"block_size must be positive, got {block}")
+    if block % ratio.denominator:
+        raise ValueError(
+            f"block_size {block} not divisible by ratio denominator {ratio.denominator}"
+        )
+    if layer.input_latency < 0 or layer.output_latency < 0:
+        raise ValueError("latencies must be non-negative")
+    validate_rf_per_step(layer.receptive_field_per_step)
 
 
 def ceil_ratio(time: int, ratio: Fraction) -> int:
@@ -115,16 +109,6 @@ def flush_extent(layer: "SequenceLayer", time: int) -> tuple[int, int, int]:
     ``output_time(time)`` outputs follow them."""
     fill = -(time + layer.input_latency) % layer.block_size
     return layer.input_latency + fill, layer.output_latency, layer.output_time(time)
-
-
-def compose_receptive_fields(first: LayerProperties, second: LayerProperties) -> dict:
-    """Per-step receptive field of ``second`` applied after ``first``."""
-    return compose_rf_maps(
-        first.receptive_field_per_step,
-        first.output_ratio,
-        second.receptive_field_per_step,
-        second.output_ratio,
-    )
 
 
 class SequenceLayer(abc.ABC):
@@ -170,17 +154,6 @@ class SequenceLayer(abc.ABC):
     def is_stochastic(self) -> bool:
         """True when outputs depend on an RNG at training time."""
         return False
-
-    @property
-    def properties(self) -> LayerProperties:
-        return LayerProperties(
-            output_ratio=self.output_ratio,
-            block_size=self.block_size,
-            input_latency=self.input_latency,
-            output_latency=self.output_latency,
-            receptive_field_per_step=self.receptive_field_per_step,
-            supports_step=self.supports_step,
-        )
 
     @property
     def parameters(self) -> dict[str, np.ndarray]:

@@ -21,6 +21,11 @@ trusted :meth:`Sequence._wrap`, which freezes those arrays in place and
 checks nothing. Either way a sequence's ``values``
 and ``mask`` are read-only arrays of a supported dtype.
 
+Step states keep no Sequences. A stream history (a window's context, a
+delay line, the KV cache) is a tuple of plain arrays ``[batch, time, ...]``
+that starts as :func:`empty_history` and advances by :func:`shift_in`, the
+one function that joins a block onto a history and keeps its tail.
+
 Serialization uses the ``SLS1`` container: magic ``b"SLS1"`` followed by the
 values tensor and the mask tensor, each in SLT1 format.
 """
@@ -62,6 +67,39 @@ def zero_invalid(values: np.ndarray, mask: np.ndarray, masked: bool = False) -> 
         return values
     expanded = mask.reshape(mask.shape + (1,) * (values.ndim - 2))
     return np.where(expanded, values, np.zeros((), dtype=values.dtype))
+
+
+def empty_history(batch_size: int, length: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
+    """A stream history before the first block: ``length`` invalid zero
+    steps of ``spec``, as a read-only ``(values, mask)`` pair."""
+    values = np.zeros((batch_size, length) + spec.shape, dtype=spec.dtype)
+    return tensor.freeze(values), tensor.freeze(np.zeros((batch_size, length), bool))
+
+
+def shift_in(history: tuple, block: tuple, grow: bool = False) -> tuple[list, tuple]:
+    """Shifts a block into a stream history: the one rule that advances every
+    step state kept over past steps (a window's context, a delay line, the
+    transposed convolution's mask history, the KV cache).
+
+    ``history`` and ``block`` are matching tuples of arrays ``[B, L, ...]``
+    and ``[B, T, ...]``. Returns the joined arrays ``[B, L + T, ...]``, each
+    history array followed in time by its block array, and the next history:
+    their last L steps, or all of them when ``grow``, read-only. Raises
+    :class:`SpecMismatchError` when a block array's batch, channel shape or
+    dtype differs from its history array's.
+    """
+    joined = []
+    for past, new in zip(history, block):
+        try:
+            # casting "no" refuses a block whose dtype would promote the join
+            joined.append(np.concatenate((past, new), axis=1, casting="no"))
+        except (TypeError, ValueError):
+            raise SpecMismatchError(
+                f"cannot concatenate {new.shape[0]}x{ChannelSpec(new.shape[2:], new.dtype)} "
+                f"with {past.shape[0]}x{ChannelSpec(past.shape[2:], past.dtype)}"
+            ) from None
+    start = 0 if grow else block[0].shape[1]
+    return joined, tuple([tensor.freeze(both[:, start:]) for both in joined])
 
 
 @dataclasses.dataclass(frozen=True)

@@ -5,14 +5,20 @@ kernel run once over the flushed sequence (see :mod:`seqstream.layer`).
 ``StepDelay`` is the exception: its ``layer()`` is the identity. The
 resamplers and ``Window`` keep no state.
 
-Streaming mechanics shared by the windowed layers (Conv1D, pooling, Frame):
-the state carries the trailing context of already-seen masked inputs, sized
+Streaming mechanics: every state kept over past input steps is a stream
+history that :func:`~seqstream.sequence.shift_in` advances, one block at a
+time. The windowed layers (Conv1D, pooling, Frame) keep the trailing
+context of already-seen masked inputs as a ``(values, mask)`` pair, sized
 ``output_latency * stride + pad_left`` so that each incoming block lines up
 its windows at fixed offsets within ``context + block``. Over a whole
 sequence that context starts as invalid zeros: the left padding, plus the
-placeholder windows the flush protocol drops. Output validity
-follows the anchor rule: output step ``t`` is valid iff its anchor input
-``t * stride`` (or ``floor(t / ratio)`` for upsampling layers) is valid.
+placeholder windows the flush protocol drops. ``Delay`` and ``StepDelay``
+keep a delay line of ``length`` steps, the same pair, and emit the oldest
+steps of the line joined with the block. ``Conv1DTranspose`` keeps the
+validity of its last ``input_latency`` inputs the same way; its overlap-add
+carry is a scatter, not a shift. Output validity follows the anchor rule:
+output step ``t`` is valid iff its anchor input ``t * stride`` (or
+``floor(t / ratio)`` for upsampling layers) is valid.
 
 Padding conventions (pad_left, with pad_left + pad_right = effective_kernel - 1):
 
@@ -35,7 +41,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer
-from .sequence import ChannelSpec, Sequence, zero_invalid
+from .sequence import ChannelSpec, empty_history, shift_in, zero_invalid
 from fractions import Fraction
 
 __all__ = [
@@ -169,27 +175,19 @@ class _WindowedLayer(SequenceLayer):
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         self.get_output_spec(input_spec, constants)  # Conv1D's channel check, for both modes
-        ctx = self._context_len
-        values = np.zeros((batch_size, ctx) + input_spec.shape, dtype=input_spec.dtype)
-        mask = np.zeros((batch_size, ctx), dtype=bool)
-        return Sequence._wrap(values, mask, masked=True)
+        return empty_history(batch_size, self._context_len, input_spec)
 
     _masks_step_input = True
 
-    def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
-        self._expect_channels(values.shape[2:], state.values.shape[2:])
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        self._expect_channels(values.shape[2:], state[0].shape[2:])
         out_len = values.shape[1] // self.stride
-        values = np.concatenate([state.values, values], axis=1)
-        mask = np.concatenate([state.mask, mask], axis=1)
+        (values, mask), state = shift_in(state, (values, mask))
         idx = _window_index(out_len, self.stride, self.kernel_size, self.dilation)
         window_mask = mask[:, idx] if self._reads_window_mask else None
         out = self._reduce_windows(values[:, idx], window_mask)
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
-        ctx = self._context_len
-        new_state = Sequence._wrap(
-            values[:, values.shape[1] - ctx :], mask[:, mask.shape[1] - ctx :], True
-        )
-        return out, out_mask, False, new_state
+        return out, out_mask, False, state
 
 
 class Conv1D(_WindowedLayer):
@@ -370,10 +368,9 @@ class Conv1DTranspose(SequenceLayer):
             out = (out + self._params["bias"]).astype(np.float32, copy=False)
         else:
             out = out.astype(np.float32)
-        mask = np.concatenate([state["mask_history"], mask], axis=1)
+        (mask,), (history,) = shift_in((state["mask_history"],), (mask,))
         out_mask = mask[:, _anchor_index(time, self.stride, self.trim_left, self.input_latency)]
-        new_state = {"carry": tensor.freeze(carry), "mask_history": tensor.freeze(mask[:, time:])}
-        return out, out_mask, False, new_state
+        return out, out_mask, False, {"carry": tensor.freeze(carry), "mask_history": history}
 
 
 class Downsample1D(SequenceLayer):
@@ -423,19 +420,6 @@ class Upsample1D(SequenceLayer):
         )
 
 
-def delay_line(batch_size: int, length: int, spec: ChannelSpec) -> Sequence:
-    """The empty state of a delay line: ``length`` invalid zero steps."""
-    values = np.zeros((batch_size, length) + spec.shape, dtype=spec.dtype)
-    return Sequence._wrap(values, np.zeros((batch_size, length), bool), masked=True)
-
-
-def delay_step(x: Sequence, line: Sequence) -> tuple[Sequence, Sequence]:
-    """Pushes ``x`` through a delay line; returns the oldest ``x.time`` steps
-    and the line's next state (same length)."""
-    combined = Sequence.concatenate_sequences([line, x.mask_invalid()])
-    return combined[:, : x.time], combined[:, x.time :]
-
-
 class Delay(SequenceLayer):
     """Shifts the stream later by ``length`` steps, entering invalid steps.
 
@@ -457,19 +441,20 @@ class Delay(SequenceLayer):
         return {0: (-self.length, -self.length)}
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return delay_line(batch_size, self.length, input_spec)
+        return empty_history(batch_size, self.length, input_spec)
 
     @property
     def _masks_step_input(self):
         return self.length > 0
 
-    def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
+    def _step_arrays(self, values, mask, masked, state, training, constants):
         if self.length == 0:
             return values, mask, masked, state
-        delayed, state = delay_step(Sequence._wrap(values, mask, True), state)
+        time = values.shape[1]
+        (delayed, line_mask), state = shift_in(state, (values, mask))
         # valid only where the current input step is valid too, zero elsewhere
-        mask = np.logical_and(delayed.mask, mask)
-        return zero_invalid(delayed.values, mask), mask, True, state
+        mask = np.logical_and(line_mask[:, :time], mask)
+        return zero_invalid(delayed[:, :time], mask), mask, True, state
 
 
 class StepDelay(Delay):
@@ -500,9 +485,10 @@ class StepDelay(Delay):
     def layer(self, x, *, training, constants=None):
         return x
 
-    def _step_arrays(self, values, mask, masked, state: Sequence, training, constants):
-        y, state = delay_step(Sequence._wrap(values, mask, True), state)
-        return y.values, y.mask, y.masked, state
+    def _step_arrays(self, values, mask, masked, state, training, constants):
+        time = values.shape[1]
+        (values, mask), state = shift_in(state, (values, mask))
+        return values[:, :time], mask[:, :time], True, state
 
 
 class Lookahead(SequenceLayer):

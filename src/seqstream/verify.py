@@ -50,7 +50,7 @@ from collections.abc import Mapping
 import numpy as np
 
 from .errors import BlockSizeError
-from .layer import SequenceLayer, poison_invalid
+from .layer import SequenceLayer, check_metadata, poison_invalid
 from .receptive_field import format_rf, rf_at
 from .sequence import ChannelSpec, Sequence
 # the step drivers stay importable here: perfbench/tracer.py patches them by these names
@@ -359,13 +359,13 @@ def _check_receptive_field(layer, input_spec, cfg, constants):
 
 
 def _check_metadata(layer, input_spec, cfg, constants, x, layer_out, flushed):
-    props = layer.properties  # validates internal consistency
-    block = props.block_size
+    check_metadata(layer)
+    block = layer.block_size
     metrics = {
-        "output_ratio": str(props.output_ratio),
+        "output_ratio": str(layer.output_ratio),
         "block_size": block,
-        "input_latency": props.input_latency,
-        "output_latency": props.output_latency,
+        "input_latency": layer.input_latency,
+        "output_latency": layer.output_latency,
     }
     for time in (block, 2 * block, 3 * block, 2 * block + 1):
         xt = _random_input(layer, input_spec, cfg, time=time)
@@ -384,7 +384,7 @@ def _check_metadata(layer, input_spec, cfg, constants, x, layer_out, flushed):
                 f"{declared_spec}",
                 metrics,
             )
-    if not props.supports_step:
+    if not layer.supports_step:
         return None, metrics
     if block > 1:
         state = layer.get_initial_state(
@@ -398,9 +398,9 @@ def _check_metadata(layer, input_spec, cfg, constants, x, layer_out, flushed):
     y = layer_out(False)
     raw = flushed(1, False)[1]
     measured = _leading_invalid(raw) - _leading_invalid(y)
-    if measured != props.output_latency:
+    if measured != layer.output_latency:
         return (
-            f"measured output latency {measured} != declared {props.output_latency}",
+            f"measured output latency {measured} != declared {layer.output_latency}",
             metrics,
         )
     metrics["measured_output_latency"] = measured

@@ -53,7 +53,8 @@ class TestSerial:
         model = fig6_serial(seed=3)
         state = model.get_initial_state(2, ChannelSpec((3,)), training=False)
         assert isinstance(state, tuple) and len(state) == 2
-        assert isinstance(state[0], Sequence)  # conv context buffer
+        values, mask = state[0]  # conv context buffer
+        assert values.shape == (2, 2, 3) and mask.shape == (2, 2)
 
     def test_constants_broadcast_to_all_children(self):
         cond = Sequence.from_values(np.zeros((2, 20, 3), np.float32))
@@ -467,8 +468,16 @@ class TestDerivedProperties:
 
     def test_properties_recompute_identically(self):
         model = fig6_serial(seed=24)
-        first = model.properties
-        second = model.properties
+        names = (
+            "output_ratio",
+            "block_size",
+            "input_latency",
+            "output_latency",
+            "receptive_field_per_step",
+            "supports_step",
+        )
+        first = [getattr(model, name) for name in names]
+        second = [getattr(model, name) for name in names]
         assert first == second
 
     def test_composite_contract_compliance(self):

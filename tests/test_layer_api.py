@@ -1,24 +1,27 @@
 """The core execution contract: the block protocol, state threading, the
 flush/trim handshake for lookahead layers, and layer metadata."""
 
+import copy
+
 import numpy as np
 import pytest
 from fractions import Fraction
 
 import seqstream as sl
-from seqstream.layer import LayerProperties, compose_receptive_fields
+from seqstream.layer import check_metadata
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step, stream_blocks
 
 from conftest import assert_sequences_close, random_sequence
+from test_step_plan import assert_identical
 
 
 def _state_arrays(state, path=()):
     """Every array a step state holds, keyed by its path into the state."""
     if isinstance(state, dict):
         parts = state.items()
-    elif isinstance(state, Sequence):
-        parts = (("values", state.values), ("mask", state.mask))
+    elif isinstance(state, tuple):
+        parts = enumerate(state)
     else:
         return {path: state}
     return {k: v for key, part in parts for k, v in _state_arrays(part, path + (key,)).items()}
@@ -159,45 +162,56 @@ class TestStateAndSpecs:
             state = next_state
 
 
+#: leaves and a composite whose step state keeps a history of past steps
+STEPPED_TWICE = {
+    "conv1d": lambda rng: sl.Conv1D(3, 2, 3, padding="same", rng=rng),
+    "max_pooling": lambda rng: sl.MaxPooling1D(2, 2),
+    "frame": lambda rng: sl.Frame(3, 1),
+    "conv1d_transpose": lambda rng: sl.Conv1DTranspose(3, 2, 6, stride=4, padding="same", rng=rng),
+    "delay": lambda rng: sl.Delay(2),
+    "step_delay": lambda rng: sl.StepDelay(3),
+    "attention_bounded": lambda rng: sl.DotProductSelfAttention(3, 2, 2, 3, 2, rng=rng),
+    "attention_unbounded": lambda rng: sl.DotProductSelfAttention(3, 2, 2, -1, 1, rng=rng),
+    "unequal_latencies": lambda rng: sl.Parallel(
+        [sl.Conv1D(3, 3, 3, padding="same", rng=rng), sl.Identity(), sl.Lookahead(2)],
+        combine="add",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(STEPPED_TWICE))
+def test_stepping_one_state_twice_gives_what_a_fresh_copy_gives(name):
+    """A state stays a value: stepping it once must not change what a second
+    step from it returns."""
+    model = STEPPED_TWICE[name](np.random.default_rng(4))
+    time = 2 * model.block_size
+    first, a, b = (random_sequence(seed, 2, time, 3) for seed in (1, 2, 3))
+    state = model.get_initial_state(2, first.channel_spec, training=False)
+    _, state = model.step(first, state, training=False)
+    fresh = copy.deepcopy(state)
+    model.step(a, state, training=False)
+    got = model.step(b, state, training=False)
+    assert_identical(got, model.step(b, fresh, training=False))
+
+
+def stub_layer(**metadata):
+    """A layer whose metadata properties are the given class attributes."""
+    return type("Stub", (sl.SequenceLayer,), metadata)()
+
+
 class TestLayerProperties:
     def test_block_size_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
-            LayerProperties(
-                output_ratio=Fraction(1, 2),
-                block_size=3,
-                input_latency=0,
-                output_latency=0,
-                receptive_field_per_step={0: (0, 0)},
-                supports_step=True,
-            )
+            check_metadata(stub_layer(output_ratio=Fraction(1, 2), block_size=3))
 
     def test_negative_latency_rejected(self):
         with pytest.raises(ValueError, match="latencies"):
-            LayerProperties(
-                output_ratio=Fraction(1),
-                block_size=1,
-                input_latency=-1,
-                output_latency=0,
-                receptive_field_per_step={0: (0, 0)},
-                supports_step=True,
-            )
+            check_metadata(stub_layer(input_latency=-1))
 
     def test_overall_rf_is_union_of_per_step(self):
-        props = LayerProperties(
-            output_ratio=Fraction(2),
-            block_size=1,
-            input_latency=0,
-            output_latency=0,
-            receptive_field_per_step={0: (-1, 0), 1: None},
-            supports_step=True,
-        )
-        assert props.receptive_field == (-1, 0)
-
-    def test_compose_receptive_fields_op(self, rng):
-        conv = sl.Conv1D(3, 1, 5, stride=2, padding="same", rng=rng)
-        tconv = sl.Conv1DTranspose(1, 1, 6, stride=4, padding="same", rng=rng)
-        composed = compose_receptive_fields(conv.properties, tconv.properties)
-        assert composed == {0: (-4, 2), 1: (-2, 2), 2: (-2, 2), 3: (-2, 4)}
+        layer = stub_layer(output_ratio=Fraction(2), receptive_field_per_step={0: (-1, 0), 1: None})
+        check_metadata(layer)
+        assert layer.receptive_field == (-1, 0)
 
     def test_four_stacked_same_convs(self, rng):
         model = sl.Serial([sl.Conv1D(3, 3, 5, padding="same", rng=rng) for _ in range(4)] )

@@ -1,6 +1,7 @@
 """Sequence model: masking semantics, construction helpers, SLS1 round trips."""
 
 import io
+import re
 
 import numpy as np
 import pytest
@@ -12,9 +13,11 @@ from seqstream.errors import ShapeMismatchError, SpecMismatchError
 from seqstream.sequence import (
     ChannelSpec,
     Sequence,
+    empty_history,
     load_sequence,
     read_sequence,
     save_sequence,
+    shift_in,
     write_sequence,
     zero_invalid,
 )
@@ -202,6 +205,29 @@ def test_zero_invalid_returns_values_unless_it_must_zero():
     out = zero_invalid(values, s.mask)
     assert out is not values
     np.testing.assert_array_equal(values, np.full((2, 3), 2, np.float32))
+
+
+@pytest.mark.parametrize("grow", [False, True])
+def test_shift_in_joins_a_block_onto_a_history_and_keeps_its_tail(grow):
+    history = empty_history(2, 3, ChannelSpec((4,), np.int32))
+    block = (np.arange(16, dtype=np.int32).reshape(2, 2, 4), np.ones((2, 2), bool))
+    joined, kept = shift_in(history, block, grow)
+    for past, new, both, tail in zip(history, block, joined, kept):
+        np.testing.assert_array_equal(both, np.concatenate([past, new], axis=1))
+        np.testing.assert_array_equal(tail, both if grow else both[:, 2:])
+        assert not tail.flags.writeable and not past.flags.writeable
+
+
+def test_shift_in_refuses_a_block_of_another_batch_channel_shape_or_dtype():
+    history = empty_history(2, 3, ChannelSpec((4,)))
+    mask = np.ones((2, 1), bool)
+    for values, message in [
+        (np.zeros((2, 1, 4), np.int32), "2xi32[4] with 2xf32[4]"),
+        (np.zeros((2, 1, 5), np.float32), "2xf32[5] with 2xf32[4]"),
+        (np.zeros((1, 1, 4), np.float32), "1xf32[4] with 2xf32[4]"),
+    ]:
+        with pytest.raises(SpecMismatchError, match=re.escape(f"cannot concatenate {message}")):
+            shift_in(history, (values, mask[: len(values)]))
 
 
 def test_channel_spec():

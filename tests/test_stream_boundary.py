@@ -27,19 +27,20 @@ def roots():
 
 
 #: name -> (the bad-length block's time, its message, the wrong-channel message,
-#: the int32 block's error message or None when it steps)
+#: the int32 block's error message or None when it steps). A window's state
+#: built for f32 refuses an int32 block as the aligning delay line does.
 EXPECTED = {
     "conv_stack": (
         7,
         "conv_stack: step input time 7 is not a positive multiple of block_size 6",
         "conv1d_0: expected channel shape (3,), got (4,)",
-        None,
+        "cannot concatenate 2xi32[3] with 2xf32[3]",
     ),
     "streaming_encoder": (
         3,
         "streaming_encoder: step input time 3 is not a positive multiple of block_size 2",
         "feature_conv: expected channel shape (3,), got (4,)",
-        None,
+        "cannot concatenate 2xi32[3] with 2xf32[3]",
     ),
     "transformer_block": (
         0,
@@ -51,7 +52,7 @@ EXPECTED = {
         3,
         "mixed_resample: step input time 3 is not a positive multiple of block_size 2",
         "conv1d_0: expected channel shape (3,), got (4,)",
-        None,
+        "cannot concatenate 2xi32[3] with 2xf32[3]",
     ),
     "unequal_latencies": (
         0,
@@ -108,6 +109,28 @@ def test_an_int32_block_into_a_float_spec_steps_as_the_tree_walk_does(name, mult
         return
     got = layer.step_with_emits(x, state, training=False)
     assert_identical(got, reference_step(layer, x, state, training=False))
+
+
+WINDOWS = {
+    "conv1d": lambda: sl.Conv1D(3, 2, 3, rng=np.random.default_rng(0)),
+    "max_pooling": lambda: sl.MaxPooling1D(2, 2),
+    "frame": lambda: sl.Frame(2, 1),
+}
+
+
+@pytest.mark.parametrize("name", sorted(WINDOWS))
+def test_a_window_refuses_a_block_of_another_dtype_than_its_state(name):
+    layer = WINDOWS[name]()
+    x = block(layer.block_size, (3,), np.int32)
+    state = layer.get_initial_state(2, ChannelSpec((3,)), training=False)
+    with pytest.raises(sl.SpecMismatchError) as err:
+        layer.step(x, state, training=False)
+    assert str(err.value) == "cannot concatenate 2xi32[3] with 2xf32[3]"
+    # a state built for the block's own spec steps it
+    state = layer.get_initial_state(2, x.channel_spec, training=False)
+    y, state = layer.step(x, state, training=False)
+    assert y.channel_spec == layer.get_output_spec(x.channel_spec)
+    assert state[0].dtype == np.int32
 
 
 def empty_cases():

@@ -157,9 +157,9 @@ class TestConv1D:
     def test_initial_state_holds_invalid_context(self, rng):
         layer = sl.Conv1D(3, 4, 3, padding="causal", rng=rng)
         state = layer.get_initial_state(2, sl.ChannelSpec((3,)), training=False)
-        assert isinstance(state, Sequence)
-        assert state.time == 2  # (k-1) buffered steps
-        assert not np.asarray(state.mask).any()
+        values, mask = state
+        assert values.shape == (2, 2, 3)  # (k-1) buffered steps
+        assert not mask.any() and not values.any()
 
 
 class TestConv1DTranspose:
