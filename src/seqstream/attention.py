@@ -147,7 +147,7 @@ class DotProductSelfAttention(SequenceLayer):
         q, k, v = self._project(x.mask_invalid().values)
         positions = np.arange(x.time)
         context = self._attend(q, positions, x.mask, k, v, positions, x.mask)
-        return Sequence._wrap(context, x.mask, masked=True)
+        return Sequence._wrap(context, x.mask)
 
     # -- streaming ---------------------------------------------------------
 
@@ -165,7 +165,7 @@ class DotProductSelfAttention(SequenceLayer):
 
     _masks_step_input = True
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         q, k, v = self._project(values)
         time = values.shape[1]
         end = state["position"] + time
@@ -186,4 +186,4 @@ class DotProductSelfAttention(SequenceLayer):
             "pending_q": pending[0],
             "pending_mask": pending[1],
         }
-        return context, out_mask, True, new_state
+        return context, out_mask, new_state

@@ -69,11 +69,10 @@ def _build_from_manifest(args, manifest):
     return layer, x, constants or None
 
 
-def _print_layer_tree(layer, indent=0, out=sys.stdout):
-    pad = "  " * indent
-    print(f"{pad}{type(layer).__name__.lower()} {layer.name}", file=out)
+def _print_layer_tree(layer, indent=0):
+    print(f"{'  ' * indent}{type(layer).__name__.lower()} {layer.name}")
     for child in layer.children:
-        _print_layer_tree(child, indent + 1, out=out)
+        _print_layer_tree(child, indent + 1)
 
 
 def cmd_describe(args) -> int:

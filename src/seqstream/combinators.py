@@ -27,9 +27,11 @@ cached :class:`_StepPlan`: the children of nested Serials are inlined into
 one run of leaf steps, and each nested Parallel or Residual becomes its
 branches, their aligning StepDelays and one op that masks the branch
 outputs and combines them. One executor runs the plan over raw (values,
-mask, masked) registers and zeroes each register's invalid steps at most
-once. Only the composite being stepped checks its block; every check of a
-composite or a leaf block inside it is implied by its own. A leaf runs its
+mask) registers. No register vouches for its invalid steps: an op that
+reads them (a leaf with ``_masks_step_input``, or a combine) zeroes them,
+at most once per register. Only the composite being stepped checks its
+block; every check of a composite or a leaf block inside it is implied by
+its own. A leaf runs its
 array kernel (see :mod:`seqstream.layer`), or else its public
 ``step_with_emits``: a leaf that overrides ``step`` or ``step_with_emits``
 (``Emit``) does, and so does one with a ``step`` set on the instance, such
@@ -180,9 +182,10 @@ class _StepPlan:
 
     ``ops`` run in order. Each reads a register, a list that starts as
     [input block], and appends its output. A register is ``[values, mask,
-    masked, Sequence, zeroed values]``; the last two are None until needed:
-    the Sequence is built only for a leaf called through its public
-    ``step_with_emits``. A leaf op ``(leaf, slot, src, kernel, zeroes,
+    Sequence, zeroed values]``; the last two are None until needed: the
+    Sequence is built only for a leaf called through its public
+    ``step_with_emits``, the zeroed values only for an op that reads
+    invalid steps. A leaf op ``(leaf, slot, src, kernel, zeroes,
     attrs)`` steps ``leaf`` on register ``src`` with the state in ``slot``.
     It runs ``kernel``, its bound ``_step_arrays``, on zeroed values when
     ``zeroes``; a leaf that steps itself has no kernel, and neither does
@@ -257,36 +260,35 @@ class _StepPlan:
         else:
             states = [None] * self.num_slots
             _flatten(self.layout, state, states)
-        regs = [[x.values, x.mask, x.masked, x, None]]
+        regs = [[x.values, x.mask, x, None]]
         emits = None if self.emits is not None else [EMPTY_EMITS] * self.num_slots
         for op in self.ops:
             leaf = op[0]
             if leaf is None:
                 arrays = [_zeroed(regs[src]) for src in op[1]]
                 masks = [regs[src][1] for src in op[1]]
-                regs.append([*_combine(arrays, masks, op[2]), False, None, None])
+                regs.append([*_combine(arrays, masks, op[2]), None, None])
                 continue
             _, slot, src, kernel, zeroes, attrs = op
             reg = regs[src]
             # a step set on the leaf itself (a wrapper) is looked up per call and honoured
             if kernel is not None and "step" not in attrs:
-                values, masked = (_zeroed(reg), True) if zeroes else (reg[0], reg[2])
-                values, mask, masked, states[slot] = kernel(
-                    values, reg[1], masked, states[slot], training, constants
+                values, mask, states[slot] = kernel(
+                    _zeroed(reg) if zeroes else reg[0], reg[1], states[slot], training, constants
                 )
-                regs.append([values, mask, masked, None, None])
+                regs.append([values, mask, None, None])
                 continue
-            seq = reg[3]
+            seq = reg[2]
             if seq is None:
-                seq = reg[3] = Sequence._wrap(reg[0], reg[1], reg[2])
+                seq = reg[2] = Sequence._wrap(reg[0], reg[1])
             y, states[slot], leaf_emits = leaf.step_with_emits(
                 seq, states[slot], training=training, constants=constants
             )
             if emits is not None:
                 emits[slot] = leaf_emits
-            regs.append([y.values, y.mask, y.masked, y, None])
+            regs.append([y.values, y.mask, y, None])
         out = regs[self.out]
-        y = out[3] if out[3] is not None else Sequence._wrap(out[0], out[1], out[2])
+        y = out[2] if out[2] is not None else Sequence._wrap(out[0], out[1])
         step_emits = self.emits if emits is None else _unflatten(self.emits_layout, emits)
         state = tuple(states) if self.flat else _unflatten(self.layout, states)
         return y, state, step_emits
@@ -294,9 +296,9 @@ class _StepPlan:
 
 def _zeroed(reg):
     """A register's values with its invalid steps zeroed, computed once."""
-    if reg[4] is None:
-        reg[4] = zero_invalid(reg[0], reg[1], reg[2])
-    return reg[4]
+    if reg[3] is None:
+        reg[3] = zero_invalid(reg[0], reg[1])
+    return reg[3]
 
 
 class _Composite(Emitting):

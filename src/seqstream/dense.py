@@ -49,8 +49,8 @@ __all__ = [
 
 
 class Identity(SequenceLayer):
-    def _step_arrays(self, values, mask, masked, state, training, constants):
-        return values, mask, masked, state
+    def _step_arrays(self, values, mask, state, training, constants):
+        return values, mask, state
 
 
 class Emit(Emitting):
@@ -88,12 +88,12 @@ class Dense(SequenceLayer):
         self._check(input_spec.shape)
         return ChannelSpec(input_spec.shape[:-1] + (self.units,), np.float32)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         self._check(values.shape[2:])
         y = tensor.einsum("...i,io->...o", values, self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]
-        return np.asarray(y, dtype=np.float32), mask, False, state
+        return np.asarray(y, dtype=np.float32), mask, state
 
 
 class Scale(SequenceLayer):
@@ -106,8 +106,8 @@ class Scale(SequenceLayer):
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec(input_spec.shape, np.float32)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
-        return tensor.tensor(values * self.value), mask, masked, state
+    def _step_arrays(self, values, mask, state, training, constants):
+        return tensor.tensor(values * self.value), mask, state
 
 
 class Add(SequenceLayer):
@@ -120,9 +120,8 @@ class Add(SequenceLayer):
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec(input_spec.shape, np.float32)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
-        masked = masked and bool(np.all(self.value == 0))
-        return tensor.tensor(values + self.value), mask, masked, state
+    def _step_arrays(self, values, mask, state, training, constants):
+        return tensor.tensor(values + self.value), mask, state
 
 
 def _gelu(v):
@@ -133,45 +132,36 @@ def _sigmoid(v):
     return special.expit(v).astype(v.dtype, copy=False)
 
 
-# kind -> (fn builder, zero-preserving predicate, allows integer input)
+# kind -> (fn builder, allows integer input)
 _POINTWISE = {
-    "relu": (lambda p: lambda v: np.maximum(v, 0), lambda p: True, False),
-    "gelu": (lambda p: _gelu, lambda p: True, False),
-    "sigmoid": (lambda p: _sigmoid, lambda p: False, False),
-    "tanh": (lambda p: np.tanh, lambda p: True, False),
-    "swish": (lambda p: lambda v: v * _sigmoid(v), lambda p: True, False),
-    "softplus": (
-        lambda p: lambda v: np.logaddexp(0.0, v).astype(v.dtype, copy=False),
-        lambda p: False,
-        False,
-    ),
-    "leaky_relu": (
-        lambda p: lambda v: np.where(v >= 0, v, np.asarray(p, v.dtype) * v),
-        lambda p: True,
-        False,
-    ),
+    "relu": (lambda p: lambda v: np.maximum(v, 0), False),
+    "gelu": (lambda p: _gelu, False),
+    "sigmoid": (lambda p: _sigmoid, False),
+    "tanh": (lambda p: np.tanh, False),
+    "swish": (lambda p: lambda v: v * _sigmoid(v), False),
+    "softplus": (lambda p: lambda v: np.logaddexp(0.0, v).astype(v.dtype, copy=False), False),
+    "leaky_relu": (lambda p: lambda v: np.where(v >= 0, v, np.asarray(p, v.dtype) * v), False),
     "elu": (
         lambda p: lambda v: np.where(v >= 0, v, np.asarray(p, v.dtype) * np.expm1(v)),
-        lambda p: True,
         False,
     ),
-    "abs": (lambda p: np.abs, lambda p: True, True),
-    "exp": (lambda p: np.exp, lambda p: False, False),
-    "log": (lambda p: np.log, lambda p: False, False),  # domain: positive values
-    "power": (lambda p: lambda v: np.power(v, np.asarray(p, v.dtype)), lambda p: p > 0, False),
-    "maximum": (lambda p: lambda v: np.maximum(v, np.asarray(p, v.dtype)), lambda p: p <= 0, True),
-    "minimum": (lambda p: lambda v: np.minimum(v, np.asarray(p, v.dtype)), lambda p: p >= 0, True),
-    "mod": (lambda p: lambda v: np.mod(v, np.asarray(p, v.dtype)), lambda p: True, True),
+    "abs": (lambda p: np.abs, True),
+    "exp": (lambda p: np.exp, False),
+    "log": (lambda p: np.log, False),  # domain: positive values
+    "power": (lambda p: lambda v: np.power(v, np.asarray(p, v.dtype)), False),
+    "maximum": (lambda p: lambda v: np.maximum(v, np.asarray(p, v.dtype)), True),
+    "minimum": (lambda p: lambda v: np.minimum(v, np.asarray(p, v.dtype)), True),
+    "mod": (lambda p: lambda v: np.mod(v, np.asarray(p, v.dtype)), True),
 }
 
 _POINTWISE_DEFAULTS = {"leaky_relu": 0.2, "elu": 1.0}
 
 
 class Pointwise(SequenceLayer):
-    """Named elementwise activation applied per value.
-
-    Kinds with f(0) != 0 clear the masked flag; zero-preserving kinds keep it.
-    """
+    """Named elementwise activation applied per value, invalid steps
+    included: their values are unspecified anyway, so it never zeroes them.
+    ``value`` parameterizes the kinds that take one (the slope of
+    ``leaky_relu``, the exponent of ``power``, the bound of ``maximum``)."""
 
     def __init__(self, kind, value=None, name=None):
         super().__init__(name if name is not None else kind)
@@ -179,14 +169,13 @@ class Pointwise(SequenceLayer):
             raise ValueError(f"unknown pointwise kind {kind!r}; known: {sorted(_POINTWISE)}")
         self.kind = kind
         self.value = _POINTWISE_DEFAULTS.get(kind) if value is None else value
-        builder, zp, self._allows_int = _POINTWISE[kind]
+        builder, self._allows_int = _POINTWISE[kind]
         self._fn = builder(self.value)
-        self._zero_preserving = zp(self.value)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         if values.dtype.kind != "f" and not self._allows_int:
             raise SpecMismatchError(f"{self.name}: float input required, got {values.dtype}")
-        return tensor.tensor(self._fn(values)), mask, masked and self._zero_preserving, state
+        return tensor.tensor(self._fn(values)), mask, state
 
 
 class Softmax(SequenceLayer):
@@ -200,14 +189,14 @@ class Softmax(SequenceLayer):
         axis = self.axis % (ndim - 2)
         return axis + 2
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         if not values.shape[2:]:
             raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
         axis = self._values_axis(values.ndim)
         shifted = values - np.max(values, axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / np.sum(e, axis=axis, keepdims=True)
-        return out.astype(values.dtype, copy=False), mask, False, state
+        return out.astype(values.dtype, copy=False), mask, state
 
 
 class _Normalization(SequenceLayer):
@@ -246,14 +235,14 @@ class LayerNormalization(_Normalization):
 
     PARAMS = ("scale", "offset")
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         self._expect_channels(values.shape[2:], self.shape)
         v = np.asarray(values, dtype=np.float32)
         centered = v - self._mean(v)
         var = self._mean(np.square(centered))
         normed = centered / np.sqrt(var + self._epsilon)
         out = normed * self._params["scale"] + self._params["offset"]
-        return out.astype(np.float32, copy=False), mask, False, state
+        return out.astype(np.float32, copy=False), mask, state
 
 
 class RMSNormalization(_Normalization):
@@ -261,13 +250,12 @@ class RMSNormalization(_Normalization):
 
     PARAMS = ("scale",)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         self._expect_channels(values.shape[2:], self.shape)
         v = np.asarray(values, dtype=np.float32)
         ms = self._mean(np.square(v))
         out = v / np.sqrt(ms + self._epsilon) * self._params["scale"]
-        # f(0) = 0, so a masked input stays masked
-        return out.astype(np.float32, copy=False), mask, masked, state
+        return out.astype(np.float32, copy=False), mask, state
 
 
 # --- dropout ----------------------------------------------------------------
@@ -338,10 +326,10 @@ class Dropout(SequenceLayer):
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return 0
 
-    def _step_arrays(self, values, mask, masked, state: int, training, constants):
+    def _step_arrays(self, values, mask, state: int, training, constants):
         if training and self.rate != 0:
             values = self._apply(values, state)
-        return values, mask, masked, state + values.shape[1]
+        return values, mask, state + values.shape[1]
 
 
 # --- channel shape manipulation ---------------------------------------------
@@ -356,11 +344,11 @@ class _ChannelOp(SequenceLayer):
     def get_output_spec(self, input_spec, constants=None):
         return ChannelSpec(self._out_shape(input_spec.shape), input_spec.dtype)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         # a view of the frozen input; tensor() copies it only where the view
         # would alias a writeable array, as the validating path does
         view = self._transform(tensor.freeze(values), self._out_shape(values.shape[2:]))
-        return tensor.tensor(view), mask, masked, state
+        return tensor.tensor(view), mask, state
 
     def _transform(self, values, out_shape):
         return values.reshape(values.shape[:2] + out_shape)
@@ -524,6 +512,6 @@ class Conditioning(SequenceLayer):
         self._lookup(constants)
         return 0
 
-    def _step_arrays(self, values, mask, masked, state: int, training, constants):
+    def _step_arrays(self, values, mask, state: int, training, constants):
         values, mask = self._combine(values, mask, self._lookup(constants), start=state)
-        return values, mask, False, state + values.shape[1]
+        return values, mask, state + values.shape[1]

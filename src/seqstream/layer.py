@@ -31,9 +31,11 @@ implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
 it, so outputs and emits come from one loop and cannot drift apart.
 
 Every library leaf implements one array kernel,
-``_step_arrays(values, mask, masked, state, training, constants)``, which
-returns ``(values, mask, masked, state)``; it sets ``_masks_step_input`` when
-the kernel reads its input with invalid steps zeroed. A stateful leaf also
+``_step_arrays(values, mask, state, training, constants)``, which returns
+``(values, mask, state)``. Values at invalid steps are unspecified, in and
+out: a leaf whose kernel reads them sets ``_masks_step_input``, and every
+caller of the kernel (``layer``, ``step`` and the step plan) then zeroes
+them with :func:`seqstream.sequence.zero_invalid` first. A stateful leaf also
 implements ``get_initial_state``; a stateless one keeps the empty state and
 returns it unchanged. Both modes derive from that kernel here: ``step`` runs
 it on one block, and ``layer`` runs it once over the whole sequence from the
@@ -177,20 +179,13 @@ class SequenceLayer(abc.ABC):
         ``x``, flushed and trimmed as :func:`seqstream.streaming.step_by_step`
         does (see :func:`flush_extent`)."""
         pad, drop, keep = flush_extent(self, x.time)
-        values, mask, masked = x.values, x.mask, x.masked
-        if pad:
-            batch = x.batch_size
-            values = np.concatenate(
-                [values, np.zeros((batch, pad) + values.shape[2:], values.dtype)], axis=1
-            )
-            mask = np.concatenate([mask, np.zeros((batch, pad), bool)], axis=1)
-        if self._masks_step_input:
-            values, masked = zero_invalid(values, mask, masked), True
+        x = x.pad_time(0, pad, valid=False)
+        values = zero_invalid(x.values, x.mask) if self._masks_step_input else x.values
         state = self.get_initial_state(
             x.batch_size, x.channel_spec, training=training, constants=constants
         )
-        values, mask, masked, _ = self._step_arrays(values, mask, masked, state, training, constants)
-        return Sequence._wrap(values[:, drop : drop + keep], mask[:, drop : drop + keep], masked)
+        values, mask, _ = self._step_arrays(values, x.mask, state, training, constants)
+        return Sequence._wrap(values[:, drop : drop + keep], mask[:, drop : drop + keep])
 
     def get_initial_state(
         self,
@@ -204,10 +199,11 @@ class SequenceLayer(abc.ABC):
             raise NotSteppableError(f"{self.name} does not support stepping")
         return EMPTY_STATE
 
-    #: whether ``_step_arrays`` reads its input with invalid steps zeroed
+    #: whether ``_step_arrays`` reads invalid input steps, which its callers
+    #: then zero
     _masks_step_input = False
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         """The step kernel over raw arrays (see the module docstring)."""
         raise NotImplementedError
 
@@ -220,13 +216,9 @@ class SequenceLayer(abc.ABC):
         constants: Constants | None = None,
     ) -> tuple[Sequence, State]:
         self._check_block(x)
-        values, masked = x.values, x.masked
-        if self._masks_step_input:
-            values, masked = zero_invalid(values, x.mask, masked), True
-        values, mask, masked, state = self._step_arrays(
-            values, x.mask, masked, state, training, constants
-        )
-        return Sequence._wrap(values, mask, masked), state
+        values = zero_invalid(x.values, x.mask) if self._masks_step_input else x.values
+        values, mask, state = self._step_arrays(values, x.mask, state, training, constants)
+        return Sequence._wrap(values, mask), state
 
     def layer_with_emits(
         self, x: Sequence, *, training: bool, constants: Constants | None = None

@@ -76,6 +76,6 @@ class LSTM(SequenceLayer):
 
     _masks_step_input = True
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         outputs, c, h = self._scan(values, mask, state["c"], state["h"])
-        return outputs, mask, True, {"c": tensor.freeze(c), "h": tensor.freeze(h)}
+        return outputs, mask, {"c": tensor.freeze(c), "h": tensor.freeze(h)}

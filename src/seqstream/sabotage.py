@@ -48,7 +48,7 @@ class FirstBlockOnly(SequenceLayer):
         self._check_block(x)
         if x.time > self.block_size:
             zeros = np.zeros_like(np.asarray(x.values))
-            return Sequence(zeros, x.mask, masked=False), state
+            return Sequence(zeros, x.mask), state
         return x, state
 
 
@@ -110,20 +110,14 @@ class BatchMixingDense(SequenceLayer):
 
 
 class LeakyConv(Conv1D):
-    """Consumes raw (unmasked) values, so poisoned padding contaminates
-    valid outputs (breaks padding_invariance).
+    """A Conv1D whose kernel reads invalid steps without having them zeroed,
+    so poisoned padding contaminates valid outputs (breaks padding_invariance).
 
     Must look ahead (reverse_causal/same): a causal window never reaches the
     invalid tail from a valid anchor, which would hide the leak.
     """
 
-    def layer(self, x, *, training, constants=None):
-        pretend_masked = Sequence(x.values, x.mask, masked=True)
-        return super().layer(pretend_masked, training=training, constants=constants)
-
-    def step(self, x, state, *, training, constants=None):
-        pretend_masked = Sequence(x.values, x.mask, masked=True)
-        return super().step(pretend_masked, state, training=training, constants=constants)
+    _masks_step_input = False
 
 
 class ShapeShiftingEmits(Identity):

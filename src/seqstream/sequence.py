@@ -4,10 +4,11 @@ A :class:`Sequence` pairs ``values`` of shape ``[batch, time, ...channel]``
 with a boolean ``mask`` of shape ``[batch, time]`` marking valid timesteps.
 The trailing ``...channel`` dimensions are the sequence's channel shape.
 
-A sequence is *masked* when every invalid position holds exactly zero; this
-is tracked by the ``masked`` flag (the analogue of a marker subclass) and
-established by :meth:`Sequence.mask_invalid`, which copies nothing when
-every step is valid. Operations document whether they preserve the flag.
+No sequence vouches for the values at its invalid steps, and no reader may
+rely on them. A computation that reads them zeroes them first with
+:func:`zero_invalid` (or :meth:`Sequence.mask_invalid`), which copies
+nothing when every step is valid; for a layer's kernel its callers do this
+(see :mod:`seqstream.layer`).
 
 Validity is expected to be contiguous from t=0 per batch row (end-padding
 convention). ``from_lengths`` enforces this by construction; arbitrary masks
@@ -59,11 +60,11 @@ class ChannelSpec:
         return f"{names[self.dtype]}[{','.join(str(d) for d in self.shape)}]"
 
 
-def zero_invalid(values: np.ndarray, mask: np.ndarray, masked: bool = False) -> np.ndarray:
+def zero_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """``values`` with the steps ``mask`` marks invalid set to zero: the
     arrays of :meth:`Sequence.mask_invalid`. Returns ``values`` itself when
-    ``masked`` or when every step is valid."""
-    if masked or np.count_nonzero(mask) == mask.size:
+    every step is valid."""
+    if np.count_nonzero(mask) == mask.size:
         return values
     expanded = mask.reshape(mask.shape + (1,) * (values.ndim - 2))
     return np.where(expanded, values, np.zeros((), dtype=values.dtype))
@@ -108,7 +109,6 @@ class Sequence:
 
     values: np.ndarray
     mask: np.ndarray
-    masked: bool = False
 
     def __post_init__(self):
         values = tensor.tensor(self.values)
@@ -127,7 +127,7 @@ class Sequence:
         object.__setattr__(self, "mask", mask)
 
     @staticmethod
-    def _wrap(values: np.ndarray, mask: np.ndarray, masked: bool = False) -> "Sequence":
+    def _wrap(values: np.ndarray, mask: np.ndarray) -> "Sequence":
         """The trusted constructor for arrays the library just built.
 
         Contract, unchecked: ``values`` is an ndarray of rank >= 2 with a
@@ -142,19 +142,19 @@ class Sequence:
             mask.setflags(write=False)
         seq = object.__new__(Sequence)
         fields = seq.__dict__
-        fields["values"], fields["mask"], fields["masked"] = values, mask, masked
+        fields["values"], fields["mask"] = values, mask
         return seq
 
     # -- construction helpers --
 
     @staticmethod
     def from_values(values) -> "Sequence":
-        """Wraps fully-valid values; the result is masked by construction."""
+        """Wraps fully-valid values."""
         values = tensor.tensor(values)
         if values.ndim < 2:
             raise ShapeMismatchError(f"rank >= 2 required, got shape {values.shape}")
         mask = tensor.freeze(np.ones(values.shape[:2], bool))
-        return Sequence(values, mask, masked=True)
+        return Sequence(values, mask)
 
     @staticmethod
     def from_lengths(values, lengths) -> "Sequence":
@@ -212,14 +212,12 @@ class Sequence:
         return self.mask.reshape(self.mask.shape + (1,) * (self.ndim - 2))
 
     def mask_invalid(self) -> "Sequence":
-        """Zeroes values at invalid positions. No-op when already masked.
+        """Zeroes values at invalid positions.
 
         When every step is valid there is nothing to zero: the result shares
-        this sequence's arrays, flagged masked, and copies nothing.
+        this sequence's arrays and copies nothing.
         """
-        if self.masked:
-            return self
-        return Sequence._wrap(zero_invalid(self.values, self.mask), self.mask, masked=True)
+        return Sequence._wrap(zero_invalid(self.values, self.mask), self.mask)
 
     # -- time manipulation --
 
@@ -228,10 +226,21 @@ class Sequence:
             raise ValueError(f"pad counts must be >= 0, got {(front, back)}")
         if front == 0 and back == 0:
             return self
-        pads = [(0, 0), (front, back)] + [(0, 0)] * (self.ndim - 2)
-        values = np.pad(self.values, pads)
-        mask = np.pad(self.mask, pads[:2], constant_values=bool(valid))
-        return Sequence._wrap(values, mask, masked=self.masked and not valid)
+        # zeros joined on, not np.pad, which costs several times as much per call
+        batch, channel = self.batch_size, self.channel_shape
+        values = np.concatenate(
+            [
+                np.zeros((batch, front) + channel, self.dtype),
+                self.values,
+                np.zeros((batch, back) + channel, self.dtype),
+            ],
+            axis=1,
+        )
+        fill = bool(valid)
+        mask = np.concatenate(
+            [np.full((batch, front), fill), self.mask, np.full((batch, back), fill)], axis=1
+        )
+        return Sequence._wrap(values, mask)
 
     def slice_time(self, start: int, stop: int) -> "Sequence":
         """Steps [start, stop) as read-only views of this sequence's arrays."""
@@ -241,9 +250,7 @@ class Sequence:
         stop = max(stop, start)
         if start == 0 and stop == time:
             return self
-        return Sequence._wrap(
-            self.values[:, start:stop], self.mask[:, start:stop], masked=self.masked
-        )
+        return Sequence._wrap(self.values[:, start:stop], self.mask[:, start:stop])
 
     def __getitem__(self, key) -> "Sequence":
         """Supports the usual [batch, time] slicing shorthands, e.g. s[:, a:b]."""
@@ -264,7 +271,7 @@ class Sequence:
             indices = np.asarray(indices)
             if indices.ndim != 1:
                 raise ShapeMismatchError(f"batch index must be 1-D, got shape {indices.shape}")
-        return Sequence._wrap(self.values[indices], self.mask[indices], masked=self.masked)
+        return Sequence._wrap(self.values[indices], self.mask[indices])
 
     @staticmethod
     def concatenate_sequences(seqs: Iterable["Sequence"]) -> "Sequence":
@@ -289,7 +296,7 @@ class Sequence:
             return nonempty[0]
         values = np.concatenate([s.values for s in seqs], axis=1)
         mask = np.concatenate([s.mask for s in seqs], axis=1)
-        return Sequence._wrap(values, mask, masked=all(s.masked for s in seqs))
+        return Sequence._wrap(values, mask)
 
     def reverse_time_valid(self) -> "Sequence":
         """Reverses each row's valid region in place; end padding stays at the end.
@@ -303,7 +310,7 @@ class Sequence:
             np.asarray(self.values), src.reshape(src.shape + (1,) * (self.ndim - 2)), axis=1
         )
         mask = np.take_along_axis(np.asarray(self.mask), src, axis=1)
-        return Sequence._wrap(values, mask, masked=self.masked)
+        return Sequence._wrap(values, mask)
 
 
 def write_sequence(fp: BinaryIO, s: Sequence) -> None:

@@ -74,7 +74,7 @@ def stream_blocks(
     emits_list = []
     for start in range(0, x.time, block):
         stop = start + block
-        part = Sequence._wrap(x.values[:, start:stop], x.mask[:, start:stop], x.masked)
+        part = Sequence._wrap(x.values[:, start:stop], x.mask[:, start:stop])
         y, state, emits = layer.step_with_emits(part, state, training=training, constants=constants)
         outputs.append(y)
         emits_list.append(emits)
@@ -84,7 +84,6 @@ def stream_blocks(
         out = Sequence._wrap(
             np.concatenate([y.values for y in outputs], axis=1),
             np.concatenate([y.mask for y in outputs], axis=1),
-            masked=all(y.masked for y in outputs),
         )
     else:
         spec = layer.get_output_spec(x.channel_spec, constants)

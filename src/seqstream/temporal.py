@@ -179,7 +179,7 @@ class _WindowedLayer(SequenceLayer):
 
     _masks_step_input = True
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         self._expect_channels(values.shape[2:], state[0].shape[2:])
         out_len = values.shape[1] // self.stride
         (values, mask), state = shift_in(state, (values, mask))
@@ -187,7 +187,7 @@ class _WindowedLayer(SequenceLayer):
         window_mask = mask[:, idx] if self._reads_window_mask else None
         out = self._reduce_windows(values[:, idx], window_mask)
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
-        return out, out_mask, False, state
+        return out, out_mask, state
 
 
 class Conv1D(_WindowedLayer):
@@ -356,7 +356,7 @@ class Conv1DTranspose(SequenceLayer):
 
     _masks_step_input = True
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         self._expect_channels(values.shape[2:], (self.in_channels,))
         time = values.shape[1]
         # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
@@ -370,7 +370,7 @@ class Conv1DTranspose(SequenceLayer):
             out = out.astype(np.float32)
         (mask,), (history,) = shift_in((state["mask_history"],), (mask,))
         out_mask = mask[:, _anchor_index(time, self.stride, self.trim_left, self.input_latency)]
-        return out, out_mask, False, {"carry": tensor.freeze(carry), "mask_history": history}
+        return out, out_mask, {"carry": tensor.freeze(carry), "mask_history": history}
 
 
 class Downsample1D(SequenceLayer):
@@ -390,8 +390,8 @@ class Downsample1D(SequenceLayer):
     def block_size(self):
         return self.rate
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
-        return values[:, :: self.rate], mask[:, :: self.rate], masked, state
+    def _step_arrays(self, values, mask, state, training, constants):
+        return values[:, :: self.rate], mask[:, :: self.rate], state
 
 
 class Upsample1D(SequenceLayer):
@@ -411,13 +411,8 @@ class Upsample1D(SequenceLayer):
     def receptive_field_per_step(self):
         return {o: (0, 0) for o in range(self.rate)}
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
-        return (
-            np.repeat(values, self.rate, axis=1),
-            np.repeat(mask, self.rate, axis=1),
-            masked,
-            state,
-        )
+    def _step_arrays(self, values, mask, state, training, constants):
+        return np.repeat(values, self.rate, axis=1), np.repeat(mask, self.rate, axis=1), state
 
 
 class Delay(SequenceLayer):
@@ -447,14 +442,14 @@ class Delay(SequenceLayer):
     def _masks_step_input(self):
         return self.length > 0
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         if self.length == 0:
-            return values, mask, masked, state
+            return values, mask, state
         time = values.shape[1]
         (delayed, line_mask), state = shift_in(state, (values, mask))
         # valid only where the current input step is valid too, zero elsewhere
         mask = np.logical_and(line_mask[:, :time], mask)
-        return zero_invalid(delayed[:, :time], mask), mask, True, state
+        return zero_invalid(delayed[:, :time], mask), mask, state
 
 
 class StepDelay(Delay):
@@ -485,10 +480,10 @@ class StepDelay(Delay):
     def layer(self, x, *, training, constants=None):
         return x
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         time = values.shape[1]
         (values, mask), state = shift_in(state, (values, mask))
-        return values[:, :time], mask[:, :time], True, state
+        return values[:, :time], mask[:, :time], state
 
 
 class Lookahead(SequenceLayer):
@@ -520,11 +515,11 @@ class Lookahead(SequenceLayer):
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return 0
 
-    def _step_arrays(self, values, mask, masked, state: int, training, constants):
+    def _step_arrays(self, values, mask, state: int, training, constants):
         time = values.shape[1]
         position = state + np.arange(time)
         mask = np.logical_and(mask, (position >= self.length)[None, :])
-        return zero_invalid(values, mask), mask, True, state + time
+        return zero_invalid(values, mask), mask, state + time
 
 
 class Frame(_WindowedLayer):
@@ -581,7 +576,7 @@ class Window(SequenceLayer):
         self.kind = kind
         self.axis = int(axis)
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         channel_shape = values.shape[2:]
         if not channel_shape:
             raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
@@ -590,7 +585,7 @@ class Window(SequenceLayer):
         shape = [1] * values.ndim
         shape[2 + axis] = channel_shape[axis]
         curve = curve.reshape(shape)
-        return tensor.tensor((values * curve).astype(values.dtype)), mask, masked, state
+        return tensor.tensor((values * curve).astype(values.dtype)), mask, state
 
 
 class OverlapAdd(SequenceLayer):
@@ -643,10 +638,10 @@ class OverlapAdd(SequenceLayer):
 
     _masks_step_input = True
 
-    def _step_arrays(self, values, mask, masked, state, training, constants):
+    def _step_arrays(self, values, mask, state, training, constants):
         self._check(values.shape[2:])
         out, carry = overlap_add(values, self.hop, state)
         out_mask = np.repeat(mask, self.hop, axis=1)
-        # after a row's last valid frame, positions hold that frame's tail,
-        # not zeros, so the output is not masked
-        return out, out_mask, False, tensor.freeze(carry)
+        # after a row's last valid frame, invalid positions hold that
+        # frame's tail, not zeros
+        return out, out_mask, tensor.freeze(carry)

@@ -1,6 +1,7 @@
 """CLI error handling: malformed inputs and manifests exit 2 with one error line;
 ``diff`` exits 1 on any disagreement between layer-wise and step-wise outputs."""
 
+import contextlib
 import io
 import struct
 from pathlib import Path
@@ -248,3 +249,15 @@ def test_diff_fails_on_mask_mismatch(tmp_path, capsys, monkeypatch):
     patch_stream(monkeypatch, lambda values, mask: mask.__setitem__((1, -1), True))
     assert run_diff_on_conv_stack(tmp_path) == cli.CONTRACT_ERROR
     assert "masks differ" in capsys.readouterr().out
+
+
+def test_describe_prints_every_line_to_the_current_stdout():
+    # the layer tree must follow a stdout rebound after the module's import
+    buffer = io.StringIO()
+    with contextlib.redirect_stdout(buffer):
+        assert cli.main(["describe", "--spec", str(CONV_STACK)]) == 0
+    lines = buffer.getvalue().splitlines()
+    assert len(lines) == 14, lines
+    assert lines[10:] == [
+        "layers:", "  serial conv_stack", "    conv1d conv1d_0", "    conv1d conv1d_1"
+    ]

@@ -69,31 +69,6 @@ class TestPointwise:
         expect = 0.5 * v64 * (1.0 + np.vectorize(math.erf)(v64 / math.sqrt(2.0)))
         np.testing.assert_allclose(y.values, expect, atol=1e-6)
 
-    @pytest.mark.parametrize(
-        "kind,preserves",
-        [
-            ("relu", True),
-            ("tanh", True),
-            ("abs", True),
-            ("swish", True),
-            ("gelu", True),
-            ("elu", True),
-            ("sigmoid", False),
-            ("softplus", False),
-            ("exp", False),
-        ],
-    )
-    def test_masked_flag_follows_zero_preservation(self, kind, preserves):
-        x = random_sequence(4, 1, 4, 2, lengths=[2]).mask_invalid()
-        y = sl.Pointwise(kind).layer(x, training=False)
-        assert y.masked == preserves
-
-    def test_maximum_minimum_zero_preservation_depends_on_value(self):
-        x = random_sequence(5, 1, 4, 2).mask_invalid()
-        assert sl.Pointwise("maximum", -1.0).layer(x, training=False).masked
-        assert not sl.Pointwise("maximum", 0.5).layer(x, training=False).masked
-        assert sl.Pointwise("minimum", 1.0).layer(x, training=False).masked
-
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown pointwise kind"):
             sl.Pointwise("frobnicate")
@@ -214,10 +189,6 @@ class TestShapeOps:
     def test_reshape_bad_target(self):
         with pytest.raises(sl.SpecMismatchError):
             sl.Reshape((5,)).layer(random_sequence(0, 1, 2, 4), training=False)
-
-    def test_masked_flag_preserved(self):
-        x = random_sequence(14, 1, 4, 4, lengths=[2]).mask_invalid()
-        assert sl.Flatten().layer(x, training=False).masked
 
 
 class TestConditioning:

@@ -32,7 +32,6 @@ def seq_2x3():
 
 def test_from_values_all_true_mask():
     s = Sequence.from_values(np.ones((2, 3), np.float32))
-    assert s.masked
     np.testing.assert_array_equal(s.mask, np.ones((2, 3), bool))
 
 
@@ -50,7 +49,6 @@ def test_from_values_rank_too_low():
 def test_from_lengths_mask():
     s = Sequence.from_lengths(np.ones((2, 3), np.float32), [2, 1])
     np.testing.assert_array_equal(s.mask, [[True, True, False], [True, False, False]])
-    assert not s.masked
 
 
 def test_from_lengths_zero_row():
@@ -78,15 +76,14 @@ def test_lengths_round_trips_from_lengths(time, batch, data):
 def test_mask_invalid_zeroes_invalid_positions():
     s = seq_2x3().mask_invalid()
     np.testing.assert_array_equal(s.values, [[1, 1, 0], [1, 0, 0]])
-    assert s.masked
 
 
 def test_mask_invalid_idempotent():
     s = seq_2x3()
     once = s.mask_invalid()
     twice = once.mask_invalid()
-    assert twice is once
     np.testing.assert_array_equal(once.values, twice.values)
+    np.testing.assert_array_equal(once.mask, twice.mask)
 
 
 def test_mask_invalid_clears_nan_poison():
@@ -112,7 +109,18 @@ def test_pad_time_back_invalid():
     out = s.pad_time(0, 2, valid=False)
     assert out.time == 5
     np.testing.assert_array_equal(out.mask[0, 3:], [False, False])
-    assert out.masked  # invalid zero padding preserves the flag
+    np.testing.assert_array_equal(out.values[0, 3:], [0, 0])
+
+
+@pytest.mark.parametrize("front, back", [(0, 2), (3, 0), (1, 1)])
+@pytest.mark.parametrize("valid", [False, True])
+def test_pad_time_matches_a_zero_pad_oracle(front, back, valid):
+    s = Sequence.from_lengths(np.arange(24, dtype=np.int32).reshape(2, 3, 2, 2) + 1, [3, 1])
+    out = s.pad_time(front, back, valid)
+    pads = [(0, 0), (front, back)]
+    np.testing.assert_array_equal(out.values, np.pad(s.values, pads + [(0, 0), (0, 0)]))
+    np.testing.assert_array_equal(out.mask, np.pad(s.mask, pads, constant_values=valid))
+    assert out.dtype == s.dtype and not out.values.flags.writeable
 
 
 def test_pad_time_zero_is_identity():
@@ -125,11 +133,6 @@ def test_full_range_slice_is_identity():
     assert s.slice_time(0, 3) is s
     assert s[:, :] is s
     assert s[:, 0:2] is not s
-
-
-def test_pad_time_valid_clears_masked_flag():
-    s = Sequence.from_values(np.ones((1, 2), np.float32))
-    assert not s.pad_time(0, 1, valid=True).masked
 
 
 def test_concat_partition_identity():
@@ -200,7 +203,6 @@ def test_zero_invalid_matches_loop_oracle():
 def test_zero_invalid_returns_values_unless_it_must_zero():
     s = seq_2x3()
     values = s.values + 1
-    assert zero_invalid(values, s.mask, masked=True) is values
     assert zero_invalid(values, np.ones((2, 3), bool)) is values
     out = zero_invalid(values, s.mask)
     assert out is not values

@@ -8,6 +8,8 @@ keep a leaf without a kernel, or a second layer-mode copy of a kernel's
 math, from coming back.
 """
 
+import inspect
+
 import numpy as np
 import pytest
 
@@ -95,12 +97,14 @@ OWN_LAYER = {
 }
 
 
-def library_layer_classes():
+def library_layer_classes(sabotage=False):
     found, todo = [], [SequenceLayer]
     while todo:
         cls = todo.pop()
         todo.extend(cls.__subclasses__())
-        if cls.__module__.startswith("seqstream.") and cls.__module__ != "seqstream.sabotage":
+        if cls.__module__.startswith("seqstream.") and (
+            sabotage or cls.__module__ != "seqstream.sabotage"
+        ):
             found.append(cls)
     return found
 
@@ -150,3 +154,15 @@ def test_a_wrong_channel_input_raises_one_typed_error_in_both_modes(layer):
     with pytest.raises(sl.SpecMismatchError) as spec_err:
         layer.get_output_spec(x.channel_spec)
     assert str(layer_err.value) == str(step_err.value) == str(spec_err.value)
+
+
+def test_every_kernel_takes_values_mask_and_state_and_nothing_more():
+    # no flag about the input's invalid steps may ride along a kernel again
+    expected = ["self", "values", "mask", "state", "training", "constants"]
+    kernels = {
+        cls.__qualname__: list(inspect.signature(vars(cls)["_step_arrays"]).parameters)
+        for cls in library_layer_classes(sabotage=True)
+        if "_step_arrays" in vars(cls)
+    }
+    assert {"SequenceLayer", "Dense", "_WindowedLayer", "LSTM", "StepDelay"} <= kernels.keys()
+    assert {name: params for name, params in kernels.items() if params != expected} == {}

@@ -18,6 +18,8 @@ from seqstream.verify import (
     verify_contract,
 )
 
+from test_trusted_sequences import catalog as trusted_catalog
+
 
 SPEC3 = ChannelSpec((3,))
 
@@ -230,6 +232,23 @@ def test_full_catalog_passes():
 def test_overlap_add_passes_on_framed_spec():
     layer = sl.OverlapAdd(4, 2)
     report = verify_contract(layer, ChannelSpec((4, 3)))
+    assert report.passed, report.render()
+
+
+#: the catalog's leaves whose kernels read invalid steps, which callers zero
+ZEROING_LEAVES = [
+    pytest.param(layer, id=layer.name)
+    for layer, _ in trusted_catalog()
+    if not layer.children and layer._masks_step_input
+]
+
+
+@pytest.mark.parametrize("leaf", ZEROING_LEAVES)
+def test_a_zeroing_leaf_behind_nonzero_padding_passes(leaf):
+    # Add(1.5) leaves its input's invalid steps nonzero (NaN under
+    # padding_invariance's poison) in the plan register the leaf reads, so
+    # the plan, step() and layer() must each zero them before the kernel
+    report = verify_contract(sl.Serial([sl.Add(1.5), leaf]), SPEC3)
     assert report.passed, report.render()
 
 
