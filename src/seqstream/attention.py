@@ -6,7 +6,9 @@ Each output step attends over the valid inputs inside a configurable window:
 F invalid placeholder steps while queries wait for their lookahead context,
 so output latency and input latency both equal F.
 
-``layer()`` and ``step()`` share one kernel, ``_attend``: queries at absolute
+The step kernel is the layer: ``layer()`` runs it once over the flushed
+sequence, and the output spec is what it returns (see
+:mod:`seqstream.layer`). It attends with ``_attend``: queries at absolute
 positions attend over keys/values at absolute positions, admitted by the
 horizon window and the key validity mask, with batched (BLAS) matmuls.
 
@@ -35,7 +37,7 @@ import numpy as np
 from . import params as params_lib
 from . import tensor
 from .layer import SequenceLayer
-from .sequence import ChannelSpec, Sequence, shift_in
+from .sequence import shift_in
 
 __all__ = ["DotProductSelfAttention"]
 
@@ -107,10 +109,6 @@ class DotProductSelfAttention(SequenceLayer):
         past = -np.inf if self.unbounded_past else -self.max_past_horizon
         return {0: (past, self.max_future_horizon)}
 
-    def get_output_spec(self, input_spec, constants=None):
-        self._expect_channels(input_spec.shape, (self.d_model,))
-        return ChannelSpec((self.num_heads, self.units_per_head), np.float32)
-
     def _project(self, values):
         """Scaled queries, keys and values of masked ``values``, each [B, T, H, U]."""
         self._expect_channels(values.shape[2:], (self.d_model,))
@@ -121,7 +119,7 @@ class DotProductSelfAttention(SequenceLayer):
         return qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
 
     def _attend(self, q, q_pos, q_mask, k, v, k_pos, k_mask):
-        """Masked softmax attention, shared by layer() and step().
+        """Masked softmax attention over one block's queries.
 
         q [B, Tq, H, U] at absolute positions q_pos [Tq] with validity q_mask
         [B, Tq]; k, v [B, S, H, U] at positions k_pos [S] with validity
@@ -135,21 +133,13 @@ class DotProductSelfAttention(SequenceLayer):
         admissible = window[None, None] & k_mask[:, None, None, :]
         logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)  # [B, H, Tq, S]
         logits = np.where(admissible, logits, _NEG_INF)
-        # the initial value gives an empty key axis (a zero-length layer()) a peak
+        # the initial value gives an empty key axis (an empty first block) a peak
         peak = np.max(logits, axis=-1, keepdims=True, initial=_NEG_INF)
         peak = np.where(np.isfinite(peak), peak, np.float32(0))
         weights = np.exp(np.subtract(logits, peak, out=logits), out=logits)
         denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
         context = (weights @ v.transpose(0, 2, 1, 3)) / denom  # [B, H, Tq, U]
         return np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
-
-    def layer(self, x, *, training, constants=None):
-        q, k, v = self._project(x.mask_invalid().values)
-        positions = np.arange(x.time)
-        context = self._attend(q, positions, x.mask, k, v, positions, x.mask)
-        return Sequence._wrap(context, x.mask)
-
-    # -- streaming ---------------------------------------------------------
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         h, u, f = self.num_heads, self.units_per_head, self.max_future_horizon

@@ -8,10 +8,10 @@ its step kernel (see :mod:`seqstream.layer`); all but ``Dropout`` and
 member; its draws are a pure function of (seed, absolute timestep, batch
 row, flat channel index) so that any block partition of the stream
 reproduces the same decisions. Its state is the number of steps consumed,
-which is the absolute timestep of its next block. ``Dense`` checks its
-input channels with one ``_check`` and the normalizations with
-``SequenceLayer._expect_channels``, each from both ``get_output_spec`` and
-its kernel.
+which is the absolute timestep of its next block. Each leaf checks its
+input in its kernel, so its declared spec, derived from the kernel, raises
+the same typed error as both modes; only ``Conditioning``, whose kernel
+needs the constants' batch, declares its spec itself.
 """
 
 from __future__ import annotations
@@ -56,6 +56,9 @@ class Identity(SequenceLayer):
 class Emit(Emitting):
     """Identity layer that exposes its input as an emit for tapping a stack."""
 
+    def get_output_spec(self, input_spec, constants=None):
+        return input_spec
+
     def layer_with_emits(self, x, *, training, constants=None):
         return x, x
 
@@ -84,10 +87,6 @@ class Dense(SequenceLayer):
                 f"got {channel_shape}"
             )
 
-    def get_output_spec(self, input_spec, constants=None):
-        self._check(input_spec.shape)
-        return ChannelSpec(input_spec.shape[:-1] + (self.units,), np.float32)
-
     def _step_arrays(self, values, mask, state, training, constants):
         self._check(values.shape[2:])
         y = tensor.einsum("...i,io->...o", values, self._params["weight"])
@@ -103,9 +102,6 @@ class Scale(SequenceLayer):
         super().__init__(name)
         self.value = np.asarray(value, dtype=np.float32)
 
-    def get_output_spec(self, input_spec, constants=None):
-        return ChannelSpec(input_spec.shape, np.float32)
-
     def _step_arrays(self, values, mask, state, training, constants):
         return tensor.tensor(values * self.value), mask, state
 
@@ -116,9 +112,6 @@ class Add(SequenceLayer):
     def __init__(self, value, name=None):
         super().__init__(name)
         self.value = np.asarray(value, dtype=np.float32)
-
-    def get_output_spec(self, input_spec, constants=None):
-        return ChannelSpec(input_spec.shape, np.float32)
 
     def _step_arrays(self, values, mask, state, training, constants):
         return tensor.tensor(values + self.value), mask, state
@@ -192,6 +185,8 @@ class Softmax(SequenceLayer):
     def _step_arrays(self, values, mask, state, training, constants):
         if not values.shape[2:]:
             raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
+        if values.dtype.kind != "f":
+            raise SpecMismatchError(f"{self.name}: float input required, got {values.dtype}")
         axis = self._values_axis(values.ndim)
         shifted = values - np.max(values, axis=axis, keepdims=True)
         e = np.exp(shifted)
@@ -218,10 +213,6 @@ class _Normalization(SequenceLayer):
         self._epsilon = np.float32(self.epsilon)
         self._axes = tuple(range(2, 2 + len(self.shape)))
         self._count = np.intp(math.prod(self.shape))
-
-    def get_output_spec(self, input_spec, constants=None):
-        self._expect_channels(input_spec.shape, self.shape)
-        return ChannelSpec(input_spec.shape, np.float32)
 
     def _mean(self, v):
         """``np.mean(v, axis=channel axes, keepdims=True)`` as the two ufunc
@@ -340,9 +331,6 @@ class _ChannelOp(SequenceLayer):
 
     def _out_shape(self, channel_shape) -> tuple[int, ...]:
         raise NotImplementedError
-
-    def get_output_spec(self, input_spec, constants=None):
-        return ChannelSpec(self._out_shape(input_spec.shape), input_spec.dtype)
 
     def _step_arrays(self, values, mask, state, training, constants):
         # a view of the frozen input; tensor() copies it only where the view

@@ -37,18 +37,17 @@ out: a leaf whose kernel reads them sets ``_masks_step_input``, and every
 caller of the kernel (``layer``, ``step`` and the step plan) then zeroes
 them with :func:`seqstream.sequence.zero_invalid` first. A stateful leaf also
 implements ``get_initial_state``; a stateless one keeps the empty state and
-returns it unchanged. Both modes derive from that kernel here: ``step`` runs
-it on one block, and ``layer`` runs it once over the whole sequence from the
-initial state, flushed and trimmed by the rule :func:`flush_extent` computes
-for the step drivers too. So the two modes share their math, their checks
-and their typed errors. A leaf checks its input channels in the kernel or in
-``get_initial_state``, which both modes call; a leaf that also checks them
-in ``get_output_spec`` calls one helper from both places (such as
-:meth:`SequenceLayer._expect_channels`), so the message is the same. Only a
-leaf whose whole-sequence result must not come from the kernel keeps a
-``layer()`` of its own: ``StepDelay`` (the identity by design) and
-``DotProductSelfAttention`` (one call over the whole sequence keeps its
-matmul shapes, and so its bits).
+returns it unchanged. Everything else derives from that kernel here:
+``step`` runs it on one block; ``layer`` runs it once over the whole
+sequence from the initial state, flushed and trimmed by the rule
+:func:`flush_extent` computes for the step drivers too; and
+``get_output_spec`` is the spec of what it returns for an empty block. So
+both modes and the declared spec share their math, their checks and their
+typed errors: a leaf checks its input in the kernel. No library leaf keeps a
+``layer()`` of its own, and only ``Conditioning``, whose kernel needs the
+constants' batch, declares its spec. A layer without a kernel (``Emit``, a
+composite, a sabotage fixture) declares its own ``layer()`` (or
+``layer_with_emits``) and ``get_output_spec``.
 
 Composites run the kernels through a plan (see :mod:`seqstream.combinators`)
 whose root makes the one block check for the whole tree.
@@ -61,6 +60,7 @@ from __future__ import annotations
 
 import abc
 import copy
+import functools
 import types
 from fractions import Fraction
 from typing import Any, Mapping
@@ -170,7 +170,23 @@ class SequenceLayer(abc.ABC):
         return ceil_ratio(input_time, self.output_ratio)
 
     def get_output_spec(self, input_spec: ChannelSpec, constants: Constants | None = None) -> ChannelSpec:
-        return input_spec
+        """The spec of what the kernel returns: its output for an empty block
+        from the initial state. Layers are immutable, so the spec is
+        remembered per input spec when there are no constants."""
+        if constants is None and input_spec in self._output_specs:
+            return self._output_specs[input_spec]
+        state = self.get_initial_state(1, input_spec, training=False, constants=constants)
+        empty = np.zeros((1, 0) + input_spec.shape, input_spec.dtype)
+        values, _, _ = self._step_arrays(empty, np.zeros((1, 0), bool), state, False, constants)
+        spec = ChannelSpec(values.shape[2:], values.dtype)
+        if constants is None:
+            self._output_specs[input_spec] = spec
+        return spec
+
+    @functools.cached_property
+    def _output_specs(self) -> dict:
+        """input spec -> output spec, filled by :meth:`get_output_spec`."""
+        return {}
 
     # -- execution -----------------------------------------------------------
 
@@ -247,9 +263,8 @@ class SequenceLayer(abc.ABC):
             )
 
     def _expect_channels(self, shape: tuple, expected: tuple) -> None:
-        """Raises unless an input's channel ``shape`` is ``expected``: one
-        check for ``get_output_spec`` and the kernel, so both modes and the
-        spec give one message."""
+        """Raises unless an input's channel ``shape`` is ``expected``: the
+        kernel's channel check, so both modes and the spec give one message."""
         if shape != expected:
             raise SpecMismatchError(f"{self.name}: expected channel shape {expected}, got {shape}")
 

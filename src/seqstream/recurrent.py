@@ -8,7 +8,6 @@ from scipy import special
 from . import params as params_lib
 from . import tensor
 from .layer import SequenceLayer
-from .sequence import ChannelSpec
 
 __all__ = ["LSTM"]
 
@@ -43,16 +42,13 @@ class LSTM(SequenceLayer):
     def receptive_field_per_step(self):
         return {0: (-np.inf, 0)}
 
-    def get_output_spec(self, input_spec, constants=None):
-        self._expect_channels(input_spec.shape, (self.in_features,))
-        return ChannelSpec((self.units,), np.float32)
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         zeros = np.zeros((batch_size, self.units), dtype=np.float32)
         return {"c": zeros, "h": zeros}
 
     def _scan(self, values, mask, c: np.ndarray, h: np.ndarray):
-        """(outputs, c, h) of the recurrence over masked ``values``."""
+        """(outputs, c, h) of the recurrence over ``values``: an invalid
+        step's values never reach the state or an output."""
         self._expect_channels(values.shape[2:], (self.in_features,))
         values = np.asarray(values, dtype=np.float32)
         kernel, bias = self._params["kernel"], self._params["bias"]
@@ -73,8 +69,6 @@ class LSTM(SequenceLayer):
             h = np.where(valid, h_new.astype(np.float32, copy=False), h)
             outputs[:, t] = np.where(valid, h_new, 0.0)
         return outputs, c, h
-
-    _masks_step_input = True
 
     def _step_arrays(self, values, mask, state, training, constants):
         outputs, c, h = self._scan(values, mask, state["c"], state["h"])

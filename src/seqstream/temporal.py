@@ -1,9 +1,10 @@
 """Layers that mix information across time.
 
 Each layer here implements its step kernel only; its ``layer()`` is that
-kernel run once over the flushed sequence (see :mod:`seqstream.layer`).
-``StepDelay`` is the exception: its ``layer()`` is the identity. The
-resamplers and ``Window`` keep no state.
+kernel run once over the flushed sequence, and its output spec what the
+kernel returns (see :mod:`seqstream.layer`). That holds for ``StepDelay``
+too: the flushed delay line, trimmed, is the identity. The resamplers and
+``Window`` keep no state.
 
 Streaming mechanics: every state kept over past input steps is a stream
 history that :func:`~seqstream.sequence.shift_in` advances, one block at a
@@ -41,7 +42,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer
-from .sequence import ChannelSpec, empty_history, shift_in, zero_invalid
+from .sequence import empty_history, shift_in, zero_invalid
 from fractions import Fraction
 
 __all__ = [
@@ -174,7 +175,6 @@ class _WindowedLayer(SequenceLayer):
         raise NotImplementedError
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        self.get_output_spec(input_spec, constants)  # Conv1D's channel check, for both modes
         return empty_history(batch_size, self._context_len, input_spec)
 
     _masks_step_input = True
@@ -220,11 +220,8 @@ class Conv1D(_WindowedLayer):
             spec["bias"] = (self.filters,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
 
-    def get_output_spec(self, input_spec, constants=None):
-        self._expect_channels(input_spec.shape, (self.in_channels,))
-        return ChannelSpec((self.filters,), np.float32)
-
     def _reduce_windows(self, wv, wm):
+        self._expect_channels(wv.shape[3:], (self.in_channels,))
         y = tensor.einsum("btkc,kcf->btf", wv, self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]
@@ -246,6 +243,8 @@ class _ExtremumPooling1D(_Pooling1D):
     """Max or min over each window's valid members; 0 where none is valid."""
 
     def _reduce_windows(self, wv, wm):
+        if wv.dtype.kind == "b":
+            raise SpecMismatchError(f"{self.name}: numeric input required, got {wv.dtype}")
         wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
         info = np.finfo(wv.dtype) if wv.dtype.kind == "f" else np.iinfo(wv.dtype)
         reducer, fill = (np.max, info.min) if self.kind == "max" else (np.min, info.max)
@@ -263,9 +262,6 @@ class MinPooling1D(_ExtremumPooling1D):
 
 class AveragePooling1D(_Pooling1D):
     kind = "avg"
-
-    def get_output_spec(self, input_spec, constants=None):
-        return ChannelSpec(input_spec.shape, np.float32)
 
     def _reduce_windows(self, wv, wm):
         # window values arrive pre-masked (zeros at invalid), so a plain sum
@@ -343,10 +339,6 @@ class Conv1DTranspose(SequenceLayer):
             hi = math.floor((o + self.trim_left) / self.stride)
             out[o] = (lo, hi) if lo <= hi else None
         return out
-
-    def get_output_spec(self, input_spec, constants=None):
-        self._expect_channels(input_spec.shape, (self.in_channels,))
-        return ChannelSpec((self.filters,), np.float32)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return {
@@ -455,11 +447,11 @@ class Delay(SequenceLayer):
 class StepDelay(Delay):
     """Delays the step-wise emission schedule without changing layer().
 
-    layer() is the identity; step() holds ``length`` inputs back, so the
-    layer's output latency is ``length``. Inserting one before a
-    downsampling layer aligns an odd accumulated stream delay to the
-    downsampler's stride without altering what the pipeline computes.
-    Because layer() is the identity, step() is the plain delay line, without
+    step() holds ``length`` inputs back, so the layer's output latency is
+    ``length``, and layer(), which drops those ``length`` placeholders, is
+    the identity. Inserting one before a downsampling layer aligns an odd
+    accumulated stream delay to the downsampler's stride without altering
+    what the pipeline computes. So step() is the plain delay line, without
     :class:`Delay`'s gating by the current input step.
     """
 
@@ -476,9 +468,6 @@ class StepDelay(Delay):
         return {0: (0, 0)}
 
     _masks_step_input = True
-
-    def layer(self, x, *, training, constants=None):
-        return x
 
     def _step_arrays(self, values, mask, state, training, constants):
         time = values.shape[1]
@@ -538,9 +527,6 @@ class Frame(_WindowedLayer):
         super().__init__(frame_length, hop, 1, "reverse_causal", name)
         self.frame_length = int(frame_length)
         self.hop = int(hop)
-
-    def get_output_spec(self, input_spec, constants=None):
-        return ChannelSpec((self.frame_length,) + input_spec.shape, input_spec.dtype)
 
     def _reduce_windows(self, wv, wm):
         return wv
@@ -627,10 +613,6 @@ class OverlapAdd(SequenceLayer):
                 f"{self.name}: expected leading channel extent {self.frame_length}, "
                 f"got {channel_shape}"
             )
-
-    def get_output_spec(self, input_spec, constants=None):
-        self._check(input_spec.shape)
-        return ChannelSpec(input_spec.shape[1:], input_spec.dtype)
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop

@@ -261,3 +261,25 @@ def test_describe_prints_every_line_to_the_current_stdout():
     assert lines[10:] == [
         "layers:", "  serial conv_stack", "    conv1d conv1d_0", "    conv1d conv1d_1"
     ]
+
+
+def test_describe_rejects_a_float_only_leaf_on_int_input(workdir, capsys):
+    # the spec is what relu's kernel returns, so the tree fails when built
+    (workdir / "spec.yaml").write_text(
+        SPEC.replace("    - {type: dense", "    - {type: relu}\n    - {type: dense").replace(
+            "f32[3]", "i32[3]"
+        )
+    )
+    code = cli.main(["describe", "--spec", str(workdir / "spec.yaml")])
+    assert "relu_0: float input required, got int32" in assert_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("command", ["describe", "run"])
+def test_softmax_on_bool_input_exits_2(workdir, capsys, command):
+    (workdir / "spec.yaml").write_text("pipeline: {type: softmax}\ninput_spec: bool[3]\n")
+    save_sequence(workdir / "b.sls", Sequence.from_values(np.ones((1, 4, 3), bool)))
+    if command == "describe":
+        code = cli.main(["describe", "--spec", str(workdir / "spec.yaml")])
+    else:
+        code = run_cli(workdir, command, input_name="b.sls")
+    assert "softmax: float input required, got bool" in assert_usage_error(capsys, code)

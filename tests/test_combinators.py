@@ -430,6 +430,9 @@ class MetadataCounter(sl.SequenceLayer):
         super().__init__(name)
         self.evaluations = 0
 
+    def get_output_spec(self, input_spec, constants=None):
+        return input_spec
+
     def layer(self, x, *, training, constants=None):
         return x
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 import seqstream as sl
+from seqstream.layer import poison_invalid
 from seqstream.sequence import ChannelSpec, Sequence
-from seqstream.streaming import step_by_step
+from seqstream.streaming import step_by_step, stream_blocks
 from seqstream.verify import HarnessConfig, verify_contract
 
 from conftest import assert_sequences_close, random_sequence
+from test_step_plan import assert_identical
 
 
 def sigmoid(z):
@@ -85,6 +87,22 @@ def test_state_held_at_invalid_steps():
     _, state_b = layer.step(extended, state, training=False)
     np.testing.assert_array_equal(state_a["c"], state_b["c"])
     np.testing.assert_array_equal(state_a["h"], state_b["h"])
+
+
+def test_nan_at_invalid_steps_reaches_no_output_or_state():
+    # the recurrence itself discards invalid steps, so no caller zeroes them
+    layer = sl.LSTM(3, 4, rng=np.random.default_rng(8))
+    x = random_sequence(9, 3, 12, 3, lengths=[12, 7, 2])
+    clean, poisoned = x.mask_invalid(), poison_invalid(x)
+    assert np.isnan(np.asarray(poisoned.values)[1, 7:]).all()
+    with np.errstate(all="raise"):
+        assert_identical(
+            layer.layer(poisoned, training=False), layer.layer(clean, training=False)
+        )
+        for block in (1, 3):
+            y, state, _ = stream_blocks(layer, poisoned, training=False, block=block)
+            y_clean, state_clean, _ = stream_blocks(layer, clean, training=False, block=block)
+            assert_identical((y, state), (y_clean, state_clean), f"block {block}")
 
 
 def test_long_range_dependence_at_distance_eight():

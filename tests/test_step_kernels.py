@@ -1,11 +1,11 @@
 """A composite steps its library leaves through their array kernels.
 
 The plan calls each leaf's ``_step_arrays`` on raw arrays; a leaf's public
-``step`` and its ``layer()`` are derived from the same kernel. These tests
-hold the routes to the same bits and the same typed errors, pin when the
-plan must leave the kernel route (a ``step`` set on the leaf itself), and
-keep a leaf without a kernel, or a second layer-mode copy of a kernel's
-math, from coming back.
+``step``, its ``layer()`` and its output spec are derived from the same
+kernel. These tests hold the routes to the same bits and the same typed
+errors, pin when the plan must leave the kernel route (a ``step`` set on the
+leaf itself), and keep a leaf without a kernel, or a second copy of a
+kernel's math or of its output spec, from coming back.
 """
 
 import inspect
@@ -20,7 +20,7 @@ from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step, stream_blocks
 
 from test_step_plan import F32, assert_identical
-from test_trusted_sequences import CASES, make_input
+from test_trusted_sequences import BOOL, CASES, I32, make_input
 
 
 def arrays_in(tree):
@@ -87,16 +87,6 @@ def test_a_step_set_on_a_leaf_after_the_plan_is_built_is_called_per_block(name):
     assert_identical(stream_blocks(layer, x, training=False), plain)
 
 
-#: leaves that keep a layer() of their own beside their kernel, and why
-OWN_LAYER = {
-    # layer() is the identity by design; only the step schedule is delayed
-    "StepDelay",
-    # one whole-sequence attention call: a kernel call over the flushed
-    # sequence would change its matmul shapes, and so its bits
-    "DotProductSelfAttention",
-}
-
-
 def library_layer_classes(sabotage=False):
     found, todo = [], [SequenceLayer]
     while todo:
@@ -123,11 +113,13 @@ def test_every_library_leaf_is_its_kernel():
         cls.__name__ for cls in leaves if cls._step_arrays is SequenceLayer._step_arrays
     )
     own_step = sorted(cls.__name__ for cls in leaves if cls.step is not SequenceLayer.step)
-    second_paths = sorted(
-        cls.__name__ for cls in leaves
-        if cls.layer is not SequenceLayer.layer and cls.__name__ not in OWN_LAYER
+    own_layer = sorted(cls.__name__ for cls in leaves if cls.layer is not SequenceLayer.layer)
+    assert (no_kernel, own_step, own_layer) == ([], [], [])
+    # Conditioning's kernel needs the constants' batch, which a spec lacks
+    own_spec = sorted(
+        cls.__name__ for cls in leaves if cls.get_output_spec is not SequenceLayer.get_output_spec
     )
-    assert (no_kernel, own_step, second_paths) == ([], [], [])
+    assert own_spec == ["Conditioning"]
 
 
 def three_channel_leaves():
@@ -154,6 +146,29 @@ def test_a_wrong_channel_input_raises_one_typed_error_in_both_modes(layer):
     with pytest.raises(sl.SpecMismatchError) as spec_err:
         layer.get_output_spec(x.channel_spec)
     assert str(layer_err.value) == str(step_err.value) == str(spec_err.value)
+
+
+@pytest.mark.parametrize(
+    "layer, spec",
+    [
+        (sl.Softmax(), I32),
+        (sl.Softmax(), BOOL),
+        (sl.MaxPooling1D(2), BOOL),
+        (sl.MinPooling1D(2), BOOL),
+    ],
+    ids=lambda p: p.name if isinstance(p, SequenceLayer) else str(p),
+)
+def test_a_wrong_dtype_input_raises_one_typed_error_in_both_modes(layer, spec):
+    x = make_input(spec)
+    with pytest.raises(sl.SpecMismatchError) as layer_err:
+        layer.layer(x, training=False)
+    with pytest.raises(sl.SpecMismatchError) as step_err:
+        step_by_step(layer, x, training=False)
+    with pytest.raises(sl.SpecMismatchError) as spec_err:
+        layer.get_output_spec(spec)
+    assert str(layer_err.value) == str(step_err.value) == str(spec_err.value)
+    assert str(spec_err.value).startswith(f"{layer.name}: ")
+    assert str(spec_err.value).endswith(f"got {spec.dtype}")
 
 
 def test_every_kernel_takes_values_mask_and_state_and_nothing_more():

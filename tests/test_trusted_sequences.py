@@ -52,6 +52,9 @@ def catalog():
         (sl.Serial([sl.AveragePooling1D(2), sl.MaxPooling1D(2)]), (I32,)),
         (sl.Serial([sl.Dense(3, 3, rng=rng), sl.Delay(1)]), (I32,)),
         (sl.Serial([sl.Add(1.5), sl.Lookahead(1), sl.Delay(2)]), (I32, BOOL)),
+        # mod promotes bool to int32: the pooling's state must be int32
+        (sl.Pointwise("mod", 2), (BOOL,)),
+        (sl.Serial([sl.Pointwise("mod", 2), sl.MaxPooling1D(2)], name="mod_max_pool"), (BOOL,)),
     ]
 
 

@@ -252,6 +252,15 @@ def test_a_zeroing_leaf_behind_nonzero_padding_passes(leaf):
     assert report.passed, report.render()
 
 
+def test_an_lstm_behind_nonzero_padding_passes():
+    # LSTM's kernel reads no invalid step, so no caller zeroes its input
+    # (it is not a zeroing leaf); Add(1.5) makes those steps nonzero
+    lstm = sl.LSTM(3, 2, rng=np.random.default_rng(3))
+    assert not lstm._masks_step_input
+    report = verify_contract(sl.Serial([sl.Add(1.5), lstm]), SPEC3)
+    assert report.passed, report.render()
+
+
 def test_overlap_add_output_is_not_masked_for_a_lookahead_consumer():
     # after a row's last valid frame, OverlapAdd's output holds that frame's
     # tail; a `same` conv downstream must see those positions as unmasked
