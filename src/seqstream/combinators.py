@@ -21,6 +21,14 @@ StepDelay of the difference, so all branches emit the same stream positions,
 and the combinator reports the maximum latencies. Blockwise is a one-child
 Serial with a larger block.
 
+Parallel, Residual and Bidirectional combine their branch outputs by one
+rule, :func:`_combine`, which both modes run and so their output spec too:
+``add``, ``mean`` and ``stack`` need identical channel shapes, ``concat``
+needs channel rank >= 1 and equal all-but-last dims, and any other pairing
+raises SpecMismatchError. numpy promotes the branch dtypes, and the result
+is canonicalized: an int input plus a float branch adds to float32, and a
+mean is never cast back to the first branch's dtype.
+
 Stepping runs a plan, not a walk of the tree. On its first step a Serial,
 Repeat, Blockwise, Parallel or Residual lowers its subtree once into a
 cached :class:`_StepPlan`: the children of nested Serials are inlined into
@@ -80,27 +88,6 @@ def _unique_names(children):
     return tuple(unique)
 
 
-def _combine_specs(specs, mode: str) -> ChannelSpec:
-    first = specs[0]
-    if mode in ("add", "mean", "stack"):
-        for s in specs[1:]:
-            if s != first:
-                raise SpecMismatchError(
-                    f"combine={mode} requires identical child specs, got {first} and {s}"
-                )
-        if mode == "stack":
-            return ChannelSpec((len(specs),) + first.shape, first.dtype)
-        return first
-    for s in specs[1:]:
-        if s.shape[:-1] != first.shape[:-1] or s.dtype != first.dtype:
-            raise SpecMismatchError(
-                f"combine=concat requires equal all-but-last channel dims, "
-                f"got {first} and {s}"
-            )
-    last = sum(s.shape[-1] for s in specs)
-    return ChannelSpec(first.shape[:-1] + (last,), first.dtype)
-
-
 #: the longest period of child block sizes whose output lengths are checked
 MAX_OUTPUT_TIME_PERIOD = 4096
 
@@ -124,13 +111,24 @@ def _check_output_times(children, kind: str) -> None:
 
 
 def _combine(arrays, masks, mode: str):
-    """(values, mask) of branch outputs combined: the arrays of :func:`_combine_outputs`."""
+    """(values, mask) of branch outputs combined: the one combine rule, which
+    both modes run and a combinator's output spec derives from (see the
+    module docstring)."""
     time = {a.shape[1] for a in arrays}
     if len(time) != 1:
         raise SpecMismatchError(
             f"parallel branches produced unequal output lengths {sorted(time)}; "
             "equal lengths are required"
         )
+    channels = [a.shape[2:] for a in arrays]
+    if mode == "concat":
+        fits = all(c and c[:-1] == channels[0][:-1] for c in channels)
+    else:
+        fits = channels.count(channels[0]) == len(channels)
+    if not fits:
+        rule = "rank >= 1 and equal all-but-last" if mode == "concat" else "identical"
+        specs = ", ".join(str(ChannelSpec(a.shape[2:], a.dtype)) for a in arrays)
+        raise SpecMismatchError(f"combine={mode} requires {rule} channel dims, got {specs}")
     mask = masks[0]
     for m in masks[1:]:
         mask = np.logical_and(mask, m)
@@ -139,15 +137,14 @@ def _combine(arrays, masks, mode: str):
     elif mode == "concat":
         values = np.concatenate(arrays, axis=-1)
     else:
-        total = arrays[0]
+        values = arrays[0]
         for a in arrays[1:]:
-            total = total + a
+            values = values + a
         if mode == "mean":
-            total = (total / np.float32(len(arrays))).astype(arrays[0].dtype, copy=False)
-        values = total
-    if len({a.dtype for a in arrays}) != 1:
-        # numpy promotes mixed branch dtypes; the public edge canonicalizes them
-        values = tensor.tensor(values)
+            values = values / np.float32(len(arrays))
+    if values.dtype not in tensor.DTYPES:
+        # numpy promotes the branch dtypes (an int mean to float64); canonicalize
+        values = values.astype(tensor.canonical_dtype(values.dtype))
     return values, mask
 
 
@@ -478,10 +475,6 @@ class Parallel(_Composite):
     def output_time(self, input_time):
         return self._children[0].output_time(input_time)
 
-    def get_output_spec(self, input_spec, constants=None):
-        specs = [c.get_output_spec(input_spec, constants) for c in self._children]
-        return _combine_specs(specs, self.combine)
-
     def layer_with_emits(self, x, *, training, constants=None):
         pairs = [
             c.layer_with_emits(x, training=training, constants=constants)
@@ -592,13 +585,6 @@ class Bidirectional(SequenceLayer):
             reverse_rf_map(self.backward.receptive_field_per_step),
         ]
         return union_rf_maps(maps, [UNIT_RATIO, UNIT_RATIO])
-
-    def get_output_spec(self, input_spec, constants=None):
-        specs = [
-            self.forward.get_output_spec(input_spec, constants),
-            self.backward.get_output_spec(input_spec, constants),
-        ]
-        return _combine_specs(specs, self.combine)
 
     def layer(self, x, *, training, constants=None):
         fwd = self.forward.layer(x, training=training, constants=constants)

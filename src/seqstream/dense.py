@@ -10,8 +10,7 @@ row, flat channel index) so that any block partition of the stream
 reproduces the same decisions. Its state is the number of steps consumed,
 which is the absolute timestep of its next block. Each leaf checks its
 input in its kernel, so its declared spec, derived from the kernel, raises
-the same typed error as both modes; only ``Conditioning``, whose kernel
-needs the constants' batch, declares its spec itself.
+the same typed error as both modes.
 """
 
 from __future__ import annotations
@@ -25,7 +24,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
 from .layer import Constants, Emitting, SequenceLayer
-from .sequence import ChannelSpec, Sequence
+from .sequence import Sequence
 
 __all__ = [
     "Identity",
@@ -55,9 +54,6 @@ class Identity(SequenceLayer):
 
 class Emit(Emitting):
     """Identity layer that exposes its input as an emit for tapping a stack."""
-
-    def get_output_spec(self, input_spec, constants=None):
-        return input_spec
 
     def layer_with_emits(self, x, *, training, constants=None):
         return x, x
@@ -434,6 +430,11 @@ class Conditioning(SequenceLayer):
     conditioning sequence is supplied once (at get_initial_state and each
     step); an absolute-position counter in the state selects the slice for
     each block.
+
+    ``add`` needs equal channel shapes and ``concat`` equal leading channel
+    dims; the kernel checks both, so its output spec, derived from it, and
+    both modes raise one SpecMismatchError. The output dtype is the
+    promoted dtype of the two, canonicalized.
     """
 
     MODES = ("add", "concat")
@@ -457,25 +458,6 @@ class Conditioning(SequenceLayer):
             )
         return cond
 
-    def get_output_spec(self, input_spec, constants=None):
-        cond = self._lookup(constants)
-        # numpy promotes mixed dtypes, and Sequence canonicalizes the result
-        dtype = tensor.canonical_dtype(np.result_type(input_spec.dtype, cond.dtype))
-        if self.mode == "add":
-            if cond.channel_shape != input_spec.shape:
-                raise SpecMismatchError(
-                    f"{self.name}: add conditioning requires equal channel shapes, "
-                    f"got {input_spec.shape} and {cond.channel_shape}"
-                )
-            return ChannelSpec(input_spec.shape, dtype)
-        if cond.channel_shape[:-1] != input_spec.shape[:-1]:
-            raise SpecMismatchError(
-                f"{self.name}: concat conditioning requires equal leading channel dims, "
-                f"got {input_spec.shape} and {cond.channel_shape}"
-            )
-        shape = input_spec.shape[:-1] + (input_spec.shape[-1] + cond.channel_shape[-1],)
-        return ChannelSpec(shape, dtype)
-
     def _combine(self, values, mask, cond: Sequence, start: int):
         batch, time = values.shape[:2]
         if cond.batch_size != batch:
@@ -486,6 +468,17 @@ class Conditioning(SequenceLayer):
             raise SpecMismatchError(
                 f"{self.name}: conditioning time {cond.time} too short for "
                 f"positions [{start}, {start + time})"
+            )
+        shape, cond_shape = values.shape[2:], cond.channel_shape
+        if self.mode == "add" and cond_shape != shape:
+            raise SpecMismatchError(
+                f"{self.name}: add conditioning requires equal channel shapes, "
+                f"got {shape} and {cond_shape}"
+            )
+        if self.mode == "concat" and not (shape and cond_shape and cond_shape[:-1] == shape[:-1]):
+            raise SpecMismatchError(
+                f"{self.name}: concat conditioning requires equal leading channel dims, "
+                f"got {shape} and {cond_shape}"
             )
         window = cond.slice_time(start, start + time)
         mask = np.logical_and(mask, window.mask)

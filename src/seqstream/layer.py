@@ -40,14 +40,18 @@ implements ``get_initial_state``; a stateless one keeps the empty state and
 returns it unchanged. Everything else derives from that kernel here:
 ``step`` runs it on one block; ``layer`` runs it once over the whole
 sequence from the initial state, flushed and trimmed by the rule
-:func:`flush_extent` computes for the step drivers too; and
-``get_output_spec`` is the spec of what it returns for an empty block. So
-both modes and the declared spec share their math, their checks and their
-typed errors: a leaf checks its input in the kernel. No library leaf keeps a
-``layer()`` of its own, and only ``Conditioning``, whose kernel needs the
-constants' batch, declares its spec. A layer without a kernel (``Emit``, a
-composite, a sabotage fixture) declares its own ``layer()`` (or
-``layer_with_emits``) and ``get_output_spec``.
+:func:`flush_extent` computes for the step drivers too. No library leaf
+keeps a ``layer()`` of its own. A layer without a kernel (``Emit``, a
+composite, a sabotage fixture) declares only its ``layer()`` (or
+``layer_with_emits``).
+
+``get_output_spec`` is, for every layer, the spec of what ``layer()``
+returns for an empty sequence. So both modes and the declared spec share
+their math, their checks and their typed errors: a leaf checks its input in
+the kernel, and a combinator its branches in its combine. Only ``Serial``
+folds its children's specs instead, which is what its ``layer()`` runs (a
+``Blockwise`` over an empty stream asks for it), and ``Repeat`` adds its
+spec-preserving check to that fold.
 
 Composites run the kernels through a plan (see :mod:`seqstream.combinators`)
 whose root makes the one block check for the whole tree.
@@ -113,6 +117,14 @@ def flush_extent(layer: "SequenceLayer", time: int) -> tuple[int, int, int]:
     return layer.input_latency + fill, layer.output_latency, layer.output_time(time)
 
 
+def _spec_key(input_spec: ChannelSpec, constants: Constants):
+    """The memo key of an output spec under ``constants``, or None unless
+    every constant is a Sequence."""
+    if not all(isinstance(c, Sequence) for c in constants.values()):
+        return None
+    return input_spec, frozenset((k, c.channel_shape, c.dtype) for k, c in constants.items())
+
+
 class SequenceLayer(abc.ABC):
     """Base class for all layers. Subclasses are immutable after construction."""
 
@@ -170,22 +182,31 @@ class SequenceLayer(abc.ABC):
         return ceil_ratio(input_time, self.output_ratio)
 
     def get_output_spec(self, input_spec: ChannelSpec, constants: Constants | None = None) -> ChannelSpec:
-        """The spec of what the kernel returns: its output for an empty block
-        from the initial state. Layers are immutable, so the spec is
-        remembered per input spec when there are no constants."""
-        if constants is None and input_spec in self._output_specs:
-            return self._output_specs[input_spec]
-        state = self.get_initial_state(1, input_spec, training=False, constants=constants)
-        empty = np.zeros((1, 0) + input_spec.shape, input_spec.dtype)
-        values, _, _ = self._step_arrays(empty, np.zeros((1, 0), bool), state, False, constants)
-        spec = ChannelSpec(values.shape[2:], values.dtype)
-        if constants is None:
-            self._output_specs[input_spec] = spec
+        """The spec of what :meth:`layer` returns for an empty sequence
+        ``[1, 0, *shape]``, so the declared spec runs the code both modes
+        run. A spec depends on its constants only through their channel
+        specs: the empty sequence meets the first batch row of each, and
+        the spec is remembered per input spec and constant channel specs.
+        A constants mapping that holds anything but Sequences is not
+        remembered."""
+        key = _spec_key(input_spec, constants) if constants else input_spec
+        spec = self._output_specs.get(key)
+        if spec is None:
+            if constants:
+                constants = {
+                    k: Sequence._wrap(c.values[:1], c.mask[:1]) if isinstance(c, Sequence) else c
+                    for k, c in constants.items()
+                }
+            empty = np.zeros((1, 0) + input_spec.shape, input_spec.dtype)
+            x = Sequence._wrap(empty, np.zeros((1, 0), bool))
+            spec = self.layer(x, training=False, constants=constants).channel_spec
+            if key is not None:
+                self._output_specs[key] = spec
         return spec
 
     @functools.cached_property
     def _output_specs(self) -> dict:
-        """input spec -> output spec, filled by :meth:`get_output_spec`."""
+        """memo key -> output spec, filled by :meth:`get_output_spec`."""
         return {}
 
     # -- execution -----------------------------------------------------------

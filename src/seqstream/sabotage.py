@@ -41,9 +41,6 @@ class FirstBlockOnly(SequenceLayer):
     def layer(self, x, *, training, constants=None):
         return x
 
-    def get_output_spec(self, input_spec, constants=None):
-        return input_spec
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return ()
 
@@ -104,9 +101,6 @@ class BatchMixingDense(SequenceLayer):
         centered = np.asarray(x.values) - np.asarray(x.values).mean(axis=0, keepdims=True)
         return Sequence(centered.astype(x.dtype), x.mask)
 
-    def get_output_spec(self, input_spec, constants=None):
-        return input_spec
-
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return ()
 
@@ -160,9 +154,6 @@ class BlockSeededDropout(SequenceLayer):
         return Sequence(
             np.where(keep, np.asarray(x.values) * scale, np.float32(0)), x.mask
         )
-
-    def get_output_spec(self, input_spec, constants=None):
-        return input_spec
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return 0

@@ -15,9 +15,11 @@ its windows at fixed offsets within ``context + block``. Over a whole
 sequence that context starts as invalid zeros: the left padding, plus the
 placeholder windows the flush protocol drops. ``Delay`` and ``StepDelay``
 keep a delay line of ``length`` steps, the same pair, and emit the oldest
-steps of the line joined with the block. ``Conv1DTranspose`` keeps the
-validity of its last ``input_latency`` inputs the same way; its overlap-add
-carry is a scatter, not a shift. Output validity follows the anchor rule:
+steps of the line joined with the block. A delay line reads no value, so
+no caller zeroes its input: ``Delay`` zeroes its own invalid output, and a
+``Parallel`` zeroes the branch a ``StepDelay`` aligns when it combines it.
+``Conv1DTranspose`` keeps the validity of its last ``input_latency``
+inputs the same way; its overlap-add carry is a scatter, not a shift. Output validity follows the anchor rule:
 output step ``t`` is valid iff its anchor input ``t * stride`` (or
 ``floor(t / ratio)`` for upsampling layers) is valid.
 
@@ -430,10 +432,6 @@ class Delay(SequenceLayer):
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return empty_history(batch_size, self.length, input_spec)
 
-    @property
-    def _masks_step_input(self):
-        return self.length > 0
-
     def _step_arrays(self, values, mask, state, training, constants):
         if self.length == 0:
             return values, mask, state
@@ -466,8 +464,6 @@ class StepDelay(Delay):
     @property
     def receptive_field_per_step(self):
         return {0: (0, 0)}
-
-    _masks_step_input = True
 
     def _step_arrays(self, values, mask, state, training, constants):
         time = values.shape[1]

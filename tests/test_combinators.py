@@ -13,6 +13,7 @@ from seqstream.streaming import step_by_step
 from seqstream.verify import HarnessConfig, verify_contract
 
 from conftest import assert_sequences_close, random_sequence
+from test_trusted_sequences import make_input
 
 
 def fig6_serial(seed=0):
@@ -231,6 +232,112 @@ class TestResidual:
         assert y.channel_shape == (3,)
 
 
+def _combine_cases():
+    """(layer, input spec, constants, expected): expected is the ChannelSpec
+    every route agrees on, or the message fragment of the one
+    SpecMismatchError every route raises."""
+    rng = np.random.default_rng(30)
+    f32, i32 = ChannelSpec((3,)), ChannelSpec((3,), np.int32)
+
+    def cond(*channels):
+        # 15 steps cover the input's 13 padded to a 3x block
+        return Sequence.from_values(rng.standard_normal((3, 15) + channels).astype(np.float32))
+
+    return {
+        # an int input plus a float body is promoted to float32
+        "residual_dense_i32": (sl.Residual(sl.Dense(3, 3, rng=rng)), i32, None, f32),
+        "residual_avg_pool_i32": (sl.Residual(sl.AveragePooling1D(3)), i32, None, f32),
+        # [3] + [1] is not broadcast
+        "add_broadcast": (
+            sl.Parallel([sl.Identity(), sl.Dense(3, 1, rng=rng)], combine="add"),
+            f32, None, "combine=add requires identical channel dims, got f32[3], f32[1]",
+        ),
+        # the mean of an int and a float branch is a float mean
+        "mean_i32": (
+            sl.Parallel([sl.Identity(), sl.Dense(3, 3, rng=rng)], combine="mean"),
+            i32, None, f32,
+        ),
+        "mean_both_i32": (
+            sl.Parallel([sl.Identity(), sl.Lookahead(1)], combine="mean"), i32, None, f32
+        ),
+        "stack_mismatch": (
+            sl.Parallel([sl.Identity(), sl.Dense(3, 2, rng=rng)], combine="stack"),
+            f32, None, "combine=stack requires identical channel dims, got f32[3], f32[2]",
+        ),
+        "concat_mixed_dtypes": (
+            sl.Parallel([sl.Identity(), sl.Dense(3, 2, rng=rng)], combine="concat"),
+            i32, None, ChannelSpec((5,)),
+        ),
+        # scalar channels have no last dim to join on
+        "concat_scalar_channels": (
+            sl.Parallel([sl.Identity(), sl.Identity()], combine="concat"),
+            ChannelSpec(()), None,
+            "combine=concat requires rank >= 1 and equal all-but-last channel dims",
+        ),
+        "conditioning_add_mismatch": (
+            sl.Conditioning("c", "add"), f32, {"c": cond(1)},
+            "add conditioning requires equal channel shapes, got (3,) and (1,)",
+        ),
+        "conditioning_concat_mismatch": (
+            sl.Conditioning("c", "concat"), ChannelSpec((2, 3)), {"c": cond(3, 1)},
+            "concat conditioning requires equal leading channel dims, got (2, 3) and (3, 1)",
+        ),
+        # a spec has no batch: a batch-3 constant inside a combinator
+        "residual_conditioning": (
+            sl.Residual(sl.Conditioning("c", "add")), f32, {"c": cond(3)}, f32
+        ),
+        "parallel_conditioning_concat": (
+            sl.Parallel([sl.Conditioning("c", "concat"), sl.Identity()], combine="concat"),
+            f32, {"c": cond(2)}, ChannelSpec((8,)),
+        ),
+    }
+
+
+def _outcome(run):
+    try:
+        return run()
+    except sl.SpecMismatchError as err:
+        return str(err)
+
+
+class TestCombineRule:
+    """A combinator's spec is what its layer() returns, so the spec, layer()
+    and step_by_step agree on a tree, or all raise one typed error."""
+
+    @pytest.mark.parametrize("case", sorted(_combine_cases()))
+    def test_spec_layer_and_steps_agree(self, case):
+        layer, spec, constants, expected = _combine_cases()[case]
+        x = make_input(spec)
+        runs = {
+            "spec": lambda: layer.get_output_spec(spec, constants),
+            "layer": lambda: layer.layer(x, training=False, constants=constants),
+            **{
+                f"step{mult}x": lambda mult=mult: step_by_step(
+                    layer, x, training=False, block=layer.block_size * mult, constants=constants
+                )
+                for mult in (1, 3)
+            },
+        }
+        outcomes = {route: _outcome(run) for route, run in runs.items()}
+        if isinstance(expected, str):
+            assert set(outcomes.values()) == {outcomes["spec"]}, outcomes
+            assert expected in outcomes["spec"]
+            return
+        assert outcomes["spec"] == expected
+        y = outcomes["layer"]
+        assert y.channel_spec == outcomes["spec"]
+        for route in ("step1x", "step3x"):
+            assert_sequences_close(outcomes[route], y)
+
+    def test_a_mean_over_an_int_input_is_not_truncated(self):
+        dense = sl.Dense(3, 3, rng=np.random.default_rng(31))
+        x = make_input(ChannelSpec((3,), np.int32))
+        y = sl.Parallel([sl.Identity(), dense], combine="mean").layer(x, training=False)
+        manual = (np.asarray(x.values, np.float32) + dense.layer(x, training=False).values) / 2
+        np.testing.assert_array_equal(y.mask, x.mask)
+        np.testing.assert_allclose(y.values[y.mask], manual[x.mask], atol=1e-6, rtol=0)
+
+
 class TestRepeat:
     def test_single_repeat_equals_child(self):
         child = sl.Dense(3, 3, rng=np.random.default_rng(15))
@@ -429,9 +536,6 @@ class MetadataCounter(sl.SequenceLayer):
     def __init__(self, name=None):
         super().__init__(name)
         self.evaluations = 0
-
-    def get_output_spec(self, input_spec, constants=None):
-        return input_spec
 
     def layer(self, x, *, training, constants=None):
         return x

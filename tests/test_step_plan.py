@@ -30,13 +30,13 @@ def reference_step(layer, x, state, *, training, constants=None):
             y, child_state, e = reference_step(
                 child, x, child_state, training=training, constants=constants
             )
-            y = y.mask_invalid()
             if fifo[0].shape[1]:
                 # the aligning delay line, written out: the fifo then the output
                 line = [np.concatenate(pair, axis=1) for pair in zip(fifo, (y.values, y.mask))]
                 fifo = tuple(tensor.freeze(a[:, y.time :]) for a in line)
                 y = Sequence._wrap(line[0][:, : y.time], line[1][:, : y.time])
-            outputs.append(y)
+            # the combine zeroes the aligned branch output
+            outputs.append(y.mask_invalid())
             new_fifos.append(fifo)
             new_states.append(child_state)
             emits.append(e)

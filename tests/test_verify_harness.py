@@ -252,6 +252,16 @@ def test_a_zeroing_leaf_behind_nonzero_padding_passes(leaf):
     assert report.passed, report.render()
 
 
+@pytest.mark.parametrize("line", [sl.Delay(2), sl.StepDelay(2)], ids=["delay", "stepdelay"])
+def test_a_delay_line_behind_nonzero_padding_passes(line):
+    # a delay line moves invalid steps without reading them, so no caller
+    # zeroes its input: Delay zeroes its own invalid output, and a StepDelay's
+    # nonzero invalid steps reach the contract checks as they are
+    assert not line._masks_step_input
+    report = verify_contract(sl.Serial([sl.Add(1.5), line]), SPEC3)
+    assert report.passed, report.render()
+
+
 def test_an_lstm_behind_nonzero_padding_passes():
     # LSTM's kernel reads no invalid step, so no caller zeroes its input
     # (it is not a zeroing leaf); Add(1.5) makes those steps nonzero
