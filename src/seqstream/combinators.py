@@ -21,13 +21,15 @@ StepDelay of the difference, so all branches emit the same stream positions,
 and the combinator reports the maximum latencies. Blockwise is a one-child
 Serial with a larger block.
 
-Parallel, Residual and Bidirectional combine their branch outputs by one
-rule, :func:`_combine`, which both modes run and so their output spec too:
+Parallel, Residual and Bidirectional combine their branch outputs, and
+``dense.Conditioning`` its input with the conditioning window, by one rule,
+:func:`_combine`, which both modes run and so their output spec too:
 ``add``, ``mean`` and ``stack`` need identical channel shapes, ``concat``
 needs channel rank >= 1 and equal all-but-last dims, and any other pairing
 raises SpecMismatchError. numpy promotes the branch dtypes, and the result
 is canonicalized: an int input plus a float branch adds to float32, and a
-mean is never cast back to the first branch's dtype.
+mean is never cast back to the first branch's dtype. A mean adds bool
+branches as float32, so it counts them rather than or-ing them.
 
 Stepping runs a plan, not a walk of the tree. On its first step a Serial,
 Repeat, Blockwise, Parallel or Residual lowers its subtree once into a
@@ -137,6 +139,9 @@ def _combine(arrays, masks, mode: str):
     elif mode == "concat":
         values = np.concatenate(arrays, axis=-1)
     else:
+        if mode == "mean":
+            # bool + bool is a logical or; a mean counts the true branches
+            arrays = [a.astype(np.float32) if a.dtype == bool else a for a in arrays]
         values = arrays[0]
         for a in arrays[1:]:
             values = values + a

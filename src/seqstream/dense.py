@@ -20,6 +20,7 @@ import math
 import numpy as np
 from scipy import special
 
+from . import combinators
 from . import params as params_lib
 from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
@@ -431,10 +432,12 @@ class Conditioning(SequenceLayer):
     step); an absolute-position counter in the state selects the slice for
     each block.
 
-    ``add`` needs equal channel shapes and ``concat`` equal leading channel
-    dims; the kernel checks both, so its output spec, derived from it, and
-    both modes raise one SpecMismatchError. The output dtype is the
-    promoted dtype of the two, canonicalized.
+    The input and the conditioning window combine by the combinators' one
+    rule (:func:`seqstream.combinators._combine`): ``add`` needs identical
+    channel shapes and ``concat`` equal all-but-last dims, and the output
+    dtype is the promoted dtype of the two, canonicalized. The kernel runs
+    it, so its output spec, derived from it, and both modes raise one
+    SpecMismatchError.
     """
 
     MODES = ("add", "concat")
@@ -469,25 +472,11 @@ class Conditioning(SequenceLayer):
                 f"{self.name}: conditioning time {cond.time} too short for "
                 f"positions [{start}, {start + time})"
             )
-        shape, cond_shape = values.shape[2:], cond.channel_shape
-        if self.mode == "add" and cond_shape != shape:
-            raise SpecMismatchError(
-                f"{self.name}: add conditioning requires equal channel shapes, "
-                f"got {shape} and {cond_shape}"
-            )
-        if self.mode == "concat" and not (shape and cond_shape and cond_shape[:-1] == shape[:-1]):
-            raise SpecMismatchError(
-                f"{self.name}: concat conditioning requires equal leading channel dims, "
-                f"got {shape} and {cond_shape}"
-            )
         window = cond.slice_time(start, start + time)
-        mask = np.logical_and(mask, window.mask)
-        if self.mode == "add":
-            values = values + np.asarray(window.values)
-        else:
-            values = np.concatenate([values, np.asarray(window.values)], axis=-1)
-        # the two dtypes may differ: numpy then promotes, and tensor() canonicalizes
-        return tensor.tensor(values), mask
+        try:
+            return combinators._combine([values, window.values], [mask, window.mask], self.mode)
+        except SpecMismatchError as err:
+            raise SpecMismatchError(f"{self.name}: {err}") from None
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         self._lookup(constants)

@@ -117,14 +117,6 @@ def flush_extent(layer: "SequenceLayer", time: int) -> tuple[int, int, int]:
     return layer.input_latency + fill, layer.output_latency, layer.output_time(time)
 
 
-def _spec_key(input_spec: ChannelSpec, constants: Constants):
-    """The memo key of an output spec under ``constants``, or None unless
-    every constant is a Sequence."""
-    if not all(isinstance(c, Sequence) for c in constants.values()):
-        return None
-    return input_spec, frozenset((k, c.channel_shape, c.dtype) for k, c in constants.items())
-
-
 class SequenceLayer(abc.ABC):
     """Base class for all layers. Subclasses are immutable after construction."""
 
@@ -184,29 +176,26 @@ class SequenceLayer(abc.ABC):
     def get_output_spec(self, input_spec: ChannelSpec, constants: Constants | None = None) -> ChannelSpec:
         """The spec of what :meth:`layer` returns for an empty sequence
         ``[1, 0, *shape]``, so the declared spec runs the code both modes
-        run. A spec depends on its constants only through their channel
-        specs: the empty sequence meets the first batch row of each, and
-        the spec is remembered per input spec and constant channel specs.
-        A constants mapping that holds anything but Sequences is not
-        remembered."""
-        key = _spec_key(input_spec, constants) if constants else input_spec
-        spec = self._output_specs.get(key)
-        if spec is None:
-            if constants:
-                constants = {
-                    k: Sequence._wrap(c.values[:1], c.mask[:1]) if isinstance(c, Sequence) else c
-                    for k, c in constants.items()
-                }
-            empty = np.zeros((1, 0) + input_spec.shape, input_spec.dtype)
-            x = Sequence._wrap(empty, np.zeros((1, 0), bool))
-            spec = self.layer(x, training=False, constants=constants).channel_spec
-            if key is not None:
-                self._output_specs[key] = spec
+        run. The empty sequence meets the first batch row of each constant.
+        Layers are immutable, so the spec is remembered per input spec when
+        there are no constants."""
+        if constants is None and input_spec in self._output_specs:
+            return self._output_specs[input_spec]
+        if constants:
+            constants = {
+                k: Sequence._wrap(c.values[:1], c.mask[:1]) if isinstance(c, Sequence) else c
+                for k, c in constants.items()
+            }
+        empty = np.zeros((1, 0) + input_spec.shape, input_spec.dtype)
+        x = Sequence._wrap(empty, np.zeros((1, 0), bool))
+        spec = self.layer(x, training=False, constants=constants).channel_spec
+        if constants is None:
+            self._output_specs[input_spec] = spec
         return spec
 
     @functools.cached_property
     def _output_specs(self) -> dict:
-        """memo key -> output spec, filled by :meth:`get_output_spec`."""
+        """input spec -> output spec, filled by :meth:`get_output_spec`."""
         return {}
 
     # -- execution -----------------------------------------------------------

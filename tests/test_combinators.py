@@ -260,6 +260,10 @@ def _combine_cases():
         "mean_both_i32": (
             sl.Parallel([sl.Identity(), sl.Lookahead(1)], combine="mean"), i32, None, f32
         ),
+        "mean_both_bool": (
+            sl.Parallel([sl.Identity(), sl.Identity()], combine="mean"),
+            ChannelSpec((3,), bool), None, f32,
+        ),
         "stack_mismatch": (
             sl.Parallel([sl.Identity(), sl.Dense(3, 2, rng=rng)], combine="stack"),
             f32, None, "combine=stack requires identical channel dims, got f32[3], f32[2]",
@@ -276,11 +280,12 @@ def _combine_cases():
         ),
         "conditioning_add_mismatch": (
             sl.Conditioning("c", "add"), f32, {"c": cond(1)},
-            "add conditioning requires equal channel shapes, got (3,) and (1,)",
+            "conditioning: combine=add requires identical channel dims, got f32[3], f32[1]",
         ),
         "conditioning_concat_mismatch": (
             sl.Conditioning("c", "concat"), ChannelSpec((2, 3)), {"c": cond(3, 1)},
-            "concat conditioning requires equal leading channel dims, got (2, 3) and (3, 1)",
+            "conditioning: combine=concat requires rank >= 1 and equal all-but-last "
+            "channel dims, got f32[2,3], f32[3,1]",
         ),
         # a spec has no batch: a batch-3 constant inside a combinator
         "residual_conditioning": (
@@ -336,6 +341,26 @@ class TestCombineRule:
         manual = (np.asarray(x.values, np.float32) + dense.layer(x, training=False).values) / 2
         np.testing.assert_array_equal(y.mask, x.mask)
         np.testing.assert_allclose(y.values[y.mask], manual[x.mask], atol=1e-6, rtol=0)
+
+    def test_a_mean_over_bool_branches_counts_them(self):
+        x = make_input(ChannelSpec((3,), bool))
+        y = sl.Parallel([sl.Identity(), sl.Identity()], combine="mean").layer(x, training=False)
+        assert y.dtype == np.float32
+        np.testing.assert_array_equal(y.values[y.mask], x.values[x.mask].astype(np.float32))
+
+    def test_a_constant_as_long_as_the_input_is_too_short_at_3x_blocks(self):
+        # pins the FOUND line in CHANGES.md on Conditioning._combine: step_by_step
+        # pads the last block with invalid steps the constant must also cover.
+        # Update this test when that is mended.
+        layer = sl.Conditioning("c", "add")
+        x = make_input(ChannelSpec((3,)))
+        c = {"c": Sequence.from_values(np.ones((3, 13, 3), np.float32))}
+        y = layer.layer(x, training=False, constants=c)
+        assert_sequences_close(step_by_step(layer, x, training=False, block=1, constants=c), y)
+        with pytest.raises(
+            sl.SpecMismatchError, match=r"conditioning time 13 too short for positions \[12, 15\)"
+        ):
+            step_by_step(layer, x, training=False, block=3, constants=c)
 
 
 class TestRepeat:

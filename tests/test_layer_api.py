@@ -112,28 +112,6 @@ class TestStateAndSpecs:
         assert conv.get_output_spec(ChannelSpec((3,))) == ChannelSpec((8,))
         assert sl.Flatten().get_output_spec(ChannelSpec((2, 3))) == ChannelSpec((6,))
 
-    def test_a_spec_is_remembered_per_input_and_constant_channel_specs(self):
-        layer = sl.Conditioning("c", "concat")
-        run, calls = layer.layer, []
-        layer.layer = lambda x, **kwargs: calls.append(x) or run(x, **kwargs)
-
-        def constants(channels, batch=2, time=4):
-            values = np.zeros((batch, time, channels), np.float32)
-            return {"c": Sequence.from_values(values)}
-
-        f32 = ChannelSpec((3,))
-        assert layer.get_output_spec(f32, constants(2)) == ChannelSpec((5,))
-        # another batch or length of the same channel spec has the same spec
-        assert layer.get_output_spec(f32, constants(2, batch=5, time=9)) == ChannelSpec((5,))
-        assert len(calls) == 1
-        assert layer.get_output_spec(f32, constants(4)) == ChannelSpec((7,))
-        assert len(calls) == 2
-        # a mapping that holds anything but Sequences is derived on every call
-        mixed = {**constants(2), "rate": 0.5}
-        for _ in range(2):
-            assert layer.get_output_spec(f32, mixed) == ChannelSpec((5,))
-        assert len(calls) == 4
-
     def test_training_is_keyword_only_everywhere(self, rng):
         model = sl.Dense(3, 4, rng=rng)
         x = random_sequence(6, 1, 2, 3)
