@@ -12,6 +12,12 @@ sequence, and the output spec is what it returns (see
 positions attend over keys/values at absolute positions, admitted by the
 horizon window and the key validity mask, with batched (BLAS) matmuls.
 
+Memory rule: one call allocates one [B, H, Tq, S] float32 buffer, the logits
+of the query-key matmul. The refusals (keys outside the window, then invalid
+keys) are written into it as -inf, and the softmax runs in place, so no
+second logits array, combined [B, 1, Tq, S] mask or [Tq, S] offset matrix is
+made; the window refusals are one [Tq, S] bool.
+
 Step-wise state:
 
 * ``keys``/``values``/``key_mask``: the projected keys and values of the most
@@ -126,13 +132,12 @@ class DotProductSelfAttention(SequenceLayer):
         k_mask [B, S]. Query t admits key s when s is valid and
         t - past <= s <= t + future. Invalid queries produce zeros.
         """
-        offset = k_pos[None, :] - q_pos[:, None]
-        window = offset <= self.max_future_horizon
-        if not self.unbounded_past:
-            window &= offset >= -self.max_past_horizon
-        admissible = window[None, None] & k_mask[:, None, None, :]
         logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)  # [B, H, Tq, S]
-        logits = np.where(admissible, logits, _NEG_INF)
+        refused = np.less.outer(q_pos + self.max_future_horizon, k_pos)  # [Tq, S]
+        if not self.unbounded_past:
+            refused |= np.greater.outer(q_pos - self.max_past_horizon, k_pos)
+        np.copyto(logits, _NEG_INF, where=refused)
+        np.copyto(logits, _NEG_INF, where=~k_mask[:, None, None, :])
         # the initial value gives an empty key axis (an empty first block) a peak
         peak = np.max(logits, axis=-1, keepdims=True, initial=_NEG_INF)
         peak = np.where(np.isfinite(peak), peak, np.float32(0))

@@ -1,6 +1,8 @@
 """Self-attention against an O(T^2) masked-softmax oracle, plus cache
 semantics the streaming path must honor."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -44,6 +46,38 @@ def attention_oracle(x: Sequence, params, num_heads, units, past, future):
     return out, mask
 
 
+def where_attend(layer, q, q_pos, q_mask, k, v, k_pos, k_mask):
+    """The masked softmax as one np.where over a combined mask: `_attend`'s bit reference."""
+    offset = k_pos[None, :] - q_pos[:, None]
+    window = offset <= layer.max_future_horizon
+    if not layer.unbounded_past:
+        window &= offset >= -layer.max_past_horizon
+    logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)
+    logits = np.where(window[None, None] & k_mask[:, None, None, :], logits, np.float32(-np.inf))
+    peak = np.max(logits, axis=-1, keepdims=True, initial=np.float32(-np.inf))
+    weights = np.exp(logits - np.where(np.isfinite(peak), peak, np.float32(0)))
+    denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
+    context = (weights @ v.transpose(0, 2, 1, 3)) / denom
+    return np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
+
+
+def attend_calls(layer, run):
+    """(arguments, output) of every `_attend` call that run() makes."""
+    calls = []
+    attend = layer._attend
+
+    def record(*args):
+        calls.append((args, attend(*args)))
+        return calls[-1][1]
+
+    layer._attend = record
+    try:
+        run()
+    finally:
+        del layer._attend
+    return calls
+
+
 def make_layer(seed=0, past=-1, future=0, d=4, heads=2, units=4):
     return sl.DotProductSelfAttention(
         d, heads, units, max_past_horizon=past, max_future_horizon=future,
@@ -77,6 +111,51 @@ class TestAttentionLayer:
         np.testing.assert_allclose(
             np.asarray(y.mask_invalid().values, np.float64), expect, atol=1e-5
         )
+
+    @pytest.mark.parametrize("case", range(20))
+    def test_attend_matches_where_reference_bitwise(self, case):
+        rng = np.random.default_rng(400 + case)
+        past = (-1, 3, 5)[case % 3]
+        future = (0, 2)[case % 2]
+        time = int(rng.integers(3, 17))
+        layer = make_layer(seed=case, past=past, future=future)
+        x = random_sequence(case, 2, time, 4, lengths=[time, max(1, time - 2)])
+        calls = attend_calls(layer, lambda: layer.layer(x, training=False))
+        calls += attend_calls(layer, lambda: step_by_step(layer, x, training=False, block=2))
+        assert len(calls) > 1
+        for args, out in calls:
+            assert out.tobytes() == where_attend(layer, *args).tobytes()
+
+    @pytest.mark.parametrize("past,future", [(-1, 0), (3, 2)])
+    def test_attend_matches_where_reference_on_empty_and_invalid_rows(self, past, future):
+        layer = make_layer(seed=11, past=past, future=future)
+        x = random_sequence(11, 2, 9, 4, lengths=[9, 0])  # row 1 is all invalid
+
+        def run():
+            layer.layer(x[:, :0], training=False)  # an empty sequence: only F flush queries
+            layer.layer(x, training=False)
+            step_by_step(layer, x, training=False, block=3)
+
+        calls = attend_calls(layer, run)
+        assert calls[0][1].shape[1] == future
+        for args, out in calls:
+            assert out.tobytes() == where_attend(layer, *args).tobytes()
+
+    @pytest.mark.parametrize("past,future", [(-1, 0), (4, 2)])
+    def test_layer_allocates_one_logits_buffer(self, past, future):
+        """The kernel writes its refusals into the [B, H, Tq, S] logits it
+        computes, so layer()'s peak stays near that one buffer."""
+        layer = make_layer(seed=12, past=past, future=future)
+        x = random_sequence(12, 2, 256, 4, lengths=[256, 200])
+        layer.layer(x, training=False)  # remember the output spec first
+        tracemalloc.start()
+        try:
+            layer.layer(x, training=False)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        logits_bytes = 2 * 2 * (256 + future) ** 2 * np.dtype(np.float32).itemsize
+        assert peak <= 1.5 * logits_bytes
 
     def test_bounded_past_ignores_older_inputs(self):
         layer = make_layer(seed=2, past=2)
