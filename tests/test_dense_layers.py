@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.special import erf
 
 import seqstream as sl
 from seqstream.dense import counter_uniform
@@ -68,6 +69,14 @@ class TestPointwise:
         v64 = np.asarray(x.values, np.float64)
         expect = 0.5 * v64 * (1.0 + np.vectorize(math.erf)(v64 / math.sqrt(2.0)))
         np.testing.assert_allclose(y.values, expect, atol=1e-6)
+
+    def test_gelu_evaluates_float32_in_float32(self):
+        x = random_sequence(4, 2, 64, 4)
+        y = sl.Pointwise("gelu").layer(x, training=False)
+        v = np.asarray(x.values)
+        expect = np.float32(0.5) * v * (np.float32(1) + erf(v / np.float32(math.sqrt(2.0))))
+        assert expect.dtype == y.values.dtype == np.float32
+        assert y.values.tobytes() == expect.tobytes()
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown pointwise kind"):

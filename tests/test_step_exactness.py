@@ -59,19 +59,30 @@ def test_spec_steps_are_bit_exact(name, mult):
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
 
 
-#: transformer_block's worst |step - layer| on the live input below; the
+#: transformer_block's worst |step - layer| on the inputs below; the
 #: equivalence tolerance is 1e-6, so this bound is stricter, never looser
 TRANSFORMER_MARGIN = 5e-7
 
 
+@pytest.mark.parametrize(
+    "batch,mult",
+    [
+        pytest.param(1, 1, id="live"),  # one full-length stream at its block_size
+        pytest.param(4, 8, id="bulk"),  # ragged rows at 8x block_size
+    ],
+)
 @pytest.mark.parametrize("seed", [0, 1])
-def test_transformer_block_keeps_its_margin(seed):
+def test_transformer_block_keeps_its_margin(seed, batch, mult):
     layer, spec = build_spec("transformer_block")
-    # one full-length stream, drawn as the benchmark's live_stream input is
+    # drawn as the benchmark's stream inputs are: row 0 full, the others ragged
     rng = np.random.default_rng([seed, 2])
-    x = Sequence.from_lengths(rng.standard_normal((1, 1024) + spec.shape, dtype=np.float32), [1024])
-    y = step_by_step(layer, x, training=False)
+    values = rng.standard_normal((batch, 1024) + spec.shape, dtype=np.float32)
+    lengths = [1024] + rng.integers(512, 1024, size=batch - 1).tolist()
+    x = Sequence.from_lengths(values, lengths)
+    y = step_by_step(layer, x, training=False, block=mult * layer.block_size)
     ref = layer.layer(x, training=False)
     assert np.array_equal(y.mask, ref.mask)
-    diff = np.abs(y.values.astype(np.float64) - ref.values.astype(np.float64))
+    diff = np.abs(
+        y.mask_invalid().values.astype(np.float64) - ref.mask_invalid().values.astype(np.float64)
+    )
     assert diff.max() <= TRANSFORMER_MARGIN
