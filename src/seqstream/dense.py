@@ -116,7 +116,8 @@ class Add(SequenceLayer):
 
 def _gelu(v):
     # a float32 divisor: a float64 one would evaluate a float32 GELU in float64
-    return (0.5 * v * (1.0 + special.erf(v / np.float32(np.sqrt(2.0))))).astype(v.dtype, copy=False)
+    erf = special.erf(v / np.float32(np.sqrt(2.0)))
+    return (0.5 * v * (1.0 + erf)).astype(v.dtype, copy=False)
 
 
 def _sigmoid(v):

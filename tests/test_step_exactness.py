@@ -65,16 +65,15 @@ TRANSFORMER_MARGIN = 5e-7
 
 
 @pytest.mark.parametrize(
-    "batch,mult",
-    [
-        pytest.param(1, 1, id="live"),  # one full-length stream at its block_size
-        pytest.param(4, 8, id="bulk"),  # ragged rows at 8x block_size
-    ],
+    "seed,batch,mult",
+    # one full-length stream at block_size, as live_stream steps it, and
+    # ragged rows at 8x block_size, as bulk_stream steps them
+    [(0, 1, 1), (1, 1, 1), (0, 4, 8), (1, 4, 8)],
+    ids=["0", "1", "bulk-0", "bulk-1"],
 )
-@pytest.mark.parametrize("seed", [0, 1])
 def test_transformer_block_keeps_its_margin(seed, batch, mult):
     layer, spec = build_spec("transformer_block")
-    # drawn as the benchmark's stream inputs are: row 0 full, the others ragged
+    # drawn as the benchmark's stream inputs are: row 0 full, the others end-padded
     rng = np.random.default_rng([seed, 2])
     values = rng.standard_normal((batch, 1024) + spec.shape, dtype=np.float32)
     lengths = [1024] + rng.integers(512, 1024, size=batch - 1).tolist()
