@@ -8,9 +8,10 @@ so output latency and input latency both equal F.
 
 The step kernel is the layer: ``layer()`` runs it once over the flushed
 sequence, and the output spec is what it returns (see
-:mod:`seqstream.layer`). It attends with ``_attend``: queries at absolute
-positions attend over keys/values at absolute positions, admitted by the
-horizon window and the key validity mask, with batched (BLAS) matmuls.
+:mod:`seqstream.layer`). It attends with ``_attend``: queries attend over
+keys/values at positions on one axis, admitted by the horizon window (which
+reads only position differences, so a call counts them back from its
+block's end) and the key validity mask, with batched (BLAS) matmuls.
 
 Memory rule: one call allocates one [B, H, Tq, S] float32 buffer, the logits
 of the query-key matmul. The refusals (keys outside the window, then invalid
@@ -26,7 +27,6 @@ Step-wise state:
   attention exactly as in ``layer()``. A bounded past P keeps the last P + F
   positions at a fixed shape; an unbounded past keeps every position seen so
   far (the one sanctioned exception to fixed-shape state);
-* ``position``: the number of input steps consumed so far;
 * ``pending_q``/``pending_mask``: the F most recent projected queries, which
   still wait for their lookahead keys: a delay line of F steps.
 
@@ -127,7 +127,7 @@ class DotProductSelfAttention(SequenceLayer):
     def _attend(self, q, q_pos, q_mask, k, v, k_pos, k_mask):
         """Masked softmax attention over one block's queries.
 
-        q [B, Tq, H, U] at absolute positions q_pos [Tq] with validity q_mask
+        q [B, Tq, H, U] at positions q_pos [Tq] with validity q_mask
         [B, Tq]; k, v [B, S, H, U] at positions k_pos [S] with validity
         k_mask [B, S]. Query t admits key s when s is valid and
         t - past <= s <= t + future. Invalid queries produce zeros.
@@ -153,7 +153,6 @@ class DotProductSelfAttention(SequenceLayer):
             "keys": np.zeros((batch_size, cache_len, h, u), np.float32),
             "values": np.zeros((batch_size, cache_len, h, u), np.float32),
             "key_mask": np.zeros((batch_size, cache_len), bool),
-            "position": 0,
             "pending_q": np.zeros((batch_size, f, h, u), np.float32),
             "pending_mask": np.zeros((batch_size, f), bool),
         }
@@ -163,21 +162,19 @@ class DotProductSelfAttention(SequenceLayer):
     def _step_arrays(self, values, mask, state, training, constants):
         q, k, v = self._project(values)
         time = values.shape[1]
-        end = state["position"] + time
         cache = (state["keys"], state["values"], state["key_mask"])
         (keys, values, key_mask), cache = shift_in(cache, (k, v, mask), self.unbounded_past)
         pending = (state["pending_q"], state["pending_mask"])
         (queries, query_mask), pending = shift_in(pending, (q, mask))
         # the oldest `time` queries have all their lookahead keys now
-        q_pos = np.arange(end - queries.shape[1], end - self.max_future_horizon)
-        k_pos = np.arange(end - keys.shape[1], end)
+        q_pos = np.arange(-queries.shape[1], -self.max_future_horizon)
+        k_pos = np.arange(-keys.shape[1], 0)
         out_mask = query_mask[:, :time]
         context = self._attend(queries[:, :time], q_pos, out_mask, keys, values, k_pos, key_mask)
         new_state = {
             "keys": cache[0],
             "values": cache[1],
             "key_mask": cache[2],
-            "position": end,
             "pending_q": pending[0],
             "pending_mask": pending[1],
         }

@@ -20,15 +20,7 @@ import sys
 from fractions import Fraction
 
 from . import params as params_lib
-from .errors import (
-    BlockSizeError,
-    MissingConstantError,
-    NotSteppableError,
-    PipelineError,
-    ShapeMismatchError,
-    SpecMismatchError,
-    SpecParseError,
-)
+from .errors import NotSteppableError, PipelineError
 from .layer import check_metadata
 from .pipeline import (
     build,
@@ -216,17 +208,9 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except (
-        PipelineError,
-        SpecParseError,
-        BlockSizeError,
-        NotSteppableError,
-        SpecMismatchError,
-        ShapeMismatchError,
-        MissingConstantError,
-        FileNotFoundError,
-        ValueError,
-    ) as exc:
+    # every library error but NotSteppableError is a ValueError; an unreadable
+    # path is an OSError
+    except (ValueError, NotSteppableError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
 

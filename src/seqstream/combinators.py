@@ -31,7 +31,7 @@ is canonicalized: an int input plus a float branch adds to float32, and a
 mean is never cast back to the first branch's dtype. A mean adds bool
 branches as float32, so it counts them rather than or-ing them.
 
-Stepping runs a plan, not a walk of the tree. On its first step a Serial,
+Stepping runs a plan, not a walk of the tree. On first use a Serial,
 Repeat, Blockwise, Parallel or Residual lowers its subtree once into a
 cached :class:`_StepPlan`: the children of nested Serials are inlined into
 one run of leaf steps, and each nested Parallel or Residual becomes its
@@ -45,10 +45,16 @@ its own. A leaf runs its
 array kernel (see :mod:`seqstream.layer`), or else its public
 ``step_with_emits``: a leaf that overrides ``step`` or ``step_with_emits``
 (``Emit``) does, and so does one with a ``step`` set on the instance, such
-as a tracing wrapper (looked up per call). When no leaf emits, the emits
-tree is the same constant on every step. States and emits keep the nesting
-of the tree: a Serial's state is the tuple of its children's, a Parallel's
-is (children's states, StepDelay states).
+as a tracing wrapper (looked up per call). Emits keep the nesting of the
+tree; when no leaf emits, the emits tree is the same constant on every step.
+
+A composite's state is one flat tuple: the states of the leaves its plan
+steps, in slot order. A leaf, or a composite that steps itself, fills one
+slot; an inlined Serial, Repeat, Blockwise, Parallel or Residual contributes
+its own state as a contiguous run. A Parallel's aligning StepDelay follows
+its branch's run and gets a slot only when its length is > 0. The plan's
+initial-state walk derives each register's spec once, so a stream start
+derives each leaf's spec once.
 """
 
 from __future__ import annotations
@@ -147,24 +153,13 @@ def _combine(arrays, masks, mode: str):
             values = values + a
         if mode == "mean":
             values = values / np.float32(len(arrays))
-    if values.dtype not in tensor.DTYPES:
-        # numpy promotes the branch dtypes (an int mean to float64); canonicalize
-        values = values.astype(tensor.canonical_dtype(values.dtype))
-    return values, mask
+    # numpy promotes the branch dtypes (an int mean to float64); canonicalize
+    return tensor.canonical(values), mask
 
 
 def _combine_outputs(outputs, mode: str) -> Sequence:
     values, mask = _combine([y.values for y in outputs], [y.mask for y in outputs], mode)
     return Sequence._wrap(values, mask)
-
-
-def _flatten(layout, tree, flat):
-    """Writes the leaves of a nested state into their slots of ``flat``."""
-    for sub, part in zip(layout, tree):
-        if isinstance(sub, int):
-            flat[sub] = part
-        else:
-            _flatten(sub, part, flat)
 
 
 def _unflatten(layout, flat):
@@ -175,12 +170,8 @@ def _unflatten(layout, flat):
 class _StepPlan:
     """A composite's subtree lowered once for stepping (see the module docstring).
 
-    For the length of a step, leaf states live in numbered slots of a flat
-    list. ``layout`` maps the nested composite state onto them, and
-    ``emits_layout`` the nested emits: a leaf is its slot, a Serial the
-    tuple of its children's layouts. A Parallel's state layout is
-    ``(child layouts, delay slots)``, the slots of the StepDelay that aligns
-    each branch; its emits layout is its child layouts alone.
+    ``emits_layout`` maps the nested emits onto the leaf slots: a leaf is
+    its slot, a Serial or Parallel the tuple of its children's layouts.
 
     ``ops`` run in order. Each reads a register, a list that starts as
     [input block], and appends its output. A register is ``[values, mask,
@@ -201,9 +192,7 @@ class _StepPlan:
     def __init__(self, composite):
         self.ops = []
         self.num_slots = 0
-        self.layout, self.emits_layout, self.out = self._lower_composite(composite, 0)
-        #: a Serial of leaves, whose state tuple is the flat list itself
-        self.flat = self.layout == tuple(range(self.num_slots))
+        self.emits_layout, self.out = self._lower_composite(composite, 0)
         emitting = any(
             type(op[0]).step_with_emits is not SequenceLayer.step_with_emits
             for op in self.ops
@@ -214,54 +203,61 @@ class _StepPlan:
             None if emitting else _unflatten(self.emits_layout, [EMPTY_EMITS] * self.num_slots)
         )
 
-    def _slot(self):
-        self.num_slots += 1
-        return self.num_slots - 1
-
     def _lower(self, node, src):
         """Appends the ops that step ``node`` on register ``src``; returns
-        (its state layout, its emits layout, its output register)."""
+        (its emits layout, its output register)."""
         cls = type(node)
         # inlined: a Serial, Repeat, Blockwise, Parallel or Residual, unless it
         # is a subclass that steps itself
         if cls.step_with_emits is _Composite.step_with_emits:
             return self._lower_composite(node, src)
-        slot = self._slot()
+        slot = self.num_slots
+        self.num_slots += 1
         inherits = cls.step is SequenceLayer.step
         inherits = inherits and cls.step_with_emits is SequenceLayer.step_with_emits
         kernel = node._step_arrays if inherits else None
         self.ops.append((node, slot, src, kernel, node._masks_step_input, vars(node)))
-        return slot, slot, len(self.ops)
+        return slot, len(self.ops)
 
     def _lower_composite(self, node, src):
+        layouts = []
         if not isinstance(node, Parallel):
-            layouts, emits_layouts = [], []
             for child in node.children:
-                layout, emits_layout, src = self._lower(child, src)
+                layout, src = self._lower(child, src)
                 layouts.append(layout)
-                emits_layouts.append(emits_layout)
-            return tuple(layouts), tuple(emits_layouts), src
-        layouts, emits_layouts, outputs, delay_slots = [], [], [], []
+            return tuple(layouts), src
+        outputs = []
         for child, delay in zip(node.children, node._delays):
-            layout, emits_layout, out = self._lower(child, src)
+            layout, out = self._lower(child, src)
             if delay.length:
-                slot, _, out = self._lower(delay, out)
-            else:
-                slot = self._slot()
+                _, out = self._lower(delay, out)
             layouts.append(layout)
-            emits_layouts.append(emits_layout)
             outputs.append(out)
-            delay_slots.append(slot)
         self.ops.append((None, tuple(outputs), node.combine))
-        return (tuple(layouts), tuple(delay_slots)), tuple(emits_layouts), len(self.ops)
+        return tuple(layouts), len(self.ops)
+
+    def initial_state(self, batch_size, input_spec, training, constants):
+        """The composite's initial state: each leaf op's, in slot order, for
+        the spec its input register carries. One walk derives every
+        register's spec once."""
+        specs, states = [input_spec], []
+        for op in self.ops:
+            leaf = op[0]
+            if leaf is None:
+                arrays = [np.zeros((1, 0) + specs[src].shape, specs[src].dtype) for src in op[1]]
+                values, _ = _combine(arrays, [np.zeros((1, 0), bool)] * len(arrays), op[2])
+                specs.append(ChannelSpec(values.shape[2:], values.dtype))
+                continue
+            spec = specs[op[2]]
+            states.append(
+                leaf.get_initial_state(batch_size, spec, training=training, constants=constants)
+            )
+            specs.append(leaf.get_output_spec(spec, constants))
+        return tuple(states)
 
     def run(self, x, state, training, constants):
-        """(output, next state, emits) of one step, nested as the composite's."""
-        if self.flat:
-            states = list(state)
-        else:
-            states = [None] * self.num_slots
-            _flatten(self.layout, state, states)
+        """(output, next state, emits) of one step; emits nested as the composite's."""
+        states = list(state)
         regs = [[x.values, x.mask, x, None]]
         emits = None if self.emits is not None else [EMPTY_EMITS] * self.num_slots
         for op in self.ops:
@@ -292,8 +288,7 @@ class _StepPlan:
         out = regs[self.out]
         y = out[2] if out[2] is not None else Sequence._wrap(out[0], out[1])
         step_emits = self.emits if emits is None else _unflatten(self.emits_layout, emits)
-        state = tuple(states) if self.flat else _unflatten(self.layout, states)
-        return y, state, step_emits
+        return y, tuple(states), step_emits
 
 
 def _zeroed(reg):
@@ -305,7 +300,7 @@ def _zeroed(reg):
 
 class _Composite(Emitting):
     """Serial and Parallel: an emitting layer over a tuple of children,
-    stepped through a :class:`_StepPlan` built on its first step."""
+    stepped through a :class:`_StepPlan` built on first use."""
 
     @property
     def children(self):
@@ -316,8 +311,17 @@ class _Composite(Emitting):
         return any(c.is_stochastic for c in self._children)
 
     @cached_property
+    def supports_step(self):
+        return self._unsteppable is None
+
+    @cached_property
     def _plan(self):
         return _StepPlan(self)
+
+    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
+        if self._unsteppable is not None:
+            raise NotSteppableError(f"{self.name}: {self._unsteppable}")
+        return self._plan.initial_state(batch_size, input_spec, training, constants)
 
     def step_with_emits(self, x, state, *, training, constants=None):
         self._check_block(x)
@@ -391,10 +395,6 @@ class Serial(_Composite):
             return f"children {bad} cannot be stepped"
         return self._forward_output_latency[1]
 
-    @cached_property
-    def supports_step(self):
-        return self._unsteppable is None
-
     def output_time(self, input_time):
         time = input_time
         for child in self._children:
@@ -413,18 +413,6 @@ class Serial(_Composite):
             x, e = child.layer_with_emits(x, training=training, constants=constants)
             emits.append(e)
         return x, tuple(emits)
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        if self._unsteppable is not None:
-            raise NotSteppableError(f"{self.name}: {self._unsteppable}")
-        states = []
-        spec = input_spec
-        for child in self._children:
-            states.append(
-                child.get_initial_state(batch_size, spec, training=training, constants=constants)
-            )
-            spec = child.get_output_spec(spec, constants)
-        return tuple(states)
 
 
 class Parallel(_Composite):
@@ -469,8 +457,11 @@ class Parallel(_Composite):
         return union_rf_maps(maps, [c.output_ratio for c in self._children])
 
     @cached_property
-    def supports_step(self):
-        return all(c.supports_step for c in self._children)
+    def _unsteppable(self):
+        """Why this Parallel cannot be stepped, or None."""
+        if not all(c.supports_step for c in self._children):
+            return "some children cannot be stepped"
+        return None
 
     @cached_property
     def _delays(self):
@@ -486,21 +477,6 @@ class Parallel(_Composite):
             for c in self._children
         ]
         return _combine_outputs([p[0] for p in pairs], self.combine), tuple(p[1] for p in pairs)
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        if not self.supports_step:
-            raise NotSteppableError(f"{self.name}: some children cannot be stepped")
-        child_states = tuple(
-            c.get_initial_state(batch_size, input_spec, training=training, constants=constants)
-            for c in self._children
-        )
-        delay_states = tuple(
-            delay.get_initial_state(
-                batch_size, c.get_output_spec(input_spec, constants), training=training
-            )
-            for c, delay in zip(self._children, self._delays)
-        )
-        return (child_states, delay_states)
 
 
 class Residual(Parallel):
@@ -607,7 +583,8 @@ class Bidirectional(SequenceLayer):
 
 class Blockwise(Serial):
     """Re-clocks a steppable child to a larger block size: a one-child Serial
-    whose block is ``block_size``, so its state is ``(child state,)``.
+    whose block is ``block_size``, so its state is its child's slots:
+    ``(child state,)`` for a leaf child.
 
     layer() steps it block by block (bounding peak memory by the block
     size), flushed and trimmed per the latency protocol. Its emits are its

@@ -100,7 +100,7 @@ class Scale(SequenceLayer):
         self.value = np.asarray(value, dtype=np.float32)
 
     def _step_arrays(self, values, mask, state, training, constants):
-        return tensor.tensor(values * self.value), mask, state
+        return tensor.canonical(values * self.value), mask, state
 
 
 class Add(SequenceLayer):
@@ -111,7 +111,7 @@ class Add(SequenceLayer):
         self.value = np.asarray(value, dtype=np.float32)
 
     def _step_arrays(self, values, mask, state, training, constants):
-        return tensor.tensor(values + self.value), mask, state
+        return tensor.canonical(values + self.value), mask, state
 
 
 def _gelu(v):
@@ -167,7 +167,7 @@ class Pointwise(SequenceLayer):
     def _step_arrays(self, values, mask, state, training, constants):
         if values.dtype.kind != "f" and not self._allows_int:
             raise SpecMismatchError(f"{self.name}: float input required, got {values.dtype}")
-        return tensor.tensor(self._fn(values)), mask, state
+        return tensor.canonical(self._fn(values)), mask, state
 
 
 class Softmax(SequenceLayer):

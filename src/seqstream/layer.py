@@ -7,12 +7,14 @@ Every layer processes sequences two ways and the two must agree:
   consume the sequence in blocks whose time extent is a positive multiple of
   the layer's ``block_size``, threading all memory through the returned state.
 
-State is an explicit tree of plain data: the empty tuple, read-only arrays,
+State is an explicit value of plain data: the empty tuple, read-only arrays,
 tuples, dicts, or an integer count of the steps consumed, as in ``Dropout``
 and ``Lookahead``. It holds no Sequences: a history of past steps is a
 ``(values, mask)`` pair, or arrays in a dict, that
-:func:`seqstream.sequence.shift_in` advances. No layer keeps memory on
-itself. A layer with lookahead emits invalid placeholder steps until enough
+:func:`seqstream.sequence.shift_in` advances. A composite's state is the flat
+tuple of the states of the leaves its step plan steps, in slot order; a
+nested Serial or Parallel contributes its own flat tuple as a contiguous run
+(see :mod:`seqstream.combinators`). No layer keeps memory on itself. A layer with lookahead emits invalid placeholder steps until enough
 input has arrived; callers flush it with ``input_latency`` invalid inputs
 and drop the first ``output_latency`` outputs (see
 :func:`seqstream.streaming.step_by_step`).

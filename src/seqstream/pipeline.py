@@ -51,7 +51,15 @@ import yaml
 
 from . import dense, recurrent, sabotage, temporal
 from .attention import DotProductSelfAttention
-from .combinators import Bidirectional, Blockwise, Parallel, Repeat, Residual, Serial
+from .combinators import (
+    COMBINE_MODES,
+    Bidirectional,
+    Blockwise,
+    Parallel,
+    Repeat,
+    Residual,
+    Serial,
+)
 from .errors import PipelineError, SpecParseError
 from .layer import SequenceLayer, renamed
 from .sequence import ChannelSpec
@@ -242,7 +250,7 @@ _USE_BIAS = Field("use_bias", "bool", default=True)
 _EPSILON = Field("epsilon", "float", default=1e-6)
 _FRAMING = (Field("frame_length", "int", required=True), Field("hop", "int", required=True))
 _POOLING = (Field("window", "int", required=True), _STRIDE, _PADDING)
-_COMBINE = Field("combine", "str", default="stack", choices=("stack", "concat", "add", "mean"))
+_COMBINE = Field("combine", "str", default="stack", choices=COMBINE_MODES)
 
 _LEAVES = {
     "identity": _leaf(dense.Identity),
@@ -449,7 +457,7 @@ def load_spec_file(path) -> tuple[Any, ChannelSpec | None]:
     return data, None
 
 
-_DTYPE_NAMES = {"f32": tensor.FLOAT32, "i32": tensor.INT32, "bool": tensor.BOOL}
+_DTYPES_BY_NAME = {name: dtype for dtype, name in tensor.DTYPE_NAMES.items()}
 
 
 def parse_channel_spec(text) -> ChannelSpec:
@@ -460,16 +468,16 @@ def parse_channel_spec(text) -> ChannelSpec:
     if "[" not in text or not text.endswith("]"):
         raise PipelineError(f"bad channel spec {text!r}; expected e.g. 'f32[8]'")
     dtype_name, dims = text[:-1].split("[", 1)
-    if dtype_name not in _DTYPE_NAMES:
+    if dtype_name not in _DTYPES_BY_NAME:
         raise PipelineError(
-            f"bad channel spec dtype {dtype_name!r}; expected one of {sorted(_DTYPE_NAMES)}"
+            f"bad channel spec dtype {dtype_name!r}; expected one of {sorted(_DTYPES_BY_NAME)}"
         )
     dims = [d.strip() for d in dims.split(",") if d.strip() != ""]
     if not all(d.isascii() and d.isdigit() for d in dims):
         raise PipelineError(
             f"input_spec: bad channel spec {text!r}; dimensions must be non-negative integers"
         )
-    return ChannelSpec(tuple(int(d) for d in dims), _DTYPE_NAMES[dtype_name])
+    return ChannelSpec(tuple(int(d) for d in dims), _DTYPES_BY_NAME[dtype_name])
 
 
 def load_manifest(path) -> RunManifest:

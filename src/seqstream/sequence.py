@@ -56,8 +56,7 @@ class ChannelSpec:
         object.__setattr__(self, "dtype", tensor.canonical_dtype(self.dtype))
 
     def __str__(self) -> str:
-        names = {tensor.FLOAT32: "f32", tensor.INT32: "i32", tensor.BOOL: "bool"}
-        return f"{names[self.dtype]}[{','.join(str(d) for d in self.shape)}]"
+        return f"{tensor.DTYPE_NAMES[self.dtype]}[{','.join(str(d) for d in self.shape)}]"
 
 
 def zero_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:

@@ -567,7 +567,7 @@ class Window(SequenceLayer):
         shape = [1] * values.ndim
         shape[2 + axis] = channel_shape[axis]
         curve = curve.reshape(shape)
-        return tensor.tensor((values * curve).astype(values.dtype)), mask, state
+        return (values * curve).astype(values.dtype, copy=False), mask, state
 
 
 class OverlapAdd(SequenceLayer):

@@ -5,8 +5,9 @@ bool), made read-only at creation so they behave as immutable values.
 
 :func:`tensor` is the validating edge: it canonicalizes the dtype and copies
 any input that is, or is a view of, a writeable array, so a caller's array is
-never frozen or aliased. Arrays the library allocates itself skip it and are
-frozen in place with :func:`freeze` (directly, or through ``Sequence._wrap``).
+never frozen or aliased. Arrays the library allocates itself skip it: a kernel
+canonicalizes its fresh result with :func:`canonical`, and they are frozen in
+place with :func:`freeze` (directly, or through ``Sequence._wrap``).
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
@@ -38,6 +39,9 @@ BOOL = np.dtype(np.bool_)
 #: Supported dtypes.
 DTYPES = (BOOL, INT32, FLOAT32)
 
+#: each supported dtype's name in a channel spec string such as ``f32[8]``
+DTYPE_NAMES = {FLOAT32: "f32", INT32: "i32", BOOL: "bool"}
+
 _DTYPE_CODES = {FLOAT32: 0, INT32: 1, BOOL: 2}
 _CODE_DTYPES = {v: k for k, v in _DTYPE_CODES.items()}
 
@@ -56,6 +60,15 @@ def canonical_dtype(dtype) -> np.dtype:
     if dt.kind == "b":
         return BOOL
     raise TypeError(f"unsupported dtype {dt}; expected one of {[str(d) for d in DTYPES]}")
+
+
+def canonical(arr: np.ndarray) -> np.ndarray:
+    """``arr`` itself when its dtype is supported, else a copy cast to its
+    canonical dtype: for an array the library just computed, which needs no
+    validating copy."""
+    if arr.dtype in DTYPES:
+        return arr
+    return arr.astype(canonical_dtype(arr.dtype))
 
 
 def freeze(arr: np.ndarray) -> np.ndarray:

@@ -245,6 +245,8 @@ class TestAttentionStep:
         shapes = {k: np.shape(v) for k, v in state.items() if isinstance(v, np.ndarray)}
         for _ in range(4):
             _, state = layer.step(x, state, training=False)
+            # the window reads relative positions only: no position counter
+            assert list(state) == ["keys", "values", "key_mask", "pending_q", "pending_mask"]
             for key, shape in shapes.items():
                 assert np.shape(state[key]) == shape, key
         assert not layer.state_grows

@@ -283,3 +283,17 @@ def test_softmax_on_bool_input_exits_2(workdir, capsys, command):
     else:
         code = run_cli(workdir, command, input_name="b.sls")
     assert "softmax: float input required, got bool" in assert_usage_error(capsys, code)
+
+
+@pytest.mark.parametrize("where", ["spec", "manifest", "input"])
+def test_a_directory_for_a_path_exits_2(workdir, capsys, where):
+    """An unreadable path is a usage error: one line, no traceback."""
+    folder = workdir / "folder"
+    folder.mkdir()
+    if where == "spec":
+        code = cli.main(["describe", "--spec", str(folder)])
+    elif where == "manifest":
+        code = cli.main(["run", "--spec", str(workdir / "spec.yaml"), "--manifest", str(folder)])
+    else:
+        code = run_cli(workdir, "run", input_name="folder")
+    assert_usage_error(capsys, code)

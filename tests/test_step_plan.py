@@ -18,39 +18,59 @@ from conftest import build_spec
 SPECS = ("conv_stack", "streaming_encoder", "transformer_block", "mixed_resample")
 
 
-def reference_step(layer, x, state, *, training, constants=None):
-    """(output, state, emits) of one step, walking Serial/Parallel recursively."""
-    if type(layer).step_with_emits is not _Composite.step_with_emits:
-        return layer.step_with_emits(x, state, training=training, constants=constants)
+def inlined(layer):
+    """Whether a parent's plan inlines ``layer``: a composite that does not step itself."""
+    return type(layer).step_with_emits is _Composite.step_with_emits
+
+
+def slot_count(layer):
+    """The slots ``layer`` fills in its parent's flat state: one for a leaf or
+    a composite that steps itself, else its children's, plus one per
+    aligning delay line of a Parallel."""
+    if not inlined(layer):
+        return 1
     if isinstance(layer, sl.Parallel):
-        layer._check_block(x)
-        child_states, fifos = state
-        outputs, new_states, new_fifos, emits = [], [], [], []
-        for child, child_state, fifo in zip(layer.children, child_states, fifos):
-            y, child_state, e = reference_step(
-                child, x, child_state, training=training, constants=constants
-            )
-            if fifo[0].shape[1]:
+        delayed = sum(c.output_latency < layer.output_latency for c in layer.children)
+        return delayed + sum(slot_count(c) for c in layer.children)
+    return sum(slot_count(c) for c in layer.children)
+
+
+def reference_step(layer, x, state, *, training, constants=None):
+    """(output, flat state, emits) of one step, walking Serial/Parallel
+    recursively: an inlined child takes its run of ``slot_count`` slots of
+    ``state``, a leaf its one slot."""
+    if not inlined(layer):
+        return layer.step_with_emits(x, state, training=training, constants=constants)
+    layer._check_block(x)
+    rest, new_state, emits = list(state), [], []
+
+    def step_child(child, x):
+        n = slot_count(child)
+        part = tuple(rest[:n]) if inlined(child) else rest[0]
+        del rest[:n]
+        y, part, e = reference_step(child, x, part, training=training, constants=constants)
+        new_state.extend(part if inlined(child) else (part,))
+        emits.append(e)
+        return y
+
+    if isinstance(layer, sl.Parallel):
+        outputs = []
+        for child in layer.children:
+            y = step_child(child, x)
+            if child.output_latency < layer.output_latency:
                 # the aligning delay line, written out: the fifo then the output
+                fifo = rest.pop(0)
                 line = [np.concatenate(pair, axis=1) for pair in zip(fifo, (y.values, y.mask))]
-                fifo = tuple(tensor.freeze(a[:, y.time :]) for a in line)
+                new_state.append(tuple(tensor.freeze(a[:, y.time :]) for a in line))
                 y = Sequence._wrap(line[0][:, : y.time], line[1][:, : y.time])
             # the combine zeroes the aligned branch output
             outputs.append(y.mask_invalid())
-            new_fifos.append(fifo)
-            new_states.append(child_state)
-            emits.append(e)
-        combined = _combine_outputs(outputs, layer.combine)
-        return combined, (tuple(new_states), tuple(new_fifos)), tuple(emits)
-    layer._check_block(x)
-    new_states, emits = [], []
-    for child, child_state in zip(layer.children, state):
-        x, child_state, e = reference_step(
-            child, x, child_state, training=training, constants=constants
-        )
-        new_states.append(child_state)
-        emits.append(e)
-    return x, tuple(new_states), tuple(emits)
+        x = _combine_outputs(outputs, layer.combine)
+    else:
+        for child in layer.children:
+            x = step_child(child, x)
+    assert not rest, "state has more slots than the tree"
+    return x, tuple(new_state), tuple(emits)
 
 
 def assert_identical(a, b, where="root"):
@@ -261,4 +281,94 @@ def test_a_parallel_delays_exactly_its_faster_branches_by_step_delay_ops():
     # branch latencies 1, 0 and 2: the first two are delayed by 1 and 2
     delays = [op[0].length for op in layer._plan.ops if isinstance(op[0], sl.StepDelay)]
     assert delays == [1, 2]
-    assert [line[0].shape[1] for line in state[1]] == [1, 2, 0]
+    # slots: conv, its delay, identity, its delay, lookahead; none for a 0 delay
+    assert len(state) == 5
+    assert [state[1][0].shape[1], state[3][0].shape[1]] == [1, 2]
+
+
+def state_rule_trees():
+    rng = np.random.default_rng(9)
+    conv = lambda: sl.Conv1D(3, 3, 3, padding="same", rng=rng)  # noqa: E731
+    return {
+        "serial_in_serial": sl.Serial(
+            [sl.Dense(3, 3, rng=rng), sl.Serial([conv(), sl.LSTM(3, 3, rng=rng)]), sl.Delay(1)]
+        ),
+        "residual_in_serial": sl.Serial([sl.Delay(2), sl.Residual([conv(), sl.Lookahead(1)])]),
+        # branch latencies 1, 0 and 2 against 2: delays 1, 2 and 0
+        "parallel_delays_1_2_0": sl.Serial(
+            [sl.Parallel([conv(), sl.Identity(), sl.Lookahead(2)], combine="add"), sl.Delay(1)]
+        ),
+        "blockwise_residual": sl.Serial(
+            [sl.Blockwise(sl.Residual([conv(), sl.Dropout(0.2, seed=1)]), 2), sl.Identity()]
+        ),
+    }
+
+
+def child_runs(layer, spec, start=0):
+    """(composite, its input spec, its first slot) of every inlined composite
+    below ``layer``, whose slots begin at ``start``."""
+    for child in layer.children:
+        if isinstance(layer, sl.Parallel):
+            child_spec = spec
+        else:
+            child_spec, spec = spec, child.get_output_spec(spec)
+        if inlined(child):
+            yield child, child_spec, start
+            yield from child_runs(child, child_spec, start)
+        start += slot_count(child)
+        if isinstance(layer, sl.Parallel) and child.output_latency < layer.output_latency:
+            start += 1
+
+
+@pytest.mark.parametrize("training", [False, True])
+@pytest.mark.parametrize("name", sorted(state_rule_trees()))
+def test_a_composite_state_is_the_flat_tuple_of_its_leaf_states(name, training):
+    layer = state_rule_trees()[name]
+    state = layer.get_initial_state(2, F32, training=training)
+    leaf_ops = [op for op in layer._plan.ops if op[0] is not None]
+    assert isinstance(state, tuple) and len(state) == len(leaf_ops) == slot_count(layer)
+    assert [op[1] for op in leaf_ops] == list(range(len(state)))
+    runs = list(child_runs(layer, F32))
+    assert runs, "the tree inlines no composite"
+    for child, spec, start in runs:
+        own = child.get_initial_state(2, spec, training=training)
+        assert_identical(own, state[start : start + len(own)], child.name)
+        assert len(own) == slot_count(child), child.name
+
+
+def test_a_stream_start_with_constants_runs_each_leaf_kernel_once_on_an_empty_block():
+    """A stream start steps nothing: every kernel call is the one ``layer()``
+    over an empty sequence that derives the leaf's output spec."""
+    rng = np.random.default_rng(6)
+    layer = sl.Serial(
+        [
+            sl.Dense(3, 3, rng=rng),
+            sl.Serial(
+                [
+                    sl.Conditioning("c", "add"),
+                    sl.Residual([sl.Serial([sl.Conv1D(3, 3, 3, rng=rng), sl.Lookahead(1)])]),
+                ]
+            ),
+            sl.Identity(),
+        ]
+    )
+    nodes = [layer]
+    for node in nodes:
+        nodes.extend(node.children)
+        if isinstance(node, sl.Parallel):
+            nodes.extend(delay for delay in node._delays if delay.length)
+    leaves = [node for node in nodes if not node.children]
+    calls = {id(leaf): 0 for leaf in leaves}
+    for leaf in leaves:
+        kernel = leaf._step_arrays
+
+        def counting(*args, _leaf=leaf, _kernel=kernel):
+            calls[id(_leaf)] += 1
+            return _kernel(*args)
+
+        leaf._step_arrays = counting
+    constants = {"c": Sequence.from_values(np.ones((2, 8, 3), np.float32))}
+    layer.get_initial_state(2, F32, training=False, constants=constants)
+    # Dense, Conditioning, Conv1D, Lookahead, the shortcut, its delay and Identity
+    assert len(leaves) == 7
+    assert [calls[id(leaf)] for leaf in leaves] == [1] * len(leaves)
