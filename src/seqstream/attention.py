@@ -124,13 +124,12 @@ class DotProductSelfAttention(SequenceLayer):
         qkv = qkv.reshape(batch, time, 3, self.num_heads, self.units_per_head)
         return qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
 
-    def _attend(self, q, q_pos, q_mask, k, v, k_pos, k_mask):
+    def _attend(self, q, q_pos, k, v, k_pos, k_mask):
         """Masked softmax attention over one block's queries.
 
-        q [B, Tq, H, U] at positions q_pos [Tq] with validity q_mask
-        [B, Tq]; k, v [B, S, H, U] at positions k_pos [S] with validity
-        k_mask [B, S]. Query t admits key s when s is valid and
-        t - past <= s <= t + future. Invalid queries produce zeros.
+        q [B, Tq, H, U] at positions q_pos [Tq]; k, v [B, S, H, U] at
+        positions k_pos [S] with validity k_mask [B, S]. Query t admits key
+        s when s is valid and t - past <= s <= t + future.
         """
         logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)  # [B, H, Tq, S]
         refused = np.less.outer(q_pos + self.max_future_horizon, k_pos)  # [Tq, S]
@@ -144,7 +143,8 @@ class DotProductSelfAttention(SequenceLayer):
         weights = np.exp(np.subtract(logits, peak, out=logits), out=logits)
         denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
         context = (weights @ v.transpose(0, 2, 1, 3)) / denom  # [B, H, Tq, U]
-        return np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
+        # one contiguous copy: Flatten would copy a transposed view twice
+        return np.ascontiguousarray(context.transpose(0, 2, 1, 3))
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         h, u, f = self.num_heads, self.units_per_head, self.max_future_horizon
@@ -169,8 +169,7 @@ class DotProductSelfAttention(SequenceLayer):
         # the oldest `time` queries have all their lookahead keys now
         q_pos = np.arange(-queries.shape[1], -self.max_future_horizon)
         k_pos = np.arange(-keys.shape[1], 0)
-        out_mask = query_mask[:, :time]
-        context = self._attend(queries[:, :time], q_pos, out_mask, keys, values, k_pos, key_mask)
+        context = self._attend(queries[:, :time], q_pos, keys, values, k_pos, key_mask)
         new_state = {
             "keys": cache[0],
             "values": cache[1],
@@ -178,4 +177,4 @@ class DotProductSelfAttention(SequenceLayer):
             "pending_q": pending[0],
             "pending_mask": pending[1],
         }
-        return context, out_mask, new_state
+        return context, query_mask[:, :time], new_state

@@ -35,18 +35,18 @@ Stepping runs a plan, not a walk of the tree. On first use a Serial,
 Repeat, Blockwise, Parallel or Residual lowers its subtree once into a
 cached :class:`_StepPlan`: the children of nested Serials are inlined into
 one run of leaf steps, and each nested Parallel or Residual becomes its
-branches, their aligning StepDelays and one op that masks the branch
-outputs and combines them. One executor runs the plan over raw (values,
-mask) registers. No register vouches for its invalid steps: an op that
-reads them (a leaf with ``_masks_step_input``, or a combine) zeroes them,
-at most once per register. Only the composite being stepped checks its
-block; every check of a composite or a leaf block inside it is implied by
-its own. A leaf runs its
-array kernel (see :mod:`seqstream.layer`), or else its public
-``step_with_emits``: a leaf that overrides ``step`` or ``step_with_emits``
-(``Emit``) does, and so does one with a ``step`` set on the instance, such
-as a tracing wrapper (looked up per call). Emits keep the nesting of the
-tree; when no leaf emits, the emits tree is the same constant on every step.
+branches, their aligning StepDelays and one op that combines the branch
+outputs. One executor runs the plan over raw (values, mask) registers. No
+register vouches for its invalid steps: a leaf whose kernel reads them
+(``_masks_step_input``) gets them zeroed, and a combine needs none zeroed,
+since a combined step is invalid wherever a branch step is. Only the
+composite being stepped checks its block; every check of a composite or a
+leaf block inside it is implied by its own. A leaf runs its array kernel
+(see :mod:`seqstream.layer`), or else its public ``step_with_emits``: a
+leaf that overrides ``step`` or ``step_with_emits`` (``Emit``) does, and so
+does one with a ``step`` set on the instance, such as a tracing wrapper
+(looked up per call). Emits keep the nesting of the tree; when no leaf
+emits, the emits tree is the same constant on every step.
 
 A composite's state is one flat tuple: the states of the leaves its plan
 steps, in slot order. A leaf, or a composite that steps itself, fills one
@@ -173,20 +173,17 @@ class _StepPlan:
     ``emits_layout`` maps the nested emits onto the leaf slots: a leaf is
     its slot, a Serial or Parallel the tuple of its children's layouts.
 
-    ``ops`` run in order. Each reads a register, a list that starts as
-    [input block], and appends its output. A register is ``[values, mask,
-    Sequence, zeroed values]``; the last two are None until needed: the
-    Sequence is built only for a leaf called through its public
-    ``step_with_emits``, the zeroed values only for an op that reads
-    invalid steps. A leaf op ``(leaf, slot, src, kernel, zeroes,
-    attrs)`` steps ``leaf`` on register ``src`` with the state in ``slot``.
-    It runs ``kernel``, its bound ``_step_arrays``, on zeroed values when
+    ``ops`` run in order. Each reads a register, a ``(values, mask)`` pair
+    in a list that starts with the input block's, and appends its output's.
+    A leaf op ``(leaf, slot, src, kernel, zeroes, attrs)`` steps ``leaf``
+    on register ``src`` with the state in ``slot``. It runs ``kernel``, its
+    bound ``_step_arrays``, zeroing the invalid input steps first when
     ``zeroes``; a leaf that steps itself has no kernel, and neither does
     one with a ``step`` in ``attrs``, its instance dict, such as a tracing
-    wrapper. Such a leaf is called through ``step_with_emits``, whose emits
-    go in ``slot`` of the flat emits. A branch op ``(None, srcs, combine)``
-    ends a Parallel: it zeroes the (aligned) branch outputs in ``srcs`` and
-    combines them.
+    wrapper. Such a leaf is called through ``step_with_emits`` on the
+    register wrapped as a Sequence, and its emits go in ``slot`` of the
+    flat emits. A branch op ``(None, srcs, combine)`` ends a Parallel: it
+    combines the (aligned) branch outputs in ``srcs``.
     """
 
     def __init__(self, composite):
@@ -258,44 +255,31 @@ class _StepPlan:
     def run(self, x, state, training, constants):
         """(output, next state, emits) of one step; emits nested as the composite's."""
         states = list(state)
-        regs = [[x.values, x.mask, x, None]]
+        regs = [(x.values, x.mask)]
         emits = None if self.emits is not None else [EMPTY_EMITS] * self.num_slots
         for op in self.ops:
             leaf = op[0]
             if leaf is None:
-                arrays = [_zeroed(regs[src]) for src in op[1]]
-                masks = [regs[src][1] for src in op[1]]
-                regs.append([*_combine(arrays, masks, op[2]), None, None])
+                arrays, masks = zip(*[regs[src] for src in op[1]])
+                regs.append(_combine(arrays, masks, op[2]))
                 continue
             _, slot, src, kernel, zeroes, attrs = op
-            reg = regs[src]
+            values, mask = regs[src]
             # a step set on the leaf itself (a wrapper) is looked up per call and honoured
             if kernel is not None and "step" not in attrs:
-                values, mask, states[slot] = kernel(
-                    _zeroed(reg) if zeroes else reg[0], reg[1], states[slot], training, constants
-                )
-                regs.append([values, mask, None, None])
+                if zeroes:
+                    values = zero_invalid(values, mask)
+                values, mask, states[slot] = kernel(values, mask, states[slot], training, constants)
+                regs.append((values, mask))
                 continue
-            seq = reg[2]
-            if seq is None:
-                seq = reg[2] = Sequence._wrap(reg[0], reg[1])
             y, states[slot], leaf_emits = leaf.step_with_emits(
-                seq, states[slot], training=training, constants=constants
+                Sequence._wrap(values, mask), states[slot], training=training, constants=constants
             )
             if emits is not None:
                 emits[slot] = leaf_emits
-            regs.append([y.values, y.mask, y, None])
-        out = regs[self.out]
-        y = out[2] if out[2] is not None else Sequence._wrap(out[0], out[1])
+            regs.append((y.values, y.mask))
         step_emits = self.emits if emits is None else _unflatten(self.emits_layout, emits)
-        return y, tuple(states), step_emits
-
-
-def _zeroed(reg):
-    """A register's values with its invalid steps zeroed, computed once."""
-    if reg[3] is None:
-        reg[3] = zero_invalid(reg[0], reg[1])
-    return reg[3]
+        return Sequence._wrap(*regs[self.out]), tuple(states), step_emits
 
 
 class _Composite(Emitting):

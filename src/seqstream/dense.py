@@ -146,7 +146,15 @@ _POINTWISE = {
     "mod": (lambda p: lambda v: np.mod(v, np.asarray(p, v.dtype)), True),
 }
 
-_POINTWISE_DEFAULTS = {"leaky_relu": 0.2, "elu": 1.0}
+#: kind -> default value, for the kinds that take one; None: a value is required
+_POINTWISE_VALUES = {
+    "leaky_relu": 0.2,
+    "elu": 1.0,
+    "power": None,
+    "maximum": None,
+    "minimum": None,
+    "mod": None,
+}
 
 
 class Pointwise(SequenceLayer):
@@ -160,7 +168,9 @@ class Pointwise(SequenceLayer):
         if kind not in _POINTWISE:
             raise ValueError(f"unknown pointwise kind {kind!r}; known: {sorted(_POINTWISE)}")
         self.kind = kind
-        self.value = _POINTWISE_DEFAULTS.get(kind) if value is None else value
+        self.value = _POINTWISE_VALUES.get(kind) if value is None else value
+        if self.value is None and kind in _POINTWISE_VALUES:
+            raise ValueError(f"pointwise kind {kind!r} requires a value")
         builder, self._allows_int = _POINTWISE[kind]
         self._fn = builder(self.value)
 
@@ -177,16 +187,10 @@ class Softmax(SequenceLayer):
         super().__init__(name)
         self.axis = int(axis)
 
-    def _values_axis(self, ndim):
-        axis = self.axis % (ndim - 2)
-        return axis + 2
-
     def _step_arrays(self, values, mask, state, training, constants):
-        if not values.shape[2:]:
-            raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
+        axis = 2 + self._channel_axis(self.axis, values.ndim - 2)
         if values.dtype.kind != "f":
             raise SpecMismatchError(f"{self.name}: float input required, got {values.dtype}")
-        axis = self._values_axis(values.ndim)
         shifted = values - np.max(values, axis=axis, keepdims=True)
         e = np.exp(shifted)
         out = e / np.sum(e, axis=axis, keepdims=True)
@@ -345,6 +349,8 @@ class Reshape(_ChannelOp):
     def __init__(self, shape, name=None):
         super().__init__(name)
         self.shape = tuple(int(d) for d in shape)
+        if any(d < 0 for d in self.shape):
+            raise ValueError(f"reshape extents must be >= 0, got {self.shape}")
 
     def _out_shape(self, channel_shape):
         if math.prod(channel_shape) != math.prod(self.shape):
@@ -365,10 +371,7 @@ class ExpandDims(_ChannelOp):
         self.axis = int(axis)
 
     def _out_shape(self, channel_shape):
-        rank = len(channel_shape)
-        axis = self.axis % (rank + 1) if self.axis < 0 else self.axis
-        if axis > rank:
-            raise SpecMismatchError(f"{self.name}: axis {self.axis} out of range for {channel_shape}")
+        axis = self._channel_axis(self.axis, len(channel_shape) + 1)
         return channel_shape[:axis] + (1,) + channel_shape[axis:]
 
 
@@ -378,8 +381,7 @@ class Squeeze(_ChannelOp):
         self.axis = int(axis)
 
     def _out_shape(self, channel_shape):
-        rank = len(channel_shape)
-        axis = self.axis % rank
+        axis = self._channel_axis(self.axis, len(channel_shape))
         if channel_shape[axis] != 1:
             raise SpecMismatchError(
                 f"{self.name}: cannot squeeze extent {channel_shape[axis]} at axis {axis}"
@@ -393,16 +395,17 @@ class MoveAxis(_ChannelOp):
         self.source = int(source)
         self.destination = int(destination)
 
+    def _axes(self, rank):
+        return self._channel_axis(self.source, rank), self._channel_axis(self.destination, rank)
+
     def _out_shape(self, channel_shape):
-        rank = len(channel_shape)
-        src, dst = self.source % rank, self.destination % rank
+        src, dst = self._axes(len(channel_shape))
         dims = list(channel_shape)
         dims.insert(dst, dims.pop(src))
         return tuple(dims)
 
     def _transform(self, values, out_shape):
-        rank = values.ndim - 2
-        src, dst = self.source % rank, self.destination % rank
+        src, dst = self._axes(values.ndim - 2)
         return np.moveaxis(values, 2 + src, 2 + dst)
 
 

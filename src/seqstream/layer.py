@@ -37,7 +37,8 @@ Every library leaf implements one array kernel,
 ``(values, mask, state)``. Values at invalid steps are unspecified, in and
 out: a leaf whose kernel reads them sets ``_masks_step_input``, and every
 caller of the kernel (``layer``, ``step`` and the step plan) then zeroes
-them with :func:`seqstream.sequence.zero_invalid` first. A stateful leaf also
+them with :func:`seqstream.sequence.zero_invalid` first. No kernel or
+combine zeroes its own output, which no caller may read. A stateful leaf also
 implements ``get_initial_state``; a stateless one keeps the empty state and
 returns it unchanged. Everything else derives from that kernel here:
 ``step`` runs it on one block; ``layer`` runs it once over the whole
@@ -279,6 +280,13 @@ class SequenceLayer(abc.ABC):
         kernel's channel check, so both modes and the spec give one message."""
         if shape != expected:
             raise SpecMismatchError(f"{self.name}: expected channel shape {expected}, got {shape}")
+
+    def _channel_axis(self, axis: int, rank: int) -> int:
+        """``axis`` of ``rank`` channel axes as a non-negative index: numpy's
+        range, ``-rank <= axis < rank``, else SpecMismatchError."""
+        if not -rank <= axis < rank:
+            raise SpecMismatchError(f"{self.name}: axis {axis} out of range [{-rank}, {rank})")
+        return axis % rank
 
     def __repr__(self) -> str:
         return f"<{type(self).__name__} {self.name!r}>"

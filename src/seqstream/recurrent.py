@@ -48,13 +48,13 @@ class LSTM(SequenceLayer):
 
     def _scan(self, values, mask, c: np.ndarray, h: np.ndarray):
         """(outputs, c, h) of the recurrence over ``values``: an invalid
-        step's values never reach the state or an output."""
+        step's values never reach the state or a valid output."""
         self._expect_channels(values.shape[2:], (self.in_features,))
         values = np.asarray(values, dtype=np.float32)
         kernel, bias = self._params["kernel"], self._params["bias"]
         u = self.units
         batch, time = values.shape[:2]
-        outputs = np.zeros((batch, time, u), dtype=np.float32)
+        outputs = np.empty((batch, time, u), dtype=np.float32)
         for t in range(time):
             zin = np.concatenate([values[:, t], h], axis=1)
             z = tensor.einsum("bc,cg->bg", zin, kernel) + bias
@@ -67,7 +67,7 @@ class LSTM(SequenceLayer):
             valid = mask[:, t][:, None]
             c = np.where(valid, c_new.astype(np.float32, copy=False), c)
             h = np.where(valid, h_new.astype(np.float32, copy=False), h)
-            outputs[:, t] = np.where(valid, h_new, 0.0)
+            outputs[:, t] = h_new
         return outputs, c, h
 
     def _step_arrays(self, values, mask, state, training, constants):

@@ -16,9 +16,7 @@ sequence that context starts as invalid zeros: the left padding, plus the
 placeholder windows the flush protocol drops. ``Delay`` and ``StepDelay``
 keep a delay line of ``length`` steps, the same pair, and emit the oldest
 steps of the line joined with the block. A delay line reads no value, so
-no caller zeroes its input: ``Delay`` zeroes its own invalid output, and a
-``Parallel`` zeroes the branch a ``StepDelay`` aligns when it combines it.
-``Conv1DTranspose`` keeps the validity of its last ``input_latency``
+no caller zeroes its input. ``Conv1DTranspose`` keeps the validity of its last ``input_latency``
 inputs the same way; its overlap-add carry is a scatter, not a shift. Output validity follows the anchor rule:
 output step ``t`` is valid iff its anchor input ``t * stride`` (or
 ``floor(t / ratio)`` for upsampling layers) is valid.
@@ -44,7 +42,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer
-from .sequence import empty_history, shift_in, zero_invalid
+from .sequence import empty_history, shift_in
 from fractions import Fraction
 
 __all__ = [
@@ -242,7 +240,8 @@ class _Pooling1D(_WindowedLayer):
 
 
 class _ExtremumPooling1D(_Pooling1D):
-    """Max or min over each window's valid members; 0 where none is valid."""
+    """Max or min over each window's valid members. A window with none
+    is an invalid output: pooling's anchor is one of its taps."""
 
     def _reduce_windows(self, wv, wm):
         if wv.dtype.kind == "b":
@@ -250,8 +249,7 @@ class _ExtremumPooling1D(_Pooling1D):
         wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
         info = np.finfo(wv.dtype) if wv.dtype.kind == "f" else np.iinfo(wv.dtype)
         reducer, fill = (np.max, info.min) if self.kind == "max" else (np.min, info.max)
-        out = reducer(np.where(wm, wv, fill), axis=2)
-        return np.where(wm.any(axis=2), out, np.zeros((), dtype=wv.dtype))
+        return reducer(np.where(wm, wv, fill), axis=2)
 
 
 class MaxPooling1D(_ExtremumPooling1D):
@@ -415,8 +413,8 @@ class Delay(SequenceLayer):
     The shift happens identically in layer and step mode, so the layer has
     no latency in the protocol sense. Output step t is valid only where both
     the delayed input step t - length and the current input step t are
-    valid; its values are zero elsewhere. So the output ends where the input
-    does, and a lookahead layer downstream never reads past the input's end.
+    valid. So the output ends where the input does, and a lookahead layer
+    downstream never reads past the input's end.
     """
 
     def __init__(self, length, name=None):
@@ -437,9 +435,9 @@ class Delay(SequenceLayer):
             return values, mask, state
         time = values.shape[1]
         (delayed, line_mask), state = shift_in(state, (values, mask))
-        # valid only where the current input step is valid too, zero elsewhere
+        # valid only where the current input step is valid too
         mask = np.logical_and(line_mask[:, :time], mask)
-        return zero_invalid(delayed[:, :time], mask), mask, state
+        return delayed[:, :time], mask, state
 
 
 class StepDelay(Delay):
@@ -504,7 +502,7 @@ class Lookahead(SequenceLayer):
         time = values.shape[1]
         position = state + np.arange(time)
         mask = np.logical_and(mask, (position >= self.length)[None, :])
-        return zero_invalid(values, mask), mask, state + time
+        return values, mask, state + time
 
 
 class Frame(_WindowedLayer):
@@ -560,9 +558,7 @@ class Window(SequenceLayer):
 
     def _step_arrays(self, values, mask, state, training, constants):
         channel_shape = values.shape[2:]
-        if not channel_shape:
-            raise SpecMismatchError(f"{self.name}: input must have channel dimensions")
-        axis = self.axis % len(channel_shape)
+        axis = self._channel_axis(self.axis, len(channel_shape))
         curve = window_curve(self.kind, channel_shape[axis])
         shape = [1] * values.ndim
         shape[2 + axis] = channel_shape[axis]

@@ -46,7 +46,7 @@ def attention_oracle(x: Sequence, params, num_heads, units, past, future):
     return out, mask
 
 
-def where_attend(layer, q, q_pos, q_mask, k, v, k_pos, k_mask):
+def where_attend(layer, q, q_pos, k, v, k_pos, k_mask):
     """The masked softmax as one np.where over a combined mask: `_attend`'s bit reference."""
     offset = k_pos[None, :] - q_pos[:, None]
     window = offset <= layer.max_future_horizon
@@ -58,7 +58,7 @@ def where_attend(layer, q, q_pos, q_mask, k, v, k_pos, k_mask):
     weights = np.exp(logits - np.where(np.isfinite(peak), peak, np.float32(0)))
     denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
     context = (weights @ v.transpose(0, 2, 1, 3)) / denom
-    return np.where(q_mask[:, :, None, None], context.transpose(0, 2, 1, 3), np.float32(0))
+    return context.transpose(0, 2, 1, 3)
 
 
 def attend_calls(layer, run):

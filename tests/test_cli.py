@@ -285,6 +285,13 @@ def test_softmax_on_bool_input_exits_2(workdir, capsys, command):
     assert "softmax: float input required, got bool" in assert_usage_error(capsys, code)
 
 
+def test_squeeze_on_a_scalar_channel_spec_exits_2(workdir, capsys):
+    # the axis check used to divide by the channel rank 0: a traceback, exit 1
+    (workdir / "spec.yaml").write_text("pipeline: {type: squeeze, axis: 0}\ninput_spec: f32[]\n")
+    code = cli.main(["describe", "--spec", str(workdir / "spec.yaml")])
+    assert "squeeze: axis 0 out of range [0, 0)" in assert_usage_error(capsys, code)
+
+
 @pytest.mark.parametrize("where", ["spec", "manifest", "input"])
 def test_a_directory_for_a_path_exits_2(workdir, capsys, where):
     """An unreadable path is a usage error: one line, no traceback."""

@@ -82,6 +82,12 @@ class TestPointwise:
         with pytest.raises(ValueError, match="unknown pointwise kind"):
             sl.Pointwise("frobnicate")
 
+    @pytest.mark.parametrize("kind", ["power", "maximum", "minimum", "mod"])
+    def test_a_kind_that_takes_a_value_requires_one(self, kind):
+        # a missing value used to become NaN: maximum over [1, 2, 3] gave NaNs
+        with pytest.raises(ValueError, match=f"pointwise kind '{kind}' requires a value"):
+            sl.Pointwise(kind)
+
     def test_scale_and_add(self):
         x = random_sequence(6, 1, 4, 2)
         two_x = sl.Scale(2.0).layer(x, training=False)
@@ -198,6 +204,49 @@ class TestShapeOps:
     def test_reshape_bad_target(self):
         with pytest.raises(sl.SpecMismatchError):
             sl.Reshape((5,)).layer(random_sequence(0, 1, 2, 4), training=False)
+
+    def test_reshape_rejects_negative_extents(self):
+        # (-1, -3) has the product of f32[3] and would fail inside numpy
+        with pytest.raises(ValueError, match=r"reshape extents must be >= 0, got \(-1, -3\)"):
+            sl.Reshape((-1, -3))
+
+    @pytest.mark.parametrize(
+        "layer, shape, message",
+        [
+            (sl.Squeeze(0), (), "squeeze: axis 0 out of range [0, 0)"),
+            (sl.MoveAxis(0, 0), (), "moveaxis: axis 0 out of range [0, 0)"),
+            (sl.Softmax(axis=4), (3,), "softmax: axis 4 out of range [-1, 1)"),
+            (sl.Window(axis=5), (3,), "window: axis 5 out of range [-1, 1)"),
+            (sl.MoveAxis(0, 5), (2, 3), "moveaxis: axis 5 out of range [-2, 2)"),
+            (sl.Squeeze(2), (1,), "squeeze: axis 2 out of range [-1, 1)"),
+            (sl.ExpandDims(-9), (3,), "expanddims: axis -9 out of range [-2, 2)"),
+        ],
+        ids=[
+            "squeeze_f32[]",
+            "move_axis_f32[]",
+            "softmax",
+            "window",
+            "move_axis",
+            "squeeze",
+            "expand_dims",
+        ],
+    )
+    def test_a_channel_axis_outside_numpys_range_is_refused(self, layer, shape, message):
+        """One rule for every channel axis: ``-rank <= axis < rank``, with
+        ``rank + 1`` for ExpandDims; it used to wrap silently, or divide by a
+        rank of 0."""
+        with pytest.raises(sl.SpecMismatchError) as err:
+            layer.get_output_spec(ChannelSpec(shape))
+        assert str(err.value) == message
+        x = Sequence.from_values(np.ones((1, 2) + shape, np.float32))
+        with pytest.raises(sl.SpecMismatchError):
+            layer.step(x, (), training=False)
+
+    @pytest.mark.parametrize("axis", [-2, -1, 0, 1])
+    def test_expand_dims_takes_numpys_axis_range(self, axis):
+        values = np.ones((1, 2, 3), np.float32)
+        y = sl.ExpandDims(axis).layer(Sequence.from_values(values), training=False)
+        assert y.values.shape == np.expand_dims(values, axis if axis < 0 else 2 + axis).shape
 
 
 class TestConditioning:

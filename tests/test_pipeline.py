@@ -109,6 +109,32 @@ def test_every_type_builds_from_a_minimal_node(tmp_path, type_name):
     assert layer.name == "node"
 
 
+#: the types that take no children, each with its minimal fields
+LEAF_TYPES = sorted(t for t, case in MINIMAL.items() if not case[2])
+
+
+def test_the_leaf_sweep_covers_every_registered_leaf_type():
+    leaves = [t for t in pipeline.registered_types() if pipeline._REGISTRY[t].children == 0]
+    assert LEAF_TYPES == leaves
+
+
+@pytest.mark.parametrize("input_spec", ["f32[]", "f32[1]", "f32[2,3]", "i32[3]", "bool[3]"])
+@pytest.mark.parametrize("type_name", LEAF_TYPES)
+def test_a_leaf_type_on_any_input_spec_builds_or_raises_a_pipeline_error(
+    tmp_path, type_name, input_spec
+):
+    """Scalar, unit, rank-2, int and bool channels: a leaf as the one child
+    of a serial builds, or is refused with a typed error, never another
+    exception (squeeze and move_axis on f32[] used to divide by zero)."""
+    child = ", ".join(part for part in (f"type: {type_name}", MINIMAL[type_name][1]) if part)
+    text = node_text("serial", "", f"[{{{child}}}]", input_spec)
+    try:
+        layer = build_text(tmp_path, text)
+    except PipelineError:
+        return
+    assert isinstance(layer, sl.Serial)
+
+
 def test_fields_reach_the_constructor(tmp_path):
     conv = build_text(
         tmp_path,

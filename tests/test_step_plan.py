@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import seqstream as sl
-from seqstream import sabotage, tensor
+from seqstream import combinators, sabotage, tensor
 from seqstream.combinators import _combine_outputs, _Composite
-from seqstream.sequence import ChannelSpec, Sequence
+from seqstream.sequence import ChannelSpec, Sequence, zero_invalid
 
 from conftest import build_spec
 
@@ -63,8 +63,7 @@ def reference_step(layer, x, state, *, training, constants=None):
                 line = [np.concatenate(pair, axis=1) for pair in zip(fifo, (y.values, y.mask))]
                 new_state.append(tuple(tensor.freeze(a[:, y.time :]) for a in line))
                 y = Sequence._wrap(line[0][:, : y.time], line[1][:, : y.time])
-            # the combine zeroes the aligned branch output
-            outputs.append(y.mask_invalid())
+            outputs.append(y)
         x = _combine_outputs(outputs, layer.combine)
     else:
         for child in layer.children:
@@ -209,8 +208,9 @@ def test_nested_emits_keep_the_tree_structure():
     state = layer.get_initial_state(x.batch_size, F32, training=False)
     _, _, emits = layer.step_with_emits(x, state, training=False)
     first, (body, shortcut), (last,) = emits
-    assert body[0] is x and body[1][1].time == x.time and shortcut == ()
-    assert first is x and last.time == x.time
+    assert body[0].values is x.values and body[0].mask is x.mask
+    assert body[1][1].time == x.time and shortcut == ()
+    assert first.values is x.values and first.mask is x.mask and last.time == x.time
 
 
 def test_plan_is_built_once_per_composite():
@@ -372,3 +372,20 @@ def test_a_stream_start_with_constants_runs_each_leaf_kernel_once_on_an_empty_bl
     # Dense, Conditioning, Conv1D, Lookahead, the shortcut, its delay and Identity
     assert len(leaves) == 7
     assert [calls[id(leaf)] for leaf in leaves] == [1] * len(leaves)
+
+
+def test_a_transformer_block_step_zeroes_only_attentions_input(monkeypatch):
+    """No combine zeroes its branches: one root step of ``transformer_block``
+    zeroes the invalid steps of one register, attention's input."""
+    layer, spec = build_spec("transformer_block")
+    x = make_input(spec, batch=2, time=4)
+    state = layer.get_initial_state(2, spec, training=False)
+    calls = []
+
+    def counting(values, mask):
+        calls.append(values.shape)
+        return zero_invalid(values, mask)
+
+    monkeypatch.setattr(combinators, "zero_invalid", counting)
+    layer.step(x, state, training=False)
+    assert calls == [(2, 4, 32)]

@@ -313,3 +313,49 @@ def test_conditioning_passes_with_constants():
     )
     report = verify_contract(layer, SPEC3, constants={"cond": cond})
     assert report.passed, report.render()
+
+
+def _item_1_repros():
+    rng = np.random.default_rng(0)
+    cond = sl.Sequence.from_values(rng.uniform(-0.5, 0.5, (2, 128, 3)).astype(np.float32))
+    return {
+        "lookahead_lookahead_avg_pool": (
+            sl.Serial([sl.Lookahead(1), sl.Lookahead(1), sl.AveragePooling1D(2)]),
+            None,
+            "layer_step_equal_1x",
+        ),
+        "same_conv_lookahead_strided_conv": (
+            sl.Serial(
+                [
+                    sl.Conv1D(3, 3, 3, padding="same", rng=rng),
+                    sl.Lookahead(1),
+                    sl.Conv1D(3, 3, 2, rng=rng),
+                ]
+            ),
+            None,
+            "layer_step_equal_1x",
+        ),
+        "same_conv_dropout": (
+            sl.Serial([sl.Conv1D(3, 3, 3, padding="same", rng=rng), sl.Dropout(0.2)]),
+            None,
+            "rng_equivalence",
+        ),
+        "lookahead_conditioning": (
+            sl.Serial([sl.Lookahead(1), sl.Conditioning("c", "add")]),
+            {"c": cond},
+            "layer_step_equal_1x",
+        ),
+    }
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a position-dependent leaf behind a latency counts "
+    "the upstream placeholder steps in step mode",
+)
+@pytest.mark.parametrize("name", sorted(_item_1_repros()))
+def test_item_1_minimal_repros_pass_their_check(name):
+    layer, constants, check = _item_1_repros()[name]
+    report = verify_contract(layer, SPEC3, constants=constants)
+    statuses = {c.name: c.status for c in report.checks}
+    assert statuses[check] == "pass", report.render()
