@@ -70,6 +70,10 @@ class DotProductSelfAttention(SequenceLayer):
             raise ValueError(
                 f"max_future_horizon must be a finite value >= 0, got {max_future_horizon}"
             )
+        if num_heads < 1 or units_per_head < 1:
+            raise ValueError(
+                f"num_heads/units_per_head must be >= 1, got {(num_heads, units_per_head)}"
+            )
         self.d_model = int(d_model)
         self.num_heads = int(num_heads)
         self.units_per_head = int(units_per_head)

@@ -69,6 +69,8 @@ class Dense(SequenceLayer):
 
     def __init__(self, in_features, units, use_bias=True, *, params=None, rng=None, name=None):
         super().__init__(name)
+        if units < 1:
+            raise ValueError(f"units must be >= 1, got {units}")
         self.in_features = int(in_features)
         self.units = int(units)
         self.use_bias = bool(use_bias)

@@ -23,6 +23,8 @@ class LSTM(SequenceLayer):
 
     def __init__(self, in_features, units, *, params=None, rng=None, name=None):
         super().__init__(name)
+        if units < 1:
+            raise ValueError(f"units must be >= 1, got {units}")
         self.in_features = int(in_features)
         self.units = int(units)
         spec = {
@@ -55,18 +57,23 @@ class LSTM(SequenceLayer):
         u = self.units
         batch, time = values.shape[:2]
         outputs = np.empty((batch, time, u), dtype=np.float32)
+        # a step valid in every row needs no per-row select
+        every_row_valid = mask.all(axis=0)
         for t in range(time):
             zin = np.concatenate([values[:, t], h], axis=1)
             z = tensor.einsum("bc,cg->bg", zin, kernel) + bias
-            i_g = special.expit(z[:, :u])
-            f_g = special.expit(z[:, u : 2 * u])
+            # the input and forget gates are adjacent columns: one expit
+            i_f = special.expit(z[:, : 2 * u])
             g_g = np.tanh(z[:, 2 * u : 3 * u])
             o_g = special.expit(z[:, 3 * u :])
-            c_new = f_g * c + i_g * g_g
+            c_new = i_f[:, u:] * c + i_f[:, :u] * g_g
             h_new = o_g * np.tanh(c_new)
-            valid = mask[:, t][:, None]
-            c = np.where(valid, c_new.astype(np.float32, copy=False), c)
-            h = np.where(valid, h_new.astype(np.float32, copy=False), h)
+            if every_row_valid[t]:
+                c, h = c_new, h_new
+            else:
+                valid = mask[:, t][:, None]
+                c = np.where(valid, c_new, c)
+                h = np.where(valid, h_new, h)
             outputs[:, t] = h_new
         return outputs, c, h
 

@@ -292,6 +292,24 @@ def test_squeeze_on_a_scalar_channel_spec_exits_2(workdir, capsys):
     assert "squeeze: axis 0 out of range [0, 0)" in assert_usage_error(capsys, code)
 
 
+@pytest.mark.parametrize("command", ["describe", "verify"])
+@pytest.mark.parametrize(
+    "node, expect",
+    [
+        ("{type: conv1d, filters: 0, kernel_size: 3}", "conv1d: filters must be >= 1, got 0"),
+        ("{type: conv1d, filters: -1, kernel_size: 3}", "conv1d: filters must be >= 1, got -1"),
+        ("{type: dense, units: 0}", "dense: units must be >= 1, got 0"),
+        ("{type: lstm, units: 0}", "lstm: units must be >= 1, got 0"),
+    ],
+    ids=["conv1d_zero", "conv1d_negative", "dense_zero", "lstm_zero"],
+)
+def test_a_layer_without_outputs_exits_2(workdir, capsys, command, node, expect):
+    # verify used to build it, then exit 1 on a zero-size array in a check
+    (workdir / "spec.yaml").write_text(f"pipeline: {node}\ninput_spec: f32[3]\n")
+    code = cli.main([command, "--spec", str(workdir / "spec.yaml")])
+    assert expect in assert_usage_error(capsys, code)
+
+
 @pytest.mark.parametrize("where", ["spec", "manifest", "input"])
 def test_a_directory_for_a_path_exits_2(workdir, capsys, where):
     """An unreadable path is a usage error: one line, no traceback."""

@@ -243,3 +243,23 @@ class TestEmitsApi:
         x = random_sequence(10, 2, 6, 3)
         _, _, emits = stream_blocks(model, x, training=False, block=2)
         np.testing.assert_array_equal(np.asarray(emits.values), np.asarray(x.values))
+
+
+@pytest.mark.parametrize("width", [0, -1])
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda w: sl.Conv1D(3, w, 3), "filters"),
+        (lambda w: sl.Conv1DTranspose(3, w, 3), "filters"),
+        (lambda w: sl.Dense(3, w), "units"),
+        (lambda w: sl.LSTM(3, w), "units"),
+        (lambda w: sl.DotProductSelfAttention(3, w, 2), "num_heads"),
+        (lambda w: sl.DotProductSelfAttention(3, 2, w), "units_per_head"),
+    ],
+    ids=["conv1d", "conv1d_transpose", "dense", "lstm", "attention_heads", "attention_units"],
+)
+def test_a_layer_without_outputs_is_rejected_at_construction(make, field, width):
+    # a zero-width output once built and failed in verify; a negative one
+    # leaked numpy's "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=f"{field}.* must be >= 1, got"):
+        make(width)

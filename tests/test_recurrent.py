@@ -2,10 +2,12 @@
 
 import numpy as np
 import pytest
+from scipy import special
 
 import seqstream as sl
 from seqstream.layer import poison_invalid
 from seqstream.sequence import ChannelSpec, Sequence
+from seqstream.tensor import einsum
 from seqstream.streaming import step_by_step, stream_blocks
 from seqstream.verify import HarnessConfig, verify_contract
 
@@ -40,6 +42,49 @@ def lstm_oracle(x: Sequence, kernel, bias, units):
             h = o * np.tanh(c)
             out[b, t] = h
     return out, mask
+
+
+def where_scan(layer, values, mask, c, h):
+    """LSTM._scan as it was before its trims: an expit per gate and an
+    np.where per state at every step. Kept as a bit reference."""
+    kernel, bias = layer.parameters["kernel"], layer.parameters["bias"]
+    u = layer.units
+    outputs = np.empty(values.shape[:2] + (u,), np.float32)
+    for t in range(values.shape[1]):
+        z = einsum("bc,cg->bg", np.concatenate([values[:, t], h], axis=1), kernel) + bias
+        i_g = special.expit(z[:, :u])
+        f_g = special.expit(z[:, u : 2 * u])
+        o_g = special.expit(z[:, 3 * u :])
+        c_new = f_g * c + i_g * np.tanh(z[:, 2 * u : 3 * u])
+        h_new = o_g * np.tanh(c_new)
+        valid = mask[:, t][:, None]
+        c = np.where(valid, c_new.astype(np.float32, copy=False), c)
+        h = np.where(valid, h_new.astype(np.float32, copy=False), h)
+        outputs[:, t] = h_new
+    return outputs, c, h
+
+
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("masks", ["ragged", "holes"])
+def test_scan_is_bitwise_the_where_scan(masks, batch):
+    rng = np.random.default_rng([batch, len(masks)])
+    layer = sl.LSTM(3, 5, rng=rng)
+    time = 24
+    # unmasked values: the scan, not its caller, keeps invalid steps out
+    values = rng.standard_normal((batch, time, 3), dtype=np.float32)
+    if masks == "ragged":
+        lengths = [time] + rng.integers(0, time, size=batch - 1).tolist()
+        mask = np.arange(time)[None, :] < np.array(lengths)[:, None]
+    else:
+        mask = rng.random((batch, time)) < 0.7
+        mask[:, 3] = True  # a step valid in every row
+        mask[:, 4] = False  # and one valid in none
+    c, h = rng.standard_normal((2, batch, 5), dtype=np.float32)
+    got = layer._scan(values, mask, c, h)
+    want = where_scan(layer, values, mask, c, h)
+    for name, a, b in zip(("outputs", "c", "h"), got, want):
+        assert a.dtype == b.dtype == np.float32, name
+        assert a.tobytes() == b.tobytes(), name
 
 
 def test_zero_params_zero_everything():

@@ -3,7 +3,12 @@
 The contract allows |step - layer| up to 1e-6, but these layers and specs
 meet it exactly, and a faster step path must keep it that way: on a BLAS
 whose rows depend on the matrix height, rewriting one contraction (an einsum
-as a matmul, say) changes bits without failing any tolerance.
+as a matmul, say) changes bits without failing any tolerance. A change of
+operand layout changes bits the same way a matmul does: einsum orders its
+loops by the operands' strides and extents, so where Conv1D gathers its
+windows channel-first, the order of a sum can depend on the batch, the
+block length and the filter count. So the cases run at batch 3 and 8, at
+several block multiples, and with one filter as well as several.
 """
 
 import numpy as np
@@ -28,11 +33,19 @@ def layers():
         "layer_norm": (sl.LayerNormalization((2, 3), rng=rng), (2, 3)),
         "rms_norm": (sl.RMSNormalization(3, rng=rng), (3,)),
         "lstm": (sl.LSTM(3, 4, rng=rng), (3,)),
+        # drawn last, so the leaves above keep their weights; the first is
+        # mixed_resample's first leaf
+        "conv1d_one_filter": (sl.Conv1D(3, 1, 5, stride=2, padding="same", rng=rng), (3,)),
+        "conv1d_dilated": (sl.Conv1D(3, 5, 3, dilation=2, padding="causal", rng=rng), (3,)),
     }
 
 
-def padded_input(channels, time=48):
-    return random_sequence(0, 3, time, channels, lengths=[time, time - 7, time // 3])
+BATCHES = (3, 8)
+
+
+def padded_input(channels, time=48, batch=3):
+    lengths = [time, time - 7, time // 3, time - 1, 1, time // 2, time - 5, 2]
+    return random_sequence(0, batch, time, channels, lengths=lengths[:batch])
 
 
 def assert_bit_exact(y, ref):
@@ -41,20 +54,22 @@ def assert_bit_exact(y, ref):
     assert y.mask_invalid().values.tobytes() == ref.mask_invalid().values.tobytes()
 
 
+@pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("mult", MULTS)
 @pytest.mark.parametrize("name", sorted(layers()))
-def test_leaf_steps_are_bit_exact(name, mult):
+def test_leaf_steps_are_bit_exact(name, mult, batch):
     layer, channels = layers()[name]
-    x = padded_input(channels)
+    x = padded_input(channels, batch=batch)
     ref = layer.layer(x, training=False)
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
 
 
+@pytest.mark.parametrize("batch", BATCHES)
 @pytest.mark.parametrize("mult", MULTS)
 @pytest.mark.parametrize("name", ["conv_stack", "streaming_encoder", "mixed_resample"])
-def test_spec_steps_are_bit_exact(name, mult):
+def test_spec_steps_are_bit_exact(name, mult, batch):
     layer, spec = build_spec(name)
-    x = padded_input(spec.shape, time=16 * layer.block_size)
+    x = padded_input(spec.shape, time=16 * layer.block_size, batch=batch)
     ref = layer.layer(x, training=False)
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
 

@@ -1,6 +1,7 @@
 """Time-mixing layers against explicit-loop oracles and the metadata the
 convolution family must report."""
 
+import itertools
 import math
 
 import numpy as np
@@ -11,7 +12,8 @@ import seqstream as sl
 from seqstream.layer import poison_invalid
 from seqstream.sequence import Sequence
 from seqstream.streaming import step_by_step
-from seqstream.temporal import explicit_padding, window_curve
+from seqstream.temporal import PADDING_MODES, explicit_padding, window_curve
+from seqstream.tensor import einsum
 
 from conftest import assert_sequences_close, random_sequence
 
@@ -37,6 +39,39 @@ def conv1d_oracle(x: Sequence, weight, bias, stride, dilation, padding):
             out[b, t] += bias.astype(np.float64)
     out_mask = mask[:, ::stride][:, :out_len]
     return out, out_mask
+
+
+class BtkcConv1D(sl.Conv1D):
+    """Conv1D as it contracted before it gathered channel-first windows: one
+    einsum over the [B, out, k, C] windows. Kept as a bit reference."""
+
+    def _reduce_windows(self, values, idx, wm):
+        y = einsum("btkc,kcf->btf", values[:, idx], self._params["weight"])
+        return (y + self._params["bias"]).astype(np.float32, copy=False)
+
+
+def conv_grid(dtype, batch, filters):
+    """(new, reference) outputs of Conv1D and BtkcConv1D with the same params
+    over kernel 1-5, stride 1-3, dilation 1-2, every padding and 1-5 channels,
+    on ragged rows of ``dtype``."""
+    rng = np.random.default_rng([batch, filters, len(dtype)])
+    for k, stride, dilation, padding, channels in itertools.product(
+        range(1, 6), range(1, 4), (1, 2), PADDING_MODES, range(1, 6)
+    ):
+        n = filters or int(rng.integers(2, 7))
+        conv = sl.Conv1D(channels, n, k, stride, dilation, padding, rng=rng)
+        ref = BtkcConv1D(channels, n, k, stride, dilation, padding, params=conv.parameters)
+        time = int(rng.integers(1, 25))
+        shape = (batch, time, channels)
+        if dtype == "f32":
+            values = rng.uniform(-0.5, 0.5, shape).astype(np.float32)
+        elif dtype == "i32":
+            values = rng.integers(-4, 5, shape).astype(np.int32)
+        else:
+            values = rng.random(shape) < 0.5
+        lengths = [time] + rng.integers(0, time + 1, size=batch - 1).tolist()
+        x = Sequence.from_lengths(values, lengths)
+        yield conv.layer(x, training=False), ref.layer(x, training=False)
 
 
 def tconv_oracle(x: Sequence, weight, bias, stride, padding):
@@ -148,6 +183,22 @@ class TestConv1D:
         np.testing.assert_array_equal(np.asarray(y.mask), expect_mask)
         got = np.asarray(y.mask_invalid().values, np.float64)
         np.testing.assert_allclose(got, np.where(expect_mask[..., None], expect, 0), atol=1e-5)
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
+    def test_channel_first_contraction_is_bitwise_the_btkc_one(self, dtype, batch):
+        for y, ref in conv_grid(dtype, batch, filters=0):
+            assert np.array_equal(y.mask, ref.mask)
+            assert y.values.dtype == ref.values.dtype == np.float32
+            assert y.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
+    def test_one_filter_contraction_agrees_with_the_btkc_one(self, dtype, batch):
+        # with one filter einsum picks another loop order: the sums may round apart
+        for y, ref in conv_grid(dtype, batch, filters=1):
+            assert np.array_equal(y.mask, ref.mask)
+            np.testing.assert_allclose(y.values, ref.values, atol=1e-6, rtol=0)
 
     def test_channel_mismatch(self, rng):
         layer = sl.Conv1D(3, 4, 3, rng=rng)
