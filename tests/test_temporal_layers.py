@@ -50,11 +50,11 @@ class BtkcConv1D(sl.Conv1D):
         return (y + self._params["bias"]).astype(np.float32, copy=False)
 
 
-def conv_grid(dtype, batch, filters):
+def conv_grid(dtype, batch, filters=None):
     """(new, reference) outputs of Conv1D and BtkcConv1D with the same params
     over kernel 1-5, stride 1-3, dilation 1-2, every padding and 1-5 channels,
-    on ragged rows of ``dtype``."""
-    rng = np.random.default_rng([batch, filters, len(dtype)])
+    on ragged rows of ``dtype``; ``filters`` None draws 2-6 per conv."""
+    rng = np.random.default_rng([batch, filters or 0, len(dtype)])
     for k, stride, dilation, padding, channels in itertools.product(
         range(1, 6), range(1, 4), (1, 2), PADDING_MODES, range(1, 6)
     ):
@@ -187,7 +187,7 @@ class TestConv1D:
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
     def test_channel_first_contraction_is_bitwise_the_btkc_one(self, dtype, batch):
-        for y, ref in conv_grid(dtype, batch, filters=0):
+        for y, ref in conv_grid(dtype, batch):
             assert np.array_equal(y.mask, ref.mask)
             assert y.values.dtype == ref.values.dtype == np.float32
             assert y.values.tobytes() == ref.values.tobytes()
