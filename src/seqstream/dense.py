@@ -18,7 +18,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy import special
 
 from . import combinators
 from . import params as params_lib
@@ -117,13 +116,17 @@ class Add(SequenceLayer):
 
 
 def _gelu(v):
+    if not v.size:
+        return np.empty(v.shape, np.float32)
     # a float32 divisor: a float64 one would evaluate a float32 GELU in float64
-    erf = special.erf(v / np.float32(np.sqrt(2.0)))
+    erf = tensor.special.erf(v / np.float32(np.sqrt(2.0)))
     return (0.5 * v * (1.0 + erf)).astype(v.dtype, copy=False)
 
 
 def _sigmoid(v):
-    return special.expit(v).astype(v.dtype, copy=False)
+    if not v.size:
+        return np.empty(v.shape, np.float32)
+    return tensor.special.expit(v).astype(v.dtype, copy=False)
 
 
 # kind -> (fn builder, allows integer input)
@@ -163,7 +166,12 @@ class Pointwise(SequenceLayer):
     """Named elementwise activation applied per value, invalid steps
     included: their values are unspecified anyway, so it never zeroes them.
     ``value`` parameterizes the kinds that take one (the slope of
-    ``leaky_relu``, the exponent of ``power``, the bound of ``maximum``)."""
+    ``leaky_relu``, the exponent of ``power``, the bound of ``maximum``).
+
+    An empty float block evaluates no special function: ``gelu``,
+    ``sigmoid`` and ``swish`` return an empty float32 block for it, so
+    deriving their spec (``get_output_spec`` runs an empty block) never
+    imports ``scipy.special``."""
 
     def __init__(self, kind, value=None, name=None):
         super().__init__(name if name is not None else kind)

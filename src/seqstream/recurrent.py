@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from . import params as params_lib
 from . import tensor
@@ -63,9 +62,9 @@ class LSTM(SequenceLayer):
             zin = np.concatenate([values[:, t], h], axis=1)
             z = tensor.einsum("bc,cg->bg", zin, kernel) + bias
             # the input and forget gates are adjacent columns: one expit
-            i_f = special.expit(z[:, : 2 * u])
+            i_f = tensor.special.expit(z[:, : 2 * u])
             g_g = np.tanh(z[:, 2 * u : 3 * u])
-            o_g = special.expit(z[:, 3 * u :])
+            o_g = tensor.special.expit(z[:, 3 * u :])
             c_new = i_f[:, u:] * c + i_f[:, :u] * g_g
             h_new = o_g * np.tanh(c_new)
             if every_row_valid[t]:

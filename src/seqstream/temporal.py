@@ -25,7 +25,8 @@ Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
 to ``_reduce_windows`` with the ``[out, k]`` index of each output's taps
 (:func:`_window_index`). Pooling and ``Frame`` gather ``values[:, idx]``.
-``Conv1D`` gathers from a channel-first copy and contracts ``"cbtk,kcf->btf"``:
+``Conv1D`` gathers from a channel-first float32 copy (so int32 input
+contracts in float32, as in ``Conv1DTranspose``) and contracts ``"cbtk,kcf->btf"``:
 numpy lays a gather along axis 1 out with the index axes outermost, so
 windows gathered from ``[B, T, C]`` sit in memory as ``[out, k, B, C]``, and
 einsum's inner loop runs over the few channels. Gathered from ``[C, B, T]``
@@ -240,8 +241,9 @@ class Conv1D(_WindowedLayer):
 
     def _reduce_windows(self, values, idx, wm):
         self._expect_channels(values.shape[2:], (self.in_channels,))
-        # channel-first windows [C, B, out, k], batch fastest: see the module docstring
-        windows = np.ascontiguousarray(values.transpose(2, 0, 1))[:, :, idx]
+        # channel-first float32 windows [C, B, out, k]: see the module docstring
+        channel_first = np.ascontiguousarray(values.transpose(2, 0, 1), tensor.FLOAT32)
+        windows = channel_first[:, :, idx]
         y = tensor.einsum("cbtk,kcf->btf", windows, self._params["weight"])
         if self.use_bias:
             y = y + self._params["bias"]

@@ -9,6 +9,9 @@ never frozen or aliased. Arrays the library allocates itself skip it: a kernel
 canonicalizes its fresh result with :func:`canonical`, and they are frozen in
 place with :func:`freeze` (directly, or through ``Sequence._wrap``).
 
+``tensor.special`` is ``scipy.special``, imported when first looked up (see
+:func:`__getattr__`).
+
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
 extents, then the raw row-major payload (bool stored as u8 0/1).
@@ -31,6 +34,25 @@ try:
     from numpy._core.multiarray import c_einsum as einsum
 except ImportError:  # numpy < 2
     from numpy.core.multiarray import c_einsum as einsum
+
+
+def __getattr__(name):
+    """``tensor.special``: ``scipy.special``, imported on first lookup and
+    then bound here, so a kernel pays one attribute lookup for it.
+
+    Its package init copies numpy's namespace (importing ``numpy.f2py``,
+    ``numpy.testing`` and ``numpy.ma``): about 0.2 s of a 0.35 s
+    ``import seqstream`` with numpy 2.4 and scipy 1.17 on a 2-CPU host.
+    Building, describing or streaming a pipeline that evaluates no special
+    function never loads it.
+    """
+    if name != "special":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from scipy import special
+
+    globals()["special"] = special
+    return special
+
 
 FLOAT32 = np.dtype(np.float32)
 INT32 = np.dtype(np.int32)

@@ -263,15 +263,17 @@ def test_describe_prints_every_line_to_the_current_stdout():
     ]
 
 
-def test_describe_rejects_a_float_only_leaf_on_int_input(workdir, capsys):
-    # the spec is what relu's kernel returns, so the tree fails when built
+@pytest.mark.parametrize("kind", ["relu", "gelu"])
+def test_describe_rejects_a_float_only_leaf_on_int_input(workdir, capsys, kind):
+    # the spec is what the leaf's kernel returns, so the tree fails when built;
+    # gelu's kernel checks the dtype before its empty block skips scipy
     (workdir / "spec.yaml").write_text(
-        SPEC.replace("    - {type: dense", "    - {type: relu}\n    - {type: dense").replace(
+        SPEC.replace("    - {type: dense", f"    - {{type: {kind}}}\n    - {{type: dense").replace(
             "f32[3]", "i32[3]"
         )
     )
     code = cli.main(["describe", "--spec", str(workdir / "spec.yaml")])
-    assert "relu_0: float input required, got int32" in assert_usage_error(capsys, code)
+    assert f"{kind}_0: float input required, got int32" in assert_usage_error(capsys, code)
 
 
 @pytest.mark.parametrize("command", ["describe", "run"])

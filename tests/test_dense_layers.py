@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 import seqstream as sl
-from seqstream.dense import counter_uniform
+from seqstream.dense import _POINTWISE as POINTWISE_KINDS, counter_uniform
 from seqstream.layer import poison_invalid
+from seqstream.pipeline import parse_channel_spec
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step
 
@@ -77,6 +78,20 @@ class TestPointwise:
         expect = np.float32(0.5) * v * (np.float32(1) + erf(v / np.float32(math.sqrt(2.0))))
         assert expect.dtype == y.values.dtype == np.float32
         assert y.values.tobytes() == expect.tobytes()
+
+    @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
+    @pytest.mark.parametrize("kind", sorted(POINTWISE_KINDS))
+    def test_output_spec_by_kind_and_input_dtype(self, kind, dtype):
+        """Float input keeps float32; abs, maximum and minimum keep any dtype;
+        mod maps bool to int32; every other kind takes float input only."""
+        layer = sl.Pointwise(kind, 2 if kind in ("power", "maximum", "minimum", "mod") else None)
+        input_spec = parse_channel_spec(f"{dtype}[3]")
+        expect = {"f32": "f32", "i32": "i32", "bool": "i32" if kind == "mod" else "bool"}
+        if dtype == "f32" or kind in ("abs", "maximum", "minimum", "mod"):
+            assert layer.get_output_spec(input_spec) == parse_channel_spec(f"{expect[dtype]}[3]")
+        else:
+            with pytest.raises(sl.SpecMismatchError, match="float input required"):
+                layer.get_output_spec(input_spec)
 
     def test_unknown_kind(self):
         with pytest.raises(ValueError, match="unknown pointwise kind"):

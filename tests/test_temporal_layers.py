@@ -43,10 +43,12 @@ def conv1d_oracle(x: Sequence, weight, bias, stride, dilation, padding):
 
 class BtkcConv1D(sl.Conv1D):
     """Conv1D as it contracted before it gathered channel-first windows: one
-    einsum over the [B, out, k, C] windows. Kept as a bit reference."""
+    einsum over the [B, out, k, C] windows, cast to float32 as Conv1D casts
+    them. Kept as a bit reference."""
 
     def _reduce_windows(self, values, idx, wm):
-        y = einsum("btkc,kcf->btf", values[:, idx], self._params["weight"])
+        windows = values[:, idx].astype(np.float32, copy=False)
+        y = einsum("btkc,kcf->btf", windows, self._params["weight"])
         return (y + self._params["bias"]).astype(np.float32, copy=False)
 
 
@@ -195,10 +197,22 @@ class TestConv1D:
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
     def test_one_filter_contraction_agrees_with_the_btkc_one(self, dtype, batch):
-        # with one filter einsum picks another loop order: the sums may round apart
+        # with one filter einsum picks another loop order: the float32 sums may
+        # round apart; the i32 draws (|v| <= 4) are 8x the f32 ones (|v| <= 0.5)
+        atol = 8e-6 if dtype == "i32" else 1e-6
         for y, ref in conv_grid(dtype, batch, filters=1):
             assert np.array_equal(y.mask, ref.mask)
-            np.testing.assert_allclose(y.values, ref.values, atol=1e-6, rtol=0)
+            np.testing.assert_allclose(y.values, ref.values, atol=atol, rtol=0)
+
+    def test_int32_input_contracts_as_its_float32_cast(self, rng):
+        # past 2**24 most int32 values round when cast to float32, and small
+        # taps keep the sums there: a float64 contraction rounds apart
+        conv = sl.Conv1D(2, 3, 3, rng=rng)
+        values = rng.integers(2**24, 2**26, (2, 9, 2)).astype(np.int32)
+        y = conv.layer(Sequence.from_lengths(values, [9, 6]), training=False)
+        cast = conv.layer(Sequence.from_lengths(values.astype(np.float32), [9, 6]), training=False)
+        assert np.array_equal(y.mask, cast.mask)
+        assert y.values.tobytes() == cast.values.tobytes()
 
     def test_channel_mismatch(self, rng):
         layer = sl.Conv1D(3, 4, 3, rng=rng)
