@@ -122,9 +122,8 @@ class DotProductSelfAttention(SequenceLayer):
     def _project(self, values):
         """Scaled queries, keys and values of masked ``values``, each [B, T, H, U]."""
         self._expect_channels(values.shape[2:], (self.d_model,))
-        values = np.asarray(values, dtype=np.float32)
         batch, time = values.shape[:2]
-        qkv = values.reshape(batch * time, self.d_model) @ self._qkv_proj
+        qkv = tensor.matmul_rows(values, self._qkv_proj)
         qkv = qkv.reshape(batch, time, 3, self.num_heads, self.units_per_head)
         return qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
 

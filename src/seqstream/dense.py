@@ -64,7 +64,8 @@ class Emit(Emitting):
 
 
 class Dense(SequenceLayer):
-    """Affine map over the final channel dimension."""
+    """Affine map over the final channel dimension, in float32 (int32 and
+    bool input included)."""
 
     def __init__(self, in_features, units, use_bias=True, *, params=None, rng=None, name=None):
         super().__init__(name)
@@ -87,10 +88,10 @@ class Dense(SequenceLayer):
 
     def _step_arrays(self, values, mask, state, training, constants):
         self._check(values.shape[2:])
-        y = tensor.einsum("...i,io->...o", values, self._params["weight"])
+        y = tensor.matmul_rows(values, self._params["weight"])
         if self.use_bias:
-            y = y + self._params["bias"]
-        return np.asarray(y, dtype=np.float32), mask, state
+            y += self._params["bias"]
+        return y, mask, state
 
 
 class Scale(SequenceLayer):
@@ -119,8 +120,13 @@ def _gelu(v):
     if not v.size:
         return np.empty(v.shape, np.float32)
     # a float32 divisor: a float64 one would evaluate a float32 GELU in float64
-    erf = tensor.special.erf(v / np.float32(np.sqrt(2.0)))
-    return (0.5 * v * (1.0 + erf)).astype(v.dtype, copy=False)
+    e = v / np.float32(np.sqrt(2.0))
+    tensor.special.erf(e, out=e)
+    # 0.5 * v * (1 + erf), finished in place: scaling by 0.5 is exact
+    e += 1
+    e *= v
+    e *= 0.5
+    return e
 
 
 def _sigmoid(v):

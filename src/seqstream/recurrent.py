@@ -18,6 +18,12 @@ class LSTM(SequenceLayer):
     random initialization adds 1.0 to the forget-gate bias. State holds at
     invalid timesteps, which is what makes trailing padding unable to disturb
     the recurrence.
+
+    Internally the kernel and bias columns are reordered once, at
+    construction, to (input, forget, output, cell): the three sigmoid gates
+    are adjacent, so one ``expit`` covers them. ``parameters`` keeps the
+    public order. A step contracts ``[x_t, h] @ kernel`` with a plain matmul:
+    its rows are the batch, the same in both modes.
     """
 
     def __init__(self, in_features, units, *, params=None, rng=None, name=None):
@@ -38,6 +44,11 @@ class LSTM(SequenceLayer):
             self._params = initialized
         else:
             self._params = params_lib.materialize(spec, params, None, self.name)
+        u = self.units
+        # (i, f, g, o) -> (i, f, o, g)
+        order = np.r_[0 : 2 * u, 3 * u : 4 * u, 2 * u : 3 * u]
+        self._kernel = tensor.freeze(np.ascontiguousarray(self._params["kernel"][:, order]))
+        self._bias = tensor.freeze(self._params["bias"][order])
 
     @property
     def receptive_field_per_step(self):
@@ -52,21 +63,18 @@ class LSTM(SequenceLayer):
         step's values never reach the state or a valid output."""
         self._expect_channels(values.shape[2:], (self.in_features,))
         values = np.asarray(values, dtype=np.float32)
-        kernel, bias = self._params["kernel"], self._params["bias"]
+        kernel, bias = self._kernel, self._bias
         u = self.units
         batch, time = values.shape[:2]
         outputs = np.empty((batch, time, u), dtype=np.float32)
         # a step valid in every row needs no per-row select
         every_row_valid = mask.all(axis=0)
         for t in range(time):
-            zin = np.concatenate([values[:, t], h], axis=1)
-            z = tensor.einsum("bc,cg->bg", zin, kernel) + bias
-            # the input and forget gates are adjacent columns: one expit
-            i_f = tensor.special.expit(z[:, : 2 * u])
-            g_g = np.tanh(z[:, 2 * u : 3 * u])
-            o_g = tensor.special.expit(z[:, 3 * u :])
-            c_new = i_f[:, u:] * c + i_f[:, :u] * g_g
-            h_new = o_g * np.tanh(c_new)
+            z = np.concatenate([values[:, t], h], axis=1) @ kernel
+            z += bias
+            ifo = tensor.special.expit(z[:, : 3 * u])
+            c_new = ifo[:, u : 2 * u] * c + ifo[:, :u] * np.tanh(z[:, 3 * u :])
+            h_new = ifo[:, 2 * u :] * np.tanh(c_new)
             if every_row_valid[t]:
                 c, h = c_new, h_new
             else:

@@ -84,22 +84,34 @@ def shift_in(history: tuple, block: tuple, grow: bool = False) -> tuple[list, tu
     ``history`` and ``block`` are matching tuples of arrays ``[B, L, ...]``
     and ``[B, T, ...]``. Returns the joined arrays ``[B, L + T, ...]``, each
     history array followed in time by its block array, and the next history:
-    their last L steps, or all of them when ``grow``, read-only. Raises
-    :class:`SpecMismatchError` when a block array's batch, channel shape or
-    dtype differs from its history array's.
+    their last L steps, or all of them when ``grow``, read-only. An empty
+    history (L = 0) joins with no copy: the joined arrays are the block's
+    own. Raises :class:`SpecMismatchError` when a block array's batch,
+    channel shape or dtype differs from its history array's.
     """
-    joined = []
-    for past, new in zip(history, block):
-        try:
-            # casting "no" refuses a block whose dtype would promote the join
-            joined.append(np.concatenate((past, new), axis=1, casting="no"))
-        except (TypeError, ValueError):
-            raise SpecMismatchError(
-                f"cannot concatenate {new.shape[0]}x{ChannelSpec(new.shape[2:], new.dtype)} "
-                f"with {past.shape[0]}x{ChannelSpec(past.shape[2:], past.dtype)}"
-            ) from None
+    if history[0].shape[1]:
+        joined = []
+        for past, new in zip(history, block):
+            try:
+                # casting "no" refuses a block whose dtype would promote the join
+                joined.append(np.concatenate((past, new), axis=1, casting="no"))
+            except (TypeError, ValueError):
+                raise _join_mismatch(past, new) from None
+    else:
+        for past, new in zip(history, block):
+            same_shape = past.shape[0] == new.shape[0] and past.shape[2:] == new.shape[2:]
+            if not same_shape or past.dtype != new.dtype:
+                raise _join_mismatch(past, new)
+        joined = list(block)
     start = 0 if grow else block[0].shape[1]
     return joined, tuple([tensor.freeze(both[:, start:]) for both in joined])
+
+
+def _join_mismatch(past: np.ndarray, new: np.ndarray) -> SpecMismatchError:
+    return SpecMismatchError(
+        f"cannot concatenate {new.shape[0]}x{ChannelSpec(new.shape[2:], new.dtype)} "
+        f"with {past.shape[0]}x{ChannelSpec(past.shape[2:], past.dtype)}"
+    )
 
 
 @dataclasses.dataclass(frozen=True)

@@ -12,6 +12,29 @@ place with :func:`freeze` (directly, or through ``Sequence._wrap``).
 ``tensor.special`` is ``scipy.special``, imported when first looked up (see
 :func:`__getattr__`).
 
+Contractions. A step must give the very bits of ``layer()``, so a kernel's
+contraction may not round a row differently when the call has more or fewer
+rows. Kernels contract in one of three ways:
+
+* :func:`matmul_rows`, a float32 BLAS matmul over the flattened leading
+  axes, for a contraction whose rows are positions: ``Dense`` and the
+  attention projections. On OpenBLAS 0.3.31 a row's bits depend on the row
+  count in three cases, and it rules out each. A one-row or a one-column
+  call takes the gemv path, whose rounding depends on the row count, so a
+  lone row gets a second row and a lone column is padded. From K = 32, an
+  output width N with ``N % 16`` in 1..8 rounds one way in a call of fewer
+  than about 1e6 multiply-adds (M * N * K), where OpenBLAS runs its
+  small-matrix kernel, and another way in a larger one, so N is padded to a
+  multiple of 16. Past K = 448 the larger calls split K and the small ones
+  do not, which rounds a ``Dense(512, 32)`` step up to 6e-6 apart from
+  ``layer()``, so K is contracted in slices of at most 256, summed in
+  order. ``tests/test_tensor.py`` pins the result on this host.
+* a plain ``@`` for the LSTM gates, whose rows are the batch, the same in
+  both modes.
+* :data:`einsum` for the convolutions, ``Conv1D`` and ``Conv1DTranspose``:
+  on their shapes BLAS measured slower (0.16x for a one-filter conv, 0.7x for
+  a 1 -> 1 channel transposed conv).
+
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
 extents, then the raw row-major payload (bool stored as u8 0/1).
@@ -52,6 +75,41 @@ def __getattr__(name):
 
     globals()["special"] = special
     return special
+
+
+#: the deepest contraction :func:`matmul_rows` hands BLAS in one call
+_DEPTH = 256
+
+
+def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """``x [..., K] @ w [K, N]`` in float32, as a BLAS matmul over the
+    flattened leading axes of ``x`` (int32 and bool ``x`` contract in
+    float32 too), so that a row's bits do not depend on how many rows the
+    call has (see the module docstring):
+
+    * a one-row ``x`` is duplicated to two rows and the first row kept;
+    * a one-column ``w``, and from K = 32 any ``w`` whose width is not a
+      multiple of 16, is padded with zero columns to a multiple of 16, and
+      the pad is cut from the result;
+    * K is contracted in slices of at most ``_DEPTH``, one matmul each,
+      their products summed in order.
+    """
+    lead, (k, n) = x.shape[:-1], w.shape
+    m = math.prod(lead)
+    rows = np.asarray(x, dtype=np.float32).reshape(m, k)
+    if m == 1:
+        rows = np.concatenate((rows, rows))
+    if n % 16 and (n == 1 or k >= 32):
+        w = np.concatenate((w, np.zeros((k, -n % 16), np.float32)), axis=1)
+    if k <= _DEPTH:
+        y = rows @ w
+    else:
+        y = rows[:, :_DEPTH] @ w[:_DEPTH]
+        for start in range(_DEPTH, k, _DEPTH):
+            y += rows[:, start : start + _DEPTH] @ w[start : start + _DEPTH]
+    if y.shape != (m, n):
+        y = np.ascontiguousarray(y[:m, :n])
+    return y.reshape(lead + (n,))
 
 
 FLOAT32 = np.dtype(np.float32)

@@ -7,7 +7,6 @@ from scipy import special
 import seqstream as sl
 from seqstream.layer import poison_invalid
 from seqstream.sequence import ChannelSpec, Sequence
-from seqstream.tensor import einsum
 from seqstream.streaming import step_by_step, stream_blocks
 from seqstream.verify import HarnessConfig, verify_contract
 
@@ -51,7 +50,7 @@ def where_scan(layer, values, mask, c, h):
     u = layer.units
     outputs = np.empty(values.shape[:2] + (u,), np.float32)
     for t in range(values.shape[1]):
-        z = einsum("bc,cg->bg", np.concatenate([values[:, t], h], axis=1), kernel) + bias
+        z = np.concatenate([values[:, t], h], axis=1) @ kernel + bias
         i_g = special.expit(z[:, :u])
         f_g = special.expit(z[:, u : 2 * u])
         o_g = special.expit(z[:, 3 * u :])

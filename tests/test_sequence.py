@@ -232,6 +232,24 @@ def test_shift_in_refuses_a_block_of_another_batch_channel_shape_or_dtype():
             shift_in(history, (values, mask[: len(values)]))
 
 
+@pytest.mark.parametrize("grow", [False, True])
+def test_shift_in_onto_an_empty_history_joins_the_block_itself(grow):
+    history = empty_history(2, 0, ChannelSpec((4,)))
+    block = (np.ones((2, 3, 4), np.float32), np.ones((2, 3), bool))
+    joined, kept = shift_in(history, block, grow)
+    assert all(both is new for both, new in zip(joined, block))
+    for new, tail in zip(block, kept):
+        assert tail.shape == (new.shape if grow else (2, 0) + new.shape[2:])
+        assert not tail.flags.writeable
+    for values, message in [
+        (np.zeros((2, 1, 4), np.int32), "2xi32[4] with 2xf32[4]"),
+        (np.zeros((2, 1, 5), np.float32), "2xf32[5] with 2xf32[4]"),
+        (np.zeros((1, 1, 4), np.float32), "1xf32[4] with 2xf32[4]"),
+    ]:
+        with pytest.raises(SpecMismatchError, match=re.escape(f"cannot concatenate {message}")):
+            shift_in(history, (values, np.ones(values.shape[:2], bool)), grow)
+
+
 def test_channel_spec():
     s = Sequence.from_values(np.zeros((2, 3, 4, 5), np.float32))
     assert s.channel_spec == ChannelSpec((4, 5), np.float32)

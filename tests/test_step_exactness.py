@@ -1,14 +1,16 @@
 """Stepping gives the very bits of layer(), at every block multiple.
 
 The contract allows |step - layer| up to 1e-6, but these layers and specs
-meet it exactly, and a faster step path must keep it that way: on a BLAS
-whose rows depend on the matrix height, rewriting one contraction (an einsum
-as a matmul, say) changes bits without failing any tolerance. A change of
-operand layout changes bits the same way a matmul does: einsum orders its
-loops by the operands' strides and extents, so where Conv1D gathers its
-windows channel-first, the order of a sum can depend on the batch, the
-block length and the filter count. So the cases run at batch 3 and 8, at
-several block multiples, and with one filter as well as several.
+meet it exactly, and a faster step path must keep it that way. A
+contraction whose rows are positions goes through ``tensor.matmul_rows``,
+which never lets BLAS take its one-row (gemv) path: that path rounds a row
+apart from the many-row one, so a bare matmul on a one-row block changes
+bits without failing any tolerance. A change of operand layout changes bits
+the same way: einsum orders its loops by the operands' strides and extents,
+so where Conv1D gathers its windows channel-first, the order of a sum can
+depend on the batch, the block length and the filter count. So the cases
+run at batch 1 (a one-step block is one row), 3 and 8, at several block
+multiples, and with one filter as well as several.
 """
 
 import numpy as np
@@ -40,7 +42,7 @@ def layers():
     }
 
 
-BATCHES = (3, 8)
+BATCHES = (1, 3, 8)
 
 
 def padded_input(channels, time=48, batch=3):

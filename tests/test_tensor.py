@@ -1,6 +1,7 @@
-"""Tensor substrate: immutability and SLT1 serialization."""
+"""Tensor substrate: immutability, SLT1 serialization and the row-stable matmul."""
 
 import io
+import itertools
 
 import numpy as np
 import pytest
@@ -72,3 +73,45 @@ def test_slt1_round_trip_property(shape, dtype, seed):
     tensor.write_tensor(buf, arr)
     buf.seek(0)
     np.testing.assert_array_equal(tensor.read_tensor(buf), arr)
+
+
+#: the bundled specs' widths (streaming_encoder's head is 16 -> 4;
+#: transformer_block has 32 and 128 and its fused q/k/v projection 96), and
+#: widths that need the pad: N = 1, and from K = 32 N % 16 in 1..8; depths
+#: past 256 are contracted in slices
+_ROW_CASES = list(
+    itertools.product((3, 8, 16, 24, 32, 128, 256, 300, 512, 1000), (1, 4, 5, 8, 20, 32, 96, 128))
+)
+
+
+@pytest.mark.parametrize("k,n", _ROW_CASES, ids=[f"{k}x{n}" for k, n in _ROW_CASES])
+def test_matmul_rows_gives_a_row_the_same_bits_at_any_row_count(k, n):
+    """The property that lets Dense and the attention projections run on
+    BLAS and still step bit for bit: a row's bits do not depend on how many
+    rows the call has. It is a property of the BLAS build, so it is pinned
+    here for this host's OpenBLAS.
+    """
+    rng = np.random.default_rng([k, n])
+    x = rng.standard_normal((4096, k), dtype=np.float32)
+    w = rng.standard_normal((k, n), dtype=np.float32)
+    ref = tensor.matmul_rows(x, w)
+    assert ref.dtype == np.float32 and ref.shape == (4096, n) and ref.flags.c_contiguous
+    for m in (1, 2, 3, 7, 8, 33, 1000):
+        assert tensor.matmul_rows(x[:m], w).tobytes() == ref[:m].tobytes(), m
+    # leading axes flatten into rows: [B, T, K] is the [B * T, K] call
+    assert tensor.matmul_rows(x[:24].reshape(3, 8, k), w).tobytes() == ref[:24].tobytes()
+
+
+@pytest.mark.parametrize("dtype", [np.int32, np.bool_])
+def test_matmul_rows_contracts_int_and_bool_in_float32(dtype):
+    x = (np.arange(12).reshape(2, 2, 3) % 3).astype(dtype)
+    w = np.arange(6, dtype=np.float32).reshape(3, 2) / 4
+    y = tensor.matmul_rows(x, w)
+    assert y.dtype == np.float32
+    assert y.tobytes() == (x.astype(np.float32).reshape(4, 3) @ w).reshape(2, 2, 2).tobytes()
+
+
+def test_matmul_rows_of_an_empty_block_is_empty():
+    w = np.ones((5, 3), np.float32)
+    y = tensor.matmul_rows(np.zeros((2, 0, 5), np.float32), w)
+    assert y.shape == (2, 0, 3) and y.dtype == np.float32
