@@ -9,9 +9,15 @@ Every layer processes sequences two ways and the two must agree:
 
 State is an explicit value of plain data: the empty tuple, read-only arrays,
 tuples, dicts, or an integer count of the steps consumed, as in ``Dropout``
-and ``Lookahead``. It holds no Sequences: a history of past steps is a
-``(values, mask)`` pair, or arrays in a dict, that
-:func:`seqstream.sequence.shift_in` advances. A composite's state is the flat
+and ``Lookahead``. It holds no Sequences: a fixed-length history of past
+steps is a ``(values, mask)`` pair, or arrays in a dict, that
+:func:`seqstream.sequence.shift_in` advances. A state's arrays are read-only
+views, and what they show never changes: a later step may write the slots
+of a buffer past every state's end, as attention's KV cache appends in
+place (see :mod:`seqstream.attention`), but never a slot below one. So any
+state may be stepped again, or twice, and gives what a deep copy of it
+gives. One thread at a time steps a given state; none of the library's
+drivers does otherwise. A composite's state is the flat
 tuple of the states of the leaves its step plan steps, in slot order; a
 nested Serial or Parallel contributes its own flat tuple as a contiguous run
 (see :mod:`seqstream.combinators`). No layer keeps memory on itself. A layer with lookahead emits invalid placeholder steps until enough

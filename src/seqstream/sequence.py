@@ -22,8 +22,8 @@ trusted :meth:`Sequence._wrap`, which freezes those arrays in place and
 checks nothing. Either way a sequence's ``values``
 and ``mask`` are read-only arrays of a supported dtype.
 
-Step states keep no Sequences. A stream history (a window's context, a
-delay line, the KV cache) is a tuple of plain arrays ``[batch, time, ...]``
+Step states keep no Sequences. A fixed-length stream history (a window's
+context, a delay line) is a tuple of plain arrays ``[batch, time, ...]``
 that starts as :func:`empty_history` and advances by :func:`shift_in`, the
 one function that joins a block onto a history and keeps its tail.
 
@@ -76,18 +76,21 @@ def empty_history(batch_size: int, length: int, spec: ChannelSpec) -> tuple[np.n
     return tensor.freeze(values), tensor.freeze(np.zeros((batch_size, length), bool))
 
 
-def shift_in(history: tuple, block: tuple, grow: bool = False) -> tuple[list, tuple]:
-    """Shifts a block into a stream history: the one rule that advances every
-    step state kept over past steps (a window's context, a delay line, the
-    transposed convolution's mask history, the KV cache).
+def shift_in(history: tuple, block: tuple) -> tuple[list, tuple]:
+    """Shifts a block into a fixed-length stream history: the one rule that
+    advances every step state kept over a fixed number of past steps (a
+    window's context, a delay line, the transposed convolution's mask
+    history, attention's pending queries). Attention's KV cache, which an
+    unbounded past lets grow, appends into capacity buffers of its own
+    instead (see :mod:`seqstream.attention`).
 
     ``history`` and ``block`` are matching tuples of arrays ``[B, L, ...]``
     and ``[B, T, ...]``. Returns the joined arrays ``[B, L + T, ...]``, each
     history array followed in time by its block array, and the next history:
-    their last L steps, or all of them when ``grow``, read-only. An empty
-    history (L = 0) joins with no copy: the joined arrays are the block's
-    own. Raises :class:`SpecMismatchError` when a block array's batch,
-    channel shape or dtype differs from its history array's.
+    their last L steps, read-only. An empty history (L = 0) joins with no
+    copy: the joined arrays are the block's own. Raises
+    :class:`SpecMismatchError` when a block array's batch, channel shape or
+    dtype differs from its history array's.
     """
     if history[0].shape[1]:
         joined = []
@@ -103,7 +106,7 @@ def shift_in(history: tuple, block: tuple, grow: bool = False) -> tuple[list, tu
             if not same_shape or past.dtype != new.dtype:
                 raise _join_mismatch(past, new)
         joined = list(block)
-    start = 0 if grow else block[0].shape[1]
+    start = block[0].shape[1]
     return joined, tuple([tensor.freeze(both[:, start:]) for both in joined])
 
 

@@ -1,6 +1,8 @@
 """Self-attention against an O(T^2) masked-softmax oracle, plus cache
 semantics the streaming path must honor."""
 
+import copy
+import math
 import tracemalloc
 
 import numpy as np
@@ -47,17 +49,18 @@ def attention_oracle(x: Sequence, params, num_heads, units, past, future):
 
 
 def where_attend(layer, q, q_pos, k, v, k_pos, k_mask):
-    """The masked softmax as one np.where over a combined mask: `_attend`'s bit reference."""
+    """The masked softmax as one np.where over a combined mask: `_attend`'s
+    bit reference, on its layout (q [B, H, Tq, U], k [B, H, U, S], v [B, H, S, U])."""
     offset = k_pos[None, :] - q_pos[:, None]
     window = offset <= layer.max_future_horizon
     if not layer.unbounded_past:
         window &= offset >= -layer.max_past_horizon
-    logits = q.transpose(0, 2, 1, 3) @ k.transpose(0, 2, 3, 1)
+    logits = q @ k
     logits = np.where(window[None, None] & k_mask[:, None, None, :], logits, np.float32(-np.inf))
     peak = np.max(logits, axis=-1, keepdims=True, initial=np.float32(-np.inf))
     weights = np.exp(logits - np.where(np.isfinite(peak), peak, np.float32(0)))
     denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
-    context = (weights @ v.transpose(0, 2, 1, 3)) / denom
+    context = (weights @ v) / denom
     return context.transpose(0, 2, 1, 3)
 
 
@@ -257,9 +260,114 @@ class TestAttentionStep:
         x = random_sequence(6, 2, 4, 4)
         state = layer.get_initial_state(2, ChannelSpec((4,)), training=False)
         _, state = layer.step(x, state, training=False)
-        first = state["keys"].shape[1]
+        first = state["key_mask"].shape[1]
         _, state = layer.step(x, state, training=False)
-        assert state["keys"].shape[1] > first
+        assert state["key_mask"].shape[1] > first
+
+
+def snapshot(state):
+    """A deep copy of a state's arrays, to compare its bytes with later."""
+    return {key: np.array(value) for key, value in state.items()}
+
+
+def assert_same_state(got, want):
+    assert got.keys() == want.keys()
+    for key in want:
+        assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape), key
+        assert got[key].tobytes() == want[key].tobytes(), key
+
+
+def assert_same_step(got, want):
+    (y, state), (y_want, state_want) = got, want
+    assert y.values.tobytes() == y_want.values.tobytes()
+    assert np.array_equal(y.mask, y_want.mask)
+    assert_same_state(state, state_want)
+
+
+def stream(layer, batch, block, steps, seed=20):
+    """The states after each of `steps` blocks of one random stream."""
+    x = random_sequence(seed, batch, block * steps, 4)
+    state = layer.get_initial_state(batch, x.channel_spec, training=False)
+    states = []
+    for start in range(0, x.time, block):
+        _, state = layer.step(x.slice_time(start, start + block), state, training=False)
+        states.append(state)
+    return states
+
+
+def buffers_used(states):
+    """How many key buffers the states' views look into, in stream order."""
+    count, last = 0, None
+    for state in states:
+        if state["keys"].base is not last:
+            count, last = count + 1, state["keys"].base
+    return count
+
+
+class TestKVCache:
+    """The cache appends in place into capacity buffers: a counting test of
+    the copies, and of the states the appends must never disturb."""
+
+    @pytest.mark.parametrize("batch,block,steps", [(1, 1, 1024), (4, 8, 128)])
+    def test_unbounded_stream_replaces_its_buffers_log_many_times(self, batch, block, steps):
+        layer = make_layer(seed=13, past=-1)
+        states = stream(layer, batch, block, steps)
+        assert states[-1]["key_mask"].shape == (batch, block * steps)
+        assert buffers_used(states) <= math.ceil(math.log2(steps)) + 2
+        # the first step copies into a buffer of exactly its slots, as layer() does
+        assert states[0]["keys"].base.shape == states[0]["keys"].shape
+
+    @pytest.mark.parametrize("past,future,block", [(5, 2, 1), (16, 0, 4), (3, 1, 8)])
+    def test_bounded_stream_keeps_its_shape_and_compacts_rarely(self, past, future, block):
+        layer = make_layer(seed=14, past=past, future=future)
+        steps = 200
+        states = stream(layer, 2, block, steps)
+        window = past + future
+        for state in states:
+            assert state["keys"].shape == (2, 2, 4, window)
+            assert state["values"].shape == (2, 2, window, 4)
+            assert state["key_mask"].shape == (2, window)
+        # each buffer starts with one copy of window + block slots, so this
+        # bounds the slots copied by the slots appended: O(block) per step
+        assert buffers_used(states) <= steps * block // (window + block) + 2
+
+    @pytest.mark.parametrize("past,future", [(-1, 0), (-1, 2), (4, 0), (3, 2)])
+    def test_stepping_a_state_twice_leaves_its_first_successor_alone(self, past, future):
+        layer = make_layer(seed=15, past=past, future=future)
+        a = stream(layer, 2, 2, 6)[-1]
+        x1, x2, x3 = (random_sequence(seed, 2, 2, 4) for seed in (31, 32, 33))
+        fork = copy.deepcopy(a)
+        first = layer.step(x1, a, training=False)
+        b = snapshot(first[1])
+        second = layer.step(x2, a, training=False)
+        assert_same_state(first[1], b)
+        assert_same_step(first, layer.step(x1, copy.deepcopy(fork), training=False))
+        assert_same_step(second, layer.step(x2, copy.deepcopy(fork), training=False))
+        # the first successor still appends, and what it returns is a fresh copy's
+        fresh = layer.step(x3, copy.deepcopy(b), training=False)
+        assert_same_step(layer.step(x3, first[1], training=False), fresh)
+
+    @pytest.mark.parametrize("past,future", [(-1, 0), (4, 2)])
+    def test_a_state_of_caller_arrays_leaves_them_unchanged(self, past, future):
+        layer = make_layer(seed=16, past=past, future=future)
+        state = stream(layer, 2, 2, 6)[-1]
+        # writeable copies of the very arrays the views look into, unwritten
+        # marks and all, viewed at the same offsets and made read-only
+        owners, aliased = {}, {}
+        for key, view in state.items():
+            base = view if view.base is None else view.base
+            owners[key] = np.array(base)
+            offset = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]
+            alias = np.ndarray(
+                view.shape, view.dtype, buffer=owners[key], offset=offset, strides=view.strides
+            )
+            alias.flags.writeable = False
+            aliased[key] = alias
+        before = snapshot(owners)
+        x = random_sequence(34, 2, 2, 4)
+        got = layer.step(x, aliased, training=False)
+        assert_same_state(owners, before)
+        assert_same_step(got, layer.step(x, state, training=False))
 
 
 @pytest.mark.parametrize("past,future", [(-1, 0), (4, 0), (4, 2), (0, 3), (-1, 2)])

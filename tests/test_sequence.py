@@ -209,14 +209,13 @@ def test_zero_invalid_returns_values_unless_it_must_zero():
     np.testing.assert_array_equal(values, np.full((2, 3), 2, np.float32))
 
 
-@pytest.mark.parametrize("grow", [False, True])
-def test_shift_in_joins_a_block_onto_a_history_and_keeps_its_tail(grow):
+def test_shift_in_joins_a_block_onto_a_history_and_keeps_its_tail():
     history = empty_history(2, 3, ChannelSpec((4,), np.int32))
     block = (np.arange(16, dtype=np.int32).reshape(2, 2, 4), np.ones((2, 2), bool))
-    joined, kept = shift_in(history, block, grow)
+    joined, kept = shift_in(history, block)
     for past, new, both, tail in zip(history, block, joined, kept):
         np.testing.assert_array_equal(both, np.concatenate([past, new], axis=1))
-        np.testing.assert_array_equal(tail, both if grow else both[:, 2:])
+        np.testing.assert_array_equal(tail, both[:, 2:])
         assert not tail.flags.writeable and not past.flags.writeable
 
 
@@ -232,14 +231,13 @@ def test_shift_in_refuses_a_block_of_another_batch_channel_shape_or_dtype():
             shift_in(history, (values, mask[: len(values)]))
 
 
-@pytest.mark.parametrize("grow", [False, True])
-def test_shift_in_onto_an_empty_history_joins_the_block_itself(grow):
+def test_shift_in_onto_an_empty_history_joins_the_block_itself():
     history = empty_history(2, 0, ChannelSpec((4,)))
     block = (np.ones((2, 3, 4), np.float32), np.ones((2, 3), bool))
-    joined, kept = shift_in(history, block, grow)
+    joined, kept = shift_in(history, block)
     assert all(both is new for both, new in zip(joined, block))
     for new, tail in zip(block, kept):
-        assert tail.shape == (new.shape if grow else (2, 0) + new.shape[2:])
+        assert tail.shape == (2, 0) + new.shape[2:]
         assert not tail.flags.writeable
     for values, message in [
         (np.zeros((2, 1, 4), np.int32), "2xi32[4] with 2xf32[4]"),
@@ -247,7 +245,7 @@ def test_shift_in_onto_an_empty_history_joins_the_block_itself(grow):
         (np.zeros((1, 1, 4), np.float32), "1xf32[4] with 2xf32[4]"),
     ]:
         with pytest.raises(SpecMismatchError, match=re.escape(f"cannot concatenate {message}")):
-            shift_in(history, (values, np.ones(values.shape[:2], bool)), grow)
+            shift_in(history, (values, np.ones(values.shape[:2], bool)))
 
 
 def test_channel_spec():
