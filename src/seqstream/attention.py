@@ -15,7 +15,7 @@ block's end) and the key validity mask, with batched (BLAS) matmuls.
 
 Memory rule: one call allocates one [B, H, Tq, S] float32 buffer, the logits
 of the query-key matmul. The refusals (keys outside the window, then invalid
-keys) are written into it as -inf, and the softmax runs in place, so no
+keys, if any) are written into it as -inf, and the softmax runs in place, so no
 second logits array, combined [B, 1, Tq, S] mask or [Tq, S] offset matrix is
 made. The window refusals are one bool: [Tq, S] for a bounded past, and for
 an unbounded past [Tq, Tq + F] over the newest keys only, the ones a
@@ -118,7 +118,7 @@ class DotProductSelfAttention(SequenceLayer):
         # 1/sqrt(U) is folded into the query columns.
         flat = (self.d_model, self.num_heads * self.units_per_head)
         scale = np.float32(1.0 / np.sqrt(self.units_per_head))
-        self._qkv_proj = tensor.freeze(
+        self._qkv_proj = tensor.rows_weight(
             np.concatenate(
                 [
                     self._params["q_proj"].reshape(flat) * scale,
@@ -154,7 +154,7 @@ class DotProductSelfAttention(SequenceLayer):
         """Scaled queries, keys and values of masked ``values``, each [B, T, H, U]."""
         self._expect_channels(values.shape[2:], (self.d_model,))
         batch, time = values.shape[:2]
-        qkv = tensor.matmul_rows(values, self._qkv_proj)
+        qkv = tensor.matmul_rows(values, self._qkv_proj, 3 * self.num_heads * self.units_per_head)
         qkv = qkv.reshape(batch, time, 3, self.num_heads, self.units_per_head)
         return qkv[:, :, 0], qkv[:, :, 1], qkv[:, :, 2]
 
@@ -180,7 +180,8 @@ class DotProductSelfAttention(SequenceLayer):
             refused = np.less.outer(future, k_pos)  # [Tq, S]
             refused |= np.greater.outer(q_pos - self.max_past_horizon, k_pos)
             np.copyto(logits, _NEG_INF, where=refused)
-        np.copyto(logits, _NEG_INF, where=(k_mask == 0)[:, None, None])
+        if np.count_nonzero(k_mask) < k_mask.size:
+            np.copyto(logits, _NEG_INF, where=(k_mask == 0)[:, None, None])
         # the initial value gives an empty key axis (an empty first block) a peak
         peak = np.max(logits, axis=-1, keepdims=True, initial=_NEG_INF)
         peak = np.where(np.isfinite(peak), peak, np.float32(0))

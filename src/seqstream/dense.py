@@ -78,6 +78,7 @@ class Dense(SequenceLayer):
         if self.use_bias:
             spec["bias"] = (self.units,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
+        self._weight = tensor.rows_weight(self._params["weight"])
 
     def _check(self, channel_shape):
         if not channel_shape or channel_shape[-1] != self.in_features:
@@ -88,7 +89,7 @@ class Dense(SequenceLayer):
 
     def _step_arrays(self, values, mask, state, training, constants):
         self._check(values.shape[2:])
-        y = tensor.matmul_rows(values, self._params["weight"])
+        y = tensor.matmul_rows(values, self._weight, self.units)
         if self.use_bias:
             y += self._params["bias"]
         return y, mask, state

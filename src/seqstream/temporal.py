@@ -25,16 +25,12 @@ Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
 to ``_reduce_windows`` with the ``[out, k]`` index of each output's taps
 (:func:`_window_index`). Pooling and ``Frame`` gather ``values[:, idx]``.
-``Conv1D`` gathers from a channel-first float32 copy (so int32 input
-contracts in float32, as in ``Conv1DTranspose``) and contracts ``"cbtk,kcf->btf"``:
-numpy lays a gather along axis 1 out with the index axes outermost, so
-windows gathered from ``[B, T, C]`` sit in memory as ``[out, k, B, C]``, and
-einsum's inner loop runs over the few channels. Gathered from ``[C, B, T]``
-they sit as ``[out, k, C, B]``, with the batch fastest, and ``layer()`` over a
-batch of long sequences contracts about twice as fast. With more than one
-filter the sums are bit-identical to the ``[B, out, k, C]`` contraction's;
-with one filter einsum picks another loop order, and they can round apart
-in the last bits.
+``Conv1D`` gathers ``values.take(idx, axis=1)``: contiguous ``[B, out, k, C]``
+windows, which are, without a copy, ``[B, out, k * C]`` rows. It contracts
+them with :func:`~seqstream.tensor.matmul_rows` against its weight
+flattened to ``[k * C, filters]`` (int32 and bool input contract in
+float32), so a step gives the bits of ``layer()`` by the rule every
+contraction over positions follows (see :mod:`seqstream.tensor`).
 
 Padding conventions (pad_left, with pad_left + pad_right = effective_kernel - 1):
 
@@ -238,16 +234,17 @@ class Conv1D(_WindowedLayer):
         if self.use_bias:
             spec["bias"] = (self.filters,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
+        taps = self.kernel_size * self.in_channels
+        self._weight = tensor.rows_weight(self._params["weight"].reshape(taps, self.filters))
 
     def _reduce_windows(self, values, idx, wm):
         self._expect_channels(values.shape[2:], (self.in_channels,))
-        # channel-first float32 windows [C, B, out, k]: see the module docstring
-        channel_first = np.ascontiguousarray(values.transpose(2, 0, 1), tensor.FLOAT32)
-        windows = channel_first[:, :, idx]
-        y = tensor.einsum("cbtk,kcf->btf", windows, self._params["weight"])
+        # the windows [B, out, k, C], contiguous, are rows of k * C taps
+        rows = values.take(idx, axis=1).reshape(len(values), len(idx), len(self._weight))
+        y = tensor.matmul_rows(rows, self._weight, self.filters)
         if self.use_bias:
-            y = y + self._params["bias"]
-        return y.astype(np.float32, copy=False)
+            y += self._params["bias"]
+        return y
 
 
 class _Pooling1D(_WindowedLayer):

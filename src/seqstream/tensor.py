@@ -17,23 +17,33 @@ contraction may not round a row differently when the call has more or fewer
 rows. Kernels contract in one of three ways:
 
 * :func:`matmul_rows`, a float32 BLAS matmul over the flattened leading
-  axes, for a contraction whose rows are positions: ``Dense`` and the
-  attention projections. On OpenBLAS 0.3.31 a row's bits depend on the row
-  count in three cases, and it rules out each. A one-row or a one-column
-  call takes the gemv path, whose rounding depends on the row count, so a
-  lone row gets a second row and a lone column is padded. From K = 32, an
-  output width N with ``N % 16`` in 1..8 rounds one way in a call of fewer
-  than about 1e6 multiply-adds (M * N * K), where OpenBLAS runs its
+  axes, for a contraction whose rows are positions: ``Dense``, the
+  attention projections and ``Conv1D`` (a row is one output's window of
+  k * C taps). On OpenBLAS 0.3.31 a row's bits depend on the row count in
+  three cases, and it rules out each. A one-row or a one-column call takes
+  the gemv path, whose rounding depends on the row count, so a lone row
+  gets a second row and a lone column a second, zero column. From K = 32,
+  an output width N with ``N % 16`` in 1..8 rounds one way in a call of
+  fewer than about 1e6 multiply-adds (M * N * K), where OpenBLAS runs its
   small-matrix kernel, and another way in a larger one, so N is padded to a
-  multiple of 16. Past K = 448 the larger calls split K and the small ones
-  do not, which rounds a ``Dense(512, 32)`` step up to 6e-6 apart from
-  ``layer()``, so K is contracted in slices of at most 256, summed in
-  order. ``tests/test_tensor.py`` pins the result on this host.
+  multiple of 16; below K = 32 no width was seen to round apart, up to
+  65,536 rows. A layer pads its weight once, with :func:`rows_weight`. Past
+  K = 448 the larger calls split K and the small ones do not, which rounds
+  a ``Dense(512, 32)`` step up to 6e-6 apart from ``layer()``, so K is
+  contracted in slices of at most 256, summed in order.
+  ``tests/test_tensor.py`` pins the result on this host.
 * a plain ``@`` for the LSTM gates, whose rows are the batch, the same in
   both modes.
-* :data:`einsum` for the convolutions, ``Conv1D`` and ``Conv1DTranspose``:
-  on their shapes BLAS measured slower (0.16x for a one-filter conv, 0.7x for
-  a 1 -> 1 channel transposed conv).
+* :data:`einsum` for ``Conv1DTranspose``. On a 2-CPU host with OpenBLAS
+  0.3.31, ``matmul_rows`` against a ``[C, k * F]`` weight ran its
+  ``layer()`` 4.3x faster for 4 -> 8 channels at [8, 4096] and 1.08x for
+  ``mixed_resample``'s one channel at [8, 8192], but a batch-1 one-step
+  block 2.4 us slower, which slowed ``mixed_resample``'s batch-1 stepping.
+
+On the same host, BLAS runs ``conv_stack``'s two ``Conv1D`` ``layer()``
+calls at [8, 16384] 2.6x and 3.5x faster than the einsum over channel-first
+windows they ran before, and ``mixed_resample``'s one-filter ``Conv1D``
+1.14x faster.
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
@@ -80,35 +90,53 @@ def __getattr__(name):
 #: the deepest contraction :func:`matmul_rows` hands BLAS in one call
 _DEPTH = 256
 
+#: ``rows.take(_TWICE, axis=0)`` is a lone row duplicated: faster than a join
+_TWICE = np.zeros(2, np.intp)
 
-def matmul_rows(x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """``x [..., K] @ w [K, N]`` in float32, as a BLAS matmul over the
+
+def rows_weight(w: np.ndarray) -> np.ndarray:
+    """``w [K, N]`` as :func:`matmul_rows` contracts it: a read-only float32
+    copy with zero columns appended (see the module docstring), up to a
+    multiple of 16 from K = 32, and below K = 32 one column when N is 1. A
+    layer builds it once, so a step pays for no pad."""
+    k, n = w.shape
+    pad = -n % 16 if k >= 32 else int(n == 1)
+    rows = np.zeros((k, n + pad), FLOAT32)
+    rows[:, :n] = w
+    return freeze(rows)
+
+
+def matmul_rows(x: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:
+    """``x [..., K] @ w[:, :n]`` in float32, as a BLAS matmul over the
     flattened leading axes of ``x`` (int32 and bool ``x`` contract in
     float32 too), so that a row's bits do not depend on how many rows the
     call has (see the module docstring):
 
+    * ``w`` is :func:`rows_weight` of a ``[K, n]`` weight, whose zero
+      columns keep BLAS off its one-column and small-matrix paths and are
+      cut from the result;
     * a one-row ``x`` is duplicated to two rows and the first row kept;
-    * a one-column ``w``, and from K = 32 any ``w`` whose width is not a
-      multiple of 16, is padded with zero columns to a multiple of 16, and
-      the pad is cut from the result;
     * K is contracted in slices of at most ``_DEPTH``, one matmul each,
       their products summed in order.
     """
-    lead, (k, n) = x.shape[:-1], w.shape
+    lead = x.shape[:-1]
     m = math.prod(lead)
-    rows = np.asarray(x, dtype=np.float32).reshape(m, k)
+    rows = x.reshape(m, len(w))
+    if rows.dtype != FLOAT32:
+        rows = rows.astype(FLOAT32)
     if m == 1:
-        rows = np.concatenate((rows, rows))
-    if n % 16 and (n == 1 or k >= 32):
-        w = np.concatenate((w, np.zeros((k, -n % 16), np.float32)), axis=1)
-    if k <= _DEPTH:
-        y = rows @ w
+        rows = rows.take(_TWICE, axis=0)
+    # np.dot runs the same BLAS call as ``@`` with less dispatch
+    if len(w) <= _DEPTH:
+        y = np.dot(rows, w)
     else:
-        y = rows[:, :_DEPTH] @ w[:_DEPTH]
-        for start in range(_DEPTH, k, _DEPTH):
-            y += rows[:, start : start + _DEPTH] @ w[start : start + _DEPTH]
-    if y.shape != (m, n):
+        y = np.dot(rows[:, :_DEPTH], w[:_DEPTH])
+        for start in range(_DEPTH, len(w), _DEPTH):
+            y += np.dot(rows[:, start : start + _DEPTH], w[start : start + _DEPTH])
+    if w.shape[1] != n:
         y = np.ascontiguousarray(y[:m, :n])
+    elif m == 1:
+        y = y[:1]
     return y.reshape(lead + (n,))
 
 

@@ -130,6 +130,18 @@ class TestAttentionLayer:
             assert out.tobytes() == where_attend(layer, *args).tobytes()
 
     @pytest.mark.parametrize("past,future", [(-1, 0), (3, 2)])
+    def test_attend_matches_where_reference_with_and_without_invalid_keys(self, past, future):
+        """`_attend` writes the invalid-key refusals only when a key is
+        invalid; both kinds of call give the reference's bits."""
+        layer = make_layer(seed=13, past=past, future=future)
+        x = random_sequence(13, 2, 12, 4, lengths=[12, 8])
+        calls = attend_calls(layer, lambda: step_by_step(layer, x, training=False, block=1))
+        every_key_valid = [bool(np.all(args[5])) for args, _ in calls]
+        assert any(every_key_valid) and not all(every_key_valid)
+        for args, out in calls:
+            assert out.tobytes() == where_attend(layer, *args).tobytes()
+
+    @pytest.mark.parametrize("past,future", [(-1, 0), (3, 2)])
     def test_attend_matches_where_reference_on_empty_and_invalid_rows(self, past, future):
         layer = make_layer(seed=11, past=past, future=future)
         x = random_sequence(11, 2, 9, 4, lengths=[9, 0])  # row 1 is all invalid

@@ -2,15 +2,16 @@
 
 The contract allows |step - layer| up to 1e-6, but these layers and specs
 meet it exactly, and a faster step path must keep it that way. A
-contraction whose rows are positions goes through ``tensor.matmul_rows``,
-which never lets BLAS take its one-row (gemv) path: that path rounds a row
-apart from the many-row one, so a bare matmul on a one-row block changes
-bits without failing any tolerance. A change of operand layout changes bits
-the same way: einsum orders its loops by the operands' strides and extents,
-so where Conv1D gathers its windows channel-first, the order of a sum can
-depend on the batch, the block length and the filter count. So the cases
-run at batch 1 (a one-step block is one row), 3 and 8, at several block
-multiples, and with one filter as well as several.
+contraction whose rows are positions (Dense, the attention projections and
+Conv1D's window rows) goes through ``tensor.matmul_rows``, which never lets
+BLAS take its one-row (gemv) path: that path rounds a row apart from the
+many-row one, so a bare matmul on a one-row block changes bits without
+failing any tolerance. The row count also decides how BLAS rounds a narrow
+output past about 1e6 multiply-adds, and a deep one past 448 taps, which
+``matmul_rows`` rules out with its padded weight and its slices of K. So
+the cases run at batch 1 (a one-step block is one row), 3 and 8, at
+several block multiples, with one filter as well as several, and with
+convs deep and long enough to reach those two hazards.
 """
 
 import numpy as np
@@ -39,7 +40,17 @@ def layers():
         # mixed_resample's first leaf
         "conv1d_one_filter": (sl.Conv1D(3, 1, 5, stride=2, padding="same", rng=rng), (3,)),
         "conv1d_dilated": (sl.Conv1D(3, 5, 3, dilation=2, padding="causal", rng=rng), (3,)),
+        # k * C = 512 taps: contracted in slices of 256
+        "conv1d_deep": (sl.Conv1D(64, 8, 8, stride=2, rng=rng), (64,)),
+        # k * C = 48 taps and 5 filters, run over TIMES steps: layer()'s call
+        # passes 1e6 multiply-adds at batch 8, where the unpadded width would
+        # leave BLAS's small-matrix kernel
+        "conv1d_narrow": (sl.Conv1D(16, 5, 3, rng=rng), (16,)),
     }
+
+
+#: input steps of the leaves that need more than padded_input's 48
+TIMES = {"conv1d_narrow": 544}
 
 
 BATCHES = (1, 3, 8)
@@ -61,7 +72,7 @@ def assert_bit_exact(y, ref):
 @pytest.mark.parametrize("name", sorted(layers()))
 def test_leaf_steps_are_bit_exact(name, mult, batch):
     layer, channels = layers()[name]
-    x = padded_input(channels, batch=batch)
+    x = padded_input(channels, time=TIMES.get(name, 48), batch=batch)
     ref = layer.layer(x, training=False)
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
 

@@ -9,11 +9,11 @@ import pytest
 from fractions import Fraction
 
 import seqstream as sl
+from seqstream import tensor
 from seqstream.layer import poison_invalid
 from seqstream.sequence import Sequence
 from seqstream.streaming import step_by_step
 from seqstream.temporal import PADDING_MODES, explicit_padding, window_curve
-from seqstream.tensor import einsum
 
 from conftest import assert_sequences_close, random_sequence
 
@@ -42,27 +42,44 @@ def conv1d_oracle(x: Sequence, weight, bias, stride, dilation, padding):
 
 
 class BtkcConv1D(sl.Conv1D):
-    """Conv1D as it contracted before it gathered channel-first windows: one
-    einsum over the [B, out, k, C] windows, cast to float32 as Conv1D casts
-    them. Kept as a bit reference."""
+    """Conv1D as an einsum over the [B, out, k, C] windows, cast to float32
+    as Conv1D casts them: the contraction it ran before BLAS, kept as a
+    float32 reference that sums in another order."""
 
     def _reduce_windows(self, values, idx, wm):
         windows = values[:, idx].astype(np.float32, copy=False)
-        y = einsum("btkc,kcf->btf", windows, self._params["weight"])
+        y = tensor.einsum("btkc,kcf->btf", windows, self._params["weight"])
         return (y + self._params["bias"]).astype(np.float32, copy=False)
 
 
-def conv_grid(dtype, batch, filters=None):
-    """(new, reference) outputs of Conv1D and BtkcConv1D with the same params
-    over kernel 1-5, stride 1-3, dilation 1-2, every padding and 1-5 channels,
-    on ragged rows of ``dtype``; ``filters`` None draws 2-6 per conv."""
+class LoopedWindowsConv1D(sl.Conv1D):
+    """Conv1D with its [B, out, k * C] window rows built by an explicit loop
+    over outputs and taps, then contracted by ``tensor.matmul_rows`` on the
+    flattened [k * C, F] weight: a bit reference for the gather and the
+    contraction rule."""
+
+    def _reduce_windows(self, values, idx, wm):
+        k, c = self.kernel_size, self.in_channels
+        rows = np.zeros((len(values), len(idx), k * c), np.float32)
+        for t in range(len(idx)):
+            for j in range(k):
+                rows[:, t, j * c : (j + 1) * c] = values[:, t * self.stride + j * self.dilation]
+        weight = tensor.rows_weight(self._params["weight"].reshape(k * c, self.filters))
+        return tensor.matmul_rows(rows, weight, self.filters) + self._params["bias"]
+
+
+def conv_grid(dtype, batch, filters=None, reference=BtkcConv1D):
+    """(new, reference) outputs of Conv1D and ``reference`` with the same
+    params over kernel 1-5, stride 1-3, dilation 1-2, every padding and 1-5
+    channels, on ragged rows of ``dtype``; ``filters`` None draws 2-6 per
+    conv."""
     rng = np.random.default_rng([batch, filters or 0, len(dtype)])
     for k, stride, dilation, padding, channels in itertools.product(
         range(1, 6), range(1, 4), (1, 2), PADDING_MODES, range(1, 6)
     ):
         n = filters or int(rng.integers(2, 7))
         conv = sl.Conv1D(channels, n, k, stride, dilation, padding, rng=rng)
-        ref = BtkcConv1D(channels, n, k, stride, dilation, padding, params=conv.parameters)
+        ref = reference(channels, n, k, stride, dilation, padding, params=conv.parameters)
         time = int(rng.integers(1, 25))
         shape = (batch, time, channels)
         if dtype == "f32":
@@ -186,13 +203,24 @@ class TestConv1D:
         got = np.asarray(y.mask_invalid().values, np.float64)
         np.testing.assert_allclose(got, np.where(expect_mask[..., None], expect, 0), atol=1e-5)
 
+    @pytest.mark.parametrize("filters", [1, None], ids=["1", "2-6"])
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
-    def test_channel_first_contraction_is_bitwise_the_btkc_one(self, dtype, batch):
-        for y, ref in conv_grid(dtype, batch):
+    def test_contraction_is_bitwise_the_looped_windows_one(self, dtype, batch, filters):
+        for y, ref in conv_grid(dtype, batch, filters, reference=LoopedWindowsConv1D):
             assert np.array_equal(y.mask, ref.mask)
             assert y.values.dtype == ref.values.dtype == np.float32
             assert y.values.tobytes() == ref.values.tobytes()
+
+    @pytest.mark.parametrize("batch", [1, 3, 8])
+    @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
+    def test_contraction_agrees_with_the_btkc_one(self, dtype, batch):
+        # BLAS and einsum sum the taps in other orders, so the float32 sums
+        # may round apart; the i32 draws (|v| <= 4) are 8x the f32 ones
+        atol = 8e-6 if dtype == "i32" else 1e-6
+        for y, ref in conv_grid(dtype, batch):
+            assert np.array_equal(y.mask, ref.mask)
+            np.testing.assert_allclose(y.values, ref.values, atol=atol, rtol=0)
 
     @pytest.mark.parametrize("batch", [1, 3, 8])
     @pytest.mark.parametrize("dtype", ["f32", "i32", "bool"])
@@ -493,3 +521,19 @@ def test_step_rejects_a_block_with_the_wrong_channels(make):
     block = random_sequence(0, 1, 2 * layer.block_size, 4)
     with pytest.raises(sl.SpecMismatchError, match=r"expected channel shape \(3,\), got \(4,\)"):
         layer.step(block, state, training=False)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sl.Conv1D(0, 2, 3, stride=2, rng=np.random.default_rng(0)),
+        lambda: sl.Conv1DTranspose(0, 2, 3, stride=2, rng=np.random.default_rng(0)),
+    ],
+    ids=["conv1d", "conv1d_transpose"],
+)
+def test_zero_input_channels_contract_to_the_bias(make):
+    layer = make()
+    x = Sequence.from_values(np.zeros((2, 6, 0), np.float32))
+    y = layer.layer(x, training=False)
+    assert y.values.shape == (2, int(6 * layer.output_ratio), 2)
+    assert np.array_equal(y.values, np.broadcast_to(layer.parameters["bias"], y.values.shape))

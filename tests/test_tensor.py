@@ -93,25 +93,31 @@ def test_matmul_rows_gives_a_row_the_same_bits_at_any_row_count(k, n):
     """
     rng = np.random.default_rng([k, n])
     x = rng.standard_normal((4096, k), dtype=np.float32)
-    w = rng.standard_normal((k, n), dtype=np.float32)
-    ref = tensor.matmul_rows(x, w)
+    w = tensor.rows_weight(rng.standard_normal((k, n), dtype=np.float32))
+    ref = tensor.matmul_rows(x, w, n)
     assert ref.dtype == np.float32 and ref.shape == (4096, n) and ref.flags.c_contiguous
     for m in (1, 2, 3, 7, 8, 33, 1000):
-        assert tensor.matmul_rows(x[:m], w).tobytes() == ref[:m].tobytes(), m
+        assert tensor.matmul_rows(x[:m], w, n).tobytes() == ref[:m].tobytes(), m
     # leading axes flatten into rows: [B, T, K] is the [B * T, K] call
-    assert tensor.matmul_rows(x[:24].reshape(3, 8, k), w).tobytes() == ref[:24].tobytes()
+    assert tensor.matmul_rows(x[:24].reshape(3, 8, k), w, n).tobytes() == ref[:24].tobytes()
 
 
 @pytest.mark.parametrize("dtype", [np.int32, np.bool_])
 def test_matmul_rows_contracts_int_and_bool_in_float32(dtype):
     x = (np.arange(12).reshape(2, 2, 3) % 3).astype(dtype)
     w = np.arange(6, dtype=np.float32).reshape(3, 2) / 4
-    y = tensor.matmul_rows(x, w)
+    y = tensor.matmul_rows(x, tensor.rows_weight(w), 2)
     assert y.dtype == np.float32
     assert y.tobytes() == (x.astype(np.float32).reshape(4, 3) @ w).reshape(2, 2, 2).tobytes()
 
 
 def test_matmul_rows_of_an_empty_block_is_empty():
     w = np.ones((5, 3), np.float32)
-    y = tensor.matmul_rows(np.zeros((2, 0, 5), np.float32), w)
+    y = tensor.matmul_rows(np.zeros((2, 0, 5), np.float32), tensor.rows_weight(w), 3)
     assert y.shape == (2, 0, 3) and y.dtype == np.float32
+
+
+def test_matmul_rows_over_no_taps_is_zero():
+    w = tensor.rows_weight(np.zeros((0, 3), np.float32))
+    y = tensor.matmul_rows(np.zeros((2, 4, 0), np.float32), w, 3)
+    assert y.shape == (2, 4, 3) and not y.any()
