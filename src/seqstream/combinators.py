@@ -43,10 +43,16 @@ since a combined step is invalid wherever a branch step is. Only the
 composite being stepped checks its block; every check of a composite or a
 leaf block inside it is implied by its own. A leaf runs its array kernel
 (see :mod:`seqstream.layer`), or else its public ``step_with_emits``: a
-leaf that overrides ``step`` or ``step_with_emits`` (``Emit``) does, and so
-does one with a ``step`` set on the instance, such as a tracing wrapper
-(looked up per call). Emits keep the nesting of the tree; when no leaf
-emits, the emits tree is the same constant on every step.
+leaf that overrides ``step`` or ``step_with_emits`` does, and so does one
+with a ``step`` set on the instance, such as a tracing wrapper (looked up
+per call).
+
+Emits are one flat map ``{layer path: Sequence}`` (see
+:mod:`seqstream.layer`): a composite files its children's emits under its
+own name, in both modes. The plan records the output register and path of
+each tap (an ``Emit``) once, at lowering, and builds the map from those
+registers after each step; a leaf stepped through its public method has its
+emits filed under its parent's path.
 
 A composite's state is one flat tuple: the states of the leaves its plan
 steps, in slot order. A leaf, or a composite that steps itself, fills one
@@ -66,7 +72,7 @@ import numpy as np
 
 from . import tensor
 from .errors import NotSteppableError, SpecMismatchError
-from .layer import EMPTY_EMITS, UNIT_RATIO, Emitting, SequenceLayer, renamed
+from .layer import UNIT_RATIO, SequenceLayer, renamed
 from .receptive_field import (
     reverse_rf_map,
     serial_rf_map,
@@ -162,76 +168,68 @@ def _combine_outputs(outputs, mode: str) -> Sequence:
     return Sequence._wrap(values, mask)
 
 
-def _unflatten(layout, flat):
-    """The nested tree of the slots of ``flat`` that ``layout`` names."""
-    return tuple([flat[sub] if isinstance(sub, int) else _unflatten(sub, flat) for sub in layout])
+def _filed(name, emits):
+    """``emits`` filed under ``name``: each path gains it as its first part."""
+    return {f"{name}/{path}": tap for path, tap in emits.items()}
 
 
 class _StepPlan:
     """A composite's subtree lowered once for stepping (see the module docstring).
 
-    ``emits_layout`` maps the nested emits onto the leaf slots: a leaf is
-    its slot, a Serial or Parallel the tuple of its children's layouts.
-
     ``ops`` run in order. Each reads a register, a ``(values, mask)`` pair
     in a list that starts with the input block's, and appends its output's.
-    A leaf op ``(leaf, slot, src, kernel, zeroes, attrs)`` steps ``leaf``
-    on register ``src`` with the state in ``slot``. It runs ``kernel``, its
-    bound ``_step_arrays``, zeroing the invalid input steps first when
-    ``zeroes``; a leaf that steps itself has no kernel, and neither does
-    one with a ``step`` in ``attrs``, its instance dict, such as a tracing
-    wrapper. Such a leaf is called through ``step_with_emits`` on the
-    register wrapped as a Sequence, and its emits go in ``slot`` of the
-    flat emits. A branch op ``(None, srcs, combine)`` ends a Parallel: it
-    combines the (aligned) branch outputs in ``srcs``.
+    A leaf op ``(leaf, slot, src, kernel, zeroes, attrs, parent)`` steps
+    ``leaf`` on register ``src`` with the state in ``slot``. It runs
+    ``kernel``, its bound ``_step_arrays``, zeroing the invalid input steps
+    first when ``zeroes``; a leaf that steps itself has no kernel, and
+    neither does one with a ``step`` in ``attrs``, its instance dict, such
+    as a tracing wrapper. Such a leaf is called through ``step_with_emits``
+    on the register wrapped as a Sequence, and its emits are filed under
+    ``parent``, its parent's path below the composite plus ``/``. A branch
+    op ``(None, srcs, combine)`` ends a Parallel: it combines the (aligned)
+    branch outputs in ``srcs``.
+
+    ``taps`` holds ``(path below the composite, output register)`` of each
+    tap leaf, in op order.
     """
 
     def __init__(self, composite):
         self.ops = []
+        self.taps = []
         self.num_slots = 0
-        self.emits_layout, self.out = self._lower_composite(composite, 0)
-        emitting = any(
-            type(op[0]).step_with_emits is not SequenceLayer.step_with_emits
-            for op in self.ops
-            if op[0] is not None
-        )
-        #: the emits tree when no leaf emits
-        self.emits = (
-            None if emitting else _unflatten(self.emits_layout, [EMPTY_EMITS] * self.num_slots)
-        )
+        self.out = self._lower_composite(composite, 0, "")
 
-    def _lower(self, node, src):
-        """Appends the ops that step ``node`` on register ``src``; returns
-        (its emits layout, its output register)."""
+    def _lower(self, node, src, parent):
+        """Appends the ops that step ``node``, a child under the path
+        ``parent``, on register ``src``; returns its output register."""
         cls = type(node)
         # inlined: a Serial, Repeat, Blockwise, Parallel or Residual, unless it
         # is a subclass that steps itself
         if cls.step_with_emits is _Composite.step_with_emits:
-            return self._lower_composite(node, src)
+            return self._lower_composite(node, src, f"{parent}{node.name}/")
         slot = self.num_slots
         self.num_slots += 1
         inherits = cls.step is SequenceLayer.step
         inherits = inherits and cls.step_with_emits is SequenceLayer.step_with_emits
         kernel = node._step_arrays if inherits else None
-        self.ops.append((node, slot, src, kernel, node._masks_step_input, vars(node)))
-        return slot, len(self.ops)
+        self.ops.append((node, slot, src, kernel, node._masks_step_input, vars(node), parent))
+        if node._is_tap:
+            self.taps.append((parent + node.name, len(self.ops)))
+        return len(self.ops)
 
-    def _lower_composite(self, node, src):
-        layouts = []
+    def _lower_composite(self, node, src, path):
         if not isinstance(node, Parallel):
             for child in node.children:
-                layout, src = self._lower(child, src)
-                layouts.append(layout)
-            return tuple(layouts), src
+                src = self._lower(child, src, path)
+            return src
         outputs = []
         for child, delay in zip(node.children, node._delays):
-            layout, out = self._lower(child, src)
+            out = self._lower(child, src, path)
             if delay.length:
-                _, out = self._lower(delay, out)
-            layouts.append(layout)
+                out = self._lower(delay, out, path)
             outputs.append(out)
         self.ops.append((None, tuple(outputs), node.combine))
-        return tuple(layouts), len(self.ops)
+        return len(self.ops)
 
     def initial_state(self, batch_size, input_spec, training, constants):
         """The composite's initial state: each leaf op's, in slot order, for
@@ -252,18 +250,18 @@ class _StepPlan:
             specs.append(leaf.get_output_spec(spec, constants))
         return tuple(states)
 
-    def run(self, x, state, training, constants):
-        """(output, next state, emits) of one step; emits nested as the composite's."""
+    def run(self, name, x, state, training, constants):
+        """(output, next state, emits) of one step of the composite called ``name``."""
         states = list(state)
         regs = [(x.values, x.mask)]
-        emits = None if self.emits is not None else [EMPTY_EMITS] * self.num_slots
+        emits = {}
         for op in self.ops:
             leaf = op[0]
             if leaf is None:
                 arrays, masks = zip(*[regs[src] for src in op[1]])
                 regs.append(_combine(arrays, masks, op[2]))
                 continue
-            _, slot, src, kernel, zeroes, attrs = op
+            _, slot, src, kernel, zeroes, attrs, parent = op
             values, mask = regs[src]
             # a step set on the leaf itself (a wrapper) is looked up per call and honoured
             if kernel is not None and "step" not in attrs:
@@ -275,16 +273,21 @@ class _StepPlan:
             y, states[slot], leaf_emits = leaf.step_with_emits(
                 Sequence._wrap(values, mask), states[slot], training=training, constants=constants
             )
-            if emits is not None:
-                emits[slot] = leaf_emits
+            for path, tap in leaf_emits.items():
+                emits[parent + path] = tap
             regs.append((y.values, y.mask))
-        step_emits = self.emits if emits is None else _unflatten(self.emits_layout, emits)
-        return Sequence._wrap(*regs[self.out]), tuple(states), step_emits
+        # a tap stepped through a wrapper has filed the same arrays already
+        for path, reg in self.taps:
+            emits[path] = Sequence._wrap(*regs[reg])
+        out = Sequence._wrap(*regs[self.out])
+        return out, tuple(states), _filed(name, emits) if emits else emits
 
 
-class _Composite(Emitting):
-    """Serial and Parallel: an emitting layer over a tuple of children,
-    stepped through a :class:`_StepPlan` built on first use."""
+class _Composite(SequenceLayer):
+    """Serial and Parallel: a layer over a tuple of children whose emits ride
+    its one execution loop. Subclasses implement ``layer_with_emits``, and
+    step through a :class:`_StepPlan` built on first use; ``layer`` and
+    ``step`` return their outputs without the emits."""
 
     @property
     def children(self):
@@ -307,9 +310,16 @@ class _Composite(Emitting):
             raise NotSteppableError(f"{self.name}: {self._unsteppable}")
         return self._plan.initial_state(batch_size, input_spec, training, constants)
 
+    def layer(self, x, *, training, constants=None):
+        return self.layer_with_emits(x, training=training, constants=constants)[0]
+
+    def step(self, x, state, *, training, constants=None):
+        y, state, _ = self.step_with_emits(x, state, training=training, constants=constants)
+        return y, state
+
     def step_with_emits(self, x, state, *, training, constants=None):
         self._check_block(x)
-        return self._plan.run(x, state, training, constants)
+        return self._plan.run(self.name, x, state, training, constants)
 
 
 class Serial(_Composite):
@@ -392,11 +402,11 @@ class Serial(_Composite):
         return spec
 
     def layer_with_emits(self, x, *, training, constants=None):
-        emits = []
+        emits = {}
         for child in self._children:
-            x, e = child.layer_with_emits(x, training=training, constants=constants)
-            emits.append(e)
-        return x, tuple(emits)
+            x, child_emits = child.layer_with_emits(x, training=training, constants=constants)
+            emits.update(child_emits)
+        return x, _filed(self.name, emits)
 
 
 class Parallel(_Composite):
@@ -456,11 +466,12 @@ class Parallel(_Composite):
         return self._children[0].output_time(input_time)
 
     def layer_with_emits(self, x, *, training, constants=None):
-        pairs = [
-            c.layer_with_emits(x, training=training, constants=constants)
-            for c in self._children
-        ]
-        return _combine_outputs([p[0] for p in pairs], self.combine), tuple(p[1] for p in pairs)
+        outputs, emits = [], {}
+        for child in self._children:
+            y, child_emits = child.layer_with_emits(x, training=training, constants=constants)
+            outputs.append(y)
+            emits.update(child_emits)
+        return _combine_outputs(outputs, self.combine), _filed(self.name, emits)
 
 
 class Residual(Parallel):
@@ -571,9 +582,11 @@ class Blockwise(Serial):
     ``(child state,)`` for a leaf child.
 
     layer() steps it block by block (bounding peak memory by the block
-    size), flushed and trimmed per the latency protocol. Its emits are its
-    step emits from that run, untrimmed, nested as a Serial's:
-    ``(child emits,)``.
+    size), flushed and trimmed per the latency protocol. Its emits, in both
+    modes, are its step emits from such a run, filed under its name as a
+    Serial's are (``blockwise/emit`` for a child ``Emit``). They are not
+    trimmed, so a tap has the raw stepped extent: ``Blockwise(Emit(), 4)``
+    over 6 steps taps 8 steps, where ``Emit()`` alone taps 6.
     """
 
     def __init__(self, child, block_size, name=None):

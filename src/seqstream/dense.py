@@ -23,7 +23,7 @@ from . import combinators
 from . import params as params_lib
 from . import tensor
 from .errors import MissingConstantError, SpecMismatchError
-from .layer import Constants, Emitting, SequenceLayer
+from .layer import Constants, SequenceLayer
 from .sequence import Sequence
 
 __all__ = [
@@ -52,15 +52,10 @@ class Identity(SequenceLayer):
         return values, mask, state
 
 
-class Emit(Emitting):
+class Emit(Identity):
     """Identity layer that exposes its input as an emit for tapping a stack."""
 
-    def layer_with_emits(self, x, *, training, constants=None):
-        return x, x
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        self._check_block(x)
-        return x, state, x
+    _is_tap = True
 
 
 class Dense(SequenceLayer):

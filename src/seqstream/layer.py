@@ -20,9 +20,11 @@ gives. One thread at a time steps a given state; none of the library's
 drivers does otherwise. A composite's state is the flat
 tuple of the states of the leaves its step plan steps, in slot order; a
 nested Serial or Parallel contributes its own flat tuple as a contiguous run
-(see :mod:`seqstream.combinators`). No layer keeps memory on itself. A layer with lookahead emits invalid placeholder steps until enough
-input has arrived; callers flush it with ``input_latency`` invalid inputs
-and drop the first ``output_latency`` outputs (see
+(see :mod:`seqstream.combinators`). No layer keeps memory on itself.
+
+A layer with lookahead outputs invalid placeholder steps until enough input
+has arrived; callers flush it with ``input_latency`` invalid inputs and drop
+the first ``output_latency`` outputs (see
 :func:`seqstream.streaming.step_by_step`).
 
 Metadata exposed per layer: exact rational ``output_ratio``, ``block_size``,
@@ -31,12 +33,20 @@ both latencies, and a per-step receptive field map (see
 ``ValueError`` when they contradict each other.
 
 Emits are auxiliary outputs (taps on intermediate activations) returned by
-``layer_with_emits`` and ``step_with_emits``. A plain layer has none, and its
-``*_with_emits`` methods wrap ``layer``/``step``. A layer that produces or
-forwards emits - ``dense.Emit`` and the combinators ``Serial``,
-``Parallel``/``Residual`` and ``Blockwise`` - is :class:`Emitting`: it
-implements only the ``*_with_emits`` pair and derives ``layer``/``step`` from
-it, so outputs and emits come from one loop and cannot drift apart.
+``layer_with_emits`` and ``step_with_emits`` as one flat map
+``{layer path: Sequence}``. A path is the layer names from the called layer
+down to the tap, joined by ``/``: the prefix
+:func:`seqstream.params.collect_parameters` gives the tap's parameters
+(``serial/tap``, ``residual/body/emit``). A layer without taps returns a new
+empty map. ``dense.Emit``, an identity leaf, taps its output under its own
+name; a composite (``Serial``, ``Parallel``/``Residual``, ``Blockwise``)
+files its children's emits under its own name, and derives ``layer`` and
+``step`` from its ``*_with_emits`` pair, so outputs and emits come from one
+loop and cannot drift apart. Extents differ between the modes: a
+layer-mode tap is the tap's input as ``layer()`` computes it, and a
+step-mode tap is the raw stepped stream, leading placeholders and flush
+steps included. So ``Serial([Lookahead(2), Emit()])`` over 6 steps taps 6
+steps layer-wise and 8 steps stepped.
 
 Every library leaf implements one array kernel,
 ``_step_arrays(values, mask, state, training, constants)``, which returns
@@ -50,9 +60,8 @@ returns it unchanged. Everything else derives from that kernel here:
 ``step`` runs it on one block; ``layer`` runs it once over the whole
 sequence from the initial state, flushed and trimmed by the rule
 :func:`flush_extent` computes for the step drivers too. No library leaf
-keeps a ``layer()`` of its own. A layer without a kernel (``Emit``, a
-composite, a sabotage fixture) declares only its ``layer()`` (or
-``layer_with_emits``).
+keeps a ``layer()`` of its own. A layer without a kernel (a composite, a
+sabotage fixture) declares only its ``layer()`` (or ``layer_with_emits``).
 
 ``get_output_spec`` is, for every layer, the spec of what ``layer()``
 returns for an empty sequence. So both modes and the declared spec share
@@ -89,10 +98,9 @@ from .sequence import ChannelSpec, Sequence, zero_invalid
 
 Constants = Mapping[str, Any]
 State = Any
-Emits = Any
+Emits = dict[str, Sequence]
 
 EMPTY_STATE: State = ()
-EMPTY_EMITS: Emits = ()
 UNIT_RATIO = Fraction(1)
 
 
@@ -255,10 +263,15 @@ class SequenceLayer(abc.ABC):
         values, mask, state = self._step_arrays(values, x.mask, state, training, constants)
         return Sequence._wrap(values, mask), state
 
+    #: whether the layer's output is an emit under its own name, as an
+    #: identity ``dense.Emit``'s is
+    _is_tap = False
+
     def layer_with_emits(
         self, x: Sequence, *, training: bool, constants: Constants | None = None
     ) -> tuple[Sequence, Emits]:
-        return self.layer(x, training=training, constants=constants), EMPTY_EMITS
+        y = self.layer(x, training=training, constants=constants)
+        return y, {self.name: y} if self._is_tap else {}
 
     def step_with_emits(
         self,
@@ -269,7 +282,7 @@ class SequenceLayer(abc.ABC):
         constants: Constants | None = None,
     ) -> tuple[Sequence, State, Emits]:
         y, state = self.step(x, state, training=training, constants=constants)
-        return y, state, EMPTY_EMITS
+        return y, state, {self.name: y} if self._is_tap else {}
 
     # -- validation helpers --------------------------------------------------
 
@@ -306,26 +319,6 @@ def renamed(layer: SequenceLayer, name: str) -> SequenceLayer:
     twin = copy.copy(layer)
     twin.name = name
     return twin
-
-
-class Emitting(SequenceLayer):
-    """A layer whose emits ride its one execution loop: subclasses implement
-    ``layer_with_emits`` and ``step_with_emits``; ``layer`` and ``step`` return
-    their outputs without the emits."""
-
-    @abc.abstractmethod
-    def layer_with_emits(self, x, *, training, constants=None):
-        """Processes a whole sequence; returns (output, emits)."""
-
-    def step_with_emits(self, x, state, *, training, constants=None):
-        raise NotImplementedError
-
-    def layer(self, x, *, training, constants=None):
-        return self.layer_with_emits(x, training=training, constants=constants)[0]
-
-    def step(self, x, state, *, training, constants=None):
-        y, state, _ = self.step_with_emits(x, state, training=training, constants=constants)
-        return y, state
 
 
 def poison_value(dtype: np.dtype):

@@ -90,11 +90,6 @@ def read_archive(fp: BinaryIO) -> dict[str, np.ndarray]:
         out[name] = tensor.read_tensor(fp)
 
 
-def save_archive(path, named: Mapping[str, np.ndarray]) -> None:
-    with open(path, "wb") as fp:
-        write_archive(fp, named)
-
-
 def load_archive(path) -> dict[str, np.ndarray]:
     with open(path, "rb") as fp:
         return read_archive(fp)

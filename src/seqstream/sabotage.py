@@ -121,14 +121,15 @@ class LeakyConv(Conv1D):
 
 
 class ShapeShiftingEmits(Identity):
-    """Emits a dict layer-wise but a tuple step-wise (breaks emits_consistency)."""
+    """Taps its input under one path layer-wise and another step-wise
+    (breaks emits_consistency)."""
 
     def layer_with_emits(self, x, *, training, constants=None):
-        return x, {"tap": x}
+        return x, {f"{self.name}/layer_tap": x}
 
     def step_with_emits(self, x, state, *, training, constants=None):
         y, state = self.step(x, state, training=training, constants=constants)
-        return y, state, (x,)
+        return y, state, {f"{self.name}/step_tap": x}
 
 
 class BlockSeededDropout(SequenceLayer):

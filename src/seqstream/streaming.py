@@ -21,30 +21,9 @@ def _resolve_block(layer: SequenceLayer, block: int | None) -> int:
 
 
 def concat_emits(emits_list):
-    """Concatenates per-block emits over time, preserving tree structure."""
-    if not emits_list:
-        return ()
-    head = emits_list[0]
-    if _timeless(head):
-        # nothing to join, as in a plan's constant tree of (): the walk
-        # below would rebuild head, whatever the later blocks hold
-        return head
-    if isinstance(head, Sequence):
-        return Sequence.concatenate_sequences(emits_list)
-    if isinstance(head, np.ndarray):
-        return np.concatenate(emits_list, axis=1)
-    if isinstance(head, tuple):
-        return tuple(concat_emits([e[i] for e in emits_list]) for i in range(len(head)))
-    if isinstance(head, dict):
-        return {k: concat_emits([e[k] for e in emits_list]) for k in head}
-    return head
-
-
-def _timeless(tree) -> bool:
-    """True when an emits tree holds no Sequence or array to join over time."""
-    if isinstance(tree, (tuple, dict)):
-        return all(map(_timeless, tree.values() if isinstance(tree, dict) else tree))
-    return not isinstance(tree, (Sequence, np.ndarray))
+    """Joins per-block emits, each a ``{layer path: Sequence}`` map, over time."""
+    paths = emits_list[0] if emits_list else ()
+    return {path: Sequence.concatenate_sequences([e[path] for e in emits_list]) for path in paths}
 
 
 def stream_blocks(

@@ -15,8 +15,9 @@
     rows permutes/extends outputs without changing valid positions;
 6.  padding_invariance - extra end padding and poisoned invalid values
     (NaN / 10^9 / flipped bools) leave valid outputs untouched;
-7.  emits_consistency - emits carry a stable tree structure and the primary
-    outputs match the emit-free paths;
+7.  emits_consistency - emits carry the same tap paths and channel specs
+    in every call and both modes (not yet their time extents), and the
+    primary outputs match the emit-free paths;
 8.  rng_equivalence - stochastic layers reproduce layer() step-wise when
     started from the same RNG counter.
 
@@ -447,16 +448,9 @@ def _check_padding(layer, constants, x, layer_out, flushed):
     return None, metrics
 
 
-def _tree_signature(emits):
-    if isinstance(emits, Sequence):
-        return ("seq", emits.channel_shape, str(emits.dtype))
-    if isinstance(emits, np.ndarray):
-        return ("arr", emits.ndim, str(emits.dtype))
-    if isinstance(emits, tuple):
-        return tuple(_tree_signature(e) for e in emits)
-    if isinstance(emits, dict):
-        return {k: _tree_signature(v) for k, v in sorted(emits.items())}
-    return ("leaf", type(emits).__name__)
+def _emits_signature(emits):
+    """Each tap's channel spec, by path."""
+    return {path: str(tap.channel_spec) for path, tap in sorted(emits.items())}
 
 
 def _check_emits(layer, constants, x, layer_out, flushed):
@@ -465,12 +459,12 @@ def _check_emits(layer, constants, x, layer_out, flushed):
     failure, _ = compare(y_plain, y_emits, TOLERANCE, "layer vs layer_with_emits")
     if failure:
         return failure, {}
-    sig_layer = _tree_signature(emits)
+    sig_layer = _emits_signature(emits)
     _, emits_again = layer.layer_with_emits(x, training=False, constants=constants)
-    if _tree_signature(emits_again) != sig_layer:
+    if _emits_signature(emits_again) != sig_layer:
         return "emits structure changed between identical layer calls", {}
     if layer.supports_step:
-        sig_step = _tree_signature(flushed(1, False)[2])
+        sig_step = _emits_signature(flushed(1, False)[2])
         if sig_step != sig_layer:
             return (
                 f"emits structure differs between layer ({sig_layer}) and step ({sig_step})",

@@ -1,0 +1,33 @@
+"""A short untraced benchmark run finishes correct.
+
+An untraced ``perfbench/run.py`` run wraps each root's ``layer``,
+``layer_with_emits``, ``step`` and ``step_with_emits`` by name
+(``root_timer``), so a renamed method, or an emits value the run cannot
+carry, fails it. The run goes in a fresh interpreter from the repository
+root, as documented in ``perfbench/run.py``; it takes several seconds.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_a_one_second_live_stream_run_is_correct():
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    args = ["--workload", "live_stream", "--seed", "0", "--seconds", "1", "--trace", "0"]
+    result = subprocess.run(
+        [sys.executable, "perfbench/run.py", *args],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == 0, result.stderr
+    summary = json.loads(result.stdout.splitlines()[-1])
+    assert summary["correct"] is True, summary
+    assert summary["failed"] == 0, summary

@@ -5,11 +5,13 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+import yaml
 
 import seqstream as sl
 from seqstream import params as params_lib
+from seqstream import pipeline
 from seqstream.sequence import ChannelSpec, Sequence
-from seqstream.streaming import step_by_step
+from seqstream.streaming import _flushed, step_by_step, stream_blocks
 from seqstream.verify import HarnessConfig, verify_contract
 
 from conftest import assert_sequences_close, random_sequence
@@ -543,6 +545,104 @@ class TestEmits:
             y, plain = model.step(block, plain, training=False)
             y_emits, emitting, _ = model.step_with_emits(block, emitting, training=False)
             assert_sequences_close(y, y_emits, atol=0)
+
+
+NAMED_TAPS = """
+type: serial
+name: net
+children:
+  - {type: dense, units: 3}
+  - type: residual
+    children:
+      - {type: emit}
+      - {type: dense, units: 3}
+  - type: parallel
+    combine: add
+    children:
+      - {type: emit}
+      - {type: emit}
+      - {type: dense, units: 3}
+  - type: repeat
+    num_repeats: 2
+    children:
+      - type: serial
+        children:
+          - {type: dense, units: 3}
+          - {type: emit}
+"""
+
+
+def named_tap_trees():
+    rng = np.random.default_rng(32)
+    return {
+        "pipeline": (
+            pipeline.build(yaml.safe_load(NAMED_TAPS), ChannelSpec((3,)), seed=0),
+            [
+                "net/residual_1/body/emit_0",
+                "net/parallel_2/emit_0",
+                "net/parallel_2/emit_1",
+                "net/repeat_3/iter_0/emit_1",
+                "net/repeat_3/iter_1/emit_1",
+            ],
+        ),
+        # unnamed siblings are deduplicated to emit and emit_1
+        "python": (
+            sl.Parallel([sl.Emit(), sl.Emit(), sl.Dense(3, 3, rng=rng)], combine="add"),
+            ["parallel/emit", "parallel/emit_1"],
+        ),
+    }
+
+
+def input_at(node, path, x):
+    """What ``layer()`` feeds the node at ``path`` (names below ``node``)."""
+    if not path:
+        return x
+    for child in node.children:
+        if child.name == path[0]:
+            return input_at(child, path[1:], x)
+        if not isinstance(node, sl.Parallel):
+            x = child.layer(x, training=False)
+    raise KeyError(path[0])
+
+
+class TestEmitPaths:
+    @pytest.mark.parametrize("name", sorted(named_tap_trees()))
+    def test_layer_and_step_file_taps_by_the_parameter_paths(self, name):
+        model, paths = named_tap_trees()[name]
+        x = random_sequence(32, 2, 7, 3)
+        _, emits = model.layer_with_emits(x, training=False)
+        _, _, step_emits = stream_blocks(model, x, training=False)
+        assert list(emits) == list(step_emits) == paths
+        params = params_lib.collect_parameters(model)
+        for path, tap in emits.items():
+            parent = path.rsplit("/", 1)[0]
+            siblings = [k for k in params if k.rsplit("/", 2)[0] == parent]
+            assert any(k.split("/")[-2].startswith("dense") for k in siblings), (path, params)
+            want = input_at(model, path.split("/")[1:], x)
+            assert tap.values.tobytes() == want.values.tobytes(), path
+            assert np.array_equal(tap.mask, want.mask), path
+            assert step_emits[path].channel_spec == tap.channel_spec, path
+            assert step_emits[path].time == x.time, path
+
+    def test_a_tap_has_the_layer_extent_layer_wise_and_the_stepped_one_stepped(self):
+        model = sl.Serial([sl.Lookahead(2), sl.Emit()])
+        x = random_sequence(33, 2, 6, 3)
+        _, emits = model.layer_with_emits(x, training=False)
+        _, _, step_emits = _flushed(model, x, training=False)
+        assert emits["serial/emit"].time == 6
+        assert step_emits["serial/emit"].time == 8
+
+    @pytest.mark.xfail(
+        strict=True,
+        reason="a Blockwise's taps are its untrimmed stepped stream: the CHANGES.md FOUND "
+        "line on Blockwise.layer_with_emits (decision (e), waiting on stream offsets)",
+    )
+    def test_a_blockwise_tap_has_its_childs_extent(self):
+        x = random_sequence(34, 2, 6, 3)
+        _, alone = sl.Emit().layer_with_emits(x, training=False)
+        _, emits = sl.Blockwise(sl.Emit(), 4).layer_with_emits(x, training=False)
+        assert alone["emit"].time == 6
+        assert emits["blockwise/emit"].time == 6
 
 
 class MetadataCounter(sl.SequenceLayer):

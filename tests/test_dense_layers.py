@@ -307,15 +307,20 @@ class TestConditioning:
 class TestEmit:
     def test_emits_input(self):
         x = random_sequence(20, 1, 4, 2)
-        layer = sl.Emit()
+        layer = sl.Emit(name="tap")
         y, emits = layer.layer_with_emits(x, training=False)
         np.testing.assert_array_equal(y.values, x.values)
-        assert emits is x
+        assert list(emits) == ["tap"] and emits["tap"] is y
+        np.testing.assert_array_equal(emits["tap"].mask, x.mask)
 
     def test_default_emits_empty(self, rng):
         layer = sl.Dense(2, 2, rng=rng)
-        _, emits = layer.layer_with_emits(random_sequence(0, 1, 2, 2), training=False)
-        assert emits == ()
+        x = random_sequence(0, 1, 2, 2)
+        _, emits = layer.layer_with_emits(x, training=False)
+        assert emits == {}
+        # a new map per call: no caller can change another's
+        emits["x"] = x
+        assert layer.layer_with_emits(x, training=False)[1] == {}
 
 
 @settings(max_examples=20)

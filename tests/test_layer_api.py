@@ -225,10 +225,9 @@ class TestEmitsApi:
         y = model.layer(x, training=False)
         y2, emits = model.layer_with_emits(x, training=False)
         np.testing.assert_array_equal(np.asarray(y.values), np.asarray(y2.values))
-        assert isinstance(emits, tuple) and len(emits) == 3
-        assert emits[0] == () and emits[2] == ()
-        assert isinstance(emits[1], Sequence)
-        assert emits[1].channel_shape == (4,)
+        assert list(emits) == ["serial/emit"]
+        assert isinstance(emits["serial/emit"], Sequence)
+        assert emits["serial/emit"].channel_shape == (4,)
 
     def test_serial_emits_match_manual_run(self, rng):
         a = sl.Dense(3, 4, rng=rng)
@@ -236,13 +235,15 @@ class TestEmitsApi:
         x = random_sequence(9, 2, 6, 3)
         _, emits = model.layer_with_emits(x, training=False)
         manual = a.layer(x, training=False)
-        np.testing.assert_array_equal(np.asarray(emits[1].values), np.asarray(manual.values))
+        np.testing.assert_array_equal(
+            np.asarray(emits["serial/emit"].values), np.asarray(manual.values)
+        )
 
     def test_step_emits_concatenate(self, rng):
         model = sl.Emit()
         x = random_sequence(10, 2, 6, 3)
         _, _, emits = stream_blocks(model, x, training=False, block=2)
-        np.testing.assert_array_equal(np.asarray(emits.values), np.asarray(x.values))
+        np.testing.assert_array_equal(np.asarray(emits["emit"].values), np.asarray(x.values))
 
 
 @pytest.mark.parametrize("width", [0, -1])

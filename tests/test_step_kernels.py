@@ -16,7 +16,7 @@ import pytest
 import seqstream as sl
 from seqstream import tensor
 from seqstream.combinators import Bidirectional, _Composite
-from seqstream.layer import Emitting, SequenceLayer
+from seqstream.layer import SequenceLayer
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step, stream_blocks
 
@@ -56,7 +56,7 @@ def test_the_plan_steps_a_leaf_as_its_public_step_does(layer, spec, mult, traini
         assert_identical((z, own), (y, state), f"step at {start}")
         for i, a in enumerate(arrays_in((state, root_state))):
             assert not a.flags.writeable, (start, i)
-    # a leaf op is (leaf, slot, src, kernel, zeroes, attrs): every one runs its kernel
+    # a leaf op is (leaf, slot, src, kernel, zeroes, attrs, parent): every one runs its kernel
     no_kernel = [op[0] for op in root._plan.ops if op[0] is not None and op[3] is None]
     assert no_kernel == [], no_kernel
 
@@ -103,15 +103,16 @@ def library_layer_classes(sabotage=False):
 
 
 def test_every_library_leaf_is_its_kernel():
-    # public leaves: composites and other emitting layers, and Bidirectional,
-    # are built from other layers and have no kernel of their own
+    # public leaves: composites and Bidirectional are built from other layers
+    # and have no kernel of their own
     leaves = [
         cls for cls in library_layer_classes()
         if cls is not SequenceLayer and not cls.__name__.startswith("_")
-        and not issubclass(cls, (Emitting, Bidirectional))
+        and not issubclass(cls, (_Composite, Bidirectional))
     ]
     names = {cls.__name__ for cls in leaves}
-    assert {"Dense", "Identity", "Reshape", "Window", "Conv1D", "LSTM", "StepDelay"} <= names
+    assert {"Dense", "Emit", "Identity", "Reshape", "Window", "Conv1D", "LSTM"} <= names
+    assert "StepDelay" in names
     no_kernel = sorted(
         cls.__name__ for cls in leaves if cls._step_arrays is SequenceLayer._step_arrays
     )

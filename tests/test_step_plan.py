@@ -38,11 +38,12 @@ def slot_count(layer):
 def reference_step(layer, x, state, *, training, constants=None):
     """(output, flat state, emits) of one step, walking Serial/Parallel
     recursively: an inlined child takes its run of ``slot_count`` slots of
-    ``state``, a leaf its one slot."""
+    ``state``, a leaf its one slot, and the children's emits are filed under
+    the layer's name."""
     if not inlined(layer):
         return layer.step_with_emits(x, state, training=training, constants=constants)
     layer._check_block(x)
-    rest, new_state, emits = list(state), [], []
+    rest, new_state, emits = list(state), [], {}
 
     def step_child(child, x):
         n = slot_count(child)
@@ -50,7 +51,7 @@ def reference_step(layer, x, state, *, training, constants=None):
         del rest[:n]
         y, part, e = reference_step(child, x, part, training=training, constants=constants)
         new_state.extend(part if inlined(child) else (part,))
-        emits.append(e)
+        emits.update({f"{layer.name}/{path}": tap for path, tap in e.items()})
         return y
 
     if isinstance(layer, sl.Parallel):
@@ -69,7 +70,7 @@ def reference_step(layer, x, state, *, training, constants=None):
         for child in layer.children:
             x = step_child(child, x)
     assert not rest, "state has more slots than the tree"
-    return x, tuple(new_state), tuple(emits)
+    return x, tuple(new_state), emits
 
 
 def assert_identical(a, b, where="root"):
@@ -202,15 +203,19 @@ def test_trees_match_the_tree_walk(name, spec, mult, training):
     assert_plan_matches_reference(layer, spec, training=training, mult=mult)
 
 
-def test_nested_emits_keep_the_tree_structure():
+def test_nested_emits_are_filed_by_layer_path():
     layer = trees()["nested_emits"][0]
     x = make_input(F32, time=4)
     state = layer.get_initial_state(x.batch_size, F32, training=False)
     _, _, emits = layer.step_with_emits(x, state, training=False)
-    first, (body, shortcut), (last,) = emits
-    assert body[0].values is x.values and body[0].mask is x.mask
-    assert body[1][1].time == x.time and shortcut == ()
-    assert first.values is x.values and first.mask is x.mask and last.time == x.time
+    assert list(emits) == [
+        "serial/first", "serial/residual/body/emit", "serial/residual/body/serial/inner",
+        "serial/serial/last",
+    ]
+    for path in ("serial/first", "serial/residual/body/emit"):
+        assert emits[path].values is x.values and emits[path].mask is x.mask, path
+    assert emits["serial/residual/body/serial/inner"].time == x.time
+    assert emits["serial/serial/last"].time == x.time
 
 
 def test_plan_is_built_once_per_composite():
@@ -257,7 +262,7 @@ def test_a_blockwise_is_inlined_and_its_leaves_step_by_their_kernels():
     layer = trees()["blockwise_conv"][0]
     state = layer.get_initial_state(2, F32, training=False)
     layer.step(make_input(F32, batch=2, time=4), state, training=False)
-    # a leaf op is (leaf, slot, src, kernel, zeroes, attrs)
+    # a leaf op is (leaf, slot, src, kernel, zeroes, attrs, parent)
     leaf_ops = [op for op in layer._plan.ops if op[0] is not None]
     assert [type(op[0]) for op in leaf_ops] == [sl.Conv1D, sl.Identity]
     assert all(op[3] is not None for op in leaf_ops)

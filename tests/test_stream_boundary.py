@@ -12,7 +12,7 @@ import pytest
 
 import seqstream as sl
 from seqstream.sequence import ChannelSpec, Sequence
-from seqstream.streaming import concat_emits, step_by_step
+from seqstream.streaming import step_by_step
 
 from conftest import build_spec
 from test_step_plan import SPECS, assert_identical, reference_step, trees
@@ -155,8 +155,3 @@ def test_an_empty_stream_has_the_layers_output_spec(name):
     assert y.shape[:2] == (2, 0)
     z = layer.layer(x, training=False)
     assert (z.shape, z.channel_spec) == (y.shape, y.channel_spec)
-
-
-def test_emits_with_nothing_to_join_come_back_as_they_are():
-    tree = ((), ((), {"tap": ()}))
-    assert concat_emits([tree] * 5) is tree

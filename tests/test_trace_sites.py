@@ -14,9 +14,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import seqstream as sl
 from seqstream import sequence, tensor
 from seqstream.sequence import Sequence
-from seqstream.streaming import step_by_step
+from seqstream.streaming import _flushed, step_by_step
 
 from conftest import build_spec
 
@@ -75,3 +76,26 @@ def test_traced_steps_reach_every_leaf(tracer, name):
     for y in (traced, after):
         assert y.values.tobytes() == untraced.values.tobytes()
         assert np.array_equal(y.mask, untraced.mask)
+
+
+def test_traced_steps_tap_the_same_emits(tracer):
+    """Under the tracer every leaf is stepped through its public method, taps
+    included; the emits keep their paths and bits."""
+    rng = np.random.default_rng(5)
+    layer = sl.Serial(
+        [
+            sl.Dense(3, 3, rng=rng),
+            sl.Residual([sl.Emit(), sl.Conv1D(3, 3, 3, padding="same", rng=rng)]),
+            sl.Emit(name="last"),
+        ]
+    )
+    x = Sequence.from_lengths(rng.standard_normal((2, 9, 3)).astype(np.float32), [9, 6])
+    _, _, untraced = _flushed(layer, x, training=False)
+    tr, stats = tracer.Tracer(), tracer.Stats()
+    with tr.installed([layer]), tr.collect(stats):
+        _, _, traced = _flushed(layer, x, training=False)
+    assert stats.nodes["serial/last"].calls["step"] == stats.nodes["serial"].calls["step"]
+    assert list(untraced) == list(traced) == ["serial/residual/body/emit", "serial/last"]
+    for path, tap in untraced.items():
+        assert tap.values.tobytes() == traced[path].values.tobytes(), path
+        assert np.array_equal(tap.mask, traced[path].mask), path
