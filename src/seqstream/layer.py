@@ -53,8 +53,9 @@ Every library leaf implements one array kernel,
 ``(values, mask, state)``. Values at invalid steps are unspecified, in and
 out: a leaf whose kernel reads them sets ``_masks_step_input``, and every
 caller of the kernel (``layer``, ``step`` and the step plan) then zeroes
-them with :func:`seqstream.sequence.zero_invalid` first. No kernel or
-combine zeroes its own output, which no caller may read. A stateful leaf also
+them with :func:`seqstream.sequence.zero_invalid` first, at the cost its
+docstring gives. No kernel or combine zeroes its own output, which no
+caller may read. A stateful leaf also
 implements ``get_initial_state``; a stateless one keeps the empty state and
 returns it unchanged. Everything else derives from that kernel here:
 ``step`` runs it on one block; ``layer`` runs it once over the whole

@@ -6,9 +6,10 @@ The trailing ``...channel`` dimensions are the sequence's channel shape.
 
 No sequence vouches for the values at its invalid steps, and no reader may
 rely on them. A computation that reads them zeroes them first with
-:func:`zero_invalid` (or :meth:`Sequence.mask_invalid`), which copies
-nothing when every step is valid; for a layer's kernel its callers do this
-(see :mod:`seqstream.layer`).
+:func:`zero_invalid` (or :meth:`Sequence.mask_invalid`): no copy when every
+step is valid, one copy with zeroed row tails for a large prefix-shaped
+mask, one ``np.where`` pass otherwise. For a layer's kernel its callers do
+this (see :mod:`seqstream.layer`).
 
 Validity is expected to be contiguous from t=0 per batch row (end-padding
 convention). ``from_lengths`` enforces this by construction; arbitrary masks
@@ -60,11 +61,24 @@ class ChannelSpec:
 
 
 def zero_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """``values`` with the steps ``mask`` marks invalid set to zero: the
+    """``values`` with the steps ``mask`` marks invalid set to ``+0``: the
     arrays of :meth:`Sequence.mask_invalid`. Returns ``values`` itself when
-    every step is valid."""
+    every step is valid; a prefix-shaped mask (no valid step after an invalid
+    one in a row) over 8192 elements a row or more costs one copy of the valid
+    prefixes plus zeros over the row tails, with the bits of the one
+    ``np.where`` pass any other mask costs."""
     if np.count_nonzero(mask) == mask.size:
         return values
+    # The rows cost ~1 us each, np.where in proportion to the elements: on a
+    # 2-CPU x86 host the rows won from 8192 elements a row (batch 1-32, 1-32
+    # channels, f32/i32/bool) and lost by up to 2.3x at 1024.
+    if values.size >= len(values) << 13 and not (mask[:, 1:] > mask[:, :-1]).any():
+        out = np.empty_like(values)
+        ends = np.where(mask[:, -1], mask.shape[1], mask.argmin(axis=1))  # valid lengths
+        for row, new, end in zip(values, out, ends.tolist()):
+            new[:end] = row[:end]
+            new[end:] = 0
+        return out
     expanded = mask.reshape(mask.shape + (1,) * (values.ndim - 2))
     return np.where(expanded, values, np.zeros((), dtype=values.dtype))
 

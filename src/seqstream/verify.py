@@ -244,7 +244,7 @@ def _probe_dependencies(layer, input_spec, cfg, constants):
         diff = np.abs(
             np.asarray(y.values, np.float64) - np.asarray(y_base.values, np.float64)
         )
-        diff = diff.reshape(time, out_time, -1).max(axis=2)
+        diff = diff.reshape(time, out_time, -1).max(axis=2, initial=0.0)
         changed |= diff > threshold
     return changed, time, out_time
 

@@ -1,10 +1,13 @@
-"""A short untraced benchmark run finishes correct.
+"""Short untraced benchmark runs finish correct.
 
 An untraced ``perfbench/run.py`` run wraps each root's ``layer``,
 ``layer_with_emits``, ``step`` and ``step_with_emits`` by name
 (``root_timer``), so a renamed method, or an emits value the run cannot
-carry, fails it. The run goes in a fresh interpreter from the repository
-root, as documented in ``perfbench/run.py``; it takes several seconds.
+carry, fails it. ``offline_layer`` checks ``layer()`` over long ragged rows,
+where ``zero_invalid`` zeroes row by row, against stepping at 8x blocks,
+whose blocks are too short for that path. Each run goes in a fresh
+interpreter from the repository root, as documented in ``perfbench/run.py``;
+each takes several seconds.
 """
 
 import json
@@ -13,12 +16,15 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_a_one_second_live_stream_run_is_correct():
+@pytest.mark.parametrize("workload", ["live_stream", "offline_layer"])
+def test_a_one_second_run_is_correct(workload):
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
-    args = ["--workload", "live_stream", "--seed", "0", "--seconds", "1", "--trace", "0"]
+    args = ["--workload", workload, "--seed", "0", "--seconds", "1", "--trace", "0"]
     result = subprocess.run(
         [sys.executable, "perfbench/run.py", *args],
         cwd=ROOT,

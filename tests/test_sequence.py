@@ -186,15 +186,21 @@ def test_lengths_of_fig_mask():
     np.testing.assert_array_equal(seq_2x3().lengths(), [2, 1])
 
 
+def loop_zeroed(values, mask):
+    """The loop oracle of zero_invalid: valid steps copied, the rest zeros."""
+    expect = np.zeros(values.shape, values.dtype)
+    for b in range(mask.shape[0]):
+        for t in range(mask.shape[1]):
+            if mask[b, t]:
+                expect[b, t] = values[b, t]
+    return expect
+
+
 def test_zero_invalid_matches_loop_oracle():
     mask = np.array([[True, False, True], [False, False, True]])
     values = np.arange(2 * 3 * 4, dtype=np.float32).reshape(2, 3, 4) + 42
     out = zero_invalid(values, mask)
-    expect = np.zeros((2, 3, 4), np.float32)
-    for b in range(2):
-        for t in range(3):
-            if mask[b, t]:
-                expect[b, t] = values[b, t]
+    expect = loop_zeroed(values, mask)
     np.testing.assert_array_equal(out, expect)
     assert out.dtype == values.dtype
     np.testing.assert_array_equal(out, Sequence(values, mask).mask_invalid().values)
@@ -207,6 +213,65 @@ def test_zero_invalid_returns_values_unless_it_must_zero():
     out = zero_invalid(values, s.mask)
     assert out is not values
     np.testing.assert_array_equal(values, np.full((2, 3), 2, np.float32))
+
+
+#: elements a row from which zero_invalid zeroes a prefix mask row by row
+ROW_GATE = 8192
+
+
+def grid_mask(kind, batch, time, rng):
+    if kind == "all_valid":
+        return np.ones((batch, time), bool)
+    if kind == "all_invalid":
+        return np.zeros((batch, time), bool)
+    if kind == "prefix":
+        # a full row, an empty row, then random lengths
+        lengths = [time, 0] + rng.integers(0, time + 1, batch - 2).tolist()
+        return np.arange(time) < np.array(lengths)[:, None]
+    mask = rng.random((batch, max(time, 2))) < 0.7  # holes
+    mask[0, :2] = [False, True]  # a rise, wherever time allows one
+    return mask[:, :time]
+
+
+def grid_values(shape, dtype, mask, rng):
+    """Values whose valid floats include -0.0 and whose invalid ones are NaN."""
+    if dtype == np.bool_:
+        return rng.random(shape) < 0.5
+    if dtype == np.int32:
+        return rng.integers(-(10**9), 10**9, shape, dtype=np.int32)
+    values = rng.standard_normal(shape).astype(dtype)
+    values[:, ::3] = -0.0
+    values[~mask] = np.nan
+    return values
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.int32, np.bool_], ids=["f32", "i32", "bool"])
+@pytest.mark.parametrize("channels", [(), (3,), (2, 4)], ids=["rank2", "c3", "c2x4"])
+@pytest.mark.parametrize("mask_kind", ["prefix", "all_invalid", "holes", "all_valid"])
+@pytest.mark.parametrize("size", ["t0", "t1", "small", "below_gate", "at_gate"])
+def test_zero_invalid_gives_the_loop_oracles_bits(size, mask_kind, channels, dtype):
+    rng = np.random.default_rng([len(size), len(mask_kind), len(channels), np.dtype(dtype).num])
+    at_gate = -(-ROW_GATE // int(np.prod(channels)))  # steps that reach the gate
+    time = {"t0": 0, "t1": 1, "small": 6, "below_gate": at_gate - 1, "at_gate": at_gate}[size]
+    mask = grid_mask(mask_kind, 4, time, rng)
+    values = grid_values((4, time) + channels, dtype, mask, rng)
+    before = values.tobytes()
+    values.setflags(write=False)
+    mask.setflags(write=False)
+
+    out = zero_invalid(values, mask)
+
+    assert values.tobytes() == before
+    if mask.all():
+        assert out is values
+        return
+    expect = loop_zeroed(values, mask)
+    assert (out.dtype, out.shape) == (expect.dtype, expect.shape)
+    assert out.tobytes() == expect.tobytes()
+    # the strided view of a wider array gives the same bits
+    wide = np.zeros((4, time + 1) + channels, dtype)
+    wide[:, 1:] = values
+    assert zero_invalid(wide[:, 1:], mask).tobytes() == expect.tobytes()
 
 
 def test_shift_in_joins_a_block_onto_a_history_and_keeps_its_tail():

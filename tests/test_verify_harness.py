@@ -138,6 +138,18 @@ def test_delay_passes_and_lookahead_passes():
         assert report.passed, report.render()
 
 
+@pytest.mark.parametrize("layer", [sl.Identity(), sl.Delay(1)], ids=["identity", "delay1"])
+def test_a_zero_width_input_measures_no_field_instead_of_raising(layer):
+    # no channel can carry a bump, so no output step depends on any input
+    # step: the probe reports that rather than reducing an empty axis
+    report = verify_contract(layer, ChannelSpec((0,)))
+    check = {c.name: c for c in report.checks}["receptive_field_empirical"]
+    assert check.status == "fail"
+    assert "not attained (measured none)" in check.detail, check.detail
+    assert "raised" not in check.detail
+    assert all(c.status != "fail" for c in report.checks if c is not check), report.render()
+
+
 @pytest.mark.parametrize("layer", [sl.Delay(4), sl.Lookahead(3)], ids=["delay4", "lookahead3"])
 def test_latency_is_measured_on_the_shared_input(layer):
     # a latency longer than the short shape-check inputs must still be
