@@ -23,14 +23,16 @@ output step ``t`` is valid iff its anchor input ``t * stride`` (or
 
 Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
-to ``_reduce_windows`` with the ``[out, k]`` index of each output's taps
-(:func:`_window_index`). Pooling and ``Frame`` gather ``values[:, idx]``.
-``Conv1D`` gathers ``values.take(idx, axis=1)``: contiguous ``[B, out, k, C]``
-windows, which are, without a copy, ``[B, out, k * C]`` rows. It contracts
-them with :func:`~seqstream.tensor.matmul_rows` against its weight
-flattened to ``[k * C, filters]`` (int32 and bool input contract in
-float32), so a step gives the bits of ``layer()`` by the rule every
-contraction over positions follows (see :mod:`seqstream.tensor`).
+and mask to ``_reduce_windows`` with the ``[out, k]`` index of each output's
+taps (:func:`_window_index`). Every window gathers by one
+``take(idx, axis=1)``: pooling takes its window mask the same way.
+``Conv1D``'s contiguous ``[B, out, k, C]`` windows are, without a copy,
+``[B, out, k * C]`` rows. It contracts them with
+:func:`~seqstream.tensor.matmul_rows` against its weight flattened to
+``[k * C, filters]``, and ``Conv1DTranspose`` contracts each masked input
+step against its weight laid out as ``[C, k * filters]`` (int32 and bool
+input contract in float32). So a step gives the bits of ``layer()`` by the
+rule every contraction over positions follows (see :mod:`seqstream.tensor`).
 
 Padding conventions (pad_left, with pad_left + pad_right = effective_kernel - 1):
 
@@ -142,9 +144,6 @@ def _anchor_index(time: int, stride: int, trim_left: int, history: int) -> np.nd
 class _WindowedLayer(SequenceLayer):
     """Shared layer/step plumbing for fixed-window time reductions."""
 
-    #: whether _reduce_windows reads its window mask; when not, None is passed
-    _reads_window_mask = False
-
     def __init__(self, kernel_size, stride, dilation, padding, name):
         super().__init__(name)
         if kernel_size < 1 or stride < 1 or dilation < 1:
@@ -181,10 +180,10 @@ class _WindowedLayer(SequenceLayer):
         eff = effective_kernel(self.kernel_size, self.dilation)
         return {0: (-self.pad_left, -self.pad_left + eff - 1)}
 
-    def _reduce_windows(self, values, idx, window_mask):
-        """Joined ``[B, context + T, ...ch]`` values and the ``[out, k]`` tap
-        index of each output's window -> ``[B, out, ...ch]`` outputs.
-        ``window_mask`` is ``mask[:, idx]`` when ``_reads_window_mask``."""
+    def _reduce_windows(self, values, idx, mask):
+        """Joined ``[B, context + T, ...ch]`` values and ``[B, context + T]``
+        mask, and the ``[out, k]`` tap index of each output's window ->
+        ``[B, out, ...ch]`` outputs."""
         raise NotImplementedError
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
@@ -197,8 +196,7 @@ class _WindowedLayer(SequenceLayer):
         out_len = values.shape[1] // self.stride
         (values, mask), state = shift_in(state, (values, mask))
         idx = _window_index(out_len, self.stride, self.kernel_size, self.dilation)
-        window_mask = mask[:, idx] if self._reads_window_mask else None
-        out = self._reduce_windows(values, idx, window_mask)
+        out = self._reduce_windows(values, idx, mask)
         out_mask = mask[:, self.pad_left :: self.stride][:, :out_len]
         return out, out_mask, state
 
@@ -237,7 +235,7 @@ class Conv1D(_WindowedLayer):
         taps = self.kernel_size * self.in_channels
         self._weight = tensor.rows_weight(self._params["weight"].reshape(taps, self.filters))
 
-    def _reduce_windows(self, values, idx, wm):
+    def _reduce_windows(self, values, idx, mask):
         self._expect_channels(values.shape[2:], (self.in_channels,))
         # the windows [B, out, k, C], contiguous, are rows of k * C taps
         rows = values.take(idx, axis=1).reshape(len(values), len(idx), len(self._weight))
@@ -251,22 +249,27 @@ class _Pooling1D(_WindowedLayer):
     """Windowed reduction over valid timesteps only."""
 
     kind = ""
-    _reads_window_mask = True
 
     def __init__(self, window, stride=1, padding="causal", *, name=None):
         super().__init__(window, stride, 1, padding, name)
         self.window = int(window)
+
+    @staticmethod
+    def _window_mask(mask, idx, ndim):
+        """The ``[B, out, k]`` window mask, with unit channel axes up to ``ndim``."""
+        wm = mask.take(idx, axis=1)
+        return wm.reshape(wm.shape + (1,) * (ndim - 3))
 
 
 class _ExtremumPooling1D(_Pooling1D):
     """Max or min over each window's valid members. A window with none
     is an invalid output: pooling's anchor is one of its taps."""
 
-    def _reduce_windows(self, values, idx, wm):
-        wv = values[:, idx]
+    def _reduce_windows(self, values, idx, mask):
+        wv = values.take(idx, axis=1)
         if wv.dtype.kind == "b":
             raise SpecMismatchError(f"{self.name}: numeric input required, got {wv.dtype}")
-        wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
+        wm = self._window_mask(mask, idx, wv.ndim)
         info = np.finfo(wv.dtype) if wv.dtype.kind == "f" else np.iinfo(wv.dtype)
         reducer, fill = (np.max, info.min) if self.kind == "max" else (np.min, info.max)
         return reducer(np.where(wm, wv, fill), axis=2)
@@ -283,11 +286,11 @@ class MinPooling1D(_ExtremumPooling1D):
 class AveragePooling1D(_Pooling1D):
     kind = "avg"
 
-    def _reduce_windows(self, values, idx, wm):
+    def _reduce_windows(self, values, idx, mask):
         # window values arrive pre-masked (zeros at invalid), so a plain sum
         # divided by the valid count is the mean over valid members
-        wv = values[:, idx]
-        wm = wm.reshape(wm.shape + (1,) * (wv.ndim - 3))
+        wv = values.take(idx, axis=1)
+        wm = self._window_mask(mask, idx, wv.ndim)
         total = wv.sum(axis=2, dtype=np.float32)
         count = wm.sum(axis=2, dtype=np.float32)
         return (total / np.maximum(count, 1.0)).astype(np.float32, copy=False)
@@ -341,6 +344,10 @@ class Conv1DTranspose(SequenceLayer):
         if self.use_bias:
             spec["bias"] = (self.filters,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
+        # [k, C, F] -> [C, k * F]: one input step's contributions are one row
+        weight = self._params["weight"].transpose(1, 0, 2)
+        self._taps = self.kernel_size * self.filters
+        self._weight = tensor.rows_weight(weight.reshape(self.in_channels, self._taps))
 
     @property
     def output_ratio(self):
@@ -373,16 +380,13 @@ class Conv1DTranspose(SequenceLayer):
 
     def _step_arrays(self, values, mask, state, training, constants):
         self._expect_channels(values.shape[2:], (self.in_channels,))
-        time = values.shape[1]
+        batch, time = values.shape[:2]
         # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
-        values = np.asarray(values, dtype=np.float32)
-        contrib = tensor.einsum("btc,kcf->btkf", values, self._params["weight"])
+        contrib = tensor.matmul_rows(values, self._weight, self._taps)
+        contrib = contrib.reshape(batch, time, self.kernel_size, self.filters)
         out, carry = overlap_add(contrib, self.stride, state["carry"])
-        # out views overlap_add's buffer: the bias add or the cast makes it fresh
         if self.use_bias:
-            out = (out + self._params["bias"]).astype(np.float32, copy=False)
-        else:
-            out = out.astype(np.float32)
+            out = out + self._params["bias"]
         (mask,), (history,) = shift_in((state["mask_history"],), (mask,))
         out_mask = mask[:, _anchor_index(time, self.stride, self.trim_left, self.input_latency)]
         return out, out_mask, {"carry": tensor.freeze(carry), "mask_history": history}
@@ -545,8 +549,8 @@ class Frame(_WindowedLayer):
         self.frame_length = int(frame_length)
         self.hop = int(hop)
 
-    def _reduce_windows(self, values, idx, wm):
-        return values[:, idx]
+    def _reduce_windows(self, values, idx, mask):
+        return values.take(idx, axis=1)
 
 
 _WINDOW_KINDS = ("hann", "hamming", "rectangular")

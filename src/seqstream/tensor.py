@@ -14,36 +14,32 @@ place with :func:`freeze` (directly, or through ``Sequence._wrap``).
 
 Contractions. A step must give the very bits of ``layer()``, so a kernel's
 contraction may not round a row differently when the call has more or fewer
-rows. Kernels contract in one of three ways:
+rows. Kernels contract in one of two ways:
 
 * :func:`matmul_rows`, a float32 BLAS matmul over the flattened leading
   axes, for a contraction whose rows are positions: ``Dense``, the
-  attention projections and ``Conv1D`` (a row is one output's window of
-  k * C taps). On OpenBLAS 0.3.31 a row's bits depend on the row count in
-  three cases, and it rules out each. A one-row or a one-column call takes
-  the gemv path, whose rounding depends on the row count, so a lone row
-  gets a second row and a lone column a second, zero column. From K = 32,
-  an output width N with ``N % 16`` in 1..8 rounds one way in a call of
-  fewer than about 1e6 multiply-adds (M * N * K), where OpenBLAS runs its
-  small-matrix kernel, and another way in a larger one, so N is padded to a
-  multiple of 16; below K = 32 no width was seen to round apart, up to
-  65,536 rows. A layer pads its weight once, with :func:`rows_weight`. Past
-  K = 448 the larger calls split K and the small ones do not, which rounds
-  a ``Dense(512, 32)`` step up to 6e-6 apart from ``layer()``, so K is
-  contracted in slices of at most 256, summed in order.
-  ``tests/test_tensor.py`` pins the result on this host.
+  attention projections, ``Conv1D`` (a row is one output's window of
+  k * C taps) and ``Conv1DTranspose`` (a row is one input step, against
+  a ``[C, k * filters]`` weight). On OpenBLAS 0.3.31 a row's bits depend
+  on the row count in three cases, and it rules out each. A one-row or a
+  one-column call takes the gemv path, whose rounding depends on the row
+  count, so a lone row gets a second row and a lone column a second, zero
+  column. From K = 32, an output width N with ``N % 16`` in 1..8 rounds
+  one way in a call of fewer than about 1e6 multiply-adds (M * N * K),
+  where OpenBLAS runs its small-matrix kernel, and another way in a larger
+  one, so N is padded to a multiple of 16; below K = 32 no width was seen
+  to round apart, up to 65,536 rows. A layer pads its weight once, with
+  :func:`rows_weight`. Past K = 448 the larger calls split K and the small
+  ones do not, which rounds a ``Dense(512, 32)`` step up to 6e-6 apart
+  from ``layer()``, so K is contracted in slices of at most 256, summed in
+  order. ``tests/test_tensor.py`` pins the result on this host.
 * a plain ``@`` for the LSTM gates, whose rows are the batch, the same in
   both modes.
-* :data:`einsum` for ``Conv1DTranspose``. On a 2-CPU host with OpenBLAS
-  0.3.31, ``matmul_rows`` against a ``[C, k * F]`` weight ran its
-  ``layer()`` 4.3x faster for 4 -> 8 channels at [8, 4096] and 1.08x for
-  ``mixed_resample``'s one channel at [8, 8192], but a batch-1 one-step
-  block 2.4 us slower, which slowed ``mixed_resample``'s batch-1 stepping.
 
-On the same host, BLAS runs ``conv_stack``'s two ``Conv1D`` ``layer()``
-calls at [8, 16384] 2.6x and 3.5x faster than the einsum over channel-first
-windows they ran before, and ``mixed_resample``'s one-filter ``Conv1D``
-1.14x faster.
+On a 2-CPU host with OpenBLAS 0.3.31, BLAS runs ``conv_stack``'s two
+``Conv1D`` ``layer()`` calls at [8, 16384] 2.6x and 3.5x faster than the
+einsum over channel-first windows they ran before, and
+``mixed_resample``'s one-filter ``Conv1D`` 1.14x faster.
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
@@ -60,13 +56,6 @@ from typing import BinaryIO
 import numpy as np
 
 from .errors import FormatError
-
-# The C routine ``np.einsum(..., optimize=False)`` runs, without that
-# function's Python dispatch: the same bits, sooner on a step's small blocks.
-try:
-    from numpy._core.multiarray import c_einsum as einsum
-except ImportError:  # numpy < 2
-    from numpy.core.multiarray import c_einsum as einsum
 
 
 def __getattr__(name):

@@ -46,9 +46,9 @@ class BtkcConv1D(sl.Conv1D):
     as Conv1D casts them: the contraction it ran before BLAS, kept as a
     float32 reference that sums in another order."""
 
-    def _reduce_windows(self, values, idx, wm):
+    def _reduce_windows(self, values, idx, mask):
         windows = values[:, idx].astype(np.float32, copy=False)
-        y = tensor.einsum("btkc,kcf->btf", windows, self._params["weight"])
+        y = np.einsum("btkc,kcf->btf", windows, self._params["weight"], optimize=False)
         return (y + self._params["bias"]).astype(np.float32, copy=False)
 
 
@@ -58,7 +58,7 @@ class LoopedWindowsConv1D(sl.Conv1D):
     flattened [k * C, F] weight: a bit reference for the gather and the
     contraction rule."""
 
-    def _reduce_windows(self, values, idx, wm):
+    def _reduce_windows(self, values, idx, mask):
         k, c = self.kernel_size, self.in_channels
         rows = np.zeros((len(values), len(idx), k * c), np.float32)
         for t in range(len(idx)):
@@ -303,6 +303,28 @@ class TestConv1DTranspose:
         got = np.asarray(y.mask_invalid().values, np.float64)
         np.testing.assert_allclose(got, np.where(expect_mask[..., None], expect, 0), atol=1e-5)
 
+    def test_no_bias_matches_scatter_add_oracle(self, rng):
+        layer = sl.Conv1DTranspose(2, 3, 5, stride=2, padding="same", use_bias=False, rng=rng)
+        assert "bias" not in layer.parameters
+        x = random_sequence(4, 2, 11, 2, lengths=[11, 7])
+        expect, expect_mask = tconv_oracle(
+            x, layer.parameters["weight"], np.zeros(3, np.float32), 2, "same"
+        )
+        y = layer.layer(x, training=False)
+        assert y.values.dtype == np.float32
+        np.testing.assert_array_equal(np.asarray(y.mask), expect_mask)
+        got = np.asarray(y.mask_invalid().values, np.float64)
+        np.testing.assert_allclose(got, np.where(expect_mask[..., None], expect, 0), atol=1e-5)
+
+    def test_int32_input_contracts_as_its_float32_cast(self, rng):
+        # past 2**24 most int32 values round when cast to float32
+        layer = sl.Conv1DTranspose(2, 3, 3, stride=2, rng=rng)
+        values = rng.integers(2**24, 2**26, (2, 9, 2)).astype(np.int32)
+        y = layer.layer(Sequence.from_lengths(values, [9, 6]), training=False)
+        cast = layer.layer(Sequence.from_lengths(values.astype(np.float32), [9, 6]), training=False)
+        assert np.array_equal(y.mask, cast.mask)
+        assert y.values.tobytes() == cast.values.tobytes()
+
 
 class TestResampling:
     def test_rate_one_identity(self):
@@ -472,6 +494,7 @@ class TestFrameWindowOverlapAdd:
 
 
 def _overlap_add_grid():
+    ragged = [13, 9, 4]
     for k in range(1, 9):
         for stride in range(1, 6):
             for padding in ("causal", "same"):
@@ -480,23 +503,37 @@ def _overlap_add_grid():
                         3, 2, k, stride=s, padding=p, rng=rng
                     ),
                     3,
+                    ragged,
                     id=f"tconv-k{k}-s{stride}-{padding}",
                 )
+    # a lone row, which matmul_rows duplicates; and K = 40 >= 32 with
+    # k * filters = 9 output columns, which rows_weight pads to 16
+    yield pytest.param(
+        lambda rng: sl.Conv1DTranspose(3, 2, 4, stride=2, padding="same", rng=rng),
+        3,
+        [13],
+        id="tconv-batch1",
+    )
+    yield pytest.param(
+        lambda rng: sl.Conv1DTranspose(40, 3, 3, stride=2, rng=rng), 40, ragged, id="tconv-wide"
+    )
     for length in range(1, 8):
         for hop in range(1, length + 1):
             yield pytest.param(
                 lambda rng, n=length, h=hop: sl.OverlapAdd(n, h),
                 (length, 2),
+                ragged,
                 id=f"ola-L{length}-h{hop}",
             )
 
 
-@pytest.mark.parametrize("make,channels", list(_overlap_add_grid()))
-def test_overlap_add_step_is_bit_identical_to_layer(make, channels):
-    # both modes add each position's contributions oldest frame first, so the
-    # float sums agree exactly, not just within tolerance
+@pytest.mark.parametrize("make,channels,lengths", list(_overlap_add_grid()))
+def test_overlap_add_step_is_bit_identical_to_layer(make, channels, lengths):
+    # both modes add each position's contributions oldest frame first, and
+    # matmul_rows rounds a row alike at any row count, so the float sums
+    # agree exactly, not just within tolerance
     layer = make(np.random.default_rng(5))
-    x = random_sequence(17, 3, 13, channels, lengths=[13, 9, 4])
+    x = random_sequence(17, len(lengths), 13, channels, lengths=lengths)
     y = layer.layer(x, training=False).mask_invalid()
     for blocks in (1, 3, 8):
         ys = step_by_step(layer, x, training=False, block=blocks * layer.block_size)
@@ -537,3 +574,33 @@ def test_zero_input_channels_contract_to_the_bias(make):
     y = layer.layer(x, training=False)
     assert y.values.shape == (2, int(6 * layer.output_ratio), 2)
     assert np.array_equal(y.values, np.broadcast_to(layer.parameters["bias"], y.values.shape))
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: sl.Conv1D(3, 2, 3, padding="bogus"),
+        lambda: sl.Conv1D(3, 2, 0),
+        lambda: sl.MaxPooling1D(2, stride=0),
+        lambda: sl.Conv1D(3, 2, 3, dilation=0),
+        lambda: sl.Conv1DTranspose(3, 2, 3, stride=2, padding="reverse_causal"),
+        lambda: sl.Downsample1D(0),
+        lambda: sl.Upsample1D(0),
+        lambda: sl.Lookahead(-1),
+        lambda: sl.Window("bogus"),
+    ],
+    ids=[
+        "unknown-padding",
+        "kernel-0",
+        "stride-0",
+        "dilation-0",
+        "transpose-reverse-causal",
+        "downsample-0",
+        "upsample-0",
+        "lookahead-negative",
+        "window-kind",
+    ],
+)
+def test_constructor_rejects_invalid_arguments(make):
+    with pytest.raises(ValueError):
+        make()

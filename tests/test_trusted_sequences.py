@@ -33,7 +33,7 @@ def catalog():
         (sl.RMSNormalization(3, rng=rng), (F32, I32)),
         (sl.Dropout(0.3, seed=1), (F32,)),
         (sl.Conv1D(3, 2, 3, stride=2, padding="same", rng=rng), (F32,)),
-        (sl.Conv1DTranspose(3, 2, 5, stride=2, padding="same", rng=rng), (F32,)),
+        (sl.Conv1DTranspose(3, 2, 5, stride=2, padding="same", rng=rng), (F32, I32, BOOL)),
         (sl.MaxPooling1D(3, stride=2, padding="same"), (F32, I32)),
         (sl.AveragePooling1D(2), (F32, I32, BOOL)),
         (sl.Frame(4, 2), (F32, I32, BOOL)),
