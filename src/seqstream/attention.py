@@ -95,6 +95,8 @@ class DotProductSelfAttention(SequenceLayer):
         name=None,
     ):
         super().__init__(name)
+        if d_model < 0:
+            raise ValueError(f"d_model must be >= 0, got {d_model}")
         if max_past_horizon < -1:
             raise ValueError(f"max_past_horizon must be >= 0 or -1, got {max_past_horizon}")
         if max_future_horizon < 0:
@@ -232,13 +234,14 @@ class DotProductSelfAttention(SequenceLayer):
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         h, u, f = self.num_heads, self.units_per_head, self.max_future_horizon
         size = 0 if self.unbounded_past else self.max_past_horizon + f
-        return {
+        zeros = {
             "keys": np.zeros((batch_size, h, u, size), np.float32),
             "values": np.zeros((batch_size, h, size, u), np.float32),
             "key_mask": np.zeros((batch_size, size), np.int8),
             "pending_q": np.zeros((batch_size, f, h, u), np.float32),
             "pending_mask": np.zeros((batch_size, f), bool),
         }
+        return {name: tensor.freeze(a) for name, a in zeros.items()}
 
     _masks_step_input = True
 

@@ -64,6 +64,8 @@ class Dense(SequenceLayer):
 
     def __init__(self, in_features, units, use_bias=True, *, params=None, rng=None, name=None):
         super().__init__(name)
+        if in_features < 0:
+            raise ValueError(f"in_features must be >= 0, got {in_features}")
         if units < 1:
             raise ValueError(f"units must be >= 1, got {units}")
         self.in_features = int(in_features)

@@ -223,6 +223,8 @@ class Conv1D(_WindowedLayer):
         name=None,
     ):
         super().__init__(kernel_size, stride, dilation, padding, name)
+        if in_channels < 0:
+            raise ValueError(f"in_channels must be >= 0, got {in_channels}")
         if filters < 1:
             raise ValueError(f"filters must be >= 1, got {filters}")
         self.in_channels = int(in_channels)
@@ -330,6 +332,8 @@ class Conv1DTranspose(SequenceLayer):
             )
         if padding not in ("causal", "same"):
             raise ValueError(f"transpose padding must be 'causal' or 'same', got {padding!r}")
+        if in_channels < 0:
+            raise ValueError(f"in_channels must be >= 0, got {in_channels}")
         self.in_channels = int(in_channels)
         self.filters = int(filters)
         self.kernel_size = int(kernel_size)
@@ -372,8 +376,10 @@ class Conv1DTranspose(SequenceLayer):
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return {
-            "carry": np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32),
-            "mask_history": np.zeros((batch_size, self.input_latency), dtype=bool),
+            "carry": tensor.freeze(
+                np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32)
+            ),
+            "mask_history": tensor.freeze(np.zeros((batch_size, self.input_latency), dtype=bool)),
         }
 
     _masks_step_input = True
@@ -635,7 +641,8 @@ class OverlapAdd(SequenceLayer):
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop
-        return np.zeros((batch_size, carry_len) + input_spec.shape[1:], dtype=input_spec.dtype)
+        shape = (batch_size, carry_len) + input_spec.shape[1:]
+        return tensor.freeze(np.zeros(shape, dtype=input_spec.dtype))
 
     _masks_step_input = True
 

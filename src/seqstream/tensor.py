@@ -18,23 +18,26 @@ rows. Kernels contract in one of two ways:
 
 * :func:`matmul_rows`, a float32 BLAS matmul over the flattened leading
   axes, for a contraction whose rows are positions: ``Dense``, the
-  attention projections, ``Conv1D`` (a row is one output's window of
-  k * C taps) and ``Conv1DTranspose`` (a row is one input step, against
-  a ``[C, k * filters]`` weight). On OpenBLAS 0.3.31 a row's bits depend
-  on the row count in three cases, and it rules out each. A one-row or a
-  one-column call takes the gemv path, whose rounding depends on the row
-  count, so a lone row gets a second row and a lone column a second, zero
-  column. From K = 32, an output width N with ``N % 16`` in 1..8 rounds
-  one way in a call of fewer than about 1e6 multiply-adds (M * N * K),
-  where OpenBLAS runs its small-matrix kernel, and another way in a larger
-  one, so N is padded to a multiple of 16; below K = 32 no width was seen
-  to round apart, up to 65,536 rows. A layer pads its weight once, with
-  :func:`rows_weight`. Past K = 448 the larger calls split K and the small
-  ones do not, which rounds a ``Dense(512, 32)`` step up to 6e-6 apart
-  from ``layer()``, so K is contracted in slices of at most 256, summed in
-  order. ``tests/test_tensor.py`` pins the result on this host.
-* a plain ``@`` for the LSTM gates, whose rows are the batch, the same in
-  both modes.
+  attention projections, ``Conv1D`` (a row is one output's window of k * C
+  taps), ``Conv1DTranspose`` (a row is one input step, against a
+  ``[C, k * filters]`` weight) and the LSTM's input half (a row is one
+  input step, against the kernel's input rows, once per call). On
+  OpenBLAS 0.3.31 a row's bits depend on the row count in three cases,
+  and it rules out each. A one-row or a one-column call takes the gemv
+  path, whose rounding depends on the row count, so a lone row gets a
+  second row and a lone column a second, zero column. From K = 32, an
+  output width N with ``N % 16`` in 1..8 rounds one way in a call of
+  fewer than about 1e6 multiply-adds (M * N * K), where OpenBLAS runs its
+  small-matrix kernel, and another way in a larger one, so N is padded to
+  a multiple of 16; below K = 32 no width was seen to round apart, up to
+  65,536 rows. A layer pads its weight once, with :func:`rows_weight`.
+  Past K = 448 the larger calls split K and the small ones do not, which
+  rounds a ``Dense(512, 32)`` step up to 6e-6 apart from ``layer()``, so
+  K is contracted in slices of at most 256, summed in order.
+  ``tests/test_tensor.py`` pins the result on this host.
+* a plain ``np.dot`` for the LSTM's recurrent half, ``h`` against the
+  kernel's recurrent rows at each step, whose rows are the batch, the same
+  in both modes.
 
 On a 2-CPU host with OpenBLAS 0.3.31, BLAS runs ``conv_stack``'s two
 ``Conv1D`` ``layer()`` calls at [8, 16384] 2.6x and 3.5x faster than the

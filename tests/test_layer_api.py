@@ -264,3 +264,22 @@ def test_a_layer_without_outputs_is_rejected_at_construction(make, field, width)
     # leaked numpy's "negative dimensions are not allowed"
     with pytest.raises(ValueError, match=f"{field}.* must be >= 1, got"):
         make(width)
+
+
+@pytest.mark.parametrize(
+    "make, field",
+    [
+        (lambda w: sl.Conv1D(w, 3, 3), "in_channels"),
+        (lambda w: sl.Conv1DTranspose(w, 3, 3), "in_channels"),
+        (lambda w: sl.Dense(w, 3), "in_features"),
+        (lambda w: sl.LSTM(w, 3), "in_features"),
+        (lambda w: sl.DotProductSelfAttention(w, 2, 2), "d_model"),
+    ],
+    ids=["conv1d", "conv1d_transpose", "dense", "lstm", "attention"],
+)
+def test_a_negative_input_width_is_rejected_at_construction(make, field):
+    # LSTM(-1, 4) once built a (3, 16) kernel; the others leaked numpy's
+    # untyped "negative dimensions are not allowed"
+    with pytest.raises(ValueError, match=f"^{field} must be >= 0, got -1$"):
+        make(-1)
+    make(0)  # a zero-width input is a valid, if empty, contraction

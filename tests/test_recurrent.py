@@ -5,6 +5,7 @@ import pytest
 from scipy import special
 
 import seqstream as sl
+from seqstream import recurrent, tensor
 from seqstream.layer import poison_invalid
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step, stream_blocks
@@ -43,47 +44,110 @@ def lstm_oracle(x: Sequence, kernel, bias, units):
     return out, mask
 
 
-def where_scan(layer, values, mask, c, h):
-    """LSTM._scan as it was before its trims: an expit per gate and an
-    np.where per state at every step. Kept as a bit reference."""
+def split_scan(layer, values, mask, c, h):
+    """LSTM._scan as a plain loop in its contraction order, from the public
+    parameters: the input half ``x @ W_x + b`` of every step at once, on
+    ``matmul_rows``; per step ``(h @ W_h) + that``, an expit per gate and an
+    np.where per state. An invalid step's output is the held h. Kept as a
+    bit reference."""
     kernel, bias = layer.parameters["kernel"], layer.parameters["bias"]
-    u = layer.units
+    u, n = layer.units, layer.in_features
+    xz = tensor.matmul_rows(values, tensor.rows_weight(kernel[:n]), 4 * u) + bias
+    h_kernel = np.ascontiguousarray(kernel[n:])
     outputs = np.empty(values.shape[:2] + (u,), np.float32)
     for t in range(values.shape[1]):
-        z = np.concatenate([values[:, t], h], axis=1) @ kernel + bias
+        z = np.dot(h, h_kernel) + xz[:, t]
         i_g = special.expit(z[:, :u])
         f_g = special.expit(z[:, u : 2 * u])
         o_g = special.expit(z[:, 3 * u :])
         c_new = f_g * c + i_g * np.tanh(z[:, 2 * u : 3 * u])
         h_new = o_g * np.tanh(c_new)
         valid = mask[:, t][:, None]
-        c = np.where(valid, c_new.astype(np.float32, copy=False), c)
-        h = np.where(valid, h_new.astype(np.float32, copy=False), h)
-        outputs[:, t] = h_new
+        c = np.where(valid, c_new, c)
+        h = np.where(valid, h_new, h)
+        outputs[:, t] = h
     return outputs, c, h
+
+
+def masks_of(kind, rng, batch, time):
+    """A ``[batch, time]`` mask: end-padded rows (row 0 full), or random
+    holes with a step valid in every row and one valid in none."""
+    if kind == "ragged":
+        lengths = [time] + rng.integers(0, time, size=batch - 1).tolist()
+        return np.arange(time)[None, :] < np.array(lengths)[:, None]
+    mask = rng.random((batch, time)) < 0.7
+    mask[:, 3] = True
+    mask[:, 4] = False
+    return mask
 
 
 @pytest.mark.parametrize("batch", [1, 3, 8])
 @pytest.mark.parametrize("masks", ["ragged", "holes"])
-def test_scan_is_bitwise_the_where_scan(masks, batch):
+def test_scan_is_bitwise_the_split_scan(masks, batch):
     rng = np.random.default_rng([batch, len(masks)])
     layer = sl.LSTM(3, 5, rng=rng)
     time = 24
     # unmasked values: the scan, not its caller, keeps invalid steps out
     values = rng.standard_normal((batch, time, 3), dtype=np.float32)
-    if masks == "ragged":
-        lengths = [time] + rng.integers(0, time, size=batch - 1).tolist()
-        mask = np.arange(time)[None, :] < np.array(lengths)[:, None]
-    else:
-        mask = rng.random((batch, time)) < 0.7
-        mask[:, 3] = True  # a step valid in every row
-        mask[:, 4] = False  # and one valid in none
+    mask = masks_of(masks, rng, batch, time)
     c, h = rng.standard_normal((2, batch, 5), dtype=np.float32)
     got = layer._scan(values, mask, c, h)
-    want = where_scan(layer, values, mask, c, h)
+    want = split_scan(layer, values, mask, c, h)
     for name, a, b in zip(("outputs", "c", "h"), got, want):
         assert a.dtype == b.dtype == np.float32, name
         assert a.tobytes() == b.tobytes(), name
+
+
+@pytest.mark.parametrize("block", [1, 3, 8])
+@pytest.mark.parametrize("batch", [1, 3, 8])
+@pytest.mark.parametrize("masks", ["ragged", "holes"])
+def test_steps_are_bitwise_layer(masks, batch, block):
+    # NaN at every invalid step: neither mode may let one into a valid output
+    # or the state, and both hold the same h at invalid steps. 64 input
+    # features: a plain one-row np.dot of the input half rounds apart from
+    # the many-row one at this width, and matmul_rows must not
+    rng = np.random.default_rng([batch, block, len(masks)])
+    layer = sl.LSTM(64, 5, rng=rng)
+    values = rng.standard_normal((batch, 24, 64), dtype=np.float32)
+    x = poison_invalid(Sequence(values, masks_of(masks, rng, batch, 24)))
+    whole, whole_state, _ = stream_blocks(layer, x, training=False, block=24)
+    y, state, _ = stream_blocks(layer, x, training=False, block=block)
+    assert not np.isnan(np.asarray(whole.values)).any()
+    assert_identical((y, state), (whole, whole_state), f"block {block}")
+    assert_identical(y, layer.layer(x, training=False), "layer()")
+
+
+def test_the_input_half_in_chunks_gives_the_same_bits(monkeypatch):
+    rng = np.random.default_rng(12)
+    layer = sl.LSTM(64, 5, rng=rng)
+    values = rng.standard_normal((3, 40, 64), dtype=np.float32)
+    x = poison_invalid(Sequence(values, masks_of("holes", rng, 3, 40)))
+    whole = layer.layer(x, training=False)
+    # 7 steps of 3 rows a chunk: the last chunk is short
+    monkeypatch.setattr(recurrent, "_CHUNK_VALUES", 7 * 3 * 4 * 5)
+    assert_identical(layer.layer(x, training=False), whole)
+
+
+def test_a_batch_of_no_rows_runs():
+    layer = sl.LSTM(3, 4, rng=np.random.default_rng(13))
+    x = Sequence.from_values(np.zeros((0, 5, 3), np.float32))
+    assert layer.layer(x, training=False).values.shape == (0, 5, 4)
+    state = layer.get_initial_state(0, ChannelSpec((3,)), training=False)
+    y, state = layer.step(x, state, training=False)
+    assert y.values.shape == (0, 5, 4) and state["h"].shape == (0, 4)
+
+
+def test_a_state_stepped_twice_gives_identical_outputs():
+    layer = sl.LSTM(3, 4, rng=np.random.default_rng(9))
+    x = random_sequence(10, 3, 8, 3, lengths=[8, 5, 3])
+    state = layer.get_initial_state(3, ChannelSpec((3,)), training=False)
+    _, state = layer.step(x.slice_time(0, 4), state, training=False)
+    first = layer.step(x.slice_time(4, 8), state, training=False)
+    second = layer.step(x.slice_time(4, 8), state, training=False)
+    assert_identical(first, second)
+    # the state pins no block's outputs
+    y, state = first
+    assert not any(np.shares_memory(a, y.values) for a in state.values())
 
 
 def test_zero_params_zero_everything():

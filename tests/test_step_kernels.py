@@ -47,6 +47,9 @@ def test_the_plan_steps_a_leaf_as_its_public_step_does(layer, spec, mult, traini
     x = x.pad_time(0, -x.time % block, valid=False)
     state = layer.get_initial_state(x.batch_size, spec, training=training)
     root_state = root.get_initial_state(x.batch_size, spec, training=training)
+    # a state's arrays are read-only from the first, the initial state's too
+    for i, a in enumerate(arrays_in((state, root_state))):
+        assert not a.flags.writeable, ("initial", i)
     for start in range(0, x.time, block):
         chunk = x.slice_time(start, start + block)
         y, state = layer.step(chunk, state, training=training)

@@ -43,7 +43,7 @@ def catalog():
         (sl.Delay(2), (F32, I32, BOOL)),
         (sl.StepDelay(2), (F32, I32, BOOL)),
         (sl.Lookahead(2), (F32, I32, BOOL)),
-        (sl.LSTM(3, 2, rng=rng), (F32,)),
+        (sl.LSTM(3, 2, rng=rng), (F32, I32, BOOL)),
         (sl.DotProductSelfAttention(3, 2, 2, 4, 1, rng=rng), (F32,)),
         (sl.Parallel([sl.Delay(1), sl.Lookahead(1)], combine="mean"), (F32, I32)),
         (sl.Residual(sl.Conv1D(3, 3, 2, rng=rng)), (F32,)),
