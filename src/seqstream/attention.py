@@ -112,6 +112,9 @@ class DotProductSelfAttention(SequenceLayer):
         self.units_per_head = int(units_per_head)
         self.max_past_horizon = int(max_past_horizon)
         self.max_future_horizon = int(max_future_horizon)
+        self.input_latency = self.output_latency = self.max_future_horizon
+        past = -np.inf if self.unbounded_past else -self.max_past_horizon
+        self.receptive_field_per_step = {0: (past, self.max_future_horizon)}
         proj = (self.d_model, self.num_heads, self.units_per_head)
         self._params = params_lib.materialize(
             {"q_proj": proj, "k_proj": proj, "v_proj": proj}, params, rng, self.name
@@ -138,19 +141,6 @@ class DotProductSelfAttention(SequenceLayer):
     @property
     def state_grows(self) -> bool:
         return self.unbounded_past
-
-    @property
-    def input_latency(self):
-        return self.max_future_horizon
-
-    @property
-    def output_latency(self):
-        return self.max_future_horizon
-
-    @property
-    def receptive_field_per_step(self):
-        past = -np.inf if self.unbounded_past else -self.max_past_horizon
-        return {0: (past, self.max_future_horizon)}
 
     def _project(self, values):
         """Scaled queries, keys and values of masked ``values``, each [B, T, H, U]."""

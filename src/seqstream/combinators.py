@@ -1,8 +1,9 @@
 """Layers built from layers: Serial, Parallel, Residual, Repeat,
 Bidirectional, and Blockwise.
 
-A combinator's streaming metadata is derived from its children on first
-access and cached: layers are immutable once built. A child whose name a
+A combinator's streaming metadata is derived from its children at
+construction: layers are immutable once built, and a tree whose metadata
+cannot be derived raises its ValueError there. A child whose name a
 combinator changes (deduplication, Repeat) is a renamed copy, so the
 caller's layer keeps its name.
 
@@ -285,21 +286,20 @@ class _StepPlan:
 
 class _Composite(SequenceLayer):
     """Serial and Parallel: a layer over a tuple of children whose emits ride
-    its one execution loop. Subclasses implement ``layer_with_emits``, and
-    step through a :class:`_StepPlan` built on first use; ``layer`` and
-    ``step`` return their outputs without the emits."""
+    its one execution loop. Subclasses derive their metadata in ``__init__``
+    and implement ``layer_with_emits``; they step through a
+    :class:`_StepPlan` built on first use, and ``layer`` and ``step`` return
+    their outputs without the emits."""
 
-    @property
-    def children(self):
-        return self._children
+    def __init__(self, children, name):
+        super().__init__(name)
+        self.children = _unique_names(children)
+        self.is_stochastic = any(c.is_stochastic for c in self.children)
 
-    @property
-    def is_stochastic(self):
-        return any(c.is_stochastic for c in self._children)
-
-    @cached_property
-    def supports_step(self):
-        return self._unsteppable is None
+    def _set_unsteppable(self, reason):
+        """Records why this composite cannot be stepped, or None."""
+        self._unsteppable = reason
+        self.supports_step = reason is None
 
     @cached_property
     def _plan(self):
@@ -326,20 +326,11 @@ class Serial(_Composite):
     """Applies children one after another; an empty Serial is the identity."""
 
     def __init__(self, layers, name=None):
-        super().__init__(name)
-        self._children = _unique_names(list(layers))
-
-    @cached_property
-    def output_ratio(self):
-        ratio = UNIT_RATIO
-        for child in self._children:
-            ratio *= child.output_ratio
-        return ratio
-
-    @cached_property
-    def block_size(self):
-        block, ratio = 1, UNIT_RATIO
-        for child in self._children:
+        super().__init__(list(layers), name)
+        # forward: ratio, block, and the output latency ahead of each child,
+        # up to the first child that it misaligns
+        ratio, block, latency, misaligned = UNIT_RATIO, 1, 0, None
+        for child in self.children:
             arriving = block * ratio
             if arriving.denominator != 1:
                 raise ValueError(
@@ -347,63 +338,45 @@ class Serial(_Composite):
                     "a block_size upstream is not a multiple of its ratio denominator"
                 )
             block = block * math.lcm(int(arriving), child.block_size) // int(arriving)
-            ratio *= child.output_ratio
-        return block
-
-    @cached_property
-    def _forward_output_latency(self):
-        """(output_latency, misalignment reason or None)."""
-        latency = 0
-        for child in self._children:
             converted = latency * child.output_ratio
-            if converted.denominator != 1:
-                return latency, (
+            if misaligned is None and converted.denominator != 1:
+                misaligned = (
                     f"accumulated latency {latency} ahead of {child.name!r} is not a "
                     f"multiple of {child.output_ratio.denominator}; insert a StepDelay of "
                     f"{-latency % child.output_ratio.denominator} to align"
                 )
-            latency = int(converted) + child.output_latency
-        return latency, None
-
-    @cached_property
-    def output_latency(self):
-        return self._forward_output_latency[0]
-
-    @cached_property
-    def input_latency(self):
+            if misaligned is None:
+                latency = int(converted) + child.output_latency
+            ratio *= child.output_ratio
+        self.output_ratio, self.block_size, self.output_latency = ratio, block, latency
+        bad = [c.name for c in self.children if not c.supports_step]
+        self._set_unsteppable(f"children {bad} cannot be stepped" if bad else misaligned)
+        # backward: a child's own flush plus enough input to push the
+        # downstream flush through
         latency = 0
-        for child in reversed(self._children):
+        for child in reversed(self.children):
             latency = child.input_latency + math.ceil(latency / child.output_ratio)
-        return latency
-
-    @cached_property
-    def receptive_field_per_step(self):
-        maps = [c.receptive_field_per_step for c in self._children]
-        return serial_rf_map(maps, [c.output_ratio for c in self._children])
-
-    @cached_property
-    def _unsteppable(self):
-        """Why this Serial cannot be stepped, or None."""
-        bad = [c.name for c in self._children if not c.supports_step]
-        if bad:
-            return f"children {bad} cannot be stepped"
-        return self._forward_output_latency[1]
+        self.input_latency = latency
+        self.receptive_field_per_step = serial_rf_map(
+            [c.receptive_field_per_step for c in self.children],
+            [c.output_ratio for c in self.children],
+        )
 
     def output_time(self, input_time):
         time = input_time
-        for child in self._children:
+        for child in self.children:
             time = child.output_time(time)
         return time
 
     def get_output_spec(self, input_spec, constants=None):
         spec = input_spec
-        for child in self._children:
+        for child in self.children:
             spec = child.get_output_spec(spec, constants)
         return spec
 
     def layer_with_emits(self, x, *, training, constants=None):
         emits = {}
-        for child in self._children:
+        for child in self.children:
             x, child_emits = child.layer_with_emits(x, training=training, constants=constants)
             emits.update(child_emits)
         return x, _filed(self.name, emits)
@@ -413,7 +386,6 @@ class Parallel(_Composite):
     """Feeds the same input to every child and combines their outputs."""
 
     def __init__(self, layers, combine="stack", name=None):
-        super().__init__(name)
         children = list(layers)
         if not children:
             raise ValueError("parallel requires at least one child")
@@ -426,48 +398,27 @@ class Parallel(_Composite):
                 f"{[str(c.output_ratio) for c in children]}"
             )
         _check_output_times(children, "parallel")
+        super().__init__(children, name)
         self.combine = combine
-        self._children = _unique_names(children)
-
-    @cached_property
-    def output_ratio(self):
-        return self._children[0].output_ratio
-
-    @cached_property
-    def block_size(self):
-        return math.lcm(*(c.block_size for c in self._children))
-
-    @cached_property
-    def output_latency(self):
-        return max(c.output_latency for c in self._children)
-
-    @cached_property
-    def input_latency(self):
-        return max(c.input_latency for c in self._children)
-
-    @cached_property
-    def receptive_field_per_step(self):
-        maps = [c.receptive_field_per_step for c in self._children]
-        return union_rf_maps(maps, [c.output_ratio for c in self._children])
-
-    @cached_property
-    def _unsteppable(self):
-        """Why this Parallel cannot be stepped, or None."""
-        if not all(c.supports_step for c in self._children):
-            return "some children cannot be stepped"
-        return None
-
-    @cached_property
-    def _delays(self):
-        """The StepDelay that aligns each child's output with the slowest child's."""
-        return tuple(StepDelay(self.output_latency - c.output_latency) for c in self._children)
+        children = self.children
+        steppable = all(c.supports_step for c in children)
+        self._set_unsteppable(None if steppable else "some children cannot be stepped")
+        self.output_ratio = children[0].output_ratio
+        self.block_size = math.lcm(*(c.block_size for c in children))
+        self.output_latency = max(c.output_latency for c in children)
+        self.input_latency = max(c.input_latency for c in children)
+        self.receptive_field_per_step = union_rf_maps(
+            [c.receptive_field_per_step for c in children], [c.output_ratio for c in children]
+        )
+        #: the StepDelay that aligns each child's output with the slowest child's
+        self._delays = tuple(StepDelay(self.output_latency - c.output_latency) for c in children)
 
     def output_time(self, input_time):
-        return self._children[0].output_time(input_time)
+        return self.children[0].output_time(input_time)
 
     def layer_with_emits(self, x, *, training, constants=None):
         outputs, emits = [], {}
-        for child in self._children:
+        for child in self.children:
             y, child_emits = child.layer_with_emits(x, training=training, constants=constants)
             outputs.append(y)
             emits.update(child_emits)
@@ -525,6 +476,8 @@ class Bidirectional(SequenceLayer):
     valid region, outputs combined. Reversal needs the whole sequence, so
     this layer cannot be stepped."""
 
+    supports_step = False
+
     def __init__(self, forward, backward, combine="stack", name=None):
         super().__init__(name)
         if combine not in COMBINE_MODES:
@@ -535,32 +488,14 @@ class Bidirectional(SequenceLayer):
                     f"bidirectional requires ratio-1 children, got {child.output_ratio}"
                 )
         _check_output_times([forward, backward], "bidirectional")
-        self.forward, self.backward = _unique_names([forward, backward])
+        self.children = self.forward, self.backward = _unique_names([forward, backward])
         self.combine = combine
-
-    @property
-    def children(self):
-        return (self.forward, self.backward)
-
-    @property
-    def supports_step(self):
-        return False
-
-    @property
-    def block_size(self):
-        return math.lcm(self.forward.block_size, self.backward.block_size)
-
-    @property
-    def is_stochastic(self):
-        return self.forward.is_stochastic or self.backward.is_stochastic
-
-    @property
-    def receptive_field_per_step(self):
-        maps = [
-            self.forward.receptive_field_per_step,
-            reverse_rf_map(self.backward.receptive_field_per_step),
-        ]
-        return union_rf_maps(maps, [UNIT_RATIO, UNIT_RATIO])
+        self.block_size = math.lcm(forward.block_size, backward.block_size)
+        self.is_stochastic = forward.is_stochastic or backward.is_stochastic
+        self.receptive_field_per_step = union_rf_maps(
+            [forward.receptive_field_per_step, reverse_rf_map(backward.receptive_field_per_step)],
+            [UNIT_RATIO, UNIT_RATIO],
+        )
 
     def layer(self, x, *, training, constants=None):
         fwd = self.forward.layer(x, training=training, constants=constants)
@@ -598,15 +533,7 @@ class Blockwise(Serial):
                 f"{child.name}'s block_size {child.block_size}"
             )
         super().__init__([child], name=name)
-        self._block_size = int(block_size)
-
-    @property
-    def child(self):
-        return self._children[0]
-
-    @property
-    def block_size(self):
-        return self._block_size
+        self.block_size = int(block_size)
 
     def layer_with_emits(self, x, *, training, constants=None):
         out, _, emits = _flushed(self, x, training=training, constants=constants)

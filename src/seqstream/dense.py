@@ -312,10 +312,7 @@ class Dropout(SequenceLayer):
             raise ValueError(f"dropout rate must be in [0, 1), got {rate}")
         self.rate = float(rate)
         self.seed = int(seed)
-
-    @property
-    def is_stochastic(self):
-        return self.rate > 0
+        self.is_stochastic = self.rate > 0
 
     def _apply(self, values, offset: int):
         """``values`` with this layer's draws for steps from ``offset`` applied."""

@@ -28,9 +28,14 @@ the first ``output_latency`` outputs (see
 :func:`seqstream.streaming.step_by_step`).
 
 Metadata exposed per layer: exact rational ``output_ratio``, ``block_size``,
-both latencies, and a per-step receptive field map (see
-:mod:`seqstream.receptive_field`). :func:`check_metadata` raises
-``ValueError`` when they contradict each other.
+both latencies, a per-step receptive field map (see
+:mod:`seqstream.receptive_field`), ``supports_step`` and ``is_stochastic``.
+They are plain attributes, set once in ``__init__``: ``SequenceLayer``
+holds the defaults as class attributes, and a layer assigns what differs,
+a subclass overriding its parent's value by assigning it after
+``super().__init__()``. A composite derives its own from its children's at
+construction (see :mod:`seqstream.combinators`). :func:`check_metadata`
+raises ``ValueError`` when they contradict each other.
 
 Emits are auxiliary outputs (taps on intermediate activations) returned by
 ``layer_with_emits`` and ``step_with_emits`` as one flat map
@@ -140,52 +145,32 @@ class SequenceLayer(abc.ABC):
 
     #: named parameter tensors; layers with parameters replace it in __init__
     _params: Mapping[str, np.ndarray] = types.MappingProxyType({})
+    #: the layers this one is built from; a composite sets them in __init__
+    children: "tuple[SequenceLayer, ...]" = ()
 
     def __init__(self, name: str | None = None):
         self.name = name if name is not None else type(self).__name__.lower()
 
-    # -- metadata ----------------------------------------------------------
+    # -- metadata: the defaults; a layer assigns what differs in __init__ ----
 
-    @property
-    def output_ratio(self) -> Fraction:
-        return UNIT_RATIO
-
-    @property
-    def block_size(self) -> int:
-        return 1
-
-    @property
-    def input_latency(self) -> int:
-        return 0
-
-    @property
-    def output_latency(self) -> int:
-        return 0
-
-    @property
-    def receptive_field_per_step(self) -> dict:
-        return {0: (0, 0)}
+    #: exact ratio of output steps to input steps
+    output_ratio: Fraction = UNIT_RATIO
+    block_size: int = 1
+    input_latency: int = 0
+    output_latency: int = 0
+    #: step class -> receptive field (see :mod:`seqstream.receptive_field`)
+    receptive_field_per_step: Mapping[int, Any] = types.MappingProxyType({0: (0, 0)})
+    supports_step: bool = True
+    #: True when outputs depend on an RNG at training time
+    is_stochastic: bool = False
 
     @property
     def receptive_field(self):
         return rf_overall(self.receptive_field_per_step, self.output_ratio)
 
     @property
-    def supports_step(self) -> bool:
-        return True
-
-    @property
-    def is_stochastic(self) -> bool:
-        """True when outputs depend on an RNG at training time."""
-        return False
-
-    @property
     def parameters(self) -> dict[str, np.ndarray]:
         return dict(self._params)
-
-    @property
-    def children(self) -> "tuple[SequenceLayer, ...]":
-        return ()
 
     def output_time(self, input_time: int) -> int:
         """Time extent layer() produces for an input of the given extent."""

@@ -66,10 +66,7 @@ class LSTM(SequenceLayer):
         self._x_kernel = tensor.rows_weight(kernel[: self.in_features])
         self._h_kernel = tensor.freeze(np.ascontiguousarray(kernel[self.in_features :]))
         self._bias = tensor.freeze(self._params["bias"][order])
-
-    @property
-    def receptive_field_per_step(self):
-        return {0: (-np.inf, 0)}
+        self.receptive_field_per_step = {0: (-np.inf, 0)}
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         zeros = tensor.freeze(np.zeros((batch_size, self.units), dtype=np.float32))

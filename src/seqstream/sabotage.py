@@ -9,6 +9,8 @@ Never use them for anything else.
 
 from __future__ import annotations
 
+from fractions import Fraction
+
 import numpy as np
 
 from .dense import Identity
@@ -31,12 +33,7 @@ class FirstBlockOnly(SequenceLayer):
     Breaks layer_step_equal_2x while passing the 1x check.
     """
 
-    def __init__(self, name=None):
-        super().__init__(name)
-
-    @property
-    def block_size(self):
-        return 2
+    block_size = 2
 
     def layer(self, x, *, training, constants=None):
         return x
@@ -55,15 +52,8 @@ class FirstBlockOnly(SequenceLayer):
 class WrongRatioIdentity(Identity):
     """Claims to halve the sequence but does not (breaks metadata_consistency)."""
 
-    @property
-    def output_ratio(self):
-        from fractions import Fraction
-
-        return Fraction(1, 2)
-
-    @property
-    def block_size(self):
-        return 2
+    output_ratio = Fraction(1, 2)
+    block_size = 2
 
     # its own identity in both modes: a kernel-derived layer() would trim
     # the output to the false ratio and hide the violation
@@ -85,17 +75,11 @@ class UnderdeclaredRFConv(Conv1D):
         super().__init__(
             in_channels, filters, 3, padding="causal", params=params, rng=rng, name=name
         )
-
-    @property
-    def receptive_field_per_step(self):
-        return {0: (-1, 0)}
+        self.receptive_field_per_step = {0: (-1, 0)}
 
 
 class BatchMixingDense(SequenceLayer):
     """Subtracts the batch mean per timestep (breaks batching_invariance)."""
-
-    def __init__(self, name=None):
-        super().__init__(name)
 
     def layer(self, x, *, training, constants=None):
         centered = np.asarray(x.values) - np.asarray(x.values).mean(axis=0, keepdims=True)
@@ -135,14 +119,12 @@ class ShapeShiftingEmits(Identity):
 class BlockSeededDropout(SequenceLayer):
     """Dropout whose draws restart at every step call (breaks rng_equivalence)."""
 
+    is_stochastic = True
+
     def __init__(self, rate=0.5, seed=0, name=None):
         super().__init__(name)
         self.rate = float(rate)
         self.seed = int(seed)
-
-    @property
-    def is_stochastic(self):
-        return True
 
     def _draw(self, shape):
         return np.random.default_rng(self.seed).uniform(size=shape) < (1 - self.rate)

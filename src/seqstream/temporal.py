@@ -6,7 +6,7 @@ kernel returns (see :mod:`seqstream.layer`). That holds for ``StepDelay``
 too: the flushed delay line, trimmed, is the identity. The resamplers and
 ``Window`` keep no state.
 
-Streaming mechanics: every state kept over past input steps is a stream
+Streaming mechanics: every state kept over past steps is a stream
 history that :func:`~seqstream.sequence.shift_in` advances, one block at a
 time. The windowed layers (Conv1D, pooling, Frame) keep the trailing
 context of already-seen masked inputs as a ``(values, mask)`` pair, sized
@@ -16,10 +16,13 @@ sequence that context starts as invalid zeros: the left padding, plus the
 placeholder windows the flush protocol drops. ``Delay`` and ``StepDelay``
 keep a delay line of ``length`` steps, the same pair, and emit the oldest
 steps of the line joined with the block. A delay line reads no value, so
-no caller zeroes its input. ``Conv1DTranspose`` keeps the validity of its last ``input_latency``
-inputs the same way; its overlap-add carry is a scatter, not a shift. Output validity follows the anchor rule:
-output step ``t`` is valid iff its anchor input ``t * stride`` (or
-``floor(t / ratio)`` for upsampling layers) is valid.
+no caller zeroes its input. ``Conv1DTranspose``'s output mask is a delay
+line too: its input mask repeated ``stride`` times, delayed ``trim_left``
+output steps, so stepped output ``o`` is valid iff input
+``floor((o - trim_left) / stride)`` is; its overlap-add carry is a
+scatter, not a shift. Output validity follows the anchor rule: output step
+``t`` is valid iff its anchor input ``t * stride`` (or ``floor(t / ratio)``
+for upsampling layers) is valid.
 
 Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
@@ -129,18 +132,6 @@ def _window_index(out_len: int, stride: int, kernel_size: int, dilation: int) ->
     return tensor.freeze(np.arange(out_len)[:, None] * stride + taps[None, :])
 
 
-@functools.lru_cache(maxsize=128)
-def _anchor_index(time: int, stride: int, trim_left: int, history: int) -> np.ndarray:
-    """Conv1DTranspose.step's anchor of each of its ``time * stride`` emissions.
-
-    Emission r of input i is output o = i * stride + r - trim_left, anchored
-    at input floor(o / stride): index i + offset[r] of [mask_history, x.mask],
-    where mask_history holds the last ``history`` input steps.
-    """
-    offsets = [history - math.ceil((trim_left - r) / stride) for r in range(stride)]
-    return tensor.freeze((np.arange(time)[:, None] + np.array(offsets)[None, :]).reshape(-1))
-
-
 class _WindowedLayer(SequenceLayer):
     """Shared layer/step plumbing for fixed-window time reductions."""
 
@@ -156,29 +147,14 @@ class _WindowedLayer(SequenceLayer):
         self.dilation = int(dilation)
         self.padding = str(padding)
         self.pad_left, self.pad_right = explicit_padding(padding, kernel_size, dilation)
+        self.output_ratio = Fraction(1, self.stride)
+        self.block_size = self.stride
+        self.input_latency = self.pad_right
+        self.output_latency = self.pad_right // self.stride
+        eff = effective_kernel(self.kernel_size, self.dilation)
+        self.receptive_field_per_step = {0: (-self.pad_left, -self.pad_left + eff - 1)}
         #: steps of trailing input the step state carries
         self._context_len = self.output_latency * self.stride + self.pad_left
-
-    @property
-    def output_ratio(self):
-        return Fraction(1, self.stride)
-
-    @property
-    def block_size(self):
-        return self.stride
-
-    @property
-    def input_latency(self):
-        return self.pad_right
-
-    @property
-    def output_latency(self):
-        return self.pad_right // self.stride
-
-    @property
-    def receptive_field_per_step(self):
-        eff = effective_kernel(self.kernel_size, self.dilation)
-        return {0: (-self.pad_left, -self.pad_left + eff - 1)}
 
     def _reduce_windows(self, values, idx, mask):
         """Joined ``[B, context + T, ...ch]`` values and ``[B, context + T]``
@@ -308,8 +284,8 @@ class Conv1DTranspose(SequenceLayer):
 
     Step state: ``carry``, the overlap-add partial sums of the next
     ``(ceil(kernel / stride) - 1) * stride`` positions, and ``mask_history``,
-    the validity of the last ``input_latency`` inputs (newest last), which
-    the trimmed emissions still anchor on.
+    the last ``trim_left`` steps of the output mask's delay line (see the
+    module docstring).
     """
 
     def __init__(
@@ -352,34 +328,22 @@ class Conv1DTranspose(SequenceLayer):
         weight = self._params["weight"].transpose(1, 0, 2)
         self._taps = self.kernel_size * self.filters
         self._weight = tensor.rows_weight(weight.reshape(self.in_channels, self._taps))
-
-    @property
-    def output_ratio(self):
-        return Fraction(self.stride)
-
-    @property
-    def output_latency(self):
-        return self.trim_left
-
-    @property
-    def input_latency(self):
-        return -(-self.trim_left // self.stride)
-
-    @property
-    def receptive_field_per_step(self):
-        out = {}
+        self.output_ratio = Fraction(self.stride)
+        self.output_latency = self.trim_left
+        self.input_latency = -(-self.trim_left // self.stride)
+        rf = {}
         for o in range(self.stride):
             lo = math.ceil((o + self.trim_left - self.kernel_size + 1) / self.stride)
             hi = math.floor((o + self.trim_left) / self.stride)
-            out[o] = (lo, hi) if lo <= hi else None
-        return out
+            rf[o] = (lo, hi) if lo <= hi else None
+        self.receptive_field_per_step = rf
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return {
             "carry": tensor.freeze(
                 np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32)
             ),
-            "mask_history": tensor.freeze(np.zeros((batch_size, self.input_latency), dtype=bool)),
+            "mask_history": tensor.freeze(np.zeros((batch_size, self.trim_left), dtype=bool)),
         }
 
     _masks_step_input = True
@@ -393,8 +357,10 @@ class Conv1DTranspose(SequenceLayer):
         out, carry = overlap_add(contrib, self.stride, state["carry"])
         if self.use_bias:
             out = out + self._params["bias"]
-        (mask,), (history,) = shift_in((state["mask_history"],), (mask,))
-        out_mask = mask[:, _anchor_index(time, self.stride, self.trim_left, self.input_latency)]
+        # stepped output o is anchored at input floor((o - trim_left) / stride)
+        up = np.repeat(mask, self.stride, axis=1)
+        (mask,), (history,) = shift_in((state["mask_history"],), (up,))
+        out_mask = mask[:, : time * self.stride]
         return out, out_mask, {"carry": tensor.freeze(carry), "mask_history": history}
 
 
@@ -406,14 +372,8 @@ class Downsample1D(SequenceLayer):
         if rate < 1:
             raise ValueError(f"rate must be >= 1, got {rate}")
         self.rate = int(rate)
-
-    @property
-    def output_ratio(self):
-        return Fraction(1, self.rate)
-
-    @property
-    def block_size(self):
-        return self.rate
+        self.output_ratio = Fraction(1, self.rate)
+        self.block_size = self.rate
 
     def _step_arrays(self, values, mask, state, training, constants):
         return values[:, :: self.rate], mask[:, :: self.rate], state
@@ -427,14 +387,8 @@ class Upsample1D(SequenceLayer):
         if rate < 1:
             raise ValueError(f"rate must be >= 1, got {rate}")
         self.rate = int(rate)
-
-    @property
-    def output_ratio(self):
-        return Fraction(self.rate)
-
-    @property
-    def receptive_field_per_step(self):
-        return {o: (0, 0) for o in range(self.rate)}
+        self.output_ratio = Fraction(self.rate)
+        self.receptive_field_per_step = {o: (0, 0) for o in range(self.rate)}
 
     def _step_arrays(self, values, mask, state, training, constants):
         return np.repeat(values, self.rate, axis=1), np.repeat(mask, self.rate, axis=1), state
@@ -455,10 +409,7 @@ class Delay(SequenceLayer):
         if length < 0:
             raise ValueError(f"delay length must be >= 0, got {length}")
         self.length = int(length)
-
-    @property
-    def receptive_field_per_step(self):
-        return {0: (-self.length, -self.length)}
+        self.receptive_field_per_step = {0: (-self.length, -self.length)}
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return empty_history(batch_size, self.length, input_spec)
@@ -484,17 +435,10 @@ class StepDelay(Delay):
     :class:`Delay`'s gating by the current input step.
     """
 
-    @property
-    def input_latency(self):
-        return self.length
-
-    @property
-    def output_latency(self):
-        return self.length
-
-    @property
-    def receptive_field_per_step(self):
-        return {0: (0, 0)}
+    def __init__(self, length, name=None):
+        super().__init__(length, name)
+        self.input_latency = self.output_latency = self.length
+        self.receptive_field_per_step = {0: (0, 0)}
 
     def _step_arrays(self, values, mask, state, training, constants):
         time = values.shape[1]
@@ -515,18 +459,8 @@ class Lookahead(SequenceLayer):
         if length < 0:
             raise ValueError(f"lookahead length must be >= 0, got {length}")
         self.length = int(length)
-
-    @property
-    def input_latency(self):
-        return self.length
-
-    @property
-    def output_latency(self):
-        return self.length
-
-    @property
-    def receptive_field_per_step(self):
-        return {0: (self.length, self.length)}
+        self.input_latency = self.output_latency = self.length
+        self.receptive_field_per_step = {0: (self.length, self.length)}
 
     def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
         return 0
@@ -619,18 +553,10 @@ class OverlapAdd(SequenceLayer):
             )
         self.frame_length = int(frame_length)
         self.hop = int(hop)
-
-    @property
-    def output_ratio(self):
-        return Fraction(self.hop)
-
-    @property
-    def receptive_field_per_step(self):
-        out = {}
-        for o in range(self.hop):
-            lo = math.ceil((o - self.frame_length + 1) / self.hop)
-            out[o] = (lo, 0)
-        return out
+        self.output_ratio = Fraction(self.hop)
+        self.receptive_field_per_step = {
+            o: (math.ceil((o - self.frame_length + 1) / self.hop), 0) for o in range(self.hop)
+        }
 
     def _check(self, channel_shape):
         if not channel_shape or channel_shape[0] != self.frame_length:

@@ -39,11 +39,6 @@ rows. Kernels contract in one of two ways:
   kernel's recurrent rows at each step, whose rows are the batch, the same
   in both modes.
 
-On a 2-CPU host with OpenBLAS 0.3.31, BLAS runs ``conv_stack``'s two
-``Conv1D`` ``layer()`` calls at [8, 16384] 2.6x and 3.5x faster than the
-einsum over channel-first windows they ran before, and
-``mixed_resample``'s one-filter ``Conv1D`` 1.14x faster.
-
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64
 extents, then the raw row-major payload (bool stored as u8 0/1).

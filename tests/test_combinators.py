@@ -509,7 +509,7 @@ class TestBlockwise:
 def _counted(name):
     def get(self):
         self.evaluations += 1
-        return getattr(sl.SequenceLayer, name).fget(self)
+        return getattr(sl.SequenceLayer, name)
 
     return property(get)
 
@@ -694,9 +694,8 @@ class TestDerivedProperties:
             output_ratio = Fraction(1, 2)
             block_size = 1
 
-        model = sl.Serial([HalfRatioBlockOne(), sl.Identity()])
         with pytest.raises(ValueError, match="identity"):
-            model.block_size
+            sl.Serial([HalfRatioBlockOne(), sl.Identity()])
 
     def test_properties_recompute_identically(self):
         model = fig6_serial(seed=24)

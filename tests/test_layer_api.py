@@ -2,6 +2,8 @@
 flush/trim handshake for lookahead layers, and layer metadata."""
 
 import copy
+import functools
+import inspect
 
 import numpy as np
 import pytest
@@ -13,6 +15,7 @@ from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step, stream_blocks
 
 from conftest import assert_sequences_close, random_sequence
+from test_step_kernels import library_layer_classes
 from test_step_plan import assert_identical
 
 
@@ -195,11 +198,40 @@ def test_stepping_one_state_twice_gives_what_a_fresh_copy_gives(name):
 
 
 def stub_layer(**metadata):
-    """A layer whose metadata properties are the given class attributes."""
+    """A layer whose metadata are the given class attributes."""
     return type("Stub", (sl.SequenceLayer,), metadata)()
 
 
+METADATA = (
+    "output_ratio",
+    "block_size",
+    "input_latency",
+    "output_latency",
+    "receptive_field_per_step",
+    "supports_step",
+    "is_stochastic",
+)
+
+
 class TestLayerProperties:
+    def test_metadata_is_data(self):
+        # layers are immutable, so each sets its metadata once in __init__
+        # (or as a class attribute) and none re-derives it on access
+        classes = library_layer_classes(sabotage=True)
+        names = {cls.__name__ for cls in classes}
+        assert {"Serial", "Blockwise", "Bidirectional", "StepDelay", "WrongRatioIdentity"} <= names
+        derived = sorted(
+            f"{cls.__name__}.{name}"
+            for cls in classes
+            for name in METADATA
+            if isinstance(
+                inspect.getattr_static(cls, name), (property, functools.cached_property)
+            )
+        )
+        assert derived == []
+        with pytest.raises(TypeError):
+            sl.SequenceLayer.receptive_field_per_step[1] = (0, 0)
+
     def test_block_size_divisibility_enforced(self):
         with pytest.raises(ValueError, match="divisible"):
             check_metadata(stub_layer(output_ratio=Fraction(1, 2), block_size=3))
