@@ -14,7 +14,7 @@ place with :func:`freeze` (directly, or through ``Sequence._wrap``).
 
 Contractions. A step must give the very bits of ``layer()``, so a kernel's
 contraction may not round a row differently when the call has more or fewer
-rows. Kernels contract in one of two ways:
+rows. Kernels contract in one of three ways:
 
 * :func:`matmul_rows`, a float32 BLAS matmul over the flattened leading
   axes, for a contraction whose rows are positions: ``Dense``, the
@@ -37,7 +37,15 @@ rows. Kernels contract in one of two ways:
   ``tests/test_tensor.py`` pins the result on this host.
 * a plain ``np.dot`` for the LSTM's recurrent half, ``h`` against the
   kernel's recurrent rows at each step, whose rows are the batch, the same
-  in both modes.
+  in both modes;
+* attention's batched matmuls, whose rows are queries, under the same
+  rule (see :mod:`seqstream.attention`): a lone query row is duplicated,
+  the logits contract K = U against whole chunks of 64 keys, and each
+  chunk's weights contract K = 64 against values whose width is a
+  multiple of 16. The softmax sums come from that matmul too (the values
+  carry a column of ones), and the chunks' results are added one by one in
+  stream order, never by ``np.add.reduce``, which groups a long axis
+  pairwise by its length.
 
 Binary serialization uses the ``SLT1`` format: magic ``b"SLT1"``, a dtype
 code byte (0=float32, 1=int32, 2=bool), a rank byte, little-endian u64

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 import seqstream as sl
+from seqstream.attention import _CHUNK as CHUNK, _QUERY_ROWS as QUERY_ROWS
 from seqstream.sequence import ChannelSpec, Sequence
 from seqstream.streaming import step_by_step
 from seqstream.verify import verify_contract
@@ -48,30 +49,47 @@ def attention_oracle(x: Sequence, params, num_heads, units, past, future):
     return out, mask
 
 
-def where_attend(layer, q, q_pos, k, v, k_pos, k_mask):
-    """The masked softmax as one np.where over a combined mask: `_attend`'s
-    bit reference, on its layout (q [B, H, Tq, U], k [B, H, U, S], v [B, H, S, U])."""
-    offset = k_pos[None, :] - q_pos[:, None]
-    window = offset <= layer.max_future_horizon
+def where_attend(layer, q, hi, kb, vb, mb):
+    """The masked softmax as one np.where over a combined mask, over every
+    chunk of the cache buffers, folded chunk by chunk in stream order:
+    `_attend`'s bit reference, on its arguments (q [B, H, R, U], buffers
+    kb [B, H, U, cap], vb [B, H, cap, U'] and mb [B, cap]). Column U of the
+    values holds ones at the written slots, so each chunk's matmul also
+    sums its weights."""
+    rows, units = q.shape[2:]
+    slot = np.arange(mb.shape[1])
+    top = hi + np.arange(rows)[:, None]  # row r admits slots below hi + r
+    window = slot < top
     if not layer.unbounded_past:
-        window &= offset >= -layer.max_past_horizon
-    logits = q @ k
-    logits = np.where(window[None, None] & k_mask[:, None, None, :], logits, np.float32(-np.inf))
-    peak = np.max(logits, axis=-1, keepdims=True, initial=np.float32(-np.inf))
+        window &= slot >= top - 1 - layer.max_future_horizon - layer.max_past_horizon
+    # every matmul gets two rows or more, as `_attend`'s do
+    logits = (np.concatenate([q, q], axis=2) @ kb)[:, :, :rows]
+    logits = np.where(window[None, None] & (mb == 1)[:, None, None, :], logits, np.float32(-np.inf))
+    peak = np.max(logits, axis=-1, keepdims=True)
     weights = np.exp(logits - np.where(np.isfinite(peak), peak, np.float32(0)))
-    denom = np.maximum(np.sum(weights, axis=-1, keepdims=True), np.float32(1e-30))
-    context = (weights @ v) / denom
-    return context.transpose(0, 2, 1, 3)
+    total = 0
+    for c in range(0, mb.shape[1], CHUNK):
+        chunk = np.concatenate([weights[..., c : c + CHUNK]] * 2, axis=2)
+        total = total + (chunk @ vb[:, :, c : c + CHUNK])[:, :, :rows]
+    return total[..., :units] / np.maximum(total[..., units : units + 1], np.float32(1e-30))
+
+
+def admitted_mask(layer, q, hi, kb, vb, mb):
+    """The key mask of the slots some query of an `_attend` call admits."""
+    lo = 0 if layer.unbounded_past else hi - 1 - layer.max_future_horizon - layer.max_past_horizon
+    return mb[:, lo : hi + q.shape[2] - 1]
 
 
 def attend_calls(layer, run):
-    """(arguments, output) of every `_attend` call that run() makes."""
+    """(arguments, context [B, H, R, U]) of every `_attend` call that run() makes."""
     calls = []
     attend = layer._attend
 
     def record(*args):
-        calls.append((args, attend(*args)))
-        return calls[-1][1]
+        # the cache buffers as the call saw them: later steps append into them
+        seen = [np.array(a) if isinstance(a, np.ndarray) else a for a in args[:-1]]
+        attend(*args)
+        calls.append((seen, np.array(args[-1]).transpose(0, 2, 1, 3)))
 
     layer._attend = record
     try:
@@ -136,7 +154,7 @@ class TestAttentionLayer:
         layer = make_layer(seed=13, past=past, future=future)
         x = random_sequence(13, 2, 12, 4, lengths=[12, 8])
         calls = attend_calls(layer, lambda: step_by_step(layer, x, training=False, block=1))
-        every_key_valid = [bool(np.all(args[5])) for args, _ in calls]
+        every_key_valid = [bool(np.all(admitted_mask(layer, *args))) for args, _ in calls]
         assert any(every_key_valid) and not all(every_key_valid)
         for args, out in calls:
             assert out.tobytes() == where_attend(layer, *args).tobytes()
@@ -147,21 +165,37 @@ class TestAttentionLayer:
         x = random_sequence(11, 2, 9, 4, lengths=[9, 0])  # row 1 is all invalid
 
         def run():
-            layer.layer(x[:, :0], training=False)  # an empty sequence: only F flush queries
             layer.layer(x, training=False)
             step_by_step(layer, x, training=False, block=3)
 
-        calls = attend_calls(layer, run)
-        assert calls[0][1].shape[1] == future
+        # an empty sequence: only F flush queries, and no call without them
+        calls = attend_calls(layer, lambda: layer.layer(x[:, :0], training=False))
+        assert [out.shape[2] for _, out in calls] == ([future] if future else [])
+        calls += attend_calls(layer, run)
         for args, out in calls:
             assert out.tobytes() == where_attend(layer, *args).tobytes()
 
-    @pytest.mark.parametrize("past,future", [(-1, 0), (4, 2)])
-    def test_layer_allocates_one_logits_buffer(self, past, future):
-        """The kernel writes its refusals into the [B, H, Tq, S] logits it
-        computes, so layer()'s peak stays near that one buffer."""
+    @pytest.mark.parametrize("past,future", [(-1, 0), (-1, 2), (40, 3)])
+    def test_attend_matches_where_reference_over_many_chunks(self, past, future):
+        """Keys across several chunks: the reference adds every chunk of
+        the buffers in stream order, so a call that misaligns, drops or
+        reorders chunks gives other bits."""
+        layer = make_layer(seed=17, past=past, future=future)
+        x = random_sequence(17, 2, 300, 4, lengths=[300, 230])
+        calls = attend_calls(layer, lambda: layer.layer(x, training=False))
+        calls += attend_calls(layer, lambda: step_by_step(layer, x, training=False, block=7))
+        assert max(args[2].shape[-1] for args, _ in calls) > 4 * CHUNK
+        for args, out in calls:
+            assert out.tobytes() == where_attend(layer, *args).tobytes()
+
+    @pytest.mark.parametrize("past,future", [(-1, 0), (-1, 2), (16, 2)])
+    def test_layer_allocates_one_logits_buffer_per_query_block(self, past, future):
+        """layer() computes its logits a block of queries at a time, so at
+        T = 2048 its peak stays near one [B, H, Q, S] buffer, S the keys
+        rounded up to whole chunks, not the [B, H, T, S] of all at once."""
+        time = 2048
         layer = make_layer(seed=12, past=past, future=future)
-        x = random_sequence(12, 2, 256, 4, lengths=[256, 200])
+        x = random_sequence(12, 2, time, 4, lengths=[time, 1500])
         layer.layer(x, training=False)  # remember the output spec first
         tracemalloc.start()
         try:
@@ -169,8 +203,9 @@ class TestAttentionLayer:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        logits_bytes = 2 * 2 * (256 + future) ** 2 * np.dtype(np.float32).itemsize
-        assert peak <= 1.5 * logits_bytes
+        keys = CHUNK * math.ceil((time + future) / CHUNK)
+        block_bytes = 2 * 2 * QUERY_ROWS * keys * np.dtype(np.float32).itemsize
+        assert peak <= 1.5 * block_bytes
 
     def test_bounded_past_ignores_older_inputs(self):
         layer = make_layer(seed=2, past=2)
@@ -260,8 +295,10 @@ class TestAttentionStep:
         shapes = {k: np.shape(v) for k, v in state.items() if isinstance(v, np.ndarray)}
         for _ in range(4):
             _, state = layer.step(x, state, training=False)
-            # the window reads relative positions only: no position counter
-            assert list(state) == ["keys", "values", "key_mask", "pending_q", "pending_mask"]
+            # the window reads relative positions; the position places the cache in its chunks
+            assert list(state) == [
+                "keys", "values", "key_mask", "pending_q", "pending_mask", "position"
+            ]
             for key, shape in shapes.items():
                 assert np.shape(state[key]) == shape, key
         assert not layer.state_grows
@@ -285,8 +322,9 @@ def snapshot(state):
 def assert_same_state(got, want):
     assert got.keys() == want.keys()
     for key in want:
-        assert (got[key].dtype, got[key].shape) == (want[key].dtype, want[key].shape), key
-        assert got[key].tobytes() == want[key].tobytes(), key
+        got_key, want_key = np.asarray(got[key]), np.asarray(want[key])
+        assert (got_key.dtype, got_key.shape) == (want_key.dtype, want_key.shape), key
+        assert got_key.tobytes() == want_key.tobytes(), key
 
 
 def assert_same_step(got, want):
@@ -326,8 +364,9 @@ class TestKVCache:
         states = stream(layer, batch, block, steps)
         assert states[-1]["key_mask"].shape == (batch, block * steps)
         assert buffers_used(states) <= math.ceil(math.log2(steps)) + 2
-        # the first step copies into a buffer of exactly its slots, as layer() does
-        assert states[0]["keys"].base.shape == states[0]["keys"].shape
+        # the first step copies into a buffer of its slots rounded up to whole
+        # chunks, as layer() does: room for the next blocks of a short stream
+        assert states[0]["keys"].base.shape[-1] == CHUNK * math.ceil(block / CHUNK)
 
     @pytest.mark.parametrize("past,future,block", [(5, 2, 1), (16, 0, 4), (3, 1, 8)])
     def test_bounded_stream_keeps_its_shape_and_compacts_rarely(self, past, future, block):
@@ -365,8 +404,10 @@ class TestKVCache:
         state = stream(layer, 2, 2, 6)[-1]
         # writeable copies of the very arrays the views look into, unwritten
         # marks and all, viewed at the same offsets and made read-only
-        owners, aliased = {}, {}
+        owners, aliased = {}, {"position": state["position"]}
         for key, view in state.items():
+            if key == "position":
+                continue
             base = view if view.base is None else view.base
             owners[key] = np.array(base)
             offset = view.__array_interface__["data"][0] - base.__array_interface__["data"][0]

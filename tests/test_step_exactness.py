@@ -11,7 +11,9 @@ output past about 1e6 multiply-adds, and a deep one past 448 taps, which
 ``matmul_rows`` rules out with its padded weight and its slices of K. So
 the cases run at batch 1 (a one-step block is one row), 3 and 8, at
 several block multiples, with one filter as well as several, and with
-convs deep and long enough to reach those two hazards.
+convs deep and long enough to reach those two hazards. Attention's softmax
+sums run chunk by chunk in stream order (see ``seqstream.attention``); its
+cases run at unit scale and up to 4096 steps, where any other order shows.
 """
 
 import numpy as np
@@ -87,29 +89,53 @@ def test_spec_steps_are_bit_exact(name, mult, batch):
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
 
 
-#: transformer_block's worst |step - layer| on the inputs below; the
-#: equivalence tolerance is 1e-6, so this bound is stricter, never looser
-TRANSFORMER_MARGIN = 5e-7
+def unit_normal(seed, batch, time, channels):
+    """Standard-normal values, drawn as the benchmark's stream inputs are:
+    row 0 full, the others end-padded to lengths in [time / 2, time)."""
+    rng = np.random.default_rng(seed)
+    values = rng.standard_normal((batch, time, channels), dtype=np.float32)
+    lengths = [time] + rng.integers(time // 2, time, size=batch - 1).tolist()
+    return Sequence.from_lengths(values, lengths)
+
+
+#: (past, future, time, block, batch): keys past one chunk of 64 and past
+#: the 256 of a BLAS call's depth, caches past a bounded past's period, and
+#: the longest streams at 1x and 8x blocks
+ATTENTION_GRID = [
+    (past, future, time, block, batch)
+    for past in (-1, 16, 300)
+    for future in (0, 2)
+    for time in (384, 1500)
+    for block in (1, 3, 8)
+    for batch in (1, 3)
+] + [
+    (past, future, 4096, block, batch)
+    for past, future in [(-1, 0), (-1, 2), (300, 2)]
+    for block, batch in [(1, 1), (8, 1), (8, 3)]
+]
+
+
+@pytest.mark.parametrize("past,future,time,block,batch", ATTENTION_GRID)
+def test_attention_steps_are_bit_exact_at_unit_scale(past, future, time, block, batch):
+    layer = sl.DotProductSelfAttention(
+        32, 2, 16, past, future, rng=np.random.default_rng([past + 1, future])
+    )
+    x = unit_normal([time, batch], batch, time, 32)
+    ref = layer.layer(x, training=False)
+    assert_bit_exact(step_by_step(layer, x, training=False, block=block), ref)
 
 
 @pytest.mark.parametrize(
     "seed,batch,mult",
     # one full-length stream at block_size, as live_stream steps it, and
-    # ragged rows at 8x block_size, as bulk_stream steps them
-    [(0, 1, 1), (1, 1, 1), (0, 4, 8), (1, 4, 8)],
-    ids=["0", "1", "bulk-0", "bulk-1"],
+    # ragged rows at 8x block_size, as bulk_stream steps them, at twelve
+    # draws; then the other block multiples and a ragged batch of 3
+    [(seed, 1, 1) for seed in range(12)]
+    + [(seed, 4, 8) for seed in range(12)]
+    + [(0, 1, 3), (0, 1, 8), (0, 3, 1), (0, 3, 3), (0, 3, 8)],
 )
-def test_transformer_block_keeps_its_margin(seed, batch, mult):
+def test_transformer_block_steps_are_bit_exact(seed, batch, mult):
     layer, spec = build_spec("transformer_block")
-    # drawn as the benchmark's stream inputs are: row 0 full, the others end-padded
-    rng = np.random.default_rng([seed, 2])
-    values = rng.standard_normal((batch, 1024) + spec.shape, dtype=np.float32)
-    lengths = [1024] + rng.integers(512, 1024, size=batch - 1).tolist()
-    x = Sequence.from_lengths(values, lengths)
-    y = step_by_step(layer, x, training=False, block=mult * layer.block_size)
+    x = unit_normal([seed, 2], batch, 1024, spec.shape[0])
     ref = layer.layer(x, training=False)
-    assert np.array_equal(y.mask, ref.mask)
-    diff = np.abs(
-        y.mask_invalid().values.astype(np.float64) - ref.mask_invalid().values.astype(np.float64)
-    )
-    assert diff.max() <= TRANSFORMER_MARGIN
+    assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
