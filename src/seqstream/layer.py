@@ -58,14 +58,18 @@ Every library leaf implements one array kernel,
 ``(values, mask, state)``. Values at invalid steps are unspecified, in and
 out: a leaf whose kernel reads them sets ``_masks_step_input``, and every
 caller of the kernel (``layer``, ``step`` and the step plan) then zeroes
-them with :func:`seqstream.sequence.zero_invalid` first, at the cost its
-docstring gives. No kernel or combine zeroes its own output, which no
-caller may read. A stateful leaf also
-implements ``get_initial_state``; a stateless one keeps the empty state and
-returns it unchanged. Everything else derives from that kernel here:
-``step`` runs it on one block; ``layer`` runs it once over the whole
-sequence from the initial state, flushed and trimmed by the rule
-:func:`flush_extent` computes for the step drivers too. No library leaf
+them by :func:`seqstream.sequence.zero_invalid`'s rule first, at the cost
+its docstring gives. No kernel or combine zeroes its own output, which no
+caller may read. A stateful leaf also implements ``get_initial_state``,
+unless its state is just a history of its last ``_history_len`` input
+steps, which the base class starts as invalid zeros; a stateless one keeps
+the empty state and returns it unchanged. Everything else derives from
+that kernel here: ``step`` runs it on one block; ``layer`` runs it once
+over the whole sequence from the initial state, flushed and trimmed by the
+rule :func:`flush_extent` computes for the step drivers too. ``layer``
+writes the kernel's input once: a history leaf's initial history, the
+input (zeroed) and the flush steps in one buffer, whose history the kernel
+joins without a copy (see :mod:`seqstream.sequence`). No library leaf
 keeps a ``layer()`` of its own. A layer without a kernel (a composite, a
 sabotage fixture) declares only its ``layer()`` (or ``layer_with_emits``).
 
@@ -100,7 +104,7 @@ from .receptive_field import rf_overall, validate_rf_per_step
 
 # perfbench/tracer.py counts receptive-field map builds by patching this name
 from .receptive_field import compose_rf_maps  # noqa: F401
-from .sequence import ChannelSpec, Sequence, zero_invalid
+from .sequence import ChannelSpec, Sequence, empty_history, lay_out, zero_invalid
 
 Constants = Mapping[str, Any]
 State = Any
@@ -206,15 +210,26 @@ class SequenceLayer(abc.ABC):
     def layer(self, x: Sequence, *, training: bool, constants: Constants | None = None) -> Sequence:
         """Processes a whole sequence: the step kernel run once over all of
         ``x``, flushed and trimmed as :func:`seqstream.streaming.step_by_step`
-        does (see :func:`flush_extent`)."""
+        does (see :func:`flush_extent`), on one
+        :func:`~seqstream.sequence.lay_out` of the input. A history leaf's
+        initial state is that buffer's first ``_history_len`` steps."""
         pad, drop, keep = flush_extent(self, x.time)
-        x = x.pad_time(0, pad, valid=False)
-        values = zero_invalid(x.values, x.mask) if self._masks_step_input else x.values
-        state = self.get_initial_state(
-            x.batch_size, x.channel_spec, training=training, constants=constants
-        )
-        values, mask, _ = self._step_arrays(values, x.mask, state, training, constants)
+        history = self._history_len
+        values, mask = lay_out(x.values, x.mask, history or 0, pad, self._masks_step_input)
+        if history is None:
+            state = self.get_initial_state(
+                x.batch_size, x.channel_spec, training=training, constants=constants
+            )
+        else:
+            state = values[:, :history], mask[:, :history]
+            values, mask = values[:, history:], mask[:, history:]
+        values, mask, _ = self._step_arrays(values, mask, state, training, constants)
         return Sequence._wrap(values[:, drop : drop + keep], mask[:, drop : drop + keep])
+
+    #: steps of past input the step state keeps, for a leaf whose state is
+    #: just that history, a ``(values, mask)`` pair that starts as invalid
+    #: zeros; None for any other state
+    _history_len: int | None = None
 
     def get_initial_state(
         self,
@@ -226,7 +241,9 @@ class SequenceLayer(abc.ABC):
     ) -> State:
         if not self.supports_step:
             raise NotSteppableError(f"{self.name} does not support stepping")
-        return EMPTY_STATE
+        if self._history_len is None:
+            return EMPTY_STATE
+        return empty_history(batch_size, self._history_len, input_spec)
 
     #: whether ``_step_arrays`` reads invalid input steps, which its callers
     #: then zero

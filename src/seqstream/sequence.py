@@ -7,9 +7,9 @@ The trailing ``...channel`` dimensions are the sequence's channel shape.
 No sequence vouches for the values at its invalid steps, and no reader may
 rely on them. A computation that reads them zeroes them first with
 :func:`zero_invalid` (or :meth:`Sequence.mask_invalid`): no copy when every
-step is valid, one copy with zeroed row tails for a large prefix-shaped
-mask, one ``np.where`` pass otherwise. For a layer's kernel its callers do
-this (see :mod:`seqstream.layer`).
+step is valid, zeros plus one copy of the valid row prefixes for a large
+prefix-shaped mask, one ``np.where`` pass otherwise. For a layer's kernel
+its callers do this (see :mod:`seqstream.layer`).
 
 Validity is expected to be contiguous from t=0 per batch row (end-padding
 convention). ``from_lengths`` enforces this by construction; arbitrary masks
@@ -28,6 +28,16 @@ context, a delay line) is a tuple of plain arrays ``[batch, time, ...]``
 that starts as :func:`empty_history` and advances by :func:`shift_in`, the
 one function that joins a block onto a history and keeps its tail.
 
+A whole sequence is written once. ``layer()`` hands its kernel one
+:func:`lay_out` of the input: a history leaf's L initial steps (invalid
+zeros), the input with its invalid steps zeroed on the way in (by
+:func:`zero_invalid`'s rule, for a kernel that reads them), and the flush
+steps, in one values buffer and one mask buffer. The first L steps are the
+kernel's initial history and the rest its block, so :func:`shift_in` joins
+them as a view of that buffer and copies nothing (below
+``VIEW_JOIN_BYTES`` a concatenation is cheaper). A stepped block is fresh,
+so its join is a concatenation.
+
 Serialization uses the ``SLS1`` container: magic ``b"SLS1"`` followed by the
 values tensor and the mask tensor, each in SLT1 format.
 """
@@ -38,6 +48,7 @@ import dataclasses
 from typing import BinaryIO, Iterable
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 
 from . import tensor
 from .errors import FormatError, ShapeMismatchError, SpecMismatchError
@@ -60,27 +71,56 @@ class ChannelSpec:
         return f"{tensor.DTYPE_NAMES[self.dtype]}[{','.join(str(d) for d in self.shape)}]"
 
 
-def zero_invalid(values: np.ndarray, mask: np.ndarray) -> np.ndarray:
+def zero_invalid(values: np.ndarray, mask: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """``values`` with the steps ``mask`` marks invalid set to ``+0``: the
     arrays of :meth:`Sequence.mask_invalid`. Returns ``values`` itself when
     every step is valid; a prefix-shaped mask (no valid step after an invalid
-    one in a row) over 8192 elements a row or more costs one copy of the valid
-    prefixes plus zeros over the row tails, with the bits of the one
-    ``np.where`` pass any other mask costs."""
+    one in a row) over 8192 elements a row or more costs zeros plus one copy
+    of the valid prefixes, with the bits of the one ``np.where`` pass any
+    other mask costs. Given ``out``, zeros shaped like ``values``, it copies
+    the valid steps into ``out`` in one pass and returns it."""
     if np.count_nonzero(mask) == mask.size:
-        return values
+        if out is None:
+            return values
+        out[...] = values
+        return out
     # The rows cost ~1 us each, np.where in proportion to the elements: on a
     # 2-CPU x86 host the rows won from 8192 elements a row (batch 1-32, 1-32
     # channels, f32/i32/bool) and lost by up to 2.3x at 1024.
     if values.size >= len(values) << 13 and not (mask[:, 1:] > mask[:, :-1]).any():
-        out = np.empty_like(values)
+        out = np.zeros(values.shape, values.dtype) if out is None else out
         ends = np.where(mask[:, -1], mask.shape[1], mask.argmin(axis=1))  # valid lengths
         for row, new, end in zip(values, out, ends.tolist()):
             new[:end] = row[:end]
-            new[end:] = 0
         return out
     expanded = mask.reshape(mask.shape + (1,) * (values.ndim - 2))
-    return np.where(expanded, values, np.zeros((), dtype=values.dtype))
+    if out is None:
+        return np.where(expanded, values, np.zeros((), dtype=values.dtype))
+    np.copyto(out, values, where=expanded)
+    return out
+
+
+def lay_out(
+    values: np.ndarray, mask: np.ndarray, front: int, back: int, zero: bool
+) -> tuple[np.ndarray, np.ndarray]:
+    """``front`` invalid zero steps, then ``values`` and ``mask``, then
+    ``back`` invalid zero steps, as one read-only values buffer and one mask
+    buffer: zeros, into which the input is copied once. ``zero`` copies only
+    its valid steps, by :func:`zero_invalid`'s rule. With no steps to add, no
+    buffer is made: the result is ``values`` (or :func:`zero_invalid`'s) and
+    ``mask``."""
+    if not (front or back):
+        return (zero_invalid(values, mask) if zero else values), mask
+    batch, time = mask.shape
+    stop = front + time
+    out = np.zeros((batch, stop + back) + values.shape[2:], values.dtype)
+    if zero:
+        zero_invalid(values, mask, out[:, front:stop])
+    else:
+        out[:, front:stop] = values
+    out_mask = np.zeros((batch, stop + back), bool)
+    out_mask[:, front:stop] = mask
+    return tensor.freeze(out), tensor.freeze(out_mask)
 
 
 def empty_history(batch_size: int, length: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -101,19 +141,26 @@ def shift_in(history: tuple, block: tuple) -> tuple[list, tuple]:
     ``history`` and ``block`` are matching tuples of arrays ``[B, L, ...]``
     and ``[B, T, ...]``. Returns the joined arrays ``[B, L + T, ...]``, each
     history array followed in time by its block array, and the next history:
-    their last L steps, read-only. An empty history (L = 0) joins with no
-    copy: the joined arrays are the block's own. Raises
-    :class:`SpecMismatchError` when a block array's batch, channel shape or
-    dtype differs from its history array's.
+    their last L steps, read-only. A join copies nothing when there is
+    nothing to join onto (L = 0: the joined array is the block's own) or
+    when the block array starts exactly where its history array ends in one
+    read-only buffer, as in the :func:`lay_out` that ``layer()`` gives a
+    history leaf's kernel: the joined array is then a read-only view of that
+    buffer, for a block of ``VIEW_JOIN_BYTES`` or more. Any other pair is
+    concatenated. Raises :class:`SpecMismatchError` when a block array's
+    batch, channel shape or dtype differs from its history array's.
     """
     if history[0].shape[1]:
         joined = []
         for past, new in zip(history, block):
-            try:
-                # casting "no" refuses a block whose dtype would promote the join
-                joined.append(np.concatenate((past, new), axis=1, casting="no"))
-            except (TypeError, ValueError):
-                raise _join_mismatch(past, new) from None
+            both = _view_join(past, new) if new.nbytes >= VIEW_JOIN_BYTES else None
+            if both is None:
+                try:
+                    # casting "no" refuses a block whose dtype would promote the join
+                    both = np.concatenate((past, new), axis=1, casting="no")
+                except (TypeError, ValueError):
+                    raise _join_mismatch(past, new) from None
+            joined.append(both)
     else:
         for past, new in zip(history, block):
             same_shape = past.shape[0] == new.shape[0] and past.shape[2:] == new.shape[2:]
@@ -122,6 +169,36 @@ def shift_in(history: tuple, block: tuple) -> tuple[list, tuple]:
         joined = list(block)
     start = block[0].shape[1]
     return joined, tuple([tensor.freeze(both[:, start:]) for both in joined])
+
+
+#: block bytes from which shift_in joins adjacent arrays as a view: the
+#: test and the view take ~7 us, which a concatenation of fewer bytes beats
+#: (2-CPU x86 host, numpy 2.4)
+VIEW_JOIN_BYTES = 1 << 18
+
+
+def _view_join(past: np.ndarray, new: np.ndarray) -> np.ndarray | None:
+    """``past`` and ``new`` joined along time as a read-only view, when
+    ``new`` starts exactly where ``past`` ends in one read-only buffer, with
+    the same dtype, strides, batch and channels; else None. Each step of the
+    view is then a step of ``past`` or of ``new``, as in the concatenation."""
+    base = past.base
+    if (
+        type(base) is not np.ndarray
+        or base is not new.base
+        or base.flags.writeable
+        or past.strides != new.strides
+        or past.dtype != new.dtype
+        or past.shape[:1] + past.shape[2:] != new.shape[:1] + new.shape[2:]
+        or _address(new) != _address(past) + past.shape[1] * past.strides[1]
+    ):
+        return None
+    shape = past.shape[:1] + (past.shape[1] + new.shape[1],) + past.shape[2:]
+    return as_strided(past, shape, past.strides, writeable=False)
+
+
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
 
 
 def _join_mismatch(past: np.ndarray, new: np.ndarray) -> SpecMismatchError:
@@ -254,20 +331,10 @@ class Sequence:
             raise ValueError(f"pad counts must be >= 0, got {(front, back)}")
         if front == 0 and back == 0:
             return self
-        # zeros joined on, not np.pad, which costs several times as much per call
-        batch, channel = self.batch_size, self.channel_shape
-        values = np.concatenate(
-            [
-                np.zeros((batch, front) + channel, self.dtype),
-                self.values,
-                np.zeros((batch, back) + channel, self.dtype),
-            ],
-            axis=1,
-        )
-        fill = bool(valid)
-        mask = np.concatenate(
-            [np.full((batch, front), fill), self.mask, np.full((batch, back), fill)], axis=1
-        )
+        values, mask = lay_out(self.values, self.mask, front, back, zero=False)
+        if valid:
+            mask = np.ones(mask.shape, bool)
+            mask[:, front : front + self.time] = self.mask
         return Sequence._wrap(values, mask)
 
     def slice_time(self, start: int, stop: int) -> "Sequence":

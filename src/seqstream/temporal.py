@@ -9,33 +9,37 @@ too: the flushed delay line, trimmed, is the identity. The resamplers and
 Streaming mechanics: every state kept over past steps is a stream
 history that :func:`~seqstream.sequence.shift_in` advances, one block at a
 time. The windowed layers (Conv1D, pooling, Frame) keep the trailing
-context of already-seen masked inputs as a ``(values, mask)`` pair, sized
-``output_latency * stride + pad_left`` so that each incoming block lines up
-its windows at fixed offsets within ``context + block``. Over a whole
-sequence that context starts as invalid zeros: the left padding, plus the
-placeholder windows the flush protocol drops. ``Delay`` and ``StepDelay``
-keep a delay line of ``length`` steps, the same pair, and emit the oldest
-steps of the line joined with the block. A delay line reads no value, so
-no caller zeroes its input. ``Conv1DTranspose``'s output mask is a delay
-line too: its input mask repeated ``stride`` times, delayed ``trim_left``
-output steps, so stepped output ``o`` is valid iff input
-``floor((o - trim_left) / stride)`` is; its overlap-add carry is a
-scatter, not a shift. Output validity follows the anchor rule: output step
-``t`` is valid iff its anchor input ``t * stride`` (or ``floor(t / ratio)``
-for upsampling layers) is valid.
+context of already-seen masked inputs as a ``(values, mask)`` pair of
+``_history_len = output_latency * stride + pad_left`` steps, so that each
+incoming block lines up its windows at fixed offsets within
+``context + block``. Over a whole sequence that context starts as invalid
+zeros: the left padding, plus the placeholder windows the flush protocol
+drops. ``Delay`` and ``StepDelay`` keep a delay line of ``length`` steps,
+the same pair, and emit the oldest steps of the line joined with the
+block. A delay line reads no value, so no caller zeroes its input.
+``Conv1DTranspose``'s output mask is a delay line too: its input mask
+repeated ``stride`` times, delayed ``trim_left`` output steps, so stepped
+output ``o`` is valid iff input ``floor((o - trim_left) / stride)`` is;
+its overlap-add carry is a scatter, not a shift. Output validity follows
+the anchor rule: output step ``t`` is valid iff its anchor input
+``t * stride`` (or ``floor(t / ratio)`` for upsampling layers) is valid.
 
 Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
 and mask to ``_reduce_windows`` with the ``[out, k]`` index of each output's
-taps (:func:`_window_index`). Every window gathers by one
+taps (:func:`_window_index`). In ``layer()`` the context, the zeroed input
+and the flush steps are one buffer written once, which that ``shift_in``
+joins as a view (see :mod:`seqstream.sequence`). Every window gathers by one
 ``take(idx, axis=1)``: pooling takes its window mask the same way.
 ``Conv1D``'s contiguous ``[B, out, k, C]`` windows are, without a copy,
 ``[B, out, k * C]`` rows. It contracts them with
 :func:`~seqstream.tensor.matmul_rows` against its weight flattened to
-``[k * C, filters]``, and ``Conv1DTranspose`` contracts each masked input
-step against its weight laid out as ``[C, k * filters]`` (int32 and bool
-input contract in float32). So a step gives the bits of ``layer()`` by the
-rule every contraction over positions follows (see :mod:`seqstream.tensor`).
+``[k * C, filters]`` and adds its bias with
+:func:`~seqstream.tensor.add_bias`; ``Conv1DTranspose`` contracts each
+masked input step against its weight laid out as ``[C, k * filters]``
+(int32 and bool input contract in float32). So a step gives the bits of
+``layer()`` by the rule every contraction over positions follows (see
+:mod:`seqstream.tensor`).
 
 Padding conventions (pad_left, with pad_left + pad_right = effective_kernel - 1):
 
@@ -58,7 +62,7 @@ from . import params as params_lib
 from . import tensor
 from .errors import SpecMismatchError
 from .layer import SequenceLayer
-from .sequence import empty_history, shift_in
+from .sequence import shift_in
 from fractions import Fraction
 
 __all__ = [
@@ -153,17 +157,13 @@ class _WindowedLayer(SequenceLayer):
         self.output_latency = self.pad_right // self.stride
         eff = effective_kernel(self.kernel_size, self.dilation)
         self.receptive_field_per_step = {0: (-self.pad_left, -self.pad_left + eff - 1)}
-        #: steps of trailing input the step state carries
-        self._context_len = self.output_latency * self.stride + self.pad_left
+        self._history_len = self.output_latency * self.stride + self.pad_left
 
     def _reduce_windows(self, values, idx, mask):
         """Joined ``[B, context + T, ...ch]`` values and ``[B, context + T]``
         mask, and the ``[out, k]`` tap index of each output's window ->
         ``[B, out, ...ch]`` outputs."""
         raise NotImplementedError
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return empty_history(batch_size, self._context_len, input_spec)
 
     _masks_step_input = True
 
@@ -212,15 +212,15 @@ class Conv1D(_WindowedLayer):
         self._params = params_lib.materialize(spec, params, rng, self.name)
         taps = self.kernel_size * self.in_channels
         self._weight = tensor.rows_weight(self._params["weight"].reshape(taps, self.filters))
+        if self.use_bias:
+            self._bias = tensor.bias_rows(self._params["bias"])
 
     def _reduce_windows(self, values, idx, mask):
         self._expect_channels(values.shape[2:], (self.in_channels,))
         # the windows [B, out, k, C], contiguous, are rows of k * C taps
         rows = values.take(idx, axis=1).reshape(len(values), len(idx), len(self._weight))
         y = tensor.matmul_rows(rows, self._weight, self.filters)
-        if self.use_bias:
-            y += self._params["bias"]
-        return y
+        return tensor.add_bias(y, self._bias) if self.use_bias else y
 
 
 class _Pooling1D(_WindowedLayer):
@@ -410,9 +410,7 @@ class Delay(SequenceLayer):
             raise ValueError(f"delay length must be >= 0, got {length}")
         self.length = int(length)
         self.receptive_field_per_step = {0: (-self.length, -self.length)}
-
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return empty_history(batch_size, self.length, input_spec)
+        self._history_len = self.length
 
     def _step_arrays(self, values, mask, state, training, constants):
         if self.length == 0:

@@ -3,7 +3,10 @@
 
 import contextlib
 import io
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -324,3 +327,29 @@ def test_a_directory_for_a_path_exits_2(workdir, capsys, where):
     else:
         code = run_cli(workdir, "run", input_name="folder")
     assert_usage_error(capsys, code)
+
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+@pytest.mark.parametrize(
+    "spec, expect",
+    [("specs/conv_stack.yaml", 0), ("specs/sabotage_rf.yaml", 1), ("specs/no_such_spec.yaml", 2)],
+    ids=["passes", "fails_a_check", "missing_spec"],
+)
+def test_python_dash_m_exits_with_the_cli_code(spec, expect):
+    """``python -m seqstream`` runs the CLI in a fresh interpreter and exits
+    with its code: 0 when every check passes, 1 on a failed check, 2 on a
+    usage error."""
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-m", "seqstream", "verify", "--spec", spec],
+        cwd=ROOT,
+        env=dict(os.environ, PYTHONPATH=path),
+        capture_output=True,
+        text=True,
+        timeout=300,
+    )
+    assert result.returncode == expect, result.stderr
+    if expect == 2:
+        assert result.stderr.startswith("error: "), result.stderr

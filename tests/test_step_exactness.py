@@ -48,6 +48,12 @@ def layers():
         # passes 1e6 multiply-adds at batch 8, where the unpadded width would
         # leave BLAS's small-matrix kernel
         "conv1d_narrow": (sl.Conv1D(16, 5, 3, rng=rng), (16,)),
+        # the other leaves whose state is a history of their input
+        "max_pooling": (sl.MaxPooling1D(3, stride=2, padding="same"), (3,)),
+        "average_pooling": (sl.AveragePooling1D(4, stride=2, padding="reverse_causal"), (3,)),
+        "frame": (sl.Frame(5, 2), (3,)),
+        "delay": (sl.Delay(3), (3,)),
+        "step_delay": (sl.StepDelay(2), (3,)),
     }
 
 
@@ -75,6 +81,37 @@ def assert_bit_exact(y, ref):
 def test_leaf_steps_are_bit_exact(name, mult, batch):
     layer, channels = layers()[name]
     x = padded_input(channels, time=TIMES.get(name, 48), batch=batch)
+    ref = layer.layer(x, training=False)
+    assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
+
+
+#: the leaves layer() runs on one buffer of history, input and flush steps
+HISTORY_LEAVES = ["conv1d", "max_pooling", "average_pooling", "frame", "delay", "step_delay"]
+
+
+def history_input(kind, channels, batch):
+    """``all_valid`` steps; ``holes``, invalid steps inside rows; ``long``
+    ragged rows of 8192 elements or more, which layer() zeroes row by row;
+    ``flush``, ragged rows whose 47 steps a stride-2 leaf pads."""
+    rng = np.random.default_rng([len(kind), batch])
+    time = {"all_valid": 48, "holes": 48, "long": 2736, "flush": 47}[kind]
+    values = rng.uniform(-0.5, 0.5, (batch, time) + channels).astype(np.float32)
+    if kind == "all_valid":
+        return Sequence.from_values(values)
+    if kind == "holes":
+        mask = rng.random((batch, time)) < 0.7
+        values[~mask] = np.nan  # the kernel must never read them
+        return Sequence(values, mask)
+    return Sequence.from_lengths(values, [time] + rng.integers(1, time, batch - 1).tolist())
+
+
+@pytest.mark.parametrize("batch", BATCHES)
+@pytest.mark.parametrize("mult", MULTS)
+@pytest.mark.parametrize("kind", ["all_valid", "holes", "long", "flush"])
+@pytest.mark.parametrize("name", HISTORY_LEAVES)
+def test_history_leaf_steps_are_bit_exact(name, kind, mult, batch):
+    layer, channels = layers()[name]
+    x = history_input(kind, channels, batch)
     ref = layer.layer(x, training=False)
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
 

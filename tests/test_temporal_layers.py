@@ -3,6 +3,7 @@ convolution family must report."""
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from fractions import Fraction
 import seqstream as sl
 from seqstream import tensor
 from seqstream.layer import poison_invalid
-from seqstream.sequence import Sequence
+from seqstream.sequence import VIEW_JOIN_BYTES, Sequence
 from seqstream.streaming import step_by_step
 from seqstream.temporal import PADDING_MODES, explicit_padding, window_curve
 
@@ -604,3 +605,28 @@ def test_zero_input_channels_contract_to_the_bias(make):
 def test_constructor_rejects_invalid_arguments(make):
     with pytest.raises(ValueError):
         make()
+
+
+def test_conv_layer_writes_its_input_once():
+    """layer() writes a ragged input once, zeroed, into one buffer after the
+    initial history, and the kernel joins that history on without a copy.
+    So the peak stays near that layout plus the [B, out, k, C] windows and
+    the output: zeroing the input and then concatenating the history onto
+    it held two more copies of the input."""
+    conv = sl.Conv1D(3, 5, 3, stride=2, rng=np.random.default_rng(0))
+    batch, time = 8, 16384
+    lengths = [time, 9000, 12000, 16000, 8200, 15000, 10000, 2]
+    x = random_sequence(4, batch, time, 3, lengths=lengths)
+    conv.layer(x, training=False)  # caches the window index first
+    tracemalloc.start()
+    try:
+        conv.layer(x, training=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    f32 = np.dtype(np.float32).itemsize
+    layout = batch * (2 + time) * (3 * f32 + 1)  # values and mask
+    windows = batch * (time // 2) * 3 * 3 * f32
+    output = batch * (time // 2) * 5 * f32
+    # slack: the joined mask, a copy under VIEW_JOIN_BYTES, and small arrays
+    assert peak <= layout + windows + output + VIEW_JOIN_BYTES
