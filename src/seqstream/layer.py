@@ -104,7 +104,14 @@ from .receptive_field import rf_overall, validate_rf_per_step
 
 # perfbench/tracer.py counts receptive-field map builds by patching this name
 from .receptive_field import compose_rf_maps  # noqa: F401
-from .sequence import ChannelSpec, Sequence, empty_history, lay_out, zero_invalid
+from .sequence import (
+    ChannelSpec,
+    Sequence,
+    empty_history,
+    lay_out,
+    split_history,
+    zero_invalid,
+)
 
 Constants = Mapping[str, Any]
 State = Any
@@ -215,20 +222,23 @@ class SequenceLayer(abc.ABC):
         initial state is that buffer's first ``_history_len`` steps."""
         pad, drop, keep = flush_extent(self, x.time)
         history = self._history_len
+        if type(self).get_initial_state is not SequenceLayer.get_initial_state:
+            history = None  # the override gives the initial state in both modes
         values, mask = lay_out(x.values, x.mask, history or 0, pad, self._masks_step_input)
         if history is None:
             state = self.get_initial_state(
                 x.batch_size, x.channel_spec, training=training, constants=constants
             )
         else:
-            state = values[:, :history], mask[:, :history]
-            values, mask = values[:, history:], mask[:, history:]
+            state, (values, mask) = split_history((values, mask), history)
         values, mask, _ = self._step_arrays(values, mask, state, training, constants)
         return Sequence._wrap(values[:, drop : drop + keep], mask[:, drop : drop + keep])
 
     #: steps of past input the step state keeps, for a leaf whose state is
     #: just that history, a ``(values, mask)`` pair that starts as invalid
-    #: zeros; None for any other state
+    #: zeros; None for any other state. A subclass that overrides
+    #: ``get_initial_state`` has its override give the state in ``layer()``
+    #: too, which then joins the history on by a copy
     _history_len: int | None = None
 
     def get_initial_state(

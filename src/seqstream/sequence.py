@@ -32,11 +32,10 @@ A whole sequence is written once. ``layer()`` hands its kernel one
 :func:`lay_out` of the input: a history leaf's L initial steps (invalid
 zeros), the input with its invalid steps zeroed on the way in (by
 :func:`zero_invalid`'s rule, for a kernel that reads them), and the flush
-steps, in one values buffer and one mask buffer. The first L steps are the
-kernel's initial history and the rest its block, so :func:`shift_in` joins
-them as a view of that buffer and copies nothing (below
-``VIEW_JOIN_BYTES`` a concatenation is cheaper). A stepped block is fresh,
-so its join is a concatenation.
+steps, in one values buffer and one mask buffer. :func:`split_history`
+makes the first L steps the kernel's initial history and the rest its
+block, and :func:`shift_in` joins that pair back into the layout itself,
+with no copy. A stepped block is fresh, so its join is a concatenation.
 
 Serialization uses the ``SLS1`` container: magic ``b"SLS1"`` followed by the
 values tensor and the mask tensor, each in SLT1 format.
@@ -45,10 +44,10 @@ values tensor and the mask tensor, each in SLT1 format.
 from __future__ import annotations
 
 import dataclasses
+import operator
 from typing import BinaryIO, Iterable
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from . import tensor
 from .errors import FormatError, ShapeMismatchError, SpecMismatchError
@@ -101,14 +100,14 @@ def zero_invalid(values: np.ndarray, mask: np.ndarray, out: np.ndarray | None = 
 
 
 def lay_out(
-    values: np.ndarray, mask: np.ndarray, front: int, back: int, zero: bool
+    values: np.ndarray, mask: np.ndarray, front: int, back: int, zero: bool, valid: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``front`` invalid zero steps, then ``values`` and ``mask``, then
-    ``back`` invalid zero steps, as one read-only values buffer and one mask
-    buffer: zeros, into which the input is copied once. ``zero`` copies only
-    its valid steps, by :func:`zero_invalid`'s rule. With no steps to add, no
-    buffer is made: the result is ``values`` (or :func:`zero_invalid`'s) and
-    ``mask``."""
+    """``front`` zero steps, then ``values`` and ``mask``, then ``back`` zero
+    steps, as one read-only values buffer and one mask buffer, into which the
+    input is copied once. The added steps are invalid, or valid if
+    ``valid``. ``zero`` copies only the input's valid steps, by
+    :func:`zero_invalid`'s rule. With no steps to add, no buffer is made: the
+    result is ``values`` (or :func:`zero_invalid`'s) and ``mask``."""
     if not (front or back):
         return (zero_invalid(values, mask) if zero else values), mask
     batch, time = mask.shape
@@ -118,9 +117,24 @@ def lay_out(
         zero_invalid(values, mask, out[:, front:stop])
     else:
         out[:, front:stop] = values
-    out_mask = np.zeros((batch, stop + back), bool)
+    out_mask = (np.ones if valid else np.zeros)((batch, stop + back), bool)
     out_mask[:, front:stop] = mask
     return tensor.freeze(out), tensor.freeze(out_mask)
+
+
+class _LaidHistory(tuple):
+    """A history that :func:`split_history` cut from a layout: ``block``
+    holds the arrays of the rest of it, ``layout`` the whole."""
+
+
+def split_history(layout: tuple, length: int) -> tuple[tuple, tuple]:
+    """A :func:`lay_out`'s arrays cut into the history of their first
+    ``length`` steps and the block of the rest. :func:`shift_in` joins that
+    block onto that history as the layout itself, with no copy."""
+    history = _LaidHistory([array[:, :length] for array in layout])
+    history.block = tuple([array[:, length:] for array in layout])
+    history.layout = layout
+    return history, history.block
 
 
 def empty_history(batch_size: int, length: int, spec: ChannelSpec) -> tuple[np.ndarray, np.ndarray]:
@@ -141,26 +155,24 @@ def shift_in(history: tuple, block: tuple) -> tuple[list, tuple]:
     ``history`` and ``block`` are matching tuples of arrays ``[B, L, ...]``
     and ``[B, T, ...]``. Returns the joined arrays ``[B, L + T, ...]``, each
     history array followed in time by its block array, and the next history:
-    their last L steps, read-only. A join copies nothing when there is
-    nothing to join onto (L = 0: the joined array is the block's own) or
-    when the block array starts exactly where its history array ends in one
-    read-only buffer, as in the :func:`lay_out` that ``layer()`` gives a
-    history leaf's kernel: the joined array is then a read-only view of that
-    buffer, for a block of ``VIEW_JOIN_BYTES`` or more. Any other pair is
-    concatenated. Raises :class:`SpecMismatchError` when a block array's
-    batch, channel shape or dtype differs from its history array's.
+    their last L steps, read-only. A join copies nothing when the history
+    and the block are the two parts :func:`split_history` cut from one
+    :func:`lay_out`, as ``layer()`` gives a history leaf's kernel (the joined
+    arrays are the layout's), or when there is nothing to join onto (L = 0:
+    the joined arrays are the block's own). Any other pair is concatenated.
+    Raises :class:`SpecMismatchError` when a block array's batch, channel
+    shape or dtype differs from its history array's.
     """
-    if history[0].shape[1]:
+    if type(history) is _LaidHistory and all(map(operator.is_, history.block, block)):
+        joined = list(history.layout)
+    elif history[0].shape[1]:
         joined = []
         for past, new in zip(history, block):
-            both = _view_join(past, new) if new.nbytes >= VIEW_JOIN_BYTES else None
-            if both is None:
-                try:
-                    # casting "no" refuses a block whose dtype would promote the join
-                    both = np.concatenate((past, new), axis=1, casting="no")
-                except (TypeError, ValueError):
-                    raise _join_mismatch(past, new) from None
-            joined.append(both)
+            try:
+                # casting "no" refuses a block whose dtype would promote the join
+                joined.append(np.concatenate((past, new), axis=1, casting="no"))
+            except (TypeError, ValueError):
+                raise _join_mismatch(past, new) from None
     else:
         for past, new in zip(history, block):
             same_shape = past.shape[0] == new.shape[0] and past.shape[2:] == new.shape[2:]
@@ -169,36 +181,6 @@ def shift_in(history: tuple, block: tuple) -> tuple[list, tuple]:
         joined = list(block)
     start = block[0].shape[1]
     return joined, tuple([tensor.freeze(both[:, start:]) for both in joined])
-
-
-#: block bytes from which shift_in joins adjacent arrays as a view: the
-#: test and the view take ~7 us, which a concatenation of fewer bytes beats
-#: (2-CPU x86 host, numpy 2.4)
-VIEW_JOIN_BYTES = 1 << 18
-
-
-def _view_join(past: np.ndarray, new: np.ndarray) -> np.ndarray | None:
-    """``past`` and ``new`` joined along time as a read-only view, when
-    ``new`` starts exactly where ``past`` ends in one read-only buffer, with
-    the same dtype, strides, batch and channels; else None. Each step of the
-    view is then a step of ``past`` or of ``new``, as in the concatenation."""
-    base = past.base
-    if (
-        type(base) is not np.ndarray
-        or base is not new.base
-        or base.flags.writeable
-        or past.strides != new.strides
-        or past.dtype != new.dtype
-        or past.shape[:1] + past.shape[2:] != new.shape[:1] + new.shape[2:]
-        or _address(new) != _address(past) + past.shape[1] * past.strides[1]
-    ):
-        return None
-    shape = past.shape[:1] + (past.shape[1] + new.shape[1],) + past.shape[2:]
-    return as_strided(past, shape, past.strides, writeable=False)
-
-
-def _address(array: np.ndarray) -> int:
-    return array.__array_interface__["data"][0]
 
 
 def _join_mismatch(past: np.ndarray, new: np.ndarray) -> SpecMismatchError:
@@ -331,11 +313,7 @@ class Sequence:
             raise ValueError(f"pad counts must be >= 0, got {(front, back)}")
         if front == 0 and back == 0:
             return self
-        values, mask = lay_out(self.values, self.mask, front, back, zero=False)
-        if valid:
-            mask = np.ones(mask.shape, bool)
-            mask[:, front : front + self.time] = self.mask
-        return Sequence._wrap(values, mask)
+        return Sequence._wrap(*lay_out(self.values, self.mask, front, back, False, valid))
 
     def slice_time(self, start: int, stop: int) -> "Sequence":
         """Steps [start, stop) as read-only views of this sequence's arrays."""

@@ -28,18 +28,16 @@ Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
 and mask to ``_reduce_windows`` with the ``[out, k]`` index of each output's
 taps (:func:`_window_index`). In ``layer()`` the context, the zeroed input
-and the flush steps are one buffer written once, which that ``shift_in``
-joins as a view (see :mod:`seqstream.sequence`). Every window gathers by one
-``take(idx, axis=1)``: pooling takes its window mask the same way.
-``Conv1D``'s contiguous ``[B, out, k, C]`` windows are, without a copy,
+and the flush steps are one buffer written once, and that ``shift_in``
+joins them as that buffer, with no copy (see :mod:`seqstream.sequence`).
+Every window gathers by one ``take(idx, axis=1)``: pooling takes its
+window mask the same way. ``Conv1D``'s contiguous ``[B, out, k, C]`` windows are, without a copy,
 ``[B, out, k * C]`` rows. It contracts them with
 :func:`~seqstream.tensor.matmul_rows` against its weight flattened to
-``[k * C, filters]`` and adds its bias with
-:func:`~seqstream.tensor.add_bias`; ``Conv1DTranspose`` contracts each
-masked input step against its weight laid out as ``[C, k * filters]``
-(int32 and bool input contract in float32). So a step gives the bits of
-``layer()`` by the rule every contraction over positions follows (see
-:mod:`seqstream.tensor`).
+``[k * C, filters]``, and ``Conv1DTranspose`` contracts each masked input
+step against its weight laid out as ``[C, k * filters]`` (int32 and bool
+input contract in float32). So a step gives the bits of ``layer()`` by the
+rule every contraction over positions follows (see :mod:`seqstream.tensor`).
 
 Padding conventions (pad_left, with pad_left + pad_right = effective_kernel - 1):
 
@@ -212,15 +210,15 @@ class Conv1D(_WindowedLayer):
         self._params = params_lib.materialize(spec, params, rng, self.name)
         taps = self.kernel_size * self.in_channels
         self._weight = tensor.rows_weight(self._params["weight"].reshape(taps, self.filters))
-        if self.use_bias:
-            self._bias = tensor.bias_rows(self._params["bias"])
 
     def _reduce_windows(self, values, idx, mask):
         self._expect_channels(values.shape[2:], (self.in_channels,))
         # the windows [B, out, k, C], contiguous, are rows of k * C taps
         rows = values.take(idx, axis=1).reshape(len(values), len(idx), len(self._weight))
         y = tensor.matmul_rows(rows, self._weight, self.filters)
-        return tensor.add_bias(y, self._bias) if self.use_bias else y
+        if self.use_bias:
+            y += self._params["bias"]
+        return y
 
 
 class _Pooling1D(_WindowedLayer):

@@ -34,8 +34,7 @@ rows. Kernels contract in one of three ways:
   Past K = 448 the larger calls split K and the small ones do not, which
   rounds a ``Dense(512, 32)`` step up to 6e-6 apart from ``layer()``, so
   K is contracted in slices of at most 256, summed in order.
-  ``tests/test_tensor.py`` pins the result on this host. ``Conv1D`` then
-  adds its bias with :func:`add_bias`, in place.
+  ``tests/test_tensor.py`` pins the result on this host.
 * a plain ``np.dot`` for the LSTM's recurrent half, ``h`` against the
   kernel's recurrent rows at each step, whose rows are the batch, the same
   in both modes;
@@ -100,38 +99,6 @@ def rows_weight(w: np.ndarray) -> np.ndarray:
     rows = np.zeros((k, n + pad), FLOAT32)
     rows[:, :n] = w
     return freeze(rows)
-
-
-#: copies of a bias that :func:`add_bias` adds in one inner loop
-_BIAS_ROWS = 64
-
-
-def bias_rows(bias: np.ndarray) -> np.ndarray:
-    """``bias [N]`` as :func:`add_bias` adds it: ``_BIAS_ROWS`` copies end
-    to end, read-only. A layer builds it once."""
-    return freeze(np.tile(bias, _BIAS_ROWS))
-
-
-def add_bias(y: np.ndarray, bias: np.ndarray) -> np.ndarray:
-    """Adds a bias to every row of a C-contiguous ``y [..., N]`` in place,
-    as :func:`matmul_rows` returns it, and returns ``y``. ``bias`` is
-    :func:`bias_rows` of the ``[N]`` bias, and the bits are those of
-    ``y += bias[:N]``. That broadcast runs one inner loop of N elements a
-    row: at N = 5 it took 0.39 ms over 65,536 rows, against 0.07 ms with
-    ``_BIAS_ROWS`` rows a loop (2-CPU x86 host, numpy 2.4). Fewer rows, as
-    in a step, take that broadcast, which costs less per call."""
-    if y.size < len(bias):
-        y += bias[: y.shape[-1]]
-        return y
-    flat = y.reshape(-1)
-    whole = len(flat) - len(flat) % len(bias)
-    if whole:
-        body = flat[:whole].reshape(-1, len(bias))
-        np.add(body, bias, out=body)
-    if whole < len(flat):
-        tail = flat[whole:]
-        np.add(tail, bias[: len(tail)], out=tail)
-    return y
 
 
 def matmul_rows(x: np.ndarray, w: np.ndarray, n: int) -> np.ndarray:

@@ -11,7 +11,6 @@ from hypothesis import strategies as st
 from seqstream import tensor
 from seqstream.errors import ShapeMismatchError, SpecMismatchError
 from seqstream.sequence import (
-    VIEW_JOIN_BYTES,
     ChannelSpec,
     Sequence,
     empty_history,
@@ -20,6 +19,7 @@ from seqstream.sequence import (
     read_sequence,
     save_sequence,
     shift_in,
+    split_history,
     write_sequence,
     zero_invalid,
 )
@@ -324,12 +324,6 @@ def frozen(array):
     return array
 
 
-def big_steps(time):
-    """Steps of 4 channels in a ``[1, time, 4]`` block of ``VIEW_JOIN_BYTES``
-    or more."""
-    return -(-VIEW_JOIN_BYTES // (4 * np.dtype(np.float32).itemsize)) + time
-
-
 def assert_joins_like_concatenate(history, block, joined, kept):
     for past, new, both, tail in zip(history, block, joined, kept):
         assert both.tobytes() == np.concatenate([past, new], axis=1).tobytes()
@@ -338,77 +332,73 @@ def assert_joins_like_concatenate(history, block, joined, kept):
         assert not tail.flags.writeable
 
 
-def test_shift_in_joins_adjacent_steps_of_one_buffer_as_a_view():
-    """A block that starts where its history ends in one read-only buffer,
-    as layer() lays out a history leaf's input, joins without a copy."""
-    rng = np.random.default_rng(0)
-    time = big_steps(3)
-    values = frozen(rng.standard_normal((1, time + 5, 4)).astype(np.float32))
-    mask = frozen(rng.random((1, time + 5)) < 0.5)
+@pytest.mark.parametrize("front, back", [(0, 0), (0, 2), (3, 0), (3, 2)])
+def test_shift_in_joins_a_split_layout_as_the_layout_itself(front, back):
+    """The history and block split_history cuts from one lay_out, as layer()
+    hands a history leaf's kernel, join with no copy."""
+    rng = np.random.default_rng([front, back])
+    values = frozen(rng.standard_normal((2, 7, 4)).astype(np.float32))
+    mask = frozen(rng.random((2, 7)) < 0.5)
     before = values.tobytes(), mask.tobytes()
-    for start in (0, 2):  # the buffer's leading steps, and steps inside it
-        history = (values[:, start : start + 3], mask[:, start : start + 3])
-        block = (values[:, start + 3 : start + time], mask[:, start + 3 : start + time])
-        joined, kept = shift_in(history, block)
-        assert_joins_like_concatenate(history, block, joined, kept)
-        assert np.shares_memory(joined[0], values) and not joined[0].flags.writeable
-        # the bool mask is under VIEW_JOIN_BYTES: copied
-        assert not np.shares_memory(joined[1], mask)
+    layout = lay_out(values, mask, front, back, zero=True)
+    history, block = split_history(layout, front)
+    assert [array.shape[1] for array in history + block] == [front, front, 7 + back, 7 + back]
+    joined, kept = shift_in(history, block)
+    assert_joins_like_concatenate(history, block, joined, kept)
+    assert all(both is array for both, array in zip(joined, layout))
     assert (values.tobytes(), mask.tobytes()) == before
 
 
 def test_shift_in_copies_every_other_pair_to_the_same_bytes():
     rng = np.random.default_rng(1)
-    time = big_steps(0)
-    values = frozen(rng.standard_normal((2, 2 * time + 4, 4)).astype(np.float32))
-    writeable = rng.standard_normal((2, time + 3, 4)).astype(np.float32)
-    before = values.tobytes(), writeable.tobytes()
+    values = frozen(rng.standard_normal((2, 20, 4)).astype(np.float32))
+    history, block = split_history(lay_out(values, values[:, :, 0] > 0, 3, 0, zero=False), 3)
+    before = values.tobytes()
     cases = {
         # a step state's history with a fresh block, as step() joins them
-        "fresh_block": (
-            empty_history(2, 3, ChannelSpec((4,)))[0],
-            np.array(values[:, 3 : 3 + time]),
-        ),
-        "gap": (values[:, :3], values[:, 4 : 4 + time]),
-        "history_after_block": (values[:, time : time + 3], values[:, :time]),
-        "strides": (values[:, :6:2], values[:, 6 : 6 + time]),
-        "writeable_buffer": (frozen(writeable[:, :3]), frozen(writeable[:, 3:])),
-        "small": (values[:, :3], values[:, 3:5]),
+        "fresh_block": (empty_history(2, 3, ChannelSpec((4,)))[:1], (np.array(values[:, 3:]),)),
+        # a split layout's history with a block that is not the layout's
+        "other_block": (history, (np.array(block[0]), block[1])),
+        "adjacent_slices": ((values[:, :3],), (values[:, 3:],)),
+        "gap": ((values[:, :3],), (values[:, 4:],)),
+        "history_after_block": ((values[:, 17:],), (values[:, :17],)),
+        "strides": ((values[:, :6:2],), (values[:, 6:],)),
     }
     for name, (past, new) in cases.items():
-        ((both,), (tail,)) = shift_in((past,), (new,))
-        assert_joins_like_concatenate((past,), (new,), (both,), (tail,))
-        assert not np.shares_memory(both, values) and not np.shares_memory(both, writeable), name
-    assert (values.tobytes(), writeable.tobytes()) == before
+        joined, kept = shift_in(past, new)
+        assert_joins_like_concatenate(past, new, joined, kept)
+        for both in joined:
+            assert both.flags.owndata, name
+    assert values.tobytes() == before
 
 
-def test_shift_in_refuses_a_mismatched_block_past_the_view_gate():
-    time = big_steps(0)
-    buffer = frozen(np.zeros((2, time + 3, 4), np.float32))
-    history = (buffer[:, :3], frozen(np.zeros((2, 3), bool)))
-    for values, message in [
-        (buffer.view(np.int32)[:, 3:], "2xi32[4] with 2xf32[4]"),
-        (np.zeros((2, time, 5), np.float32), "2xf32[5] with 2xf32[4]"),
-        (buffer[:1, 3:], "1xf32[4] with 2xf32[4]"),
+def test_shift_in_refuses_a_mismatched_block_on_a_split_history():
+    values = frozen(np.zeros((2, 6, 4), np.float32))
+    history, _ = split_history(lay_out(values, np.ones((2, 6), bool), 3, 0, zero=False), 3)
+    for new, message in [
+        (values.view(np.int32), "2xi32[4] with 2xf32[4]"),
+        (np.zeros((2, 6, 5), np.float32), "2xf32[5] with 2xf32[4]"),
+        (values[:1], "1xf32[4] with 2xf32[4]"),
     ]:
-        block = (values, np.ones(values.shape[:2], bool))
+        block = (new, np.ones(new.shape[:2], bool))
         with pytest.raises(SpecMismatchError, match=re.escape(f"cannot concatenate {message}")):
             shift_in(history, block)
 
 
 @pytest.mark.parametrize("front, back", [(0, 0), (3, 0), (0, 2), (3, 2)])
 @pytest.mark.parametrize("zero", [False, True])
+@pytest.mark.parametrize("valid", [False, True])
 @pytest.mark.parametrize("mask_kind", ["prefix", "holes", "all_valid"])
-def test_lay_out_is_zero_padding_of_the_zeroed_input(front, back, zero, mask_kind):
-    rng = np.random.default_rng([front, back, zero, len(mask_kind)])
+def test_lay_out_is_zero_padding_of_the_zeroed_input(front, back, zero, valid, mask_kind):
+    rng = np.random.default_rng([front, back, zero, valid, len(mask_kind)])
     for time, channels in [(6, (3,)), (ROW_GATE, ())]:  # np.where's path and the rows'
         mask = frozen(grid_mask(mask_kind, 3, time, rng))
         values = frozen(grid_values((3, time) + channels, np.float32, mask, rng))
-        out, out_mask = lay_out(values, mask, front, back, zero)
+        out, out_mask = lay_out(values, mask, front, back, zero, valid)
         body = loop_zeroed(values, mask) if zero else values
         pads = [(0, 0), (front, back)] + [(0, 0)] * len(channels)
         assert out.tobytes() == np.pad(body, pads).tobytes()
-        assert out_mask.tobytes() == np.pad(mask, pads[:2]).tobytes()
+        assert out_mask.tobytes() == np.pad(mask, pads[:2], constant_values=valid).tobytes()
         if front or back:
             assert not out.flags.writeable and not out_mask.flags.writeable
         else:

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 import seqstream as sl
+from seqstream import tensor
 from seqstream.sequence import Sequence
 from seqstream.streaming import step_by_step
 
@@ -114,6 +115,24 @@ def test_history_leaf_steps_are_bit_exact(name, kind, mult, batch):
     x = history_input(kind, channels, batch)
     ref = layer.layer(x, training=False)
     assert_bit_exact(step_by_step(layer, x, training=False, block=mult * layer.block_size), ref)
+
+
+def test_an_overridden_initial_state_gives_layer_its_history_too():
+    """A history leaf's subclass that starts its history otherwise starts
+    it so in layer() as in step()."""
+
+    class PrimedConv(sl.Conv1D):
+        def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
+            values = np.ones((batch_size, self._history_len) + input_spec.shape, np.float32)
+            mask = np.ones((batch_size, self._history_len), bool)
+            return tensor.freeze(values), tensor.freeze(mask)
+
+    conv = PrimedConv(3, 5, 3, stride=2, rng=np.random.default_rng(0))
+    x = padded_input((3,), time=12, batch=2)
+    y = conv.layer(x, training=False)
+    assert_bit_exact(step_by_step(conv, x, training=False, block=conv.block_size), y)
+    plain = sl.Conv1D(3, 5, 3, stride=2, params=conv._params)
+    assert plain.layer(x, training=False).values[0, 0].tobytes() != y.values[0, 0].tobytes()
 
 
 @pytest.mark.parametrize("batch", BATCHES)

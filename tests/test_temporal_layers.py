@@ -12,7 +12,7 @@ from fractions import Fraction
 import seqstream as sl
 from seqstream import tensor
 from seqstream.layer import poison_invalid
-from seqstream.sequence import VIEW_JOIN_BYTES, Sequence
+from seqstream.sequence import Sequence
 from seqstream.streaming import step_by_step
 from seqstream.temporal import PADDING_MODES, explicit_padding, window_curve
 
@@ -628,5 +628,6 @@ def test_conv_layer_writes_its_input_once():
     layout = batch * (2 + time) * (3 * f32 + 1)  # values and mask
     windows = batch * (time // 2) * 3 * 3 * f32
     output = batch * (time // 2) * 5 * f32
-    # slack: the joined mask, a copy under VIEW_JOIN_BYTES, and small arrays
-    assert peak <= layout + windows + output + VIEW_JOIN_BYTES
+    # slack for the small arrays: it read 35 KB, and the parent's copies 1.6 MB
+    assert peak <= layout + windows + output + (1 << 16)
+

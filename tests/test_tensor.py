@@ -121,15 +121,3 @@ def test_matmul_rows_over_no_taps_is_zero():
     w = tensor.rows_weight(np.zeros((0, 3), np.float32))
     y = tensor.matmul_rows(np.zeros((2, 4, 0), np.float32), w, 3)
     assert y.shape == (2, 4, 3) and not y.any()
-
-
-@pytest.mark.parametrize("rows", [0, 1, 63, 64, 65, 200])
-@pytest.mark.parametrize("n", [1, 5, 16])
-def test_add_bias_gives_the_broadcast_adds_bits_in_place(rows, n):
-    """Whole groups of _BIAS_ROWS rows, a tail of fewer, or only a tail."""
-    rng = np.random.default_rng([rows, n])
-    y = rng.standard_normal((rows, 2, n)).astype(np.float32)
-    bias = rng.standard_normal(n).astype(np.float32)
-    expected = (y + bias).tobytes()
-    assert tensor.add_bias(y, tensor.bias_rows(bias)) is y
-    assert y.tobytes() == expected
