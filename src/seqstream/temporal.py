@@ -31,8 +31,8 @@ taps (:func:`_window_index`). In ``layer()`` the context, the zeroed input
 and the flush steps are one buffer written once, and that ``shift_in``
 joins them as that buffer, with no copy (see :mod:`seqstream.sequence`).
 Every window gathers by one ``take(idx, axis=1)``: pooling takes its
-window mask the same way. ``Conv1D``'s contiguous ``[B, out, k, C]`` windows are, without a copy,
-``[B, out, k * C]`` rows. It contracts them with
+window mask the same way. ``Conv1D``'s contiguous ``[B, out, k, C]``
+windows are, without a copy, ``[B, out, k * C]`` rows. It contracts them with
 :func:`~seqstream.tensor.matmul_rows` against its weight flattened to
 ``[k * C, filters]``, and ``Conv1DTranspose`` contracts each masked input
 step against its weight laid out as ``[C, k * filters]`` (int32 and bool
