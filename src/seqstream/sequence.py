@@ -24,7 +24,7 @@ checks nothing. Either way a sequence's ``values``
 and ``mask`` are read-only arrays of a supported dtype.
 
 Step states keep no Sequences. A fixed-length stream history (a window's
-context, a delay line) is a tuple of plain arrays ``[batch, time, ...]``
+context, a delay line, an overlap-adding layer's input window) is a tuple of plain arrays ``[batch, time, ...]``
 that starts as :func:`empty_history` and advances by :func:`shift_in`, the
 one function that joins a block onto a history and keeps its tail.
 
@@ -147,8 +147,8 @@ def empty_history(batch_size: int, length: int, spec: ChannelSpec) -> tuple[np.n
 def shift_in(history: tuple, block: tuple) -> tuple[list, tuple]:
     """Shifts a block into a fixed-length stream history: the one rule that
     advances every step state kept over a fixed number of past steps (a
-    window's context, a delay line, the transposed convolution's mask
-    history, attention's pending queries). Attention's KV cache, which an
+    window's context, a delay line, the input window of an overlap-adding
+    layer, attention's pending queries). Attention's KV cache, which an
     unbounded past lets grow, appends into capacity buffers of its own
     instead (see :mod:`seqstream.attention`).
 

@@ -17,12 +17,14 @@ zeros: the left padding, plus the placeholder windows the flush protocol
 drops. ``Delay`` and ``StepDelay`` keep a delay line of ``length`` steps,
 the same pair, and emit the oldest steps of the line joined with the
 block. A delay line reads no value, so no caller zeroes its input.
-``Conv1DTranspose``'s output mask is a delay line too: its input mask
-repeated ``stride`` times, delayed ``trim_left`` output steps, so stepped
-output ``o`` is valid iff input ``floor((o - trim_left) / stride)`` is;
-its overlap-add carry is a scatter, not a shift. Output validity follows
-the anchor rule: output step ``t`` is valid iff its anchor input
-``t * stride`` (or ``floor(t / ratio)`` for upsampling layers) is valid.
+``Conv1DTranspose`` and ``OverlapAdd`` keep the same pair of their last
+``ceil(k / stride) - 1`` masked inputs, the window each output sums. The
+transposed conv's output mask is the joined input mask repeated
+``stride`` times and delayed ``trim_left`` output steps, so stepped output
+``o`` is valid iff input ``floor((o - trim_left) / stride)`` is. Output
+validity follows the anchor rule: output step ``t`` is valid iff its
+anchor input ``t * stride`` (or ``floor(t / ratio)`` for upsampling
+layers) is valid.
 
 Windowed reductions: a windowed layer's step joins its context and block
 with one ``shift_in`` and passes the joined ``[B, context + T, ...]`` values
@@ -34,10 +36,11 @@ Every window gathers by one ``take(idx, axis=1)``: pooling takes its
 window mask the same way. ``Conv1D``'s contiguous ``[B, out, k, C]``
 windows are, without a copy, ``[B, out, k * C]`` rows. It contracts them with
 :func:`~seqstream.tensor.matmul_rows` against its weight flattened to
-``[k * C, filters]``, and ``Conv1DTranspose`` contracts each masked input
-step against its weight laid out as ``[C, k * filters]`` (int32 and bool
-input contract in float32). So a step gives the bits of ``layer()`` by the
-rule every contraction over positions follows (see :mod:`seqstream.tensor`).
+``[k * C, filters]``; ``Conv1DTranspose`` contracts each input step's
+window of ``ceil(k / stride)`` inputs the same way, into ``stride`` output
+steps (int32 and bool input contract in float32). So a step gives the bits
+of ``layer()`` by the rule every contraction over positions follows (see
+:mod:`seqstream.tensor`).
 
 Padding conventions (pad_left, with pad_left + pad_right = effective_kernel - 1):
 
@@ -96,34 +99,6 @@ def explicit_padding(mode: str, kernel_size: int, dilation: int) -> tuple[int, i
         left = (eff - 1) // 2
         return left, eff - 1 - left
     raise ValueError(f"unknown padding mode {mode!r}; expected one of {PADDING_MODES}")
-
-
-def overlap_add(frames: np.ndarray, hop: int, carry: np.ndarray):
-    """Sums frames placed ``hop`` apart onto one time axis.
-
-    ``frames`` is ``[B, T, K, ...]``; tap ``j`` of frame ``t`` lands on
-    position ``t * hop + j``, counted from the first position of ``carry``.
-    ``carry`` is ``[B, (ceil(K / hop) - 1) * hop, ...]``: the partial sums
-    that earlier frames left on the positions after theirs (zeros before
-    the first frame). Returns the ``T * hop`` positions no later frame can
-    reach, and the carry for the next call.
-
-    Every position adds its contributions oldest frame first, starting from
-    its carry, so one call over T frames (``layer()``) and any split of them
-    into calls that thread the carry (``step()``) give bit-identical sums.
-    The loop runs over the ``ceil(K / hop)`` tap groups, never over T.
-    """
-    batch, time, kernel = frames.shape[:3]
-    rest = frames.shape[3:]
-    groups = -(-kernel // hop)
-    full = np.zeros((batch, time + groups - 1, hop) + rest, dtype=frames.dtype)
-    flat = full.reshape((batch, (time + groups - 1) * hop) + rest)
-    flat[:, : carry.shape[1]] = carry
-    # tap group g of frame t covers slot t + g: descending g is ascending t
-    for g in reversed(range(groups)):
-        width = min(hop, kernel - g * hop)
-        full[:, g : g + time, :width] += frames[:, :, g * hop : g * hop + width]
-    return flat[:, : time * hop], flat[:, time * hop :]
 
 
 @functools.lru_cache(maxsize=128)
@@ -275,15 +250,20 @@ class AveragePooling1D(_Pooling1D):
 class Conv1DTranspose(SequenceLayer):
     """Stride-factor upsampling via transposed convolution.
 
-    Each input step scatters kernel_size contributions onto the upsampled
-    grid (:func:`overlap_add` with hop = stride); ``same`` trimming removes
-    max(kernel-stride, 0) // 2 leading positions, ``causal`` removes none
-    (so no output precedes its anchor).
+    Input step t adds kernel tap j to output ``t * stride + j``; ``same``
+    trimming removes max(kernel-stride, 0) // 2 leading positions,
+    ``causal`` removes none (so no output precedes its anchor). So output
+    phase j of input step t sums inputs ``t - g`` through taps
+    ``g * stride + j``, g below ``groups = ceil(kernel / stride)``: a
+    stride-1 window conv with ``stride * filters`` outputs (the sub-pixel
+    convolution of arXiv 1609.05158), whose weight has zero rows where
+    ``g * stride + j >= kernel``. Step state: the last ``groups - 1``
+    masked inputs (see the module docstring).
 
-    Step state: ``carry``, the overlap-add partial sums of the next
-    ``(ceil(kernel / stride) - 1) * stride`` positions, and ``mask_history``,
-    the last ``trim_left`` steps of the output mask's delay line (see the
-    module docstring).
+    Non-finite input: when ``kernel % stride != 0``, a valid inf or NaN
+    also meets the zero rows of the window it is the oldest member of, and
+    ``0 * inf`` sets NaN at that window's phases ``j >= kernel % stride``,
+    outside the receptive field. Finite input is unaffected.
     """
 
     def __init__(
@@ -317,15 +297,19 @@ class Conv1DTranspose(SequenceLayer):
         self.trim_left = (
             max(self.kernel_size - self.stride, 0) // 2 if padding == "same" else 0
         )
-        self._carry_len = (-(-self.kernel_size // self.stride) - 1) * self.stride
+        groups = -(-self.kernel_size // self.stride)
+        self._history_len = groups - 1
         spec = {"weight": (self.kernel_size, self.in_channels, self.filters)}
         if self.use_bias:
             spec["bias"] = (self.filters,)
         self._params = params_lib.materialize(spec, params, rng, self.name)
-        # [k, C, F] -> [C, k * F]: one input step's contributions are one row
-        weight = self._params["weight"].transpose(1, 0, 2)
-        self._taps = self.kernel_size * self.filters
-        self._weight = tensor.rows_weight(weight.reshape(self.in_channels, self._taps))
+        # [k, C, F] -> [groups * C, stride * F], oldest member (g = groups - 1)
+        # first: tap g * stride + j of input t - g feeds phase j
+        taps = np.zeros((groups * self.stride, self.in_channels, self.filters), np.float32)
+        taps[: self.kernel_size] = self._params["weight"]
+        taps = taps.reshape(groups, self.stride, self.in_channels, self.filters)[::-1]
+        shape = (groups * self.in_channels, self.stride * self.filters)
+        self._weight = tensor.rows_weight(taps.transpose(0, 2, 1, 3).reshape(shape))
         self.output_ratio = Fraction(self.stride)
         self.output_latency = self.trim_left
         self.input_latency = -(-self.trim_left // self.stride)
@@ -336,30 +320,25 @@ class Conv1DTranspose(SequenceLayer):
             rf[o] = (lo, hi) if lo <= hi else None
         self.receptive_field_per_step = rf
 
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        return {
-            "carry": tensor.freeze(
-                np.zeros((batch_size, self._carry_len, self.filters), dtype=np.float32)
-            ),
-            "mask_history": tensor.freeze(np.zeros((batch_size, self.trim_left), dtype=bool)),
-        }
-
     _masks_step_input = True
 
     def _step_arrays(self, values, mask, state, training, constants):
         self._expect_channels(values.shape[2:], (self.in_channels,))
         batch, time = values.shape[:2]
-        # masked [B, T, in] -> per-input contributions [B, T, k, filters], overlap-added
-        contrib = tensor.matmul_rows(values, self._weight, self._taps)
-        contrib = contrib.reshape(batch, time, self.kernel_size, self.filters)
-        out, carry = overlap_add(contrib, self.stride, state["carry"])
+        (values, mask), state = shift_in(state, (values, mask))
+        idx = _window_index(time, 1, self._history_len + 1, 1)
+        # the windows [B, T, groups, C], contiguous, are rows of groups * C
+        # taps, freed once contracted; phase j of step t is output t * s + j
+        rows = values.take(idx, axis=1).reshape(batch, time, len(self._weight))
+        y = tensor.matmul_rows(rows, self._weight, self.stride * self.filters)
+        del rows
+        y = y.reshape(batch, time * self.stride, self.filters)
         if self.use_bias:
-            out = out + self._params["bias"]
+            y += self._params["bias"]
         # stepped output o is anchored at input floor((o - trim_left) / stride)
-        up = np.repeat(mask, self.stride, axis=1)
-        (mask,), (history,) = shift_in((state["mask_history"],), (up,))
-        out_mask = mask[:, : time * self.stride]
-        return out, out_mask, {"carry": tensor.freeze(carry), "mask_history": history}
+        start = self._history_len * self.stride - self.trim_left
+        out_mask = np.repeat(mask, self.stride, axis=1)[:, start : start + time * self.stride]
+        return y, out_mask, state
 
 
 class Downsample1D(SequenceLayer):
@@ -537,8 +516,12 @@ class OverlapAdd(SequenceLayer):
     Output position p sums the frames t with ``t * hop <= p``, so frame t's
     ``hop`` positions are final once it arrives: there is no latency.
 
-    Step state: the :func:`overlap_add` carry, the partial sums of the next
-    ``(ceil(frame_length / hop) - 1) * hop`` positions.
+    Frame t's ``hop`` positions sum the window of frames ``t - g``,
+    g below ``ceil(frame_length / hop)``, through their taps ``g * hop``
+    onwards, added oldest first onto zeros, so both modes add each
+    position's contributions in one order. Step state: the last
+    ``ceil(frame_length / hop) - 1`` masked frames, a ``(values, mask)``
+    history (see the module docstring).
     """
 
     def __init__(self, frame_length, hop, name=None):
@@ -553,6 +536,7 @@ class OverlapAdd(SequenceLayer):
         self.receptive_field_per_step = {
             o: (math.ceil((o - self.frame_length + 1) / self.hop), 0) for o in range(self.hop)
         }
+        self._history_len = -(-self.frame_length // self.hop) - 1
 
     def _check(self, channel_shape):
         if not channel_shape or channel_shape[0] != self.frame_length:
@@ -561,17 +545,19 @@ class OverlapAdd(SequenceLayer):
                 f"got {channel_shape}"
             )
 
-    def get_initial_state(self, batch_size, input_spec, *, training, constants=None):
-        carry_len = (-(-self.frame_length // self.hop) - 1) * self.hop
-        shape = (batch_size, carry_len) + input_spec.shape[1:]
-        return tensor.freeze(np.zeros(shape, dtype=input_spec.dtype))
-
     _masks_step_input = True
 
     def _step_arrays(self, values, mask, state, training, constants):
         self._check(values.shape[2:])
-        out, carry = overlap_add(values, self.hop, state)
+        batch, time = values.shape[:2]
         out_mask = np.repeat(mask, self.hop, axis=1)
+        (values, _), state = shift_in(state, (values, mask))
+        out = np.zeros((batch, time, self.hop) + values.shape[3:], values.dtype)
+        # joined frame t + i is member i of frame t's window, frame t - g
+        for i in range(self._history_len + 1):
+            tap = (self._history_len - i) * self.hop
+            width = min(self.hop, self.frame_length - tap)
+            out[:, :, :width] += values[:, i : i + time, tap : tap + width]
         # after a row's last valid frame, invalid positions hold that
         # frame's tail, not zeros
-        return out, out_mask, tensor.freeze(carry)
+        return out.reshape((batch, time * self.hop) + values.shape[3:]), out_mask, state

@@ -19,9 +19,10 @@ rows. Kernels contract in one of three ways:
 * :func:`matmul_rows`, a float32 BLAS matmul over the flattened leading
   axes, for a contraction whose rows are positions: ``Dense``, the
   attention projections, ``Conv1D`` (a row is one output's window of k * C
-  taps), ``Conv1DTranspose`` (a row is one input step, against a
-  ``[C, k * filters]`` weight) and the LSTM's input half (a row is one
-  input step, against the kernel's input rows, once per call). On
+  taps), ``Conv1DTranspose`` (a row is one input step's window of
+  ``ceil(k / stride)`` inputs, against a ``[groups * C, stride * filters]``
+  weight) and the LSTM's input half (a row is one input step, against the
+  kernel's input rows, once per call). On
   OpenBLAS 0.3.31 a row's bits depend on the row count in three cases,
   and it rules out each. A one-row or a one-column call takes the gemv
   path, whose rounding depends on the row count, so a lone row gets a

@@ -2,13 +2,14 @@
 
 The contract allows |step - layer| up to 1e-6, but these layers and specs
 meet it exactly, and a faster step path must keep it that way. A
-contraction whose rows are positions (Dense, the attention projections and
-Conv1D's window rows) goes through ``tensor.matmul_rows``, which never lets
-BLAS take its one-row (gemv) path: that path rounds a row apart from the
-many-row one, so a bare matmul on a one-row block changes bits without
-failing any tolerance. The row count also decides how BLAS rounds a narrow
-output past about 1e6 multiply-adds, and a deep one past 448 taps, which
-``matmul_rows`` rules out with its padded weight and its slices of K. So
+contraction whose rows are positions (Dense, the attention projections,
+the window rows of Conv1D and Conv1DTranspose) goes through
+``tensor.matmul_rows``, which never lets BLAS take its one-row (gemv)
+path: that path rounds a row apart from the many-row one, so a bare
+matmul on a one-row block changes bits without failing any tolerance.
+The row count also decides how BLAS rounds a narrow output past about 1e6
+multiply-adds, and a deep one past 448 taps, which ``matmul_rows`` rules
+out with its padded weight and its slices of K. So
 the cases run at batch 1 (a one-step block is one row), 3 and 8, at
 several block multiples, with one filter as well as several, and with
 convs deep and long enough to reach those two hazards. Attention's softmax
@@ -55,6 +56,15 @@ def layers():
         "frame": (sl.Frame(5, 2), (3,)),
         "delay": (sl.Delay(3), (3,)),
         "step_delay": (sl.StepDelay(2), (3,)),
+        # a transposed conv's window of ceil(k / s) inputs: k % s != 0, whose
+        # oldest member meets zero weight rows, and K = 4 * 160 = 640 taps,
+        # contracted in slices, with stride * filters = 6 columns padded to 16
+        "conv1d_transpose_odd": (
+            sl.Conv1DTranspose(3, 2, 6, stride=4, padding="same", rng=rng),
+            (3,),
+        ),
+        "conv1d_transpose_deep": (sl.Conv1DTranspose(160, 3, 8, stride=2, rng=rng), (160,)),
+        "overlap_add": (sl.OverlapAdd(5, 2), (5, 3)),
     }
 
 
@@ -87,7 +97,17 @@ def test_leaf_steps_are_bit_exact(name, mult, batch):
 
 
 #: the leaves layer() runs on one buffer of history, input and flush steps
-HISTORY_LEAVES = ["conv1d", "max_pooling", "average_pooling", "frame", "delay", "step_delay"]
+HISTORY_LEAVES = [
+    "conv1d",
+    "max_pooling",
+    "average_pooling",
+    "frame",
+    "delay",
+    "step_delay",
+    "conv1d_transpose",
+    "conv1d_transpose_odd",
+    "overlap_add",
+]
 
 
 def history_input(kind, channels, batch):

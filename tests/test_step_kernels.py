@@ -132,6 +132,19 @@ def test_every_library_leaf_is_its_kernel():
     assert own_spec == ["Repeat", "Serial"]
 
 
+def test_only_leaves_whose_state_is_no_input_history_start_their_own():
+    # every other stateful leaf declares _history_len, and the base class
+    # starts its history: a window, a delay line or an overlap-add leaf
+    # keeps its last input steps, never a carry of partial sums
+    own_state = sorted(
+        cls.__name__ for cls in library_layer_classes()
+        if not cls.__name__.startswith("_")
+        and not issubclass(cls, (_Composite, Bidirectional))
+        and cls.get_initial_state is not SequenceLayer.get_initial_state
+    )
+    assert own_state == ["Conditioning", "DotProductSelfAttention", "Dropout", "LSTM", "Lookahead"]
+
+
 def three_channel_leaves():
     rng = np.random.default_rng(5)
     return [

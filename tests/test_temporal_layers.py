@@ -12,7 +12,7 @@ from fractions import Fraction
 import seqstream as sl
 from seqstream import tensor
 from seqstream.layer import poison_invalid
-from seqstream.sequence import Sequence
+from seqstream.sequence import Sequence, empty_history
 from seqstream.streaming import step_by_step
 from seqstream.temporal import PADDING_MODES, explicit_padding, window_curve
 
@@ -317,14 +317,40 @@ class TestConv1DTranspose:
         got = np.asarray(y.mask_invalid().values, np.float64)
         np.testing.assert_allclose(got, np.where(expect_mask[..., None], expect, 0), atol=1e-5)
 
-    def test_int32_input_contracts_as_its_float32_cast(self, rng):
+    @pytest.mark.parametrize("dtype", ["i32", "bool"])
+    @pytest.mark.parametrize("k,stride", [(3, 2), (6, 4)])
+    def test_int32_input_contracts_as_its_float32_cast(self, rng, dtype, k, stride):
         # past 2**24 most int32 values round when cast to float32
-        layer = sl.Conv1DTranspose(2, 3, 3, stride=2, rng=rng)
-        values = rng.integers(2**24, 2**26, (2, 9, 2)).astype(np.int32)
-        y = layer.layer(Sequence.from_lengths(values, [9, 6]), training=False)
-        cast = layer.layer(Sequence.from_lengths(values.astype(np.float32), [9, 6]), training=False)
-        assert np.array_equal(y.mask, cast.mask)
-        assert y.values.tobytes() == cast.values.tobytes()
+        layer = sl.Conv1DTranspose(2, 3, k, stride=stride, padding="same", rng=rng)
+        if dtype == "i32":
+            values = rng.integers(2**24, 2**26, (2, 9, 2)).astype(np.int32)
+        else:
+            values = rng.random((2, 9, 2)) < 0.5
+        cast = Sequence.from_lengths(values.astype(np.float32), [9, 6])
+        x = Sequence.from_lengths(values, [9, 6])
+        for y, ref in [
+            (layer.layer(x, training=False), layer.layer(cast, training=False)),
+            (step_by_step(layer, x, training=False), step_by_step(layer, cast, training=False)),
+        ]:
+            assert np.array_equal(y.mask, ref.mask)
+            assert y.values.tobytes() == ref.values.tobytes()
+
+    def test_a_valid_inf_also_meets_the_zero_taps_of_its_last_window(self, rng):
+        """k % s != 0: input 1 is the oldest member of input 2's window,
+        whose phases 2 and 3 weigh it by zero rows, so 0 * inf sets them
+        NaN. Its six taps, outputs 4-9, are the declared field."""
+        layer = sl.Conv1DTranspose(1, 1, 6, stride=4, padding="causal", rng=rng)
+        values = rng.uniform(-0.5, 0.5, (1, 5, 1)).astype(np.float32)
+        values[0, 1, 0] = np.inf
+        x = Sequence.from_values(values)
+        with np.errstate(invalid="ignore"):
+            ys = [layer.layer(x, training=False), step_by_step(layer, x, training=False)]
+        for y in ys:
+            out = y.values[0, :, 0]
+            assert np.flatnonzero(~np.isfinite(out)).tolist() == list(range(4, 12))
+            assert np.isnan(out[10:12]).all()
+        values[0, 1, 0] = 0.5
+        assert np.isfinite(layer.layer(Sequence.from_values(values), training=False).values).all()
 
 
 class TestResampling:
@@ -507,8 +533,11 @@ def _overlap_add_grid():
                     ragged,
                     id=f"tconv-k{k}-s{stride}-{padding}",
                 )
-    # a lone row, which matmul_rows duplicates; and K = 40 >= 32 with
-    # k * filters = 9 output columns, which rows_weight pads to 16
+    # a lone row, which matmul_rows duplicates, with k % s = 0 and with
+    # k % s != 0, whose oldest window member meets zero weight rows; a
+    # window of K = 2 * 40 = 80 >= 32 taps with stride * filters = 6
+    # output columns, which rows_weight pads to 16; and K = 4 * 160 = 640
+    # past 448, which matmul_rows contracts in slices
     yield pytest.param(
         lambda rng: sl.Conv1DTranspose(3, 2, 4, stride=2, padding="same", rng=rng),
         3,
@@ -516,7 +545,16 @@ def _overlap_add_grid():
         id="tconv-batch1",
     )
     yield pytest.param(
+        lambda rng: sl.Conv1DTranspose(3, 2, 5, stride=3, padding="same", rng=rng),
+        3,
+        [13],
+        id="tconv-batch1-k5-s3",
+    )
+    yield pytest.param(
         lambda rng: sl.Conv1DTranspose(40, 3, 3, stride=2, rng=rng), 40, ragged, id="tconv-wide"
+    )
+    yield pytest.param(
+        lambda rng: sl.Conv1DTranspose(160, 3, 8, stride=2, rng=rng), 160, ragged, id="tconv-deep"
     )
     for length in range(1, 8):
         for hop in range(1, length + 1):
@@ -526,6 +564,32 @@ def _overlap_add_grid():
                 ragged,
                 id=f"ola-L{length}-h{hop}",
             )
+
+
+@pytest.mark.parametrize(
+    "make,spec,length",
+    [
+        (lambda k=k, s=s: sl.Conv1DTranspose(3, 2, k, stride=s, rng=np.random.default_rng(0)),
+         sl.ChannelSpec((3,)), -(-k // s) - 1)
+        for k, s in [(1, 1), (2, 4), (4, 2), (5, 2), (6, 4), (8, 3)]
+    ]
+    + [
+        (lambda n=n, h=h: sl.OverlapAdd(n, h), sl.ChannelSpec((n, 2), dtype), -(-n // h) - 1)
+        for n, h in [(1, 1), (4, 4), (4, 2), (5, 2), (7, 3)]
+        for dtype in (np.float32, np.int32, np.bool_)
+    ],
+)
+def test_an_overlap_adding_leaf_starts_from_an_empty_history(make, spec, length):
+    """Its state is the last ceil(k / s) - 1 masked inputs: the history
+    every windowed leaf keeps, not a carry of partial sums."""
+    layer = make()
+    assert layer._history_len == length
+    state = layer.get_initial_state(3, spec, training=False)
+    expect = empty_history(3, length, spec)
+    assert len(state) == 2
+    for got, want in zip(state, expect):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes() and not got.flags.writeable
 
 
 @pytest.mark.parametrize("make,channels,lengths", list(_overlap_add_grid()))
@@ -631,3 +695,32 @@ def test_conv_layer_writes_its_input_once():
     # slack for the small arrays: it read 35 KB, and the parent's copies 1.6 MB
     assert peak <= layout + windows + output + (1 << 16)
 
+
+
+def test_transposed_conv_layer_writes_its_input_once():
+    """layer() gathers each input step's window from one layout of history,
+    zeroed input and flush steps, contracts the windows in one matmul and
+    reads its phases as output steps without a copy. So the peak stays near
+    that layout plus the [B, T, groups * C] windows, the [B, T * s, F]
+    output and the repeated mask: the scatter held the [B, T, k * F]
+    contributions, the padded sums and a biased copy of them."""
+    tconv = sl.Conv1DTranspose(1, 1, 6, stride=4, padding="same", rng=np.random.default_rng(0))
+    batch, time = 8, 8192
+    lengths = [time, 4500, 6000, 8000, 4100, 7500, 5000, 2]
+    x = random_sequence(4, batch, time, 1, lengths=lengths)
+    tconv.layer(x, training=False)  # caches the window index first
+    tracemalloc.start()
+    try:
+        tconv.layer(x, training=False)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    f32 = np.dtype(np.float32).itemsize
+    steps = time + 1  # one flush step for trim_left = 1
+    layout = batch * (1 + steps) * (f32 + 1)  # one history step; values and mask
+    windows = batch * steps * 2 * f32
+    output = batch * steps * 4 * f32
+    mask = batch * (1 + steps) * 4
+    # it read 1.90 MB, under the 2.23 MB bound: the windows are freed before
+    # the mask is built; the overlap-add scatter it replaced peaked at 4.52 MB
+    assert peak <= layout + windows + output + mask + (1 << 16), peak
