@@ -132,7 +132,7 @@ def test_every_library_leaf_is_its_kernel():
     assert own_spec == ["Repeat", "Serial"]
 
 
-def test_only_leaves_whose_state_is_no_input_history_start_their_own():
+def test_only_these_leaves_start_a_state_of_their_own():
     # every other stateful leaf declares _history_len, and the base class
     # starts its history: a window, a delay line or an overlap-add leaf
     # keeps its last input steps, never a carry of partial sums

@@ -320,7 +320,8 @@ class TestConv1DTranspose:
     @pytest.mark.parametrize("dtype", ["i32", "bool"])
     @pytest.mark.parametrize("k,stride", [(3, 2), (6, 4)])
     def test_int32_input_contracts_as_its_float32_cast(self, rng, dtype, k, stride):
-        # past 2**24 most int32 values round when cast to float32
+        # past 2**24 most int32 values round when cast to float32; bool
+        # contracts as 0 and 1, in both modes
         layer = sl.Conv1DTranspose(2, 3, k, stride=stride, padding="same", rng=rng)
         if dtype == "i32":
             values = rng.integers(2**24, 2**26, (2, 9, 2)).astype(np.int32)
@@ -694,7 +695,6 @@ def test_conv_layer_writes_its_input_once():
     output = batch * (time // 2) * 5 * f32
     # slack for the small arrays: it read 35 KB, and the parent's copies 1.6 MB
     assert peak <= layout + windows + output + (1 << 16)
-
 
 
 def test_transposed_conv_layer_writes_its_input_once():
